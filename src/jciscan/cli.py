@@ -22,19 +22,10 @@ import numpy as np
 from . import dataio
 from .errors import (
     DegenerateSample,
-    DimensionMismatch,
-    EmptyRange,
-    EmptyReport,
     FormatError,
-    InvalidPair,
     InvalidValue,
     JciscanError,
-    MissingGenotype,
-    MissingResponse,
-    NotPackedFile,
     ParseError,
-    TooFewColumns,
-    TruncatedFile,
     ZeroVarianceColumn,
 )
 from .scan import (
@@ -51,20 +42,6 @@ EXIT_IO = 1
 EXIT_FORMAT = 2
 EXIT_DEGENERATE = 3
 
-_FORMAT_ERRORS = (
-    FormatError,
-    ParseError,
-    MissingResponse,
-    NotPackedFile,
-    TruncatedFile,
-    MissingGenotype,
-    InvalidValue,
-    InvalidPair,
-    EmptyRange,
-    TooFewColumns,
-    EmptyReport,
-    DimensionMismatch,
-)
 _DEGENERATE_ERRORS = (ZeroVarianceColumn, DegenerateSample)
 
 
@@ -350,8 +327,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except _DEGENERATE_ERRORS as exc:
         return _fail(str(exc), EXIT_DEGENERATE)
-    except _FORMAT_ERRORS as exc:
-        return _fail(str(exc), EXIT_FORMAT)
     except JciscanError as exc:
         return _fail(str(exc), EXIT_FORMAT)
     except OSError as exc:

@@ -5,7 +5,9 @@ means, centered columns, centered sums of squares, their square roots and
 sqrt(n) are computed once per dataset.  After that, scoring one anchor
 column j1 against every partner j2 is a single fused product
 ``(y_c * x_c[j1]) @ C`` followed by elementwise normalization, where C is
-the n x p centered matrix.
+the n x p centered matrix.  One row iterator computes these rows; the
+top-k/threshold selection, the flat score array and the dump stream all
+consume it, so a scan that also collects every score sweeps once.
 
 Determinism contract
 --------------------
@@ -13,8 +15,11 @@ Results are bit-identical for every ``block_size`` and ``worker_count``.
 This holds by construction: each pair's value comes from the per-anchor
 row product above, whose operand shapes are fixed by (n, p) alone.  Tiling
 and threading only decide *which* anchor rows a worker evaluates; they
-never change how a value is computed.  Worker-local top-k heaps are merged
-by one deterministic sort at the end.
+never change how a value is computed.  Candidates are held as parallel
+arrays (r_hat, j1, j2, product sum); tile buffers, the final tile merge,
+shard merges and threshold selection are all ordered by one stable
+lexicographic sort on the full key, so the order never depends on which
+tile or worker found a pair.
 
 Ordering contract
 -----------------
@@ -24,7 +29,6 @@ Ranks are 1-based positions in that total order.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import time
@@ -47,6 +51,7 @@ from .errors import (
     InvalidPair,
     InvalidValue,
     TooFewColumns,
+    ZeroVarianceColumn,
 )
 
 DEFAULT_BLOCK_SIZE = 256
@@ -159,13 +164,13 @@ class ScanResult:
 class Workspace:
     """Immutable centered view of a dataset, shared read-only by workers.
 
-    ``matrix`` is the n x p centered predictor matrix; ``scale[j]`` is
-    sqrt(css_j); the response is centered with index ``RESPONSE_INDEX``.
-    ``centering_passes`` counts how many columns were centered while
-    building the workspace (p + 1: each predictor once, response once).
+    ``matrix`` is the n x p centered predictor matrix, the only copy of the
+    predictors; ``scale[j]`` is sqrt(css_j); the response is centered with
+    index ``RESPONSE_INDEX``.  ``centering_passes`` counts how many columns
+    were centered while building the workspace (p + 1: each predictor once,
+    response once).
     """
 
-    columns: tuple[CenteredColumn, ...]
     response: CenteredColumn
     matrix: np.ndarray
     scale: np.ndarray
@@ -186,17 +191,21 @@ def precompute(matrix, response, eps: float = 1e-12) -> Workspace:
     """Center every column and the response exactly once.
 
     Accepts a real n x p array or any object exposing ``.codes`` (a
-    genotype matrix); codes are widened to float64.  After this call the
-    per-pair cost of the sweep is one fused length-n product-sum plus one
-    division and one square root.
+    genotype matrix); codes are widened to float64.  The columns are
+    centered together in a contiguous p x n copy; means, centered values
+    and css are bit-identical to :func:`~jciscan.cumulants.center` on each
+    column.  After this call the per-pair cost of the sweep is one fused
+    length-n product-sum plus one division and one square root.
 
     Raises:
+        InvalidValue: non-finite entries (response first, then the lowest
+            offending column).
         ZeroVarianceColumn: a constant column (its id) or response (-1).
         DegenerateSample: n < 3.
         TooFewColumns: p < 2.
     """
     codes = getattr(matrix, "codes", None)
-    raw = np.asarray(codes if codes is not None else matrix, dtype=np.float64)
+    raw = np.asarray(codes if codes is not None else matrix)
     if raw.ndim != 2:
         raise InvalidValue(f"expected an n x p matrix, got shape {raw.shape}")
     n, p = raw.shape
@@ -208,43 +217,33 @@ def precompute(matrix, response, eps: float = 1e-12) -> Workspace:
     if y.shape != (n,):
         raise DimensionMismatch(f"response has shape {y.shape}, expected ({n},)")
 
-    passes = 0
     cy = center(y, index=RESPONSE_INDEX)
-    passes += 1
     validate_c1(cy, eps)
 
-    cols: list[CenteredColumn] = []
-    cmat = np.empty((n, p), dtype=np.float64)
-    for j in range(p):
-        col = center(raw[:, j], index=j)
-        passes += 1
-        validate_c1(col, eps)
-        cmat[:, j] = col.centered
-        cols.append(col)
+    # Row j of `cols` is column j: contiguous rows give the same pairwise
+    # sums and dot products as center() on that column alone.
+    cols = np.array(raw.T, dtype=np.float64, order="C")
+    finite = np.isfinite(cols).all(axis=1)
+    with np.errstate(invalid="ignore"):  # non-finite columns are reported below
+        cols -= (cols.sum(axis=1) / n)[:, None]
+    css = np.array([np.dot(row, row) for row in cols])
+    bad = ~finite | (css / n <= eps)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not finite[j]:
+            raise InvalidValue(f"column {j} contains non-finite values")
+        raise ZeroVarianceColumn(j)
+    cmat = np.ascontiguousarray(cols.T)
     cmat.setflags(write=False)
 
     return Workspace(
-        columns=tuple(cols),
         response=cy,
         matrix=cmat,
-        scale=np.sqrt(np.array([c.css for c in cols])),
+        scale=np.sqrt(css),
         response_scale=float(np.sqrt(cy.css)),
         sqrt_n=float(np.sqrt(n)),
-        centering_passes=passes,
+        centering_passes=p + 1,
     )
-
-
-def _score_row(ws: Workspace, j1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and raw product-sums of anchor j1 against all j2 > j1.
-
-    The vector-matrix product always has shape (n,) @ (n, p); its result
-    for a given pair never depends on tiling or threading.
-    """
-    fused = ws.response.centered * ws.columns[j1].centered
-    sums = fused @ ws.matrix
-    tail = sums[j1 + 1 :]
-    denom = (ws.scale[j1] * ws.response_scale) * ws.scale[j1 + 1 :]
-    return ws.sqrt_n * np.abs(tail) / denom, tail
 
 
 # --------------------------------------------------------------------------
@@ -252,81 +251,112 @@ def _score_row(ws: Workspace, j1: int) -> tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-class _TopKHeap:
-    """Bounded min-heap keeping the k best pairs of one worker.
-
-    Entries are ``(r, -j1, -j2, j1, j2, product_sum)``; the ascending heap
-    order puts the least preferred pair (smallest r, then lexicographically
-    largest pair among ties) at the root, so a push-pop evicts it.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.entries: list[tuple] = []
-
-    @property
-    def floor(self) -> float:
-        return self.entries[0][0] if len(self.entries) >= self.k else -np.inf
-
-    def offer(self, r: float, j1: int, j2: int, psum: float) -> None:
-        entry = (r, -j1, -j2, j1, j2, psum)
-        if len(self.entries) < self.k:
-            heapq.heappush(self.entries, entry)
-        elif entry[:3] > self.entries[0][:3]:
-            heapq.heappushpop(self.entries, entry)
+def _span(p: int, pair_range: tuple[int, int] | None) -> tuple[int, int]:
+    total = pair_count(p)
+    span = pair_range if pair_range is not None else (0, total)
+    if span[0] < 0 or span[1] > total:
+        raise InvalidPair(f"pair_range {span} exceeds [0, {total})")
+    if span[0] >= span[1]:
+        raise EmptyRange(f"pair_range {span} selects no pairs")
+    return span
 
 
-def _row_window(j1: int, p: int, span: tuple[int, int]) -> tuple[int, int]:
-    """Partner interval [lo, hi) of anchor j1 clipped to a canonical pair
-    index span."""
-    base = _row_start(j1, p)
-    lo = max(j1 + 1, j1 + 1 + (span[0] - base))
-    hi = min(p, j1 + 1 + (span[1] - base))
-    return lo, hi
-
-
-def _sweep_anchors(
-    ws: Workspace,
-    anchors: list[int],
-    span: tuple[int, int],
-    top_k: int | None,
-    threshold: float | None,
-) -> tuple[_TopKHeap | None, list[tuple], int]:
-    p = ws.p
-    n = ws.n
-    heap = _TopKHeap(top_k) if top_k is not None else None
-    hits: list[tuple] = []
-    scanned = 0
-    for j1 in anchors:
-        lo, hi = _row_window(j1, p, span)
-        if lo >= hi:
-            continue
-        scores, sums = _score_row(ws, j1)
-        scores = scores[lo - j1 - 1 : hi - j1 - 1]
-        sums = sums[lo - j1 - 1 : hi - j1 - 1]
-        scanned += hi - lo
-        if heap is not None:
-            # >= floor keeps exact ties that could still displace the
-            # root under the lexicographic rule.
-            cand = np.nonzero(scores >= heap.floor)[0]
-            for off in cand.tolist():
-                heap.offer(float(scores[off]), j1, lo + off, float(sums[off]))
-        if threshold is not None:
-            sel = np.nonzero(scores > threshold)[0]
-            for off in sel.tolist():
-                hits.append((float(scores[off]), j1, lo + off, float(sums[off])))
-    return heap, hits, scanned
-
-
-def _anchors_for_span(p: int, span: tuple[int, int]) -> list[int]:
+def _anchors_for_span(p: int, span: tuple[int, int]) -> range:
     lo_anchor, _ = pair_from_index(span[0], p)
     hi_anchor, _ = pair_from_index(span[1] - 1, p)
-    return list(range(lo_anchor, hi_anchor + 1))
+    return range(lo_anchor, hi_anchor + 1)
 
 
-def _order_stats(raw: list[tuple], n: int) -> list[PairStatistic]:
-    raw.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return [PairStatistic(j1=j1, j2=j2, tau_hat=s / n, r_hat=r) for r, j1, j2, s in raw]
+def _rows(ws: Workspace, anchors, span: tuple[int, int]):
+    """Yield ``(j1, lo, scores, sums)`` per anchor: the scores and raw
+    product-sums of j1 against partners ``lo, lo + 1, ...`` clipped to the
+    canonical pair index span.
+
+    This is the only place a pair value is computed.  The vector-matrix
+    product always has shape (n,) @ (n, p), so a pair's value never depends
+    on the span, tiling or threading.
+    """
+    p = ws.p
+    for j1 in anchors:
+        base = _row_start(j1, p)
+        lo = max(j1 + 1, j1 + 1 + (span[0] - base))
+        hi = min(p, j1 + 1 + (span[1] - base))
+        if lo >= hi:
+            continue
+        sums = ((ws.response.centered * ws.matrix[:, j1]) @ ws.matrix)[lo:hi]
+        denom = (ws.scale[j1] * ws.response_scale) * ws.scale[lo:hi]
+        yield j1, lo, ws.sqrt_n * np.abs(sums) / denom, sums
+
+
+# Columnar candidate sets are tuples of parallel arrays (r_hat, j1, j2, sums).
+_NO_PAIRS = (np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
+
+#: A tile's top-k buffer is cut back to k once it holds more than this many
+#: times k candidates.
+_CUT_FACTOR = 4
+
+
+def _rank_order(r_hat, j1, j2) -> np.ndarray:
+    """Indices sorting pairs by the ordering contract: r_hat descending,
+    ties by (j1, j2) ascending.  Stable: equal keys keep their input order."""
+    return np.lexsort((j2, j1, np.negative(r_hat)))
+
+
+def _stack(parts) -> tuple:
+    return tuple(np.concatenate(column) for column in zip(_NO_PAIRS, *parts))
+
+
+def _ordered(cand: tuple, limit: int | None = None) -> tuple:
+    order = _rank_order(*cand[:3])[:limit]
+    return tuple(column[order] for column in cand)
+
+
+def _take(j1: int, lo: int, scores: np.ndarray, sums: np.ndarray, keep: np.ndarray) -> tuple:
+    return scores[keep], np.full(keep.size, j1, dtype=np.intp), lo + keep, sums[keep]
+
+
+def _sweep_tile(ws, anchors, span, top_k, threshold, out):
+    """Sweep one tile of anchors.  Returns ``(top, hits, scanned)``: the
+    tile's ordered top-k and its threshold hits as columnar sets (None when
+    not requested) and the pair count.  Writes every score into ``out``
+    (flat, offset by the span start) when given."""
+    top: list[tuple] = []
+    hits: list[tuple] = []
+    held = 0
+    floor = -np.inf
+    scanned = 0
+    for j1, lo, scores, sums in _rows(ws, anchors, span):
+        scanned += scores.size
+        if out is not None:
+            at = pair_index(j1, lo, ws.p) - span[0]
+            out[at : at + scores.size] = scores
+        if top_k is not None:
+            # >= floor keeps exact ties with the k-th best; the cut's
+            # (j1, j2) tie-break settles them.
+            keep = np.flatnonzero(scores >= floor)
+            if keep.size:
+                top.append(_take(j1, lo, scores, sums, keep))
+                held += keep.size
+            if held > _CUT_FACTOR * top_k:
+                top = [_ordered(_stack(top), top_k)]
+                held = top_k
+                floor = top[0][0][-1]
+        if threshold is not None:
+            keep = np.flatnonzero(scores > threshold)
+            if keep.size:
+                hits.append(_take(j1, lo, scores, sums, keep))
+    return (
+        _ordered(_stack(top), top_k) if top_k is not None else None,
+        _stack(hits) if threshold is not None else None,
+        scanned,
+    )
+
+
+def _pair_stats(cand: tuple, n: int) -> tuple[PairStatistic, ...]:
+    r_hat, j1, j2, sums = (column.tolist() for column in cand)
+    return tuple(
+        PairStatistic(j1=a, j2=b, tau_hat=s / n, r_hat=r) for r, a, b, s in zip(r_hat, j1, j2, sums)
+    )
 
 
 def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = False) -> ScanResult:
@@ -335,9 +365,9 @@ def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = Fa
     ``workspace`` is a :class:`Workspace` or a raw matrix (then
     ``response`` is required and :func:`precompute` runs internally).
     With ``collect_scores`` the result also carries the flat score array
-    over the configured range (canonical pair order).
-    The result is identical for any block_size/worker_count combination;
-    see the module docstring for why.
+    over the configured range (canonical pair order), filled during the
+    same sweep.  The result is identical for any block_size/worker_count
+    combination; see the module docstring for why.
 
     Raises:
         EmptyRange: the configured pair range selects no pairs.
@@ -345,51 +375,36 @@ def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = Fa
     if not isinstance(workspace, Workspace):
         workspace = precompute(workspace, response)
     ws = workspace
-    total = pair_count(ws.p)
-    span = config.pair_range if config.pair_range is not None else (0, total)
-    if span[1] > total:
-        raise InvalidPair(f"pair_range {span} exceeds pair count {total}")
-    if span[0] >= span[1]:
-        raise EmptyRange(f"pair_range {span} selects no pairs")
+    span = _span(ws.p, config.pair_range)
 
     started = time.perf_counter()
     anchors = _anchors_for_span(ws.p, span)
     tiles = [anchors[i : i + config.block_size] for i in range(0, len(anchors), config.block_size)]
+    scores = np.empty(span[1] - span[0]) if collect_scores else None
+
+    def sweep(tile):
+        return _sweep_tile(ws, tile, span, config.top_k, config.threshold, scores)
 
     workers = min(config.worker_count, len(tiles))
     if workers <= 1:
-        parts = [_sweep_anchors(ws, a, span, config.top_k, config.threshold) for a in tiles]
+        parts = [sweep(tile) for tile in tiles]
     else:
-        # Round-robin tile assignment: early anchors have longer rows, so
-        # striding balances the load.  The workspace is shared read-only;
-        # each task owns its heap and hit list, merged below.
-        assignments = [tiles[w::workers] for w in range(workers)]
-
-        def run(tile_list):
-            out = []
-            for tile in tile_list:
-                out.append(_sweep_anchors(ws, tile, span, config.top_k, config.threshold))
-            return out
-
+        # The workspace is shared read-only; each tile owns its candidate
+        # sets and its disjoint slice of `scores`.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [item for chunk in pool.map(run, assignments) for item in chunk]
+            parts = list(pool.map(sweep, tiles))
 
     top: tuple[PairStatistic, ...] = ()
     if config.top_k is not None:
-        merged = [(e[0], e[3], e[4], e[5]) for heap, _, _ in parts if heap for e in heap.entries]
-        top = tuple(_order_stats(merged, ws.n)[: config.top_k])
+        top = _pair_stats(_ordered(_stack(t for t, _, _ in parts), config.top_k), ws.n)
     selected: tuple[PairStatistic, ...] = ()
     if config.threshold is not None:
-        all_hits = [h for _, hits, _ in parts for h in hits]
-        selected = tuple(_order_stats(all_hits, ws.n))
-    scanned = sum(c for _, _, c in parts)
-
-    scores = all_scores(ws, pair_range=config.pair_range) if collect_scores else None
+        selected = _pair_stats(_ordered(_stack(h for _, h, _ in parts)), ws.n)
 
     return ScanResult(
         top_pairs=top,
         selected=selected,
-        pairs_scanned=scanned,
+        pairs_scanned=sum(c for _, _, c in parts),
         elapsed_seconds=time.perf_counter() - started,
         scores=scores,
     )
@@ -402,29 +417,16 @@ def all_scores(ws: Workspace, pair_range: tuple[int, int] | None = None) -> np.n
     ``start`` is the beginning of ``pair_range`` (0 when unset).  Memory is
     O(#pairs); intended for desk-scale p.
     """
-    total = pair_count(ws.p)
-    span = pair_range if pair_range is not None else (0, total)
-    if span[0] < 0 or span[1] > total:
-        raise InvalidPair(f"pair_range {span} exceeds [0, {total})")
-    if span[0] >= span[1]:
-        raise EmptyRange(f"pair_range {span} selects no pairs")
-    out = np.empty(span[1] - span[0], dtype=np.float64)
-    for j1 in _anchors_for_span(ws.p, span):
-        lo, hi = _row_window(j1, ws.p, span)
-        if lo >= hi:
-            continue
-        scores, _ = _score_row(ws, j1)
-        base = _row_start(j1, ws.p)
-        dst = base + (lo - j1 - 1) - span[0]
-        out[dst : dst + (hi - lo)] = scores[lo - j1 - 1 : hi - j1 - 1]
+    span = _span(ws.p, pair_range)
+    out = np.empty(span[1] - span[0])
+    _sweep_tile(ws, _anchors_for_span(ws.p, span), span, None, None, out)
     return out
 
 
 def iter_score_rows(ws: Workspace):
     """Yield ``(j1, scores_for_j2_gt_j1)`` per anchor, canonical order.
     Streaming companion to :func:`all_scores` for O(p^2) dump writers."""
-    for j1 in range(ws.p - 1):
-        scores, _ = _score_row(ws, j1)
+    for j1, _, scores, _ in _rows(ws, range(ws.p - 1), (0, pair_count(ws.p))):
         yield j1, scores
 
 
@@ -433,17 +435,18 @@ def select_by_threshold(stats, c: float) -> list[PairStatistic]:
     returned in the result ordering (r descending, pair ascending)."""
     if c < 0:
         raise InvalidValue(f"threshold must be >= 0, got {c}")
-    kept = [s for s in stats if s.r_hat > c]
-    kept.sort(key=lambda s: (-s.r_hat, s.j1, s.j2))
-    return kept
+    return _sorted_stats([s for s in stats if s.r_hat > c])
 
 
 def merge_top_pairs(parts, top_k: int) -> list[PairStatistic]:
     """Merge per-shard top-k lists into the global top-k.  Exact when every
     shard kept at least its local top-k over a partition of the pair set."""
-    merged = [s for part in parts for s in part]
-    merged.sort(key=lambda s: (-s.r_hat, s.j1, s.j2))
-    return merged[:top_k]
+    return _sorted_stats([s for part in parts for s in part])[:top_k]
+
+
+def _sorted_stats(stats: list[PairStatistic]) -> list[PairStatistic]:
+    order = _rank_order([s.r_hat for s in stats], [s.j1 for s in stats], [s.j2 for s in stats])
+    return [stats[i] for i in order]
 
 
 def ranks_of_pairs(scores: np.ndarray, p: int, pairs) -> dict[tuple[int, int], int]:

@@ -2,11 +2,16 @@
 determinism, sharding, selection."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jciscan import (
+    GenotypeMatrix,
     ScanConfig,
     all_scores,
     merge_top_pairs,
@@ -18,7 +23,7 @@ from jciscan import (
     scan,
     select_by_threshold,
 )
-from jciscan.cumulants import PairStatistic
+from jciscan.cumulants import PairStatistic, center
 from jciscan.errors import (
     DegenerateSample,
     EmptyRange,
@@ -155,6 +160,44 @@ def test_precompute_shape_guards():
         precompute(rng.normal(size=(10, 1)), rng.normal(size=10))
 
 
+def test_precompute_matches_center_reference_bitwise():
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=40)
+    floats = rng.normal(size=(40, 9)) * rng.uniform(0.1, 1e4, size=9) + rng.uniform(-1e6, 1e6, size=9)
+    codes = rng.integers(1, 4, size=(40, 9)).astype(np.uint8)
+    genotypes = GenotypeMatrix(codes=codes, snp_ids=tuple("abcdefghi"), chromosomes=(1,) * 9)
+    for X, raw in [
+        (np.ascontiguousarray(floats), floats),
+        (np.asfortranarray(floats), floats),
+        (genotypes, codes.astype(np.float64)),
+    ]:
+        ws = precompute(X, y)
+        cols = [center(raw[:, j], index=j) for j in range(raw.shape[1])]
+        assert np.array_equal(ws.matrix, np.column_stack([c.centered for c in cols]))
+        assert np.array_equal(ws.scale, np.sqrt(np.array([c.css for c in cols])))
+        assert ws.response_scale == float(np.sqrt(center(y).css))
+
+    # Errors name the response first, then the lowest offending column,
+    # without numpy warnings from the non-finite entries.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = floats.copy()
+        X[3, 5] = np.nan
+        X[:, 7] = 1.5
+        with pytest.raises(InvalidValue, match="column 5 "):
+            precompute(X, y)
+        X[:, 2] = 1.5
+        X[0, 4] = np.inf
+        with pytest.raises(ZeroVarianceColumn) as exc:
+            precompute(X, y)
+        assert exc.value.index == 2
+        X = floats.copy()
+        X[:, 7] = 1.5
+        with pytest.raises(ZeroVarianceColumn) as exc:
+            precompute(X, np.full(40, 2.0))
+        assert exc.value.index == -1
+
+
 def test_scan_with_and_without_prebuilt_workspace_is_identical():
     X, y = random_instance(seed=33)
     cfg = ScanConfig(top_k=10)
@@ -219,6 +262,23 @@ def test_result_invariant_across_workers_and_blocks():
             assert res == base
 
 
+def test_collected_scores_survive_thread_switching():
+    # Tiles write disjoint slices of one shared score array; switching
+    # threads every microsecond must not lose or misplace a write.
+    X, y = random_instance(seed=22, max_n=40, max_p=60)
+    ws = precompute(X, y)
+    expect = all_scores(ws)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8, block_size=1),
+                       collect_scores=True)
+            assert res.scores.tobytes() == expect.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_ordering_breaks_ties_lexicographically():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(30, 6))
@@ -240,6 +300,52 @@ def test_top_k_monotonicity():
     small = scan(ws, ScanConfig(top_k=10)).top_pairs
     large = scan(ws, ScanConfig(top_k=25)).top_pairs
     assert large[:10] == small
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_columnar_merge_matches_sorted_oracle(data):
+    # 0/1 data with duplicated columns: exact score ties straddle the k-th
+    # place, the threshold and the shard cuts.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(6, 24), label="n")
+    p = data.draw(st.integers(3, 24), label="p")
+    X = (rng.random((n, p)) < 0.5).astype(np.float64)
+    X[0], X[1] = 1.0, 0.0
+    for _ in range(p // 2):
+        X[:, rng.integers(p)] = X[:, rng.integers(p)]
+    y = X[:, 0] * X[:, 1] + (rng.random(n) < 0.5)
+    y[0], y[1] = 0.0, 1.0
+    ws = precompute(X, y)
+    total = pair_count(p)
+    flat = all_scores(ws)
+    order = sorted(range(total), key=lambda i: (-flat[i], i))  # canonical index = (j1, j2) order
+
+    top_k = data.draw(st.integers(1, total + 2), label="top_k")
+    threshold = data.draw(st.none() | st.sampled_from(flat.tolist()), label="threshold")
+    workers = data.draw(st.sampled_from([1, 3]), label="workers")
+    block = data.draw(st.sampled_from([1, 5]), label="block")
+    res = scan(ws, ScanConfig(top_k=top_k, threshold=threshold, worker_count=workers, block_size=block))
+    assert [pair_index(s.j1, s.j2, p) for s in res.top_pairs] == order[:top_k]
+    assert [s.r_hat for s in res.top_pairs] == [flat[i] for i in order[:top_k]]
+    if threshold is not None:
+        assert [pair_index(s.j1, s.j2, p) for s in res.selected] == [
+            i for i in order if flat[i] > threshold
+        ]
+
+    cuts = data.draw(st.lists(st.integers(1, total - 1), unique=True, max_size=4), label="cuts")
+    bounds = [0, *sorted(cuts), total]
+    shards = [
+        scan(ws, ScanConfig(top_k=top_k, worker_count=workers, block_size=block, pair_range=span)).top_pairs
+        for span in zip(bounds, bounds[1:])
+    ]
+    assert tuple(merge_top_pairs(shards, top_k)) == res.top_pairs
+
+    a = data.draw(st.integers(0, total - 1), label="range_start")
+    b = data.draw(st.integers(a + 1, total), label="range_end")
+    ranged = scan(ws, ScanConfig(top_k=top_k, worker_count=3, block_size=block, pair_range=(a, b)),
+                  collect_scores=True)
+    assert ranged.scores.tobytes() == all_scores(ws, pair_range=(a, b)).tobytes()
 
 
 def test_ranks_consistent_with_top_pairs_positions():
