@@ -25,7 +25,6 @@ from .errors import (
     FormatError,
     InvalidValue,
     JciscanError,
-    ParseError,
     ZeroVarianceColumn,
 )
 from .scan import (
@@ -225,12 +224,7 @@ def cmd_report(args) -> int:
         for i, row in enumerate(reader):
             if len(row) != 5:
                 raise FormatError(f"score dump row {i} has {len(row)} cells")
-            try:
-                value = float(row[4])
-            except ValueError:
-                raise ParseError(i, 4, f"bad r_hat {row[4]!r} at dump row {i}") from None
-            if not np.isfinite(value):
-                raise ParseError(i, 4, f"non-finite r_hat {row[4]!r} at dump row {i}")
+            value = dataio.parse_number(row[4], i, 4, "r_hat")
             scores.append(value)
             groups.setdefault((row[2], row[3]), []).append(value)
     if not scores:

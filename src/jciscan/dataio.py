@@ -30,7 +30,9 @@ deterministic; identical matrices produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -55,6 +57,9 @@ _COLUMN_META = struct.Struct("<BH")
 
 #: 2-bit encodings: code value -> bit pair (code - 1); 0b11 marks missing.
 MISSING_BITS = 0b11
+
+#: Bit offset of each of the four 2-bit slots in a payload byte, low bits first.
+_SLOT_SHIFTS = np.arange(4, dtype=np.uint8) * 2
 
 CSV_FLOAT_DIGITS = 17
 
@@ -111,15 +116,42 @@ def payload_bytes(n: int, p: int) -> int:
     return p * ((n + 3) // 4)
 
 
+def _open(stream, mode: str):
+    """Context manager over ``stream``.  A path is opened in ``mode`` (text
+    modes as UTF-8 with ``newline=""``) and closed on exit; an already open
+    file object is passed through and left open."""
+    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
+        if "b" in mode:
+            return open(stream, mode)
+        return open(stream, mode, encoding="utf-8", newline="")
+    return contextlib.nullcontext(stream)
+
+
 # --------------------------------------------------------------------------
 # CSV
 # --------------------------------------------------------------------------
 
 
-def _open_text(stream):
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        return open(stream, "r", encoding="utf-8", newline=""), True
-    return stream, False
+def parse_number(text: str, row: int, column: int, what: str) -> float:
+    """Parse one text cell as a finite float.
+
+    ``row``/``column`` are the 0-based position reported on failure and
+    ``what`` names the kind of input (cell, phenotype, r_hat).
+
+    Raises:
+        ParseError: ``text`` is not a number, or is NaN or infinite.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(
+            row,
+            column,
+            f"bad {what} {text!r} at data row {row}, column {column}: not a finite number",
+        )
+    return value
 
 
 def parse_csv(stream, response_column: str | None):
@@ -134,8 +166,7 @@ def parse_csv(stream, response_column: str | None):
         MissingResponse: ``response_column`` not in the header.
         ParseError: a non-numeric cell (0-based data row / file column).
     """
-    fh, owned = _open_text(stream)
-    try:
+    with _open(stream, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -158,16 +189,7 @@ def parse_csv(stream, response_column: str | None):
                 raise FormatError(
                     f"row {r} has {len(record)} cells, header has {len(header)}"
                 )
-            parsed = []
-            for c, cell in enumerate(record):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(r, c, f"non-numeric cell {cell!r} at data row {r}, column {c}") from None
-                if not np.isfinite(value):
-                    raise ParseError(r, c, f"non-finite cell {cell!r} at data row {r}, column {c}")
-                parsed.append(value)
-            rows.append(parsed)
+            rows.append([parse_number(cell, r, c, "cell") for c, cell in enumerate(record)])
         if not rows:
             raise FormatError("no data rows after the header")
 
@@ -177,9 +199,6 @@ def parse_csv(stream, response_column: str | None):
         pred_cols = [j for j in range(len(header)) if j != resp_idx]
         names = [header[j] for j in pred_cols]
         return table[:, pred_cols], table[:, resp_idx], names
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_csv(stream, matrix, names, response=None, response_name: str = "y") -> None:
@@ -196,8 +215,7 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
         raise InvalidValue(
             f"response has {len(response)} entries, matrix has {matrix.shape[0]} rows"
         )
-    fh, owned = _open_w_text(stream)
-    try:
+    with _open(stream, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = list(names) + ([response_name] if response is not None else [])
         writer.writerow(header)
@@ -207,39 +225,16 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
             if response is not None:
                 row.append(format(float(response[i]), fmt))
             writer.writerow(row)
-    finally:
-        if owned:
-            fh.close()
-
-
-def _open_w_text(stream):
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        return open(stream, "w", encoding="utf-8", newline=""), True
-    return stream, False
 
 
 def read_phenotype(stream) -> np.ndarray:
     """Read a phenotype vector: plain text, one finite real per line."""
-    fh, owned = _open_text(stream)
-    try:
-        values = []
-        for i, line in enumerate(fh):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                v = float(text)
-            except ValueError:
-                raise ParseError(i, 0, f"non-numeric phenotype line {i}: {text!r}") from None
-            if not np.isfinite(v):
-                raise ParseError(i, 0, f"non-finite phenotype line {i}: {text!r}")
-            values.append(v)
-        if not values:
-            raise FormatError("empty phenotype file")
-        return np.asarray(values, dtype=np.float64)
-    finally:
-        if owned:
-            fh.close()
+    with _open(stream, "r") as fh:
+        lines = enumerate(line.strip() for line in fh)
+        values = [parse_number(text, i, 0, "phenotype") for i, text in lines if text]
+    if not values:
+        raise FormatError("empty phenotype file")
+    return np.asarray(values, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -247,17 +242,10 @@ def read_phenotype(stream) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _open_binary(stream, mode):
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        return open(stream, mode), True
-    return stream, False
-
-
 def write_packed(matrix: GenotypeMatrix, stream) -> None:
     """Serialize a genotype matrix to the packed layout (no timestamps,
     deterministic bytes)."""
-    fh, owned = _open_binary(stream, "wb")
-    try:
+    with _open(stream, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0, matrix.n, matrix.p))
         for snp_id, chrom in zip(matrix.snp_ids, matrix.chromosomes):
             encoded = snp_id.encode("utf-8")
@@ -267,19 +255,14 @@ def write_packed(matrix: GenotypeMatrix, stream) -> None:
                 raise InvalidValue(f"chromosome code {chrom} outside u8 range")
             fh.write(_COLUMN_META.pack(chrom, len(encoded)))
             fh.write(encoded)
-        n = matrix.n
-        pad = (-n) % 4
-        shifts = np.arange(4, dtype=np.uint8) * 2
-        for j in range(matrix.p):
-            bits = (matrix.codes[:, j] - 1).astype(np.uint8)
-            if pad:
-                bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-            grouped = bits.reshape(-1, 4)
-            packed = (grouped << shifts).sum(axis=1, dtype=np.uint16).astype(np.uint8)
-            fh.write(packed.tobytes())
-    finally:
-        if owned:
-            fh.close()
+        # Column-major bit pairs, each column zero-padded to whole bytes;
+        # shifted in place so the only copies are the bits and the bytes.
+        bits = np.zeros((matrix.p, payload_bytes(matrix.n, 1) * 4), dtype=np.uint8)
+        bits[:, : matrix.n] = matrix.codes.T
+        bits[:, : matrix.n] -= 1
+        grouped = bits.reshape(matrix.p, -1, 4)
+        grouped <<= _SLOT_SHIFTS
+        fh.write(np.bitwise_or.reduce(grouped, axis=2).tobytes())
 
 
 def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
@@ -298,8 +281,7 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
     """
     if missing_policy not in ("reject", "impute"):
         raise InvalidValue(f"missing_policy must be 'reject' or 'impute', got {missing_policy!r}")
-    fh, owned = _open_binary(stream, "rb")
-    try:
+    with _open(stream, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise NotPackedFile("file too short for a packed header")
@@ -327,16 +309,14 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
                 raise FormatError(f"column {j} id is not valid UTF-8") from None
             chroms.append(chrom)
 
-        col_bytes = (n + 3) // 4
-        expected = p * col_bytes
+        expected = payload_bytes(n, p)
         payload = fh.read(expected)
         if len(payload) < expected:
             raise TruncatedFile(expected, len(payload))
 
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(p, col_bytes)
-        shifts = np.arange(4, dtype=np.uint8) * 2
+        raw = np.frombuffer(payload, dtype=np.uint8).reshape(p, -1)
         # (p, col_bytes, 4) 2-bit groups, low bits first, flattened per column.
-        groups = (raw[:, :, None] >> shifts) & 0b11
+        groups = (raw[:, :, None] >> _SLOT_SHIFTS) & 0b11
         codes = groups.reshape(p, -1)[:, :n].T.astype(np.uint8) + 1
 
         missing = codes == MISSING_BITS + 1
@@ -354,9 +334,6 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
                 codes[col_missing, j] = int(np.argmax(counts[1:4])) + 1
         codes.setflags(write=False)
         return GenotypeMatrix(codes=codes, snp_ids=tuple(snp_ids), chromosomes=tuple(chroms))
-    finally:
-        if owned:
-            fh.close()
 
 
 def is_packed(path) -> bool:

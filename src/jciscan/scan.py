@@ -82,20 +82,15 @@ def pair_index(j1: int, j2: int, p: int) -> int:
 
 
 def pair_from_index(idx: int, p: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`."""
+    """Inverse of :func:`pair_index`, exact integer arithmetic at any p."""
     total = pair_count(p)
     if not (0 <= idx < total):
         raise InvalidPair(f"pair index {idx} outside [0, {total})")
-    # Float sqrt gives a starting guess; the integer correction loops keep
-    # the inverse exact even when float64 precision runs out at genome scale.
-    j1 = int(p - 0.5 - math.sqrt(max((p - 0.5) ** 2 - 2.0 * idx, 0.0)))
-    j1 = max(0, min(j1, p - 2))
-    while _row_start(j1, p) > idx:
-        j1 -= 1
-    while j1 + 1 <= p - 2 and _row_start(j1 + 1, p) <= idx:
-        j1 += 1
-    j2 = j1 + 1 + (idx - _row_start(j1, p))
-    return j1, j2
+    # Counted from the end, row p-2-m holds m+1 pairs and starts at reverse
+    # index m(m+1)/2, so m is the largest integer with m(m+1)/2 <= total-1-idx.
+    m = (math.isqrt(8 * (total - 1 - idx) + 1) - 1) // 2
+    j1 = p - 2 - m
+    return j1, j1 + 1 + (idx - _row_start(j1, p))
 
 
 def _row_start(j1: int, p: int) -> int:
@@ -240,8 +235,8 @@ def precompute(matrix, response, eps: float = 1e-12) -> Workspace:
         response=cy,
         matrix=cmat,
         scale=np.sqrt(css),
-        response_scale=float(np.sqrt(cy.css)),
-        sqrt_n=float(np.sqrt(n)),
+        response_scale=math.sqrt(cy.css),
+        sqrt_n=math.sqrt(n),
         centering_passes=p + 1,
     )
 

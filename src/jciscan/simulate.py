@@ -22,7 +22,8 @@ runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,7 +99,9 @@ class SimDataset:
 @dataclass(frozen=True)
 class ReplicateReport:
     """Scan outcome of one replicate: the top-5 view plus the exact rank
-    and top-5 membership of every true pair."""
+    and top-5 membership of every true pair.  ``result.scores`` is None:
+    the full score array is dropped once the ranks are read from it, so a
+    run holds one replicate's scores at a time."""
 
     replicate: int
     result: ScanResult
@@ -217,7 +220,7 @@ def gen_study4(n: int, p: int, seed) -> SimDataset:
     eps = rng.normal(size=(n, p))
     x = np.empty((n, p), dtype=np.float64)
     x[:, 0] = eps[:, 0]
-    carry = np.sqrt(1.0 - _STUDY4_RHO**2)
+    carry = math.sqrt(1.0 - _STUDY4_RHO**2)
     for j in range(1, p):
         x[:, j] = _STUDY4_RHO * x[:, j - 1] + carry * eps[:, j]
     y = (
@@ -243,7 +246,7 @@ def gen_study5(n: int, p: int, seed) -> SimDataset:
     x = rng.normal(size=(n, p))
     for m, rho in enumerate(_STUDY5_CORRELATIONS):
         a, b = 2 * m, 2 * m + 1
-        x[:, b] = rho * x[:, a] + np.sqrt(1.0 - rho**2) * x[:, b]
+        x[:, b] = rho * x[:, a] + math.sqrt(1.0 - rho**2) * x[:, b]
     y = x[:, 0] * x[:, 1] + x[:, 2] * x[:, 3] + x[:, 4] * x[:, 5]
     return SimDataset(predictors=x, response=y, true_pairs=STUDY_TRUE_PAIRS[5])
 
@@ -288,7 +291,9 @@ def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) 
         ranks = ranks_of_pairs(result.scores, spec.p, spec.true_pairs)
         in_top5 = {pair: rank <= 5 for pair, rank in ranks.items()}
         reports.append(
-            ReplicateReport(replicate=r, result=result, ranks=ranks, in_top5=in_top5)
+            ReplicateReport(
+                replicate=r, result=replace(result, scores=None), ranks=ranks, in_top5=in_top5
+            )
         )
     return reports
 

@@ -45,6 +45,15 @@ def report(num, name, ok, detail):
     return ok
 
 
+def wilson95(pct, n):
+    """Wilson score 95% interval, in percent, for a rate of pct% over n trials."""
+    z2 = 1.96**2
+    rate = pct / 100.0
+    center = (rate + z2 / (2 * n)) / (1 + z2 / n)
+    half = math.sqrt(z2 * rate * (1 - rate) / n + z2 * z2 / (4 * n * n)) / (1 + z2 / n)
+    return f"[{100 * (center - half):.0f},{100 * (center + half):.0f}]"
+
+
 def study_summary(study_id, reps):
     spec = study_spec(study_id, seed=SEED, replications=reps)
     return summarize(run_replications(spec))
@@ -117,6 +126,7 @@ def test_criterion_05_study5_top5_bands_and_ordering():
     r34 = s.per_pair[(2, 3)].top5_pct
     r56 = s.per_pair[(4, 5)].top5_pct
     joint = s.all_pairs_top5_pct
+    n = s.replications
     ordering_ok = r56 >= r34 >= r12
     bands_ok = (
         abs(r12 - 78.0) <= 12.0
@@ -128,8 +138,9 @@ def test_criterion_05_study5_top5_bands_and_ordering():
         5,
         "study 5: top-5 bands 78/89/96 joint 68 (+-12) and correlation ordering",
         bands_ok and ordering_ok,
-        f"(1,2)={r12:.0f}% (3,4)={r34:.0f}% (5,6)={r56:.0f}% joint={joint:.0f}% "
-        f"ordering={'ok' if ordering_ok else 'violated'}; "
+        f"(1,2)={r12:.0f}% {wilson95(r12, n)} (3,4)={r34:.0f}% {wilson95(r34, n)} "
+        f"(5,6)={r56:.0f}% {wilson95(r56, n)} joint={joint:.0f}% {wilson95(joint, n)} "
+        f"(Wilson 95%, n={n}) ordering={'ok' if ordering_ok else 'violated'}; "
         "joint band is unattainable at the stated n=100 design (see notes)",
     )
     assert ordering_ok, "correlation-strength ordering must hold"

@@ -1,12 +1,20 @@
 """End-to-end CLI contract tests: flags, exit codes, output schemas,
 determinism, CSV/packed parity."""
 
+import contextlib
 import csv as csvmod
+import io
+import os
+import tempfile
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jciscan.cli import main
-from jciscan.dataio import GenotypeMatrix, write_csv, write_packed
+from jciscan.cli import build_parser, main
+from jciscan.dataio import GenotypeMatrix, parse_csv, read_phenotype, write_csv, write_packed
+from jciscan.errors import ParseError
 from jciscan.simulate import gen_study1
 
 
@@ -416,3 +424,71 @@ def test_cli_scan_dump_matches_library_scores(tmp_path):
     assert len(rows) == flat.shape[0]
     for idx, row in enumerate(rows):
         assert float(row[4]) == flat[idx]
+
+
+# --------------------------------------------------------------------------
+# malformed numeric text, in every reader
+# --------------------------------------------------------------------------
+
+BAD_TOKENS = ["NA", "abc", "nan", "inf", "-inf", "1e999", ""]
+
+
+def fails_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code == 2
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("jciscan: ")
+    assert "Traceback" not in err.getvalue()
+
+
+def numeric_cells(rows, cols):
+    return [[str(1 + (r * cols + c) % 3) for c in range(cols)] for r in range(rows)]
+
+
+def write_lines(path, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["csv", "phenotype", "dump"]), data=st.data())
+def test_malformed_number_names_its_position(kind, data):
+    # Blank phenotype lines are skipped by design, so '' is no error there.
+    token = data.draw(st.sampled_from(BAD_TOKENS[:-1] if kind == "phenotype" else BAD_TOKENS))
+    rows = data.draw(st.integers(1, 6))
+    bad_row = data.draw(st.integers(0, rows - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        table = os.path.join(tmp, "table.csv")
+        if kind == "csv":
+            cols = data.draw(st.integers(2, 4))
+            bad_col = data.draw(st.integers(0, cols - 1))
+            cells = numeric_cells(rows, cols)
+            cells[bad_row][bad_col] = token
+            header = ",".join([f"x{c}" for c in range(cols - 1)] + ["y"])
+            write_lines(table, [header] + [",".join(row) for row in cells])
+            with pytest.raises(ParseError) as exc:
+                parse_csv(table, "y")
+            argv = ["scan", table, "--response-column", "y", "--top-k", "1", "--out", out]
+        elif kind == "phenotype":
+            # Leading blank lines are skipped but still count as rows.
+            blanks = data.draw(st.integers(0, 2))
+            bad_row, bad_col = blanks + bad_row, 0
+            pheno = os.path.join(tmp, "y.txt")
+            values = [token if r == bad_row else "1.5" for r in range(blanks, blanks + rows)]
+            write_lines(pheno, [""] * blanks + values)
+            write_lines(table, ["a,b"] + [",".join(row) for row in numeric_cells(rows, 2)])
+            with pytest.raises(ParseError) as exc:
+                read_phenotype(pheno)
+            argv = ["scan", table, "--phenotype", pheno, "--top-k", "1", "--out", out]
+        else:
+            bad_col = 4
+            write_dump(table, [["a", "b", 1, 2, token if r == bad_row else "0.5"] for r in range(rows)])
+            argv = ["report", "--scores", table, "--out-histogram", out]
+            args = build_parser().parse_args(argv)
+            with pytest.raises(ParseError) as exc:
+                args.func(args)
+        assert (exc.value.row, exc.value.column) == (bad_row, bad_col)
+        fails_cleanly(argv)

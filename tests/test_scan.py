@@ -2,6 +2,8 @@
 determinism, sharding, selection."""
 
 import math
+import os
+import subprocess
 import sys
 import warnings
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jciscan
 from jciscan import (
     GenotypeMatrix,
     ScanConfig,
@@ -124,6 +127,21 @@ def test_pair_index_roundtrip_at_genome_scale():
         j1, j2 = pair_from_index(idx, p)
         assert 0 <= j1 < j2 < p
         assert pair_index(j1, j2, p) == idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.one_of(
+        st.sampled_from([2, 3, 59, 2**20 - 1, 2**20, 2**20 + 1, 234_754, 2**26 + 3, 10**9]),
+        st.integers(2, 10**9),
+    ),
+    data=st.data(),
+)
+def test_pair_index_bijection_property(p, data):
+    idx = data.draw(st.integers(0, pair_count(p) - 1))
+    j1, j2 = pair_from_index(idx, p)
+    assert 0 <= j1 < j2 < p
+    assert pair_index(j1, j2, p) == idx
 
 
 # --------------------------------------------------------------------------
@@ -277,6 +295,38 @@ def test_collected_scores_survive_thread_switching():
             assert res.scores.tobytes() == expect.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+_BLAS_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from jciscan import ScanConfig, precompute, scan
+rng = np.random.default_rng(11)
+x = rng.normal(size=(1000, 400))
+y = x[:, 0] * x[:, 1] + rng.normal(size=1000)
+result = scan(precompute(x, y), ScanConfig(top_k=20), collect_scores=True)
+top = repr([(s.j1, s.j2, s.r_hat.hex()) for s in result.top_pairs])
+print(hashlib.sha256(result.scores.tobytes()).hexdigest(), hashlib.sha256(top.encode()).hexdigest())
+"""
+
+
+def test_scores_do_not_depend_on_blas_thread_count():
+    # At 1000 x 400 the sweep's products are above OpenBLAS's threading
+    # cutoff, and a plain W.T @ C GEMM of this shape gives different bits
+    # under 1 and 2 threads (OpenBLAS 0.3.31, x86-64), so a sweep that lets
+    # the thread count leak into its values fails here.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jciscan.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREAD_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        hashes.append(done.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
 
 
 def test_ordering_breaks_ties_lexicographically():

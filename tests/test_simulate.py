@@ -187,6 +187,17 @@ def test_single_replication_equals_manual_child_run():
     assert rep.in_top5 == {pr: rk <= 5 for pr, rk in manual.items()}
 
 
+def test_reports_drop_the_score_array():
+    spec = study_spec(1, n=50, p=20, seed=13, replications=3)
+    reports = run_replications(spec)
+    assert all(rep.result.scores is None for rep in reports)
+    for r, rep in enumerate(reports):
+        ds = gen_study1(50, 20, child_seed(13, r))
+        full = scan(precompute(ds.predictors, ds.response), ScanConfig(top_k=5), collect_scores=True)
+        assert rep.ranks == ranks_of_pairs(full.scores, 20, spec.true_pairs)
+        assert rep.result.top_pairs == full.top_pairs
+
+
 def test_replicates_differ_from_each_other():
     spec = study_spec(1, n=50, p=12, seed=3, replications=2)
     reports = run_replications(spec)
