@@ -14,7 +14,6 @@ overrides it).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from . import dataio
 from .errors import (
     DegenerateSample,
-    FormatError,
     InvalidValue,
     JciscanError,
     ZeroVarianceColumn,
@@ -47,16 +45,6 @@ _DEGENERATE_ERRORS = (ZeroVarianceColumn, DegenerateSample)
 def _fail(message: str, code: int) -> int:
     print(f"jciscan: {message}", file=sys.stderr)
     return code
-
-
-def _float_cell(v: float) -> str:
-    return repr(float(v))
-
-
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
 
 
 # --------------------------------------------------------------------------
@@ -106,31 +94,25 @@ def cmd_scan(args) -> int:
 
     result = scan(ws, config)
 
-    fh, owned = _open_out(args.out)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["snp1", "snp2", "r_hat"])
+    def rows():
         for stat in result.top_pairs:
-            writer.writerow([labels[stat.j1], labels[stat.j2], _float_cell(stat.r_hat)])
+            yield [labels[stat.j1], labels[stat.j2], stat.r_hat]
         if config.threshold is not None:
             if config.top_k is not None:
-                fh.write(f"# pairs with r_hat > {config.threshold!r}\n")
+                yield [f"# pairs with r_hat > {config.threshold!r}"]
             for stat in result.selected:
-                writer.writerow([labels[stat.j1], labels[stat.j2], _float_cell(stat.r_hat)])
-    finally:
-        if owned:
-            fh.close()
+                yield [labels[stat.j1], labels[stat.j2], stat.r_hat]
+
+    out = sys.stdout if args.out == "-" else args.out
+    dataio.write_table(out, ["snp1", "snp2", "r_hat"], rows())
 
     if args.dump_all is not None:
-        with open(args.dump_all, "w", encoding="utf-8", newline="") as dump:
-            writer = csv.writer(dump, lineterminator="\n")
-            writer.writerow(["snp1", "snp2", "chrom1", "chrom2", "r_hat"])
-            for j1, row in iter_score_rows(ws):
-                for off, score in enumerate(row.tolist()):
-                    j2 = j1 + 1 + off
-                    writer.writerow(
-                        [labels[j1], labels[j2], chroms[j1], chroms[j2], _float_cell(score)]
-                    )
+        dump = (
+            [labels[j1], labels[j2], chroms[j1], chroms[j2], score]
+            for j1, row in iter_score_rows(ws)
+            for j2, score in enumerate(row.tolist(), j1 + 1)
+        )
+        dataio.write_table(args.dump_all, dataio.DUMP_HEADER, dump)
     return EXIT_OK
 
 
@@ -156,31 +138,26 @@ def cmd_simulate(args) -> int:
     )
 
     if args.out_replicates is not None:
-        with open(args.out_replicates, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["replicate", "pair", "rank", "in_top5"])
-            for rep in reports:
-                for pair in spec.true_pairs:
-                    writer.writerow(
-                        [rep.replicate, _pair_label(pair), rep.ranks[pair], int(rep.in_top5[pair])]
-                    )
+        dataio.write_table(
+            args.out_replicates,
+            ["replicate", "pair", "rank", "in_top5"],
+            (
+                [rep.replicate, _pair_label(pair), rep.ranks[pair], int(rep.in_top5[pair])]
+                for rep in reports
+                for pair in spec.true_pairs
+            ),
+        )
 
     if args.out_summary is not None:
         summary = summarize(reports)
-        with open(args.out_summary, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["pair", "mean_rank", "median_rank", "top5_pct"])
-            for pair in spec.true_pairs:
-                ps = summary.per_pair[pair]
-                writer.writerow(
-                    [
-                        _pair_label(pair),
-                        _float_cell(ps.mean_rank),
-                        ps.median_rank,
-                        _float_cell(ps.top5_pct),
-                    ]
-                )
-            writer.writerow(["ALL", "", "", _float_cell(summary.all_pairs_top5_pct)])
+        rows = []
+        for pair in spec.true_pairs:
+            ps = summary.per_pair[pair]
+            rows.append([_pair_label(pair), ps.mean_rank, ps.median_rank, ps.top5_pct])
+        rows.append(["ALL", "", "", summary.all_pairs_top5_pct])
+        dataio.write_table(
+            args.out_summary, ["pair", "mean_rank", "median_rank", "top5_pct"], rows
+        )
     return EXIT_OK
 
 
@@ -216,39 +193,27 @@ def cmd_report(args) -> int:
 
     scores: list[float] = []
     groups: dict[tuple[str, str], list[float]] = {}
-    with open(args.scores, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["snp1", "snp2", "chrom1", "chrom2", "r_hat"]:
-            raise FormatError("not a score dump: unexpected header")
-        for i, row in enumerate(reader):
-            if len(row) != 5:
-                raise FormatError(f"score dump row {i} has {len(row)} cells")
-            value = dataio.parse_number(row[4], i, 4, "r_hat")
-            scores.append(value)
-            groups.setdefault((row[2], row[3]), []).append(value)
-    if not scores:
-        raise FormatError("score dump has no data rows")
+    for chrom1, chrom2, value in dataio.read_score_dump(args.scores):
+        scores.append(value)
+        groups.setdefault((chrom1, chrom2), []).append(value)
 
     arr = np.asarray(scores, dtype=np.float64)
     if args.out_histogram is not None:
         top = float(arr.max())
         counts, edges = np.histogram(arr, bins=args.bins, range=(0.0, top if top > 0 else 1.0))
-        with open(args.out_histogram, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for b in range(args.bins):
-                writer.writerow([_float_cell(edges[b]), _float_cell(edges[b + 1]), int(counts[b])])
+        edges = edges.tolist()
+        rows = zip(edges, edges[1:], counts.tolist())
+        dataio.write_table(args.out_histogram, ["bin_lo", "bin_hi", "count"], rows)
 
     if args.out_groups is not None:
-        with open(args.out_groups, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["chrom1", "chrom2", "pairs", "mean_r_hat", "max_r_hat"])
-            for key in sorted(groups):
-                vals = np.asarray(groups[key])
-                writer.writerow(
-                    [key[0], key[1], vals.size, _float_cell(vals.mean()), _float_cell(vals.max())]
-                )
+        dataio.write_table(
+            args.out_groups,
+            ["chrom1", "chrom2", "pairs", "mean_r_hat", "max_r_hat"],
+            (
+                [chrom1, chrom2, len(vals), float(np.mean(vals)), max(vals)]
+                for (chrom1, chrom2), vals in sorted(groups.items())
+            ),
+        )
     return EXIT_OK
 
 

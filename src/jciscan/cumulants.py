@@ -45,8 +45,8 @@ from .errors import (
     ZeroVarianceColumn,
 )
 
-#: Default positivity floor for the sample variance; columns at or below
-#: this are treated as constant and must be removed upstream.
+#: Default relative variance floor ``eps`` of :func:`near_constant`; columns
+#: at or below it are treated as constant and must be removed upstream.
 DEFAULT_VARIANCE_FLOOR = 1e-12
 
 #: Column id used for the response in errors and diagnostics.
@@ -120,18 +120,34 @@ def sample_k2(col: CenteredColumn) -> float:
     return col.css / col.n
 
 
+def near_constant(mean, centered, css, eps: float = DEFAULT_VARIANCE_FLOOR):
+    """The variance-floor rule: ``css <= (eps * n * m)**2`` with
+    ``m = |mean| + max|x - mean|``, which is within a factor 2 of ``max|x|``.
+
+    The floor scales with the column, so multiplying a column by any
+    nonzero factor never changes the verdict; a column whose spread is
+    lost in the rounding of its own magnitude (a constant such as a
+    repeated 0.1) is caught.  Works on one column or, row-wise, on a
+    p x n array of centered columns with per-row ``mean`` and ``css``.
+    """
+    n = centered.shape[-1]
+    magnitude = np.abs(mean) + np.maximum(centered.max(axis=-1), -centered.min(axis=-1))
+    return css <= (eps * n * magnitude) ** 2
+
+
 def validate_c1(col: CenteredColumn, eps: float = DEFAULT_VARIANCE_FLOOR) -> None:
-    """Require a strictly positive sample variance.
+    """Require a sample variance above the relative floor of
+    :func:`near_constant`.
 
     Constant (or numerically constant) columns make the normalized score
     undefined and must be removed before scanning.
 
     Raises:
-        ZeroVarianceColumn: ``sample_k2(col) <= eps``.
+        ZeroVarianceColumn: the column is at or below the floor.
     """
     if eps <= 0:
         raise InvalidValue(f"variance floor must be positive, got {eps}")
-    if sample_k2(col) <= eps:
+    if near_constant(col.mean, col.centered, col.css, eps):
         raise ZeroVarianceColumn(col.index)
 
 

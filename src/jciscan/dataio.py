@@ -1,4 +1,6 @@
-"""Dataset parsing and serialization: numeric CSV and packed genotypes.
+"""Dataset parsing and serialization: numeric CSV, packed genotypes and
+the CSV tables the command line writes (every file the CLI opens goes
+through :func:`_open` here).
 
 CSV
 ---
@@ -33,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -63,6 +66,10 @@ _SLOT_SHIFTS = np.arange(4, dtype=np.uint8) * 2
 
 CSV_FLOAT_DIGITS = 17
 
+#: Header of the score dump that ``scan --dump-all`` writes and ``report``
+#: reads: one row per pair, r_hat written as the shortest round-trip float.
+DUMP_HEADER = ("snp1", "snp2", "chrom1", "chrom2", "r_hat")
+
 
 @dataclass(frozen=True, eq=False)
 class GenotypeMatrix:
@@ -84,7 +91,8 @@ class GenotypeMatrix:
             raise InvalidValue(f"matrix must be non-empty, got {n} x {p}")
         if len(self.snp_ids) != p or len(self.chromosomes) != p:
             raise InvalidValue("metadata length must equal the column count")
-        if not np.all((self.codes >= 1) & (self.codes <= 3)):
+        # Reductions, not an elementwise mask: no n x p temporaries.
+        if not (self.codes.min() >= 1 and self.codes.max() <= 3):
             raise InvalidValue("genotype codes must lie in {1, 2, 3}")
 
     @property
@@ -116,15 +124,39 @@ def payload_bytes(n: int, p: int) -> int:
     return p * ((n + 3) // 4)
 
 
+@contextlib.contextmanager
 def _open(stream, mode: str):
-    """Context manager over ``stream``.  A path is opened in ``mode`` (text
-    modes as UTF-8 with ``newline=""``) and closed on exit; an already open
-    file object is passed through and left open."""
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        if "b" in mode:
-            return open(stream, mode)
-        return open(stream, mode, encoding="utf-8", newline="")
-    return contextlib.nullcontext(stream)
+    """Context manager over ``stream``, the one place a file is opened.
+
+    A path is opened in ``mode`` (text modes as UTF-8 with ``newline=""``)
+    and closed on exit; an already open file object (``sys.stdout`` too) is
+    passed through and left open.  Text that fails to decode as UTF-8, or
+    that the ``csv`` module cannot split (a cell over its field size
+    limit), raises :class:`FormatError` from inside the block.
+    """
+    is_path = isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__")
+    name = repr(os.fspath(stream) if is_path else getattr(stream, "name", "input"))
+    try:
+        if is_path:
+            text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+            with open(stream, mode, **text) as fh:
+                yield fh
+        else:
+            yield stream
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise FormatError(f"{name} is not a readable CSV table: {exc}") from None
+
+
+def write_table(stream, header, rows) -> None:
+    """Write a CSV table: ``header``, then each row of ``rows`` as it is
+    drawn (an iterator streams).  Cells are written with ``str``, so
+    float cells must be Python floats; lines end in "\\n"."""
+    with _open(stream, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --------------------------------------------------------------------------
@@ -215,16 +247,17 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
         raise InvalidValue(
             f"response has {len(response)} entries, matrix has {matrix.shape[0]} rows"
         )
-    with _open(stream, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(names) + ([response_name] if response is not None else [])
-        writer.writerow(header)
-        fmt = f".{CSV_FLOAT_DIGITS}g"
+    header = list(names) + ([response_name] if response is not None else [])
+    fmt = f".{CSV_FLOAT_DIGITS}g"
+
+    def rows():
         for i in range(matrix.shape[0]):
             row = [format(v, fmt) for v in matrix[i].tolist()]
             if response is not None:
                 row.append(format(float(response[i]), fmt))
-            writer.writerow(row)
+            yield row
+
+    write_table(stream, header, rows())
 
 
 def read_phenotype(stream) -> np.ndarray:
@@ -235,6 +268,28 @@ def read_phenotype(stream) -> np.ndarray:
     if not values:
         raise FormatError("empty phenotype file")
     return np.asarray(values, dtype=np.float64)
+
+
+def read_score_dump(stream):
+    """Yield ``(chrom1, chrom2, r_hat)`` for each data row of a score dump
+    (the :data:`DUMP_HEADER` table), one row at a time in file order.
+
+    Raises:
+        FormatError: the header is not :data:`DUMP_HEADER`, a row does not
+            have one cell per header column, or there are no data rows.
+        ParseError: an ``r_hat`` that is not a finite number.
+    """
+    with _open(stream, "r") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != DUMP_HEADER:
+            raise FormatError("not a score dump: unexpected header")
+        i = -1
+        for i, row in enumerate(reader):
+            if len(row) != len(DUMP_HEADER):
+                raise FormatError(f"score dump row {i} has {len(row)} cells")
+            yield row[2], row[3], parse_number(row[4], i, 4, "r_hat")
+        if i < 0:
+            raise FormatError("score dump has no data rows")
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +364,12 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
                 raise FormatError(f"column {j} id is not valid UTF-8") from None
             chroms.append(chrom)
 
+        # Checked before reading, so a declared shape larger than the file
+        # never sizes an allocation.
         expected = payload_bytes(n, p)
+        left = _bytes_left(fh)
+        if left is not None and left < expected:
+            raise TruncatedFile(expected, left)
         payload = fh.read(expected)
         if len(payload) < expected:
             raise TruncatedFile(expected, len(payload))
@@ -336,9 +396,20 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
         return GenotypeMatrix(codes=codes, snp_ids=tuple(snp_ids), chromosomes=tuple(chroms))
 
 
+def _bytes_left(fh) -> int | None:
+    """Bytes from the position of ``fh`` to its end; None when the stream
+    cannot seek."""
+    if not fh.seekable():
+        return None
+    here = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(here)
+    return end - here
+
+
 def is_packed(path) -> bool:
     """True when the file starts with the packed-genotype magic bytes."""
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         return fh.read(len(MAGIC)) == MAGIC
 
 

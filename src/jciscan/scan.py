@@ -42,6 +42,7 @@ from .cumulants import (
     CenteredColumn,
     PairStatistic,
     center,
+    near_constant,
     validate_c1,
 )
 from .errors import (
@@ -120,7 +121,7 @@ class ScanConfig:
             raise InvalidValue("set top_k, threshold, or both")
         if self.top_k is not None and self.top_k < 1:
             raise InvalidValue(f"top_k must be >= 1, got {self.top_k}")
-        if self.threshold is not None and self.threshold < 0:
+        if self.threshold is not None and not self.threshold >= 0:  # NaN too
             raise InvalidValue(f"threshold must be >= 0, got {self.threshold}")
         if self.block_size < 1:
             raise InvalidValue(f"block_size must be >= 1, got {self.block_size}")
@@ -182,7 +183,7 @@ class Workspace:
         return self.matrix.shape[1]
 
 
-def precompute(matrix, response, eps: float = 1e-12) -> Workspace:
+def precompute(matrix, response) -> Workspace:
     """Center every column and the response exactly once.
 
     Accepts a real n x p array or any object exposing ``.codes`` (a
@@ -195,7 +196,8 @@ def precompute(matrix, response, eps: float = 1e-12) -> Workspace:
     Raises:
         InvalidValue: non-finite entries (response first, then the lowest
             offending column).
-        ZeroVarianceColumn: a constant column (its id) or response (-1).
+        ZeroVarianceColumn: a constant column (its id) or response (-1),
+            by the relative floor of :func:`~jciscan.cumulants.near_constant`.
         DegenerateSample: n < 3.
         TooFewColumns: p < 2.
     """
@@ -213,16 +215,17 @@ def precompute(matrix, response, eps: float = 1e-12) -> Workspace:
         raise DimensionMismatch(f"response has shape {y.shape}, expected ({n},)")
 
     cy = center(y, index=RESPONSE_INDEX)
-    validate_c1(cy, eps)
+    validate_c1(cy)
 
     # Row j of `cols` is column j: contiguous rows give the same pairwise
     # sums and dot products as center() on that column alone.
     cols = np.array(raw.T, dtype=np.float64, order="C")
     finite = np.isfinite(cols).all(axis=1)
     with np.errstate(invalid="ignore"):  # non-finite columns are reported below
-        cols -= (cols.sum(axis=1) / n)[:, None]
-    css = np.array([np.dot(row, row) for row in cols])
-    bad = ~finite | (css / n <= eps)
+        means = cols.sum(axis=1) / n
+        cols -= means[:, None]
+        css = np.array([np.dot(row, row) for row in cols])
+        bad = ~finite | near_constant(means, cols, css)
     if bad.any():
         j = int(np.argmax(bad))
         if not finite[j]:
@@ -428,7 +431,7 @@ def iter_score_rows(ws: Workspace):
 def select_by_threshold(stats, c: float) -> list[PairStatistic]:
     """Filter a pair-statistic stream to r_hat strictly above ``c``,
     returned in the result ordering (r descending, pair ascending)."""
-    if c < 0:
+    if not c >= 0:  # NaN too
         raise InvalidValue(f"threshold must be >= 0, got {c}")
     return _sorted_stats([s for s in stats if s.r_hat > c])
 

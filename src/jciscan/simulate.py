@@ -143,6 +143,8 @@ def study_spec(
         raise InvalidValue(f"need n >= 3, got {n}")
     if p < _MIN_P[study_id]:
         raise InvalidValue(f"study {study_id} needs p >= {_MIN_P[study_id]}, got {p}")
+    if seed < 0:
+        raise InvalidValue(f"seed must be >= 0, got {seed}")
     return SimStudySpec(
         study_id=study_id,
         n=n,

@@ -5,15 +5,23 @@ import contextlib
 import csv as csvmod
 import io
 import os
+import struct
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jciscan.cli import build_parser, main
-from jciscan.dataio import GenotypeMatrix, parse_csv, read_phenotype, write_csv, write_packed
+from jciscan.dataio import (
+    MAGIC,
+    GenotypeMatrix,
+    parse_csv,
+    read_phenotype,
+    write_csv,
+    write_packed,
+)
 from jciscan.errors import ParseError
 from jciscan.simulate import gen_study1
 
@@ -492,3 +500,190 @@ def test_malformed_number_names_its_position(kind, data):
                 args.func(args)
         assert (exc.value.row, exc.value.column) == (bad_row, bad_col)
         fails_cleanly(argv)
+
+
+# --------------------------------------------------------------------------
+# CLI fuzzing: drawn flags and inputs
+# --------------------------------------------------------------------------
+
+
+def _packed_bytes():
+    codes = np.array([[1, 2, 3], [2, 3, 1], [3, 3, 2], [1, 1, 2], [2, 1, 3]], dtype=np.uint8)
+    gm = GenotypeMatrix(codes=codes, snp_ids=("s0", "s1", "s2"), chromosomes=(1, 1, 2))
+    buf = io.BytesIO()
+    write_packed(gm, buf)
+    return buf.getvalue()
+
+
+DUMP_HEAD = b"snp1,snp2,chrom1,chrom2,r_hat\n"
+
+# "@name" tokens in a drawn argv become files with these bytes.
+FUZZ_FILES = {
+    "csv": b"x0,x1,x2,y\n1,2,3,0.5\n2,1,3,1.5\n3,3,1,2.5\n1,1,2,0.1\n2,3,2,4\n",
+    "genotype_csv": b"ch1:a,ch2:b,c\n1,2,3\n2,3,3\n3,1,2\n1,1,1\n2,2,3\n",
+    "csv_constant": b"x0,x1,y\n1,2,1\n2,2,2\n3,2,5\n1,2,0\n2,2,4\n",
+    "csv_two_rows": b"x0,x1,y\n1,2,1\n2,3,2\n",
+    "csv_not_utf8": b"x0,x1,y\n1,\xff,1\n2,3,2\n3,1,0\n",
+    "csv_long_cell": b"x0,y\n" + b"1" * 200_000 + b",1\n",
+    "csv_ragged": b"x0,x1,y\n1,2\n",
+    "empty": b"",
+    "packed": _packed_bytes(),
+    "packed_truncated": _packed_bytes()[:-2],
+    "packed_oversized": struct.pack("<4sHHQQ", MAGIC, 1, 0, 2**62, 2)
+    + (struct.pack("<BH", 1, 1) + b"s") * 2
+    + bytes(16),
+    "pheno": b"1\n2\n1\n2\n2\n",
+    "pheno_constant": b"1\n1\n1\n1\n1\n",
+    "pheno_short": b"1\n2\n",
+    "pheno_not_utf8": b"1\n\xff\n1\n2\n2\n",
+    "dump": DUMP_HEAD + b"a,b,1,1,0.5\na,c,1,2,0.25\nb,c,2,2,0.75\n",
+    "dump_not_utf8": DUMP_HEAD + b"a,b,1,1,0.5\na,\xff,1,2,0.25\n",
+    "dump_bad_header": b"snp1,snp2,r_hat\na,b,0.5\n",
+    "dump_ragged": DUMP_HEAD + b"a,b,1,0.5\n",
+}
+# Entries repeat to weight the draw toward inputs that get past the parser.
+INPUTS = ["@csv"] * 4 + ["@packed"] * 3 + [
+    "@genotype_csv", "@csv_constant", "@csv_two_rows", "@csv_not_utf8", "@csv_long_cell",
+    "@csv_ragged", "@empty", "@missing", "@dir", "@packed_truncated", "@packed_oversized",
+]
+PHENOS = ["@pheno"] * 4 + ["@pheno_constant", "@pheno_short", "@pheno_not_utf8", "@missing", "@empty"]
+DUMPS = ["@dump"] * 4 + ["@dump_not_utf8", "@dump_bad_header", "@dump_ragged", "@empty", "@missing"]
+OUTS = ["@out"] * 4 + ["@dir", "@nodir"]
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+def _req(flag, values):
+    return st.sampled_from(values).map(lambda v: [flag, v])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [token for part in ps for token in part])
+
+
+SCAN_SOURCES = st.one_of(
+    st.sampled_from(
+        [["@csv", "--response-column", "y"], ["@packed", "--phenotype", "@pheno"],
+         ["@csv", "--phenotype", "@pheno"]]
+    ),
+    st.sampled_from(
+        [[i, "--response-column", "y"] for i in INPUTS]
+        + [[i, "--phenotype", ph] for i in ("@csv", "@packed") for ph in PHENOS]
+        + [["@csv"], ["@packed", "--response-column", "y"], ["@csv", "--response-column", "nope"],
+           ["@csv", "--response-column", "y", "--phenotype", "@pheno"]]
+    ),
+)
+SCAN_SELECTION = st.one_of(
+    _req("--top-k", ["1", "3"]),
+    _req("--threshold", ["0", "0.3", "inf"]),
+    _argv(_req("--top-k", ["1", "3"]), _req("--threshold", ["0", "0.3"])),
+    st.sampled_from(
+        [[], ["--top-k", "0"], ["--top-k", "-2"], ["--top-k", "1000000"], ["--top-k", "x"],
+         ["--threshold", "nan"], ["--threshold", "-1"], ["--top-k", "2", "--threshold", "nan"]]
+    ),
+)
+
+FUZZ_ARGV = st.one_of(
+    _argv(
+        st.just(["scan"]),
+        SCAN_SOURCES,
+        SCAN_SELECTION,
+        _opt("--workers", ["1", "2", "4", "0"]),
+        _opt("--block-size", ["1", "2", "256", "0"]),
+        _opt("--pair-range", ["0:2", "1:3", "2:1", "0:999", "-1:2", "1:1", "a:b"]),
+        _opt("--missing", ["reject", "impute", "impute", "drop"]),
+        _opt("--out", OUTS + ["-"]),
+        _opt("--dump-all", OUTS),
+    ),
+    _argv(
+        st.just(["report"]),
+        _req("--scores", DUMPS),
+        _opt("--bins", ["1", "7", "100", "0", "-1"]),
+        _opt("--out-histogram", OUTS),
+        _opt("--out-groups", OUTS),
+    ),
+    _argv(
+        st.just(["convert"]),
+        _req("--from", ["csv", "packed", "csv", "packed", "vcf"]),
+        _req("--to", ["csv", "packed", "csv", "packed", "vcf"]),
+        _opt("--missing", ["reject", "impute"]),
+        st.sampled_from(INPUTS + ["@genotype_csv"] * 3).map(lambda v: [v]),
+        st.sampled_from(OUTS).map(lambda v: [v]),
+    ),
+    _argv(
+        st.just(["simulate"]),
+        _req("--study", ["1", "2", "3", "4", "5", "9"]),
+        _opt("--reps", ["1", "2", "0", "-1"]),
+        _req("--n", ["5", "12", "12", "2", "0", "-1"]),
+        _req("--p", ["2", "6", "12", "12", "1", "0", "-1"]),
+        _opt("--seed", ["0", "7", "-3"]),
+        _opt("--workers", ["1", "2", "0"]),
+        _opt("--out-summary", OUTS),
+        _opt("--out-replicates", OUTS),
+    ),
+)
+
+
+def _materialize(argv, tmp):
+    paths = {
+        "@dir": tmp,
+        "@missing": os.path.join(tmp, "missing.csv"),
+        "@nodir": os.path.join(tmp, "no", "such", "out.csv"),
+    }
+    resolved = []
+    for i, token in enumerate(argv):
+        if token.startswith("@") and token not in paths:
+            path = os.path.join(tmp, f"{i}_{token[1:]}")
+            if token[1:] in FUZZ_FILES:
+                with open(path, "wb") as fh:
+                    fh.write(FUZZ_FILES[token[1:]])
+            resolved.append(path)
+        else:
+            resolved.append(paths.get(token, token))
+    return resolved
+
+
+@settings(max_examples=250, deadline=None)
+@given(argv=FUZZ_ARGV)
+@example(argv=["scan", "@csv_not_utf8", "--response-column", "y", "--top-k", "1", "--out", "@out"])
+@example(argv=["scan", "@csv", "--phenotype", "@pheno_not_utf8", "--top-k", "1", "--out", "@out"])
+@example(argv=["report", "--scores", "@dump_not_utf8", "--out-histogram", "@out"])
+@example(argv=["scan", "@packed_oversized", "--phenotype", "@pheno", "--top-k", "1", "--out", "@out"])
+@example(argv=["scan", "@csv", "--response-column", "y", "--threshold", "nan", "--out", "@out"])
+@example(argv=["scan", "@csv_long_cell", "--response-column", "y", "--top-k", "1", "--out", "@out"])
+@example(argv=["simulate", "--study", "1", "--n", "5", "--p", "2", "--seed", "-3", "--out-summary", "@out"])
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _materialize(argv, tmp)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                assert exc.code == 2
+                return
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("jciscan: "), err.getvalue()
+
+
+def test_undecodable_text_exits_2(tmp_path):
+    argvs = [
+        ["scan", "@csv_not_utf8", "--response-column", "y", "--top-k", "1", "--out", "@out"],
+        ["scan", "@csv", "--phenotype", "@pheno_not_utf8", "--top-k", "1", "--out", "@out"],
+        ["report", "--scores", "@dump_not_utf8", "--out-histogram", "@out"],
+    ]
+    for argv in argvs:
+        fails_cleanly(_materialize(argv, str(tmp_path)))
+
+
+def test_threshold_nan_exits_2(tmp_path):
+    fails_cleanly(
+        _materialize(["scan", "@csv", "--response-column", "y", "--threshold", "nan", "--out", "@out"],
+                     str(tmp_path))
+    )

@@ -158,12 +158,15 @@ def test_validate_c1():
 
 
 def test_validate_c1_eps_boundary():
-    # variance exactly at eps is rejected (strict inequality required)
+    # a column exactly at the relative floor (eps * n * m)**2 is rejected
+    # (strict inequality required): n = 4, m = |mean| + max|x - mean| = 2e-6
+    # and css = 4e-12, so the boundary is eps = 0.25, all exact in binary
     col = center([0.0, 2e-6, 0.0, 2e-6])
-    var = sample_k2(col)
+    at = 0.25
+    assert col.css == (at * col.n * 2e-6) ** 2
     with pytest.raises(ZeroVarianceColumn):
-        validate_c1(col, eps=var)
-    validate_c1(col, eps=var * 0.999)
+        validate_c1(col, eps=at)
+    validate_c1(col, eps=at * 0.999)
 
 
 # --------------------------------------------------------------------------

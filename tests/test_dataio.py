@@ -3,9 +3,12 @@ missing-code policies, error taxonomy."""
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jciscan.dataio import (
     FLAG_MISSING_ALLOWED,
@@ -18,6 +21,7 @@ from jciscan.dataio import (
     parse_packed,
     payload_bytes,
     read_phenotype,
+    read_score_dump,
     write_csv,
     write_packed,
 )
@@ -385,3 +389,92 @@ def test_read_phenotype():
         read_phenotype(io.StringIO("1\nabc\n"))
     with pytest.raises(ParseError):
         read_phenotype(io.StringIO("nan\n"))
+
+
+# --------------------------------------------------------------------------
+# Packed format properties
+# --------------------------------------------------------------------------
+
+packed_matrices = st.integers(1, 13).flatmap(
+    lambda n: st.integers(1, 4).flatmap(
+        lambda p: st.builds(
+            GenotypeMatrix,
+            codes=st.lists(
+                st.integers(1, 3), min_size=n * p, max_size=n * p
+            ).map(lambda v: np.array(v, dtype=np.uint8).reshape(n, p)),
+            snp_ids=st.lists(st.text(max_size=4), min_size=p, max_size=p).map(tuple),
+            chromosomes=st.lists(st.integers(0, 255), min_size=p, max_size=p).map(tuple),
+        )
+    )
+)
+
+
+def packed_bytes(gm):
+    buf = io.BytesIO()
+    write_packed(gm, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(gm=packed_matrices)
+def test_packed_roundtrip_property(gm):
+    # n runs over 1..13, so every n mod 4 padding case is drawn.
+    data = packed_bytes(gm)
+    back = parse_packed(io.BytesIO(data))
+    assert np.array_equal(back.codes, gm.codes)
+    assert (back.snp_ids, back.chromosomes) == (gm.snp_ids, gm.chromosomes)
+    assert packed_bytes(back) == data
+
+
+@settings(max_examples=30, deadline=None)
+@given(gm=packed_matrices)
+def test_packed_every_truncation_offset_fails_cleanly(gm):
+    data = packed_bytes(gm)
+    for cut in range(len(data)):
+        with pytest.raises((TruncatedFile, NotPackedFile)):
+            parse_packed(io.BytesIO(data[:cut]))
+
+
+@pytest.mark.parametrize("n, p", [(2**62, 2), (4, 2**40), (2**63, 2**63)])
+def test_packed_oversized_declared_shape_is_truncated(n, p, tmp_path):
+    meta = b"".join(struct.pack("<BH", 1, 1) + b"s" for _ in range(min(p, 2)))
+    data = struct.pack("<4sHHQQ", MAGIC, 1, 0, n, p) + meta + bytes(16)
+    path = tmp_path / "big.jcg"
+    path.write_bytes(data)
+    for source in (io.BytesIO(data), path):
+        with pytest.raises(TruncatedFile):
+            parse_packed(source)
+
+
+def test_genotype_matrix_checks_codes_without_matrix_temporaries():
+    codes = np.full((1000, 1000), 2, dtype=np.uint8)
+    meta = {"snp_ids": ("a",) * 1000, "chromosomes": (1,) * 1000}
+    tracemalloc.start()
+    try:
+        GenotypeMatrix(codes=codes, **meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * codes.nbytes
+    for bad in (0, 4):
+        codes[500, 999] = bad
+        with pytest.raises(InvalidValue):
+            GenotypeMatrix(codes=codes, **meta)
+
+
+# --------------------------------------------------------------------------
+# Undecodable text
+# --------------------------------------------------------------------------
+
+
+def test_undecodable_text_is_a_format_error(tmp_path):
+    cases = [
+        (parse_csv, b"a,y\n1,\xff\n2,3\n", {"response_column": "y"}),
+        (read_phenotype, b"1.5\n\xff\n", {}),
+        (lambda path: list(read_score_dump(path)), b"snp1,snp2,chrom1,chrom2,r_hat\na,b,1,1,0.\xff\n", {}),
+    ]
+    for reader, raw, kwargs in cases:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="not UTF-8"):
+            reader(path, **kwargs)

@@ -170,6 +170,47 @@ def test_precompute_names_offending_column():
     assert exc.value.index == -1
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    target=st.sampled_from([0, 1, 2, "y"]),
+    log_scale=st.floats(-8, 8),
+    sign=st.sampled_from([1.0, -1.0]),
+    shift=st.floats(-1e3, 1e3),
+)
+def test_scores_are_affine_invariant_at_any_scale(seed, target, log_scale, sign, shift):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 3))
+    # Every pair interacts, so no score sits near 0 where rtol is too tight.
+    y = X[:, 0] * X[:, 1] + X[:, 1] * X[:, 2] + X[:, 0] * X[:, 2] + 0.5 * rng.normal(size=40)
+    base = all_scores(precompute(X, y))
+    col = y if target == "y" else X[:, target]
+    scaled = sign * 10.0**log_scale * col
+    mapped = scaled + shift * scaled.std()
+    if target == "y":
+        moved = all_scores(precompute(X, mapped))
+    else:
+        X2 = X.copy()
+        X2[:, target] = mapped
+        moved = all_scores(precompute(X2, y))
+    np.testing.assert_allclose(moved, base, rtol=1e-9, atol=0)
+
+
+def test_constant_columns_are_rejected_at_any_scale():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(50, 4))
+    y = rng.normal(size=50)
+    for value in (0.0, 0.1, 2.5, 1e-8 * 0.1, 1e8 * 0.1, -7e5):
+        bad = X.copy()
+        bad[:, 2] = value
+        with pytest.raises(ZeroVarianceColumn) as exc:
+            precompute(bad, y)
+        assert exc.value.index == 2
+        with pytest.raises(ZeroVarianceColumn) as exc:
+            precompute(X, np.full(50, value))
+        assert exc.value.index == -1
+
+
 def test_precompute_shape_guards():
     rng = np.random.default_rng(2)
     with pytest.raises(DegenerateSample):
@@ -510,6 +551,10 @@ def test_scan_config_validation():
         ScanConfig(top_k=0)
     with pytest.raises(InvalidValue):
         ScanConfig(threshold=-1.0)
+    with pytest.raises(InvalidValue):
+        ScanConfig(top_k=5, threshold=float("nan"))
+    with pytest.raises(InvalidValue):
+        select_by_threshold([], float("nan"))
     with pytest.raises(InvalidValue):
         ScanConfig(top_k=5, block_size=0)
     with pytest.raises(InvalidValue):
