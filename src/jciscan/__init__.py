@@ -21,6 +21,7 @@ from .dataio import (
     write_packed,
 )
 from .scan import (
+    PairTable,
     ScanConfig,
     ScanResult,
     Workspace,
@@ -54,6 +55,7 @@ __all__ = [
     "CenteredColumn",
     "GenotypeMatrix",
     "PairStatistic",
+    "PairTable",
     "RankSummary",
     "ReplicateReport",
     "ScanConfig",

@@ -89,19 +89,22 @@ def cmd_scan(args) -> int:
     try:
         ws = precompute(matrix, response)
     except ZeroVarianceColumn as exc:
-        name = "response" if exc.index == -1 else labels[exc.index]
+        # repr() keeps a label with a line break on the one stderr line.
+        name = "response" if exc.index == -1 else repr(labels[exc.index])
         return _fail(f"zero-variance column: {name}", EXIT_DEGENERATE)
 
     result = scan(ws, config)
 
+    def pair_rows(table):
+        for j1, j2, r_hat in zip(table.j1.tolist(), table.j2.tolist(), table.r_hat.tolist()):
+            yield [labels[j1], labels[j2], r_hat]
+
     def rows():
-        for stat in result.top_pairs:
-            yield [labels[stat.j1], labels[stat.j2], stat.r_hat]
+        yield from pair_rows(result.top_pairs)
         if config.threshold is not None:
             if config.top_k is not None:
                 yield [f"# pairs with r_hat > {config.threshold!r}"]
-            for stat in result.selected:
-                yield [labels[stat.j1], labels[stat.j2], stat.r_hat]
+            yield from pair_rows(result.selected)
 
     out = sys.stdout if args.out == "-" else args.out
     dataio.write_table(out, ["snp1", "snp2", "r_hat"], rows())

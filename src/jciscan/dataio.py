@@ -57,6 +57,8 @@ FLAG_MISSING_ALLOWED = 0x0001
 
 _HEADER = struct.Struct("<4sHHQQ")
 _COLUMN_META = struct.Struct("<BH")
+#: Largest single read of a packed payload from a stream that cannot seek.
+_READ_CHUNK = 16 * 2**20
 
 #: 2-bit encodings: code value -> bit pair (code - 1); 0b11 marks missing.
 MISSING_BITS = 0b11
@@ -364,13 +366,14 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
                 raise FormatError(f"column {j} id is not valid UTF-8") from None
             chroms.append(chrom)
 
-        # Checked before reading, so a declared shape larger than the file
-        # never sizes an allocation.
+        # A declared shape larger than the file never sizes an allocation:
+        # a seekable stream is checked before its one read, any other is
+        # read in bounded chunks until it ends.
         expected = payload_bytes(n, p)
         left = _bytes_left(fh)
         if left is not None and left < expected:
             raise TruncatedFile(expected, left)
-        payload = fh.read(expected)
+        payload = fh.read(expected) if left is not None else _read_chunked(fh, expected)
         if len(payload) < expected:
             raise TruncatedFile(expected, len(payload))
 
@@ -405,6 +408,18 @@ def _bytes_left(fh) -> int | None:
     end = fh.seek(0, os.SEEK_END)
     fh.seek(here)
     return end - here
+
+
+def _read_chunked(fh, size: int) -> bytearray:
+    """Up to ``size`` bytes of ``fh``, read at most ``_READ_CHUNK`` at a
+    time; fewer when the stream ends first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = fh.read(min(_READ_CHUNK, size - len(data)))
+        if not chunk:
+            break
+        data += chunk
+    return data
 
 
 def is_packed(path) -> bool:

@@ -15,9 +15,10 @@ Results are bit-identical for every ``block_size`` and ``worker_count``.
 This holds by construction: each pair's value comes from the per-anchor
 row product above, whose operand shapes are fixed by (n, p) alone.  Tiling
 and threading only decide *which* anchor rows a worker evaluates; they
-never change how a value is computed.  Candidates are held as parallel
-arrays (r_hat, j1, j2, product sum); tile buffers, the final tile merge,
-shard merges and threshold selection are all ordered by one stable
+never change how a value is computed.  Every pair set, from a tile's
+candidate buffer to ``ScanResult`` and the shard merge, is one
+:class:`PairTable` of parallel arrays; tile buffers, the final tile merge,
+shard merges and threshold selection are all ordered by its one stable
 lexicographic sort on the full key, so the order never depends on which
 tile or worker found a pair.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -133,19 +135,88 @@ class ScanConfig:
                 raise InvalidValue(f"malformed pair_range {self.pair_range}")
 
 
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Scored pairs as parallel read-only arrays, one per field of
+    :class:`~jciscan.cumulants.PairStatistic`.  An integer index or
+    iteration builds ``PairStatistic`` objects on request; any other index
+    yields a table.  A table equals a table with equal arrays, or any
+    sequence of the same pairs in the same order."""
+
+    j1: np.ndarray
+    j2: np.ndarray
+    tau_hat: np.ndarray
+    r_hat: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            column.setflags(write=False)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.j1, self.j2, self.tau_hat, self.r_hat
+
+    @classmethod
+    def of(cls, pairs) -> PairTable:
+        """``pairs`` when it is a table, else the table of an iterable of
+        ``PairStatistic``, in its order."""
+        if isinstance(pairs, PairTable):
+            return pairs
+        pairs = list(pairs)
+        return cls(
+            np.array([s.j1 for s in pairs], dtype=np.intp),
+            np.array([s.j2 for s in pairs], dtype=np.intp),
+            np.array([s.tau_hat for s in pairs], dtype=np.float64),
+            np.array([s.r_hat for s in pairs], dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, tables) -> PairTable:
+        columns = zip(_EMPTY._columns(), *(table._columns() for table in tables))
+        return cls(*(np.concatenate(column) for column in columns))
+
+    def ordered(self, limit: int | None = None) -> PairTable:
+        """The first ``limit`` entries (all when None) by the ordering
+        contract: r_hat descending, ties by (j1, j2) ascending.  The sort is
+        stable, so equal keys keep their input order."""
+        return self[np.lexsort((self.j2, self.j1, np.negative(self.r_hat)))[:limit]]
+
+    def __len__(self) -> int:
+        return self.r_hat.size
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return PairStatistic(*(column[index].item() for column in self._columns()))
+        return PairTable(*(column[index] for column in self._columns()))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, PairTable):
+            return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+_EMPTY = PairTable(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0))
+
+
 @dataclass(frozen=True)
 class ScanResult:
     """Outcome of one sweep.
 
     ``top_pairs`` is sorted by the ordering contract and has at most
     ``top_k`` entries; ``selected`` holds every scanned pair with
-    r_hat strictly greater than the threshold, in the same order.
+    r_hat strictly greater than the threshold, in the same order.  Both
+    are :class:`PairTable` columns (empty when not requested), so a
+    selection of a million pairs costs no per-pair Python objects.
     ``elapsed_seconds`` is wall-clock bookkeeping; equality compares only
     the deterministic fields, matching the determinism contract.
     """
 
-    top_pairs: tuple[PairStatistic, ...]
-    selected: tuple[PairStatistic, ...]
+    top_pairs: PairTable
+    selected: PairTable
     pairs_scanned: int
     elapsed_seconds: float = field(compare=False)
     scores: np.ndarray | None = field(default=None, compare=False)
@@ -162,9 +233,7 @@ class Workspace:
 
     ``matrix`` is the n x p centered predictor matrix, the only copy of the
     predictors; ``scale[j]`` is sqrt(css_j); the response is centered with
-    index ``RESPONSE_INDEX``.  ``centering_passes`` counts how many columns
-    were centered while building the workspace (p + 1: each predictor once,
-    response once).
+    index ``RESPONSE_INDEX``.
     """
 
     response: CenteredColumn
@@ -172,7 +241,6 @@ class Workspace:
     scale: np.ndarray
     response_scale: float
     sqrt_n: float
-    centering_passes: int
 
     @property
     def n(self) -> int:
@@ -240,7 +308,6 @@ def precompute(matrix, response) -> Workspace:
         scale=np.sqrt(css),
         response_scale=math.sqrt(cy.css),
         sqrt_n=math.sqrt(n),
-        centering_passes=p + 1,
     )
 
 
@@ -286,40 +353,18 @@ def _rows(ws: Workspace, anchors, span: tuple[int, int]):
         yield j1, lo, ws.sqrt_n * np.abs(sums) / denom, sums
 
 
-# Columnar candidate sets are tuples of parallel arrays (r_hat, j1, j2, sums).
-_NO_PAIRS = (np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
-
 #: A tile's top-k buffer is cut back to k once it holds more than this many
 #: times k candidates.
 _CUT_FACTOR = 4
 
 
-def _rank_order(r_hat, j1, j2) -> np.ndarray:
-    """Indices sorting pairs by the ordering contract: r_hat descending,
-    ties by (j1, j2) ascending.  Stable: equal keys keep their input order."""
-    return np.lexsort((j2, j1, np.negative(r_hat)))
-
-
-def _stack(parts) -> tuple:
-    return tuple(np.concatenate(column) for column in zip(_NO_PAIRS, *parts))
-
-
-def _ordered(cand: tuple, limit: int | None = None) -> tuple:
-    order = _rank_order(*cand[:3])[:limit]
-    return tuple(column[order] for column in cand)
-
-
-def _take(j1: int, lo: int, scores: np.ndarray, sums: np.ndarray, keep: np.ndarray) -> tuple:
-    return scores[keep], np.full(keep.size, j1, dtype=np.intp), lo + keep, sums[keep]
-
-
 def _sweep_tile(ws, anchors, span, top_k, threshold, out):
     """Sweep one tile of anchors.  Returns ``(top, hits, scanned)``: the
-    tile's ordered top-k and its threshold hits as columnar sets (None when
-    not requested) and the pair count.  Writes every score into ``out``
-    (flat, offset by the span start) when given."""
-    top: list[tuple] = []
-    hits: list[tuple] = []
+    tile's ordered top-k and its threshold hits as tables (empty when not
+    requested) and the pair count.  Writes every score into ``out`` (flat,
+    offset by the span start) when given."""
+    top: list[PairTable] = []
+    hits: list[PairTable] = []
     held = 0
     floor = -np.inf
     scanned = 0
@@ -333,28 +378,19 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
             # (j1, j2) tie-break settles them.
             keep = np.flatnonzero(scores >= floor)
             if keep.size:
-                top.append(_take(j1, lo, scores, sums, keep))
+                j2 = lo + keep
+                top.append(PairTable(np.full_like(j2, j1), j2, sums[keep] / ws.n, scores[keep]))
                 held += keep.size
             if held > _CUT_FACTOR * top_k:
-                top = [_ordered(_stack(top), top_k)]
+                top = [PairTable.concat(top).ordered(top_k)]
                 held = top_k
-                floor = top[0][0][-1]
+                floor = top[0].r_hat[-1]
         if threshold is not None:
             keep = np.flatnonzero(scores > threshold)
             if keep.size:
-                hits.append(_take(j1, lo, scores, sums, keep))
-    return (
-        _ordered(_stack(top), top_k) if top_k is not None else None,
-        _stack(hits) if threshold is not None else None,
-        scanned,
-    )
-
-
-def _pair_stats(cand: tuple, n: int) -> tuple[PairStatistic, ...]:
-    r_hat, j1, j2, sums = (column.tolist() for column in cand)
-    return tuple(
-        PairStatistic(j1=a, j2=b, tau_hat=s / n, r_hat=r) for r, a, b, s in zip(r_hat, j1, j2, sums)
-    )
+                j2 = lo + keep
+                hits.append(PairTable(np.full_like(j2, j1), j2, sums[keep] / ws.n, scores[keep]))
+    return PairTable.concat(top).ordered(top_k), PairTable.concat(hits), scanned
 
 
 def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = False) -> ScanResult:
@@ -392,16 +428,9 @@ def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = Fa
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(sweep, tiles))
 
-    top: tuple[PairStatistic, ...] = ()
-    if config.top_k is not None:
-        top = _pair_stats(_ordered(_stack(t for t, _, _ in parts), config.top_k), ws.n)
-    selected: tuple[PairStatistic, ...] = ()
-    if config.threshold is not None:
-        selected = _pair_stats(_ordered(_stack(h for _, h, _ in parts)), ws.n)
-
     return ScanResult(
-        top_pairs=top,
-        selected=selected,
+        top_pairs=PairTable.concat(t for t, _, _ in parts).ordered(config.top_k),
+        selected=PairTable.concat(h for _, h, _ in parts).ordered(),
         pairs_scanned=sum(c for _, _, c in parts),
         elapsed_seconds=time.perf_counter() - started,
         scores=scores,
@@ -428,23 +457,21 @@ def iter_score_rows(ws: Workspace):
         yield j1, scores
 
 
-def select_by_threshold(stats, c: float) -> list[PairStatistic]:
-    """Filter a pair-statistic stream to r_hat strictly above ``c``,
-    returned in the result ordering (r descending, pair ascending)."""
+def select_by_threshold(stats, c: float) -> PairTable:
+    """Filter a pair table, or any iterable of ``PairStatistic``, to r_hat
+    strictly above ``c``, returned in the result ordering (r descending,
+    pair ascending)."""
     if not c >= 0:  # NaN too
         raise InvalidValue(f"threshold must be >= 0, got {c}")
-    return _sorted_stats([s for s in stats if s.r_hat > c])
+    table = PairTable.of(stats)
+    return table[table.r_hat > c].ordered()
 
 
-def merge_top_pairs(parts, top_k: int) -> list[PairStatistic]:
-    """Merge per-shard top-k lists into the global top-k.  Exact when every
-    shard kept at least its local top-k over a partition of the pair set."""
-    return _sorted_stats([s for part in parts for s in part])[:top_k]
-
-
-def _sorted_stats(stats: list[PairStatistic]) -> list[PairStatistic]:
-    order = _rank_order([s.r_hat for s in stats], [s.j1 for s in stats], [s.j2 for s in stats])
-    return [stats[i] for i in order]
+def merge_top_pairs(parts, top_k: int) -> PairTable:
+    """Merge per-shard top-k tables (or iterables of ``PairStatistic``)
+    into the global top-k.  Exact when every shard kept at least its local
+    top-k over a partition of the pair set."""
+    return PairTable.concat(PairTable.of(part) for part in parts).ordered(top_k)
 
 
 def ranks_of_pairs(scores: np.ndarray, p: int, pairs) -> dict[tuple[int, int], int]:

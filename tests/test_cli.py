@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jciscan import ScanConfig, pair_count, precompute, scan
 from jciscan.cli import build_parser, main
+from jciscan.cumulants import PairStatistic
 from jciscan.dataio import (
     MAGIC,
     GenotypeMatrix,
@@ -144,6 +146,31 @@ def test_scan_exit_codes(tmp_path):
              "--pair-range", "0:3", "--dump-all", str(tmp_path / "d2.csv")])
         == 2
     )
+
+
+def test_scan_builds_no_pair_objects(tmp_path, monkeypatch):
+    # Results stay columnar from the sweep to the CSV writer: no per-pair
+    # Python object is built, however many pairs are selected.
+    built = []
+    post_init = PairStatistic.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PairStatistic, "__post_init__", counting)
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(30, 12)), rng.normal(size=30)
+    result = scan(precompute(X, y), ScanConfig(top_k=10, threshold=0.0))
+    assert len(result.selected) == pair_count(12)
+    data = tmp_path / "data.csv"
+    write_csv(data, X, [f"x{j}" for j in range(12)], response=y)
+    assert run(["scan", str(data), "--response-column", "y", "--threshold", "0",
+                "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(read_rows(tmp_path / "out.csv")) == 1 + pair_count(12)
+    assert built == []
+    first = result.selected[0]  # the counter is live: one object, built on request
+    assert built == [first]
 
 
 def test_scan_names_degenerate_column_on_stderr(tmp_path, capsys):
@@ -522,6 +549,7 @@ FUZZ_FILES = {
     "csv": b"x0,x1,x2,y\n1,2,3,0.5\n2,1,3,1.5\n3,3,1,2.5\n1,1,2,0.1\n2,3,2,4\n",
     "genotype_csv": b"ch1:a,ch2:b,c\n1,2,3\n2,3,3\n3,1,2\n1,1,1\n2,2,3\n",
     "csv_constant": b"x0,x1,y\n1,2,1\n2,2,2\n3,2,5\n1,2,0\n2,2,4\n",
+    "csv_constant_newline_label": b'"a\nb",x1,y\n2,1,1\n2,2,2\n2,3,5\n2,1,0\n2,2,4\n',
     "csv_two_rows": b"x0,x1,y\n1,2,1\n2,3,2\n",
     "csv_not_utf8": b"x0,x1,y\n1,\xff,1\n2,3,2\n3,1,0\n",
     "csv_long_cell": b"x0,y\n" + b"1" * 200_000 + b",1\n",
@@ -543,8 +571,9 @@ FUZZ_FILES = {
 }
 # Entries repeat to weight the draw toward inputs that get past the parser.
 INPUTS = ["@csv"] * 4 + ["@packed"] * 3 + [
-    "@genotype_csv", "@csv_constant", "@csv_two_rows", "@csv_not_utf8", "@csv_long_cell",
-    "@csv_ragged", "@empty", "@missing", "@dir", "@packed_truncated", "@packed_oversized",
+    "@genotype_csv", "@csv_constant", "@csv_constant_newline_label", "@csv_two_rows",
+    "@csv_not_utf8", "@csv_long_cell", "@csv_ragged", "@empty", "@missing", "@dir",
+    "@packed_truncated", "@packed_oversized",
 ]
 PHENOS = ["@pheno"] * 4 + ["@pheno_constant", "@pheno_short", "@pheno_not_utf8", "@missing", "@empty"]
 DUMPS = ["@dump"] * 4 + ["@dump_not_utf8", "@dump_bad_header", "@dump_ragged", "@empty", "@missing"]
@@ -653,6 +682,8 @@ def _materialize(argv, tmp):
 @example(argv=["scan", "@packed_oversized", "--phenotype", "@pheno", "--top-k", "1", "--out", "@out"])
 @example(argv=["scan", "@csv", "--response-column", "y", "--threshold", "nan", "--out", "@out"])
 @example(argv=["scan", "@csv_long_cell", "--response-column", "y", "--top-k", "1", "--out", "@out"])
+@example(argv=["scan", "@csv_constant_newline_label", "--response-column", "y", "--top-k", "1",
+               "--out", "@out"])
 @example(argv=["simulate", "--study", "1", "--n", "5", "--p", "2", "--seed", "-3", "--out-summary", "@out"])
 def test_cli_fuzz_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()

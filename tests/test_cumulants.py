@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jciscan import center, pair_score, sample_k2, sample_k3, validate_c1
 from jciscan.errors import (
@@ -250,6 +252,18 @@ def test_pair_score_symmetry_is_exact():
         assert a.r_hat == b.r_hat
         assert a.tau_hat == b.tau_hat
         assert (a.j1, a.j2) == (b.j1, b.j2) == (0, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pair_score_swap_is_bit_identical_property(data):
+    n = data.draw(st.integers(3, 30), label="n")
+    values = st.lists(st.floats(-1e30, 1e30, allow_nan=False), min_size=n, max_size=n)
+    c1, c2, cy = (center(data.draw(values, label=f"col{j}"), j) for j in (0, 1, -1))
+    assume(min(c1.css, c2.css, cy.css) > 0.0)
+    a = pair_score(c1, c2, cy)
+    b = pair_score(c2, c1, cy)
+    assert (a.j1, a.j2, a.tau_hat.hex(), a.r_hat.hex()) == (b.j1, b.j2, b.tau_hat.hex(), b.r_hat.hex())
 
 
 def test_pair_score_affine_invariance():

@@ -2,6 +2,7 @@
 missing-code policies, error taxonomy."""
 
 import io
+import os
 import struct
 import tracemalloc
 
@@ -444,6 +445,11 @@ def test_packed_oversized_declared_shape_is_truncated(n, p, tmp_path):
     for source in (io.BytesIO(data), path):
         with pytest.raises(TruncatedFile):
             parse_packed(source)
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(data)  # far below any pipe buffer, so this cannot block
+    with os.fdopen(read_end, "rb") as fh, pytest.raises(TruncatedFile):
+        parse_packed(fh)
 
 
 def test_genotype_matrix_checks_codes_without_matrix_temporaries():

