@@ -367,13 +367,13 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
             chroms.append(chrom)
 
         # A declared shape larger than the file never sizes an allocation:
-        # a seekable stream is checked before its one read, any other is
-        # read in bounded chunks until it ends.
+        # a seekable stream is checked up front, and every stream is read in
+        # bounded chunks until it ends.
         expected = payload_bytes(n, p)
         left = _bytes_left(fh)
         if left is not None and left < expected:
             raise TruncatedFile(expected, left)
-        payload = fh.read(expected) if left is not None else _read_chunked(fh, expected)
+        payload = _read_chunked(fh, expected)
         if len(payload) < expected:
             raise TruncatedFile(expected, len(payload))
 

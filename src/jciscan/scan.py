@@ -141,7 +141,8 @@ class PairTable:
     :class:`~jciscan.cumulants.PairStatistic`.  An integer index or
     iteration builds ``PairStatistic`` objects on request; any other index
     yields a table.  A table equals a table with equal arrays, or any
-    sequence of the same pairs in the same order."""
+    sequence of the same pairs in the same order, and hashes as the tuple
+    of its pairs."""
 
     j1: np.ndarray
     j2: np.ndarray
@@ -149,8 +150,13 @@ class PairTable:
     r_hat: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in self._columns():
-            column.setflags(write=False)
+        # Read-only views, so the caller's own arrays stay writable.
+        views = [np.asarray(column).view() for column in self._columns()]
+        if views[0].ndim != 1 or len({view.shape for view in views}) != 1:
+            raise DimensionMismatch(f"columns need one 1-D length, got {[v.shape for v in views]}")
+        for name, view in zip(("j1", "j2", "tau_hat", "r_hat"), views):
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return self.j1, self.j2, self.tau_hat, self.r_hat
@@ -161,13 +167,8 @@ class PairTable:
         ``PairStatistic``, in its order."""
         if isinstance(pairs, PairTable):
             return pairs
-        pairs = list(pairs)
-        return cls(
-            np.array([s.j1 for s in pairs], dtype=np.intp),
-            np.array([s.j2 for s in pairs], dtype=np.intp),
-            np.array([s.tau_hat for s in pairs], dtype=np.float64),
-            np.array([s.r_hat for s in pairs], dtype=np.float64),
-        )
+        rows = [(s.j1, s.j2, s.tau_hat, s.r_hat) for s in pairs]
+        return cls.concat([cls(*map(np.array, zip(*rows)))] if rows else [])
 
     @classmethod
     def concat(cls, tables) -> PairTable:
@@ -188,15 +189,15 @@ class PairTable:
             return PairStatistic(*(column[index].item() for column in self._columns()))
         return PairTable(*(column[index] for column in self._columns()))
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
     def __eq__(self, other):
         if isinstance(other, PairTable):
             return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
         if isinstance(other, Sequence):
             return list(self) == list(other)
         return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 _EMPTY = PairTable(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.empty(0))
@@ -209,8 +210,7 @@ class ScanResult:
     ``top_pairs`` is sorted by the ordering contract and has at most
     ``top_k`` entries; ``selected`` holds every scanned pair with
     r_hat strictly greater than the threshold, in the same order.  Both
-    are :class:`PairTable` columns (empty when not requested), so a
-    selection of a million pairs costs no per-pair Python objects.
+    are :class:`PairTable` columns, empty when not requested.
     ``elapsed_seconds`` is wall-clock bookkeeping; equality compares only
     the deterministic fields, matching the determinism contract.
     """
@@ -358,6 +358,11 @@ def _rows(ws: Workspace, anchors, span: tuple[int, int]):
 _CUT_FACTOR = 4
 
 
+def _take(j1, lo, scores, sums, keep, n) -> PairTable:
+    j2 = lo + keep
+    return PairTable(np.full_like(j2, j1), j2, sums[keep] / n, scores[keep])
+
+
 def _sweep_tile(ws, anchors, span, top_k, threshold, out):
     """Sweep one tile of anchors.  Returns ``(top, hits, scanned)``: the
     tile's ordered top-k and its threshold hits as tables (empty when not
@@ -378,8 +383,7 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
             # (j1, j2) tie-break settles them.
             keep = np.flatnonzero(scores >= floor)
             if keep.size:
-                j2 = lo + keep
-                top.append(PairTable(np.full_like(j2, j1), j2, sums[keep] / ws.n, scores[keep]))
+                top.append(_take(j1, lo, scores, sums, keep, ws.n))
                 held += keep.size
             if held > _CUT_FACTOR * top_k:
                 top = [PairTable.concat(top).ordered(top_k)]
@@ -388,8 +392,7 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
         if threshold is not None:
             keep = np.flatnonzero(scores > threshold)
             if keep.size:
-                j2 = lo + keep
-                hits.append(PairTable(np.full_like(j2, j1), j2, sums[keep] / ws.n, scores[keep]))
+                hits.append(_take(j1, lo, scores, sums, keep, ws.n))
     return PairTable.concat(top).ordered(top_k), PairTable.concat(hits), scanned
 
 

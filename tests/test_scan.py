@@ -29,13 +29,14 @@ from jciscan import (
 from jciscan.cumulants import PairStatistic, center
 from jciscan.errors import (
     DegenerateSample,
+    DimensionMismatch,
     EmptyRange,
     InvalidPair,
     InvalidValue,
     TooFewColumns,
     ZeroVarianceColumn,
 )
-from jciscan.scan import default_worker_count, iter_score_rows
+from jciscan.scan import PairTable, default_worker_count, iter_score_rows
 
 # --------------------------------------------------------------------------
 # Naive reference: pure-Python double loop straight from the definitions.
@@ -544,6 +545,20 @@ def test_public_merge_and_threshold_match_unsharded_scan_property(data):
     selected = scan(ws, ScanConfig(threshold=cut)).selected
     assert select_by_threshold(shuffled, cut) == selected
     assert select_by_threshold(list(shuffled), cut) == selected
+
+
+def test_pair_table_hashes_like_its_pairs_and_leaves_callers_arrays_writable():
+    j1, j2 = np.array([0, 0]), np.array([1, 2])
+    table = PairTable(j1, j2, np.array([0.5, -0.25]), np.array([2.0, 1.0]))
+    assert j1.flags.writeable and not table.j1.flags.writeable
+    assert table == tuple(table) and hash(table) == hash(tuple(table))
+    with pytest.raises(DimensionMismatch):
+        PairTable(j1, j2[:1], np.zeros(2), np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        PairTable(*(np.zeros((2, 1)),) * 4)
+    X, y = random_instance(seed=5, max_n=20, max_p=8)
+    result = scan(precompute(X, y), ScanConfig(top_k=3, threshold=0.0))
+    assert hash(result) == hash(scan(precompute(X, y), ScanConfig(top_k=3, threshold=0.0)))
 
 
 def test_pair_range_scores_alignment():
