@@ -71,6 +71,9 @@ def _load_scan_input(args):
     else:
         matrix, y, names = dataio.parse_csv(args.input, args.response_column)
     chroms = [dataio.parse_column_label(name)[0] for name in names]
+    if dataio.is_genotype(matrix):
+        # Codes score on the same route whichever format they were read from.
+        matrix = dataio.genotype_from_floats(matrix, names)
     return matrix, y, names, chroms
 
 

@@ -428,6 +428,18 @@ def is_packed(path) -> bool:
         return fh.read(len(MAGIC)) == MAGIC
 
 
+def _not_codes(arr: np.ndarray) -> np.ndarray:
+    """Mask of the cells outside the genotype domain {1, 2, 3}."""
+    return ~((arr == 1) | (arr == 2) | (arr == 3))
+
+
+def is_genotype(matrix) -> bool:
+    """Whether a non-empty float matrix holds only genotype codes, so that
+    :func:`genotype_from_floats` accepts it."""
+    arr = np.asarray(matrix, dtype=np.float64)
+    return arr.size > 0 and not _not_codes(arr).any()
+
+
 def genotype_from_floats(matrix, names) -> GenotypeMatrix:
     """Build a GenotypeMatrix from float cells, validating the {1,2,3}
     domain.  Column labels of the form "ch<k>:<id>" populate chromosome
@@ -437,8 +449,7 @@ def genotype_from_floats(matrix, names) -> GenotypeMatrix:
         ParseError: first cell (row, column) outside the genotype domain.
     """
     arr = np.asarray(matrix, dtype=np.float64)
-    rounded = np.rint(arr)
-    bad = ~(np.isfinite(arr) & (rounded == arr) & (arr >= 1) & (arr <= 3))
+    bad = _not_codes(arr)
     if bad.any():
         rows, cols = np.nonzero(bad)
         r, c = int(rows[0]), int(cols[0])

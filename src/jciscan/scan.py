@@ -1,26 +1,49 @@
 """All-pairs interaction sweep: precompute once, score every pair, keep the best.
 
-The sweep hoists everything that does not depend on the partner column:
-means, centered columns, centered sums of squares, their square roots and
-sqrt(n) are computed once per dataset.  After that, scoring one anchor
-column j1 against every partner j2 is a single fused product
-``(y_c * x_c[j1]) @ C`` followed by elementwise normalization, where C is
-the n x p centered matrix.  One row iterator computes these rows; the
+Two routes compute a pair's value; :func:`precompute` picks one per dataset.
+
+The float route serves every input the exact route does not.  It hoists
+everything that does not depend on the partner column: means, centered
+columns, centered sums of squares, their square roots and sqrt(n) are
+computed once per dataset.  After that, scoring one anchor column j1
+against every partner j2 is a single fused product ``(y_c * x_c[j1]) @ C``
+followed by elementwise normalization, where C is the n x p centered
+matrix.
+
+The exact route serves genotype codes against an integer-valued response
+(case/control, counts) while every sum fits the float formats exactly.
+With y shifted by its minimum, every raw sum is a small integer: per
+column ``S_j``, ``D_j = n S_jj - S_j^2`` and ``S_jy``, per pair ``S_12``
+and ``S_12y``.  The pair sums come from float32 GEMM tiles
+``X[:, A].T @ X[:, B]`` and ``(y * X[:, A]).T @ X[:, B]``, which are exact
+while ``c^2 n m < 2^24`` (c the largest code, m = max(y) - min(y)).  A
+float64 combine then forms the integer numerator
+
+    N = n^2 S_12y - n (S_1 S_2y + S_2 S_1y + S_y S_12) + 2 S_1 S_2 S_y,
+
+exact while ``2 c^2 n^3 m < 2^53``, and ``r_hat = |N| / sqrt(D_1 D_2 D_y)``,
+``tau_hat = N / n^3``.  These values are exact up to the final rounding of
+the square root and the divisions, so tiling, summation order and BLAS
+threads cannot change them.
+
+One row iterator, :func:`_rows`, computes the values of both routes; the
 top-k/threshold selection, the flat score array and the dump stream all
 consume it, so a scan that also collects every score sweeps once.
 
 Determinism contract
 --------------------
-Results are bit-identical for every ``block_size`` and ``worker_count``.
-This holds by construction: each pair's value comes from the per-anchor
-row product above, whose operand shapes are fixed by (n, p) alone.  Tiling
-and threading only decide *which* anchor rows a worker evaluates; they
-never change how a value is computed.  Every pair set, from a tile's
-candidate buffer to ``ScanResult`` and the shard merge, is one
-:class:`PairTable` of parallel arrays; tile buffers, the final tile merge,
-shard merges and threshold selection are all ordered by its one stable
-lexicographic sort on the full key, so the order never depends on which
-tile or worker found a pair.
+Results are bit-identical for every ``block_size``, ``worker_count`` and
+``pair_range`` shard, and for every BLAS thread count.  On the float route
+this holds by construction: each pair's value comes from the per-anchor
+row product above, whose operand shapes are fixed by (n, p) alone.  On the
+exact route it holds because every sum is an exact integer.  Tiling and
+threading only decide *which* pairs a worker evaluates; they never change
+how a value is computed.  Every pair set, from a tile's candidate buffer
+to ``ScanResult`` and the shard merge, is one :class:`PairTable` of
+parallel arrays; tile buffers, the final tile merge, shard merges and
+threshold selection are all ordered by its one stable lexicographic sort
+on the full key, so the order never depends on which tile or worker found
+a pair.
 
 Ordering contract
 -----------------
@@ -58,6 +81,12 @@ from .errors import (
 )
 
 DEFAULT_BLOCK_SIZE = 256
+
+#: An exact-route tile is this many anchors against at most this many
+#: partners: two float32 products and a few float64 combine arrays of
+#: that shape, whatever p is.
+_ANCHOR_BLOCK = 64
+_PARTNER_CHUNK = 2048
 
 #: Smallest sample size for which a pair scan is considered meaningful.
 MIN_SCAN_SAMPLES = 3
@@ -228,12 +257,38 @@ class ScanResult:
 
 
 @dataclass(frozen=True, eq=False)
-class Workspace:
-    """Immutable centered view of a dataset, shared read-only by workers.
+class CodeSums:
+    """Integer sums of the exact route, for codes ``x`` and the response
+    shifted to ``y' = y - min(y)``.  Every sum is a float64 holding an
+    exact integer.
 
-    ``matrix`` is the n x p centered predictor matrix, the only copy of the
+    Attributes:
+        response: ``y'`` as float32.
+        sums: ``S_j = sum_i x_ij``.
+        cross: ``n S_jy - S_j S_y``, with ``S_jy = sum_i x_ij y'_i``.
+        spread: ``D_j = n S_jj - S_j^2``, n^2 times the 1/n variance.
+        response_sum: ``S_y = sum_i y'_i``.
+        response_spread: ``D_y = n S_yy - S_y^2``.
+    """
+
+    response: np.ndarray
+    sums: np.ndarray
+    cross: np.ndarray
+    spread: np.ndarray
+    response_sum: float
+    response_spread: float
+
+
+@dataclass(frozen=True, eq=False)
+class Workspace:
+    """Immutable precomputed view of a dataset, shared read-only by workers.
+
+    ``matrix`` is the n x p predictor matrix, the only copy of the
     predictors; ``scale[j]`` is sqrt(css_j); the response is centered with
-    index ``RESPONSE_INDEX``.
+    index ``RESPONSE_INDEX``.  On the float route ``matrix`` is centered
+    float64 and the sweep scores from it and the scales.  On the exact
+    route (``exact`` set) it is the caller's uint8 genotype codes,
+    uncopied, and every pair value comes from ``exact`` and the codes.
     """
 
     response: CenteredColumn
@@ -241,6 +296,7 @@ class Workspace:
     scale: np.ndarray
     response_scale: float
     sqrt_n: float
+    exact: CodeSums | None = None
 
     @property
     def n(self) -> int:
@@ -255,17 +311,22 @@ def precompute(matrix, response) -> Workspace:
     """Center every column and the response exactly once.
 
     Accepts a real n x p array or any object exposing ``.codes`` (a
-    genotype matrix); codes are widened to float64.  The columns are
-    centered together in a contiguous p x n copy; means, centered values
-    and css are bit-identical to :func:`~jciscan.cumulants.center` on each
-    column.  After this call the per-pair cost of the sweep is one fused
-    length-n product-sum plus one division and one square root.
+    genotype matrix).  uint8 codes against an integer-valued response take
+    the exact route while its bounds hold (see the module docstring): the
+    codes stay as they are and only per-column integer sums are computed.
+    Any other input takes the float route: codes are widened to float64
+    and the columns are centered together in a contiguous p x n copy;
+    means, centered values and css are bit-identical to
+    :func:`~jciscan.cumulants.center` on each column.  After this call a
+    float-route pair costs one fused length-n product-sum plus one
+    division and one square root.
 
     Raises:
         InvalidValue: non-finite entries (response first, then the lowest
             offending column).
         ZeroVarianceColumn: a constant column (its id) or response (-1),
-            by the relative floor of :func:`~jciscan.cumulants.near_constant`.
+            by the relative floor of :func:`~jciscan.cumulants.near_constant`;
+            on the exact route a column is constant when ``D_j == 0``.
         DegenerateSample: n < 3.
         TooFewColumns: p < 2.
     """
@@ -284,6 +345,8 @@ def precompute(matrix, response) -> Workspace:
 
     cy = center(y, index=RESPONSE_INDEX)
     validate_c1(cy)
+    if codes is not None and raw.dtype == np.uint8 and _exact_bounds_hold(raw, y):
+        return _exact_workspace(raw, y, cy)
 
     # Row j of `cols` is column j: contiguous rows give the same pairwise
     # sums and dot products as center() on that column alone.
@@ -311,6 +374,61 @@ def precompute(matrix, response) -> Workspace:
     )
 
 
+#: float32 and float64 hold every integer of magnitude below these exactly.
+_FLOAT32_EXACT = 2**24
+_FLOAT64_EXACT = 2**53
+
+
+def _exact_bounds_hold(codes: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the exact route's sums fit: y integer-valued, and with c the
+    largest code and m = max(y) - min(y), ``c^2 n m < 2^24`` (float32 GEMM
+    tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).  y is finite and
+    not constant here, so m >= 1 when y is integer-valued."""
+    if not np.array_equal(y, np.rint(y)):
+        return False
+    n = y.size
+    c2m = int(codes.max()) ** 2 * int(y.max() - y.min())
+    return c2m * n < _FLOAT32_EXACT and 2 * c2m * n**3 < _FLOAT64_EXACT
+
+
+def _exact_workspace(codes: np.ndarray, y: np.ndarray, cy: CenteredColumn) -> Workspace:
+    """The exact route's workspace: integer sums per column, taken from
+    float32 column chunks whose sums stay below 2^24, so no n x p copy is
+    made.  ``y - min(y)`` is exact for an integer-valued y within bounds."""
+    n, p = codes.shape
+    shifted = (y - y.min()).astype(np.int64)
+    response = shifted.astype(np.float32)
+    weights = np.stack([np.ones(n, np.float32), response])
+    linear = np.empty((2, p))  # S_j and S_jy
+    square = np.empty(p)  # S_jj
+    for c0 in range(0, p, _PARTNER_CHUNK):
+        chunk = codes[:, c0 : c0 + _PARTNER_CHUNK].astype(np.float32)
+        linear[:, c0 : c0 + chunk.shape[1]] = weights @ chunk
+        square[c0 : c0 + chunk.shape[1]] = np.einsum("ij,ij->j", chunk, chunk)
+    s, sy, ss = linear[0].astype(np.int64), linear[1].astype(np.int64), square.astype(np.int64)
+    s_y, s_yy = int(shifted.sum()), int(shifted @ shifted)
+    spread = n * ss - s * s
+    if not spread.all():
+        raise ZeroVarianceColumn(int(np.argmin(spread != 0)))
+    matrix = codes.view()
+    matrix.setflags(write=False)
+    return Workspace(
+        response=cy,
+        matrix=matrix,
+        scale=np.sqrt(spread / n),
+        response_scale=math.sqrt(cy.css),
+        sqrt_n=math.sqrt(n),
+        exact=CodeSums(
+            response=response,
+            sums=s.astype(np.float64),
+            cross=(n * sy - s * s_y).astype(np.float64),
+            spread=spread.astype(np.float64),
+            response_sum=float(s_y),
+            response_spread=float(n * s_yy - s_y * s_y),
+        ),
+    )
+
+
 # --------------------------------------------------------------------------
 # Sweep
 # --------------------------------------------------------------------------
@@ -332,20 +450,31 @@ def _anchors_for_span(p: int, span: tuple[int, int]) -> range:
     return range(lo_anchor, hi_anchor + 1)
 
 
-def _rows(ws: Workspace, anchors, span: tuple[int, int]):
-    """Yield ``(j1, lo, scores, sums)`` per anchor: the scores and raw
-    product-sums of j1 against partners ``lo, lo + 1, ...`` clipped to the
-    canonical pair index span.
+def _partners(j1: int, p: int, span: tuple[int, int]) -> tuple[int, int]:
+    """Partners ``[lo, hi)`` of anchor j1 inside the canonical pair span."""
+    base = _row_start(j1, p)
+    return max(j1 + 1, j1 + 1 + (span[0] - base)), min(p, j1 + 1 + (span[1] - base))
 
-    This is the only place a pair value is computed.  The vector-matrix
-    product always has shape (n,) @ (n, p), so a pair's value never depends
-    on the span, tiling or threading.
+
+def _rows(ws: Workspace, anchors: range, span: tuple[int, int]):
+    """Yield ``(j1, lo, scores, sums)``: the scores of anchor j1 against
+    partners ``lo, lo + 1, ...`` clipped to the canonical pair index span,
+    and the sums whose quotient by :func:`_tau_divisor` is tau_hat (the
+    centered product-sums on the float route, N on the exact route).  The
+    float route yields one whole row per anchor, in anchor order; the
+    exact route yields each anchor's row as contiguous pieces, one per
+    partner chunk of its tiles, in increasing ``lo``.
+
+    This is the only place a pair value is computed.  On the float route
+    the vector-matrix product always has shape (n,) @ (n, p); on the exact
+    route every sum is an exact integer.  Either way a pair's value never
+    depends on the span, tiling or threading.
     """
-    p = ws.p
+    if ws.exact is not None:
+        yield from _exact_rows(ws, anchors, span)
+        return
     for j1 in anchors:
-        base = _row_start(j1, p)
-        lo = max(j1 + 1, j1 + 1 + (span[0] - base))
-        hi = min(p, j1 + 1 + (span[1] - base))
+        lo, hi = _partners(j1, ws.p, span)
         if lo >= hi:
             continue
         sums = ((ws.response.centered * ws.matrix[:, j1]) @ ws.matrix)[lo:hi]
@@ -353,14 +482,68 @@ def _rows(ws: Workspace, anchors, span: tuple[int, int]):
         yield j1, lo, ws.sqrt_n * np.abs(sums) / denom, sums
 
 
+def _exact_rows(ws: Workspace, anchors: range, span: tuple[int, int]):
+    """The exact route of :func:`_rows`.  Each partner chunk is widened to
+    float32 once and shared by every anchor block of ``anchors``."""
+    limits = [_partners(j1, ws.p, span) for j1 in anchors]
+    last = max(end for _, end in limits)
+    for c0 in range(min(limits)[0], last, _PARTNER_CHUNK):
+        c1 = min(c0 + _PARTNER_CHUNK, last)
+        chunk = ws.matrix[:, c0:c1].astype(np.float32)
+        for b0 in range(0, len(anchors), _ANCHOR_BLOCK):
+            block = limits[b0 : b0 + _ANCHOR_BLOCK]
+            lo = max(c0, min(block)[0])
+            hi = min(c1, max(end for _, end in block))
+            if lo >= hi:
+                continue
+            a0 = anchors[b0]
+            scores, sums = _exact_tile(ws, a0, a0 + len(block), lo, chunk[:, lo - c0 : hi - c0])
+            for i, (start, end) in enumerate(block):
+                start, end = max(lo, start), min(hi, end)
+                if start < end:
+                    yield a0 + i, start, scores[i, start - lo : end - lo], sums[i, start - lo : end - lo]
+
+
+def _exact_tile(ws: Workspace, a0: int, a1: int, lo: int, partners: np.ndarray):
+    """r_hat and N of anchors ``[a0, a1)`` against the float32 partner
+    columns starting at ``lo``, as two (a1 - a0) x width arrays.
+
+    With ``b_j = n S_jy - S_j S_y`` the numerator is
+    ``N = n (n S_12y - S_y S_12) - (S_1 b_2 + b_1 S_2)``; within the
+    exactness bounds every intermediate is an integer of magnitude at most
+    ``2 c^2 n^3 m < 2^53``, so float64 holds each one exactly.
+    """
+    exact, n, k = ws.exact, ws.n, a1 - a0
+    anchors, mates = slice(a0, a1), slice(lo, lo + partners.shape[1])
+    x = ws.matrix[:, anchors].astype(np.float32)
+    products = np.concatenate([x, x * exact.response[:, None]], axis=1).T @ partners
+    num = np.multiply(products[k:], n, dtype=np.float64)  # n S_12y
+    num -= np.multiply(products[:k], exact.response_sum, dtype=np.float64)
+    num *= n
+    num -= np.stack([exact.sums[anchors], exact.cross[anchors]], axis=1) @ np.stack(
+        [exact.cross[mates], exact.sums[mates]]
+    )
+    scores = np.multiply.outer(exact.spread[anchors] * exact.response_spread, exact.spread[mates])
+    np.sqrt(scores, out=scores)
+    np.divide(np.abs(num), scores, out=scores)
+    return scores, num
+
+
+def _tau_divisor(ws: Workspace) -> float:
+    """tau_hat is a row's sums over this: n on the float route, n^3 on the
+    exact route, where both N and n^3 are exact, so the quotient is the
+    correctly rounded N / n^3."""
+    return ws.n if ws.exact is None else float(ws.n) ** 3
+
+
 #: A tile's top-k buffer is cut back to k once it holds more than this many
 #: times k candidates.
 _CUT_FACTOR = 4
 
 
-def _take(j1, lo, scores, sums, keep, n) -> PairTable:
+def _take(j1, lo, scores, sums, keep, divisor) -> PairTable:
     j2 = lo + keep
-    return PairTable(np.full_like(j2, j1), j2, sums[keep] / n, scores[keep])
+    return PairTable(np.full_like(j2, j1), j2, sums[keep] / divisor, scores[keep])
 
 
 def _sweep_tile(ws, anchors, span, top_k, threshold, out):
@@ -373,6 +556,7 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
     held = 0
     floor = -np.inf
     scanned = 0
+    divisor = _tau_divisor(ws)
     for j1, lo, scores, sums in _rows(ws, anchors, span):
         scanned += scores.size
         if out is not None:
@@ -383,7 +567,7 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
             # (j1, j2) tie-break settles them.
             keep = np.flatnonzero(scores >= floor)
             if keep.size:
-                top.append(_take(j1, lo, scores, sums, keep, ws.n))
+                top.append(_take(j1, lo, scores, sums, keep, divisor))
                 held += keep.size
             if held > _CUT_FACTOR * top_k:
                 top = [PairTable.concat(top).ordered(top_k)]
@@ -392,7 +576,7 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
         if threshold is not None:
             keep = np.flatnonzero(scores > threshold)
             if keep.size:
-                hits.append(_take(j1, lo, scores, sums, keep, ws.n))
+                hits.append(_take(j1, lo, scores, sums, keep, divisor))
     return PairTable.concat(top).ordered(top_k), PairTable.concat(hits), scanned
 
 
@@ -455,9 +639,16 @@ def all_scores(ws: Workspace, pair_range: tuple[int, int] | None = None) -> np.n
 
 def iter_score_rows(ws: Workspace):
     """Yield ``(j1, scores_for_j2_gt_j1)`` per anchor, canonical order.
-    Streaming companion to :func:`all_scores` for O(p^2) dump writers."""
-    for j1, _, scores, _ in _rows(ws, range(ws.p - 1), (0, pair_count(ws.p))):
-        yield j1, scores
+    Streaming companion to :func:`all_scores` for O(p^2) dump writers.
+    Rows are joined from their pieces one anchor block at a time."""
+    span = (0, pair_count(ws.p))
+    for a0 in range(0, ws.p - 1, _ANCHOR_BLOCK):
+        block = range(a0, min(a0 + _ANCHOR_BLOCK, ws.p - 1))
+        pieces: list[list[np.ndarray]] = [[] for _ in block]
+        for j1, _, scores, _ in _rows(ws, block, span):
+            pieces[j1 - a0].append(scores)
+        for j1, row in zip(block, pieces):
+            yield j1, row[0] if len(row) == 1 else np.concatenate(row)
 
 
 def select_by_threshold(stats, c: float) -> PairTable:
@@ -473,7 +664,13 @@ def select_by_threshold(stats, c: float) -> PairTable:
 def merge_top_pairs(parts, top_k: int) -> PairTable:
     """Merge per-shard top-k tables (or iterables of ``PairStatistic``)
     into the global top-k.  Exact when every shard kept at least its local
-    top-k over a partition of the pair set."""
+    top-k over a partition of the pair set.
+
+    Raises:
+        InvalidValue: ``top_k < 1``, as in :class:`ScanConfig`.
+    """
+    if top_k < 1:
+        raise InvalidValue(f"top_k must be >= 1, got {top_k}")
     return PairTable.concat(PairTable.of(part) for part in parts).ordered(top_k)
 
 

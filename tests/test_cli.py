@@ -273,6 +273,33 @@ def test_scan_csv_and_packed_outputs_identical(tmp_path):
     assert out_csv.read_text() == out_packed.read_text()
 
 
+def test_scan_csv_and_packed_outputs_identical_for_case_control_response(tmp_path):
+    # An integer response sends codes down the exact route; CSV cells that
+    # are all codes go the same way, so both files still match byte for byte.
+    rng = np.random.default_rng(13)
+    n, p = 60, 10
+    codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
+    y = 1 + ((codes[:, 2] == 3) ^ (codes[:, 5] == 1) ^ (rng.random(n) < 0.2))
+    gm = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=(1,) * p)
+    assert precompute(gm, y.astype(float)).exact is not None
+    labels = [gm.column_label(j) for j in range(p)]
+    packed = tmp_path / "g.jcg"
+    write_packed(gm, packed)
+    csv_path = tmp_path / "g.csv"
+    write_csv(csv_path, codes.astype(float), labels)
+    pheno = tmp_path / "y.txt"
+    pheno.write_text("".join(f"{v}\n" for v in y.tolist()))
+
+    outputs = []
+    for source in (csv_path, packed):
+        out, dump = tmp_path / f"{source.stem}.csv", tmp_path / f"{source.stem}.dump"
+        argv = ["scan", str(source), "--phenotype", str(pheno), "--top-k", "12", "--threshold", "0.2",
+                "--out", str(out), "--dump-all", str(dump)]
+        assert run(argv) == 0
+        outputs.append(out.read_bytes() + dump.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------

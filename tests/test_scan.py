@@ -514,6 +514,14 @@ def test_shard_merge_reproduces_unsharded_top_k():
     assert tuple(merge_top_pairs(shards, 12)) == full
 
 
+def test_merge_top_pairs_rejects_top_k_below_one():
+    stats = [PairStatistic(0, j, 0.1, 1.0 / j) for j in range(1, 5)]
+    for bad in (0, -1):
+        with pytest.raises(InvalidValue, match="top_k must be >= 1"):
+            merge_top_pairs([stats], bad)
+    assert [s.j2 for s in merge_top_pairs([stats[:2], stats[2:]], 3)] == [1, 2, 3]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_public_merge_and_threshold_match_unsharded_scan_property(data):
