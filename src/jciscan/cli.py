@@ -4,8 +4,9 @@ Subcommands: ``scan`` (score pairs in a data file), ``simulate`` (run a
 built-in study design), ``convert`` (CSV <-> packed genotypes) and
 ``report`` (summarize a full score dump).
 
-Exit codes: 0 success, 1 I/O failure, 2 malformed input or flags,
-3 statistically degenerate data (offending column named on stderr).
+Exit codes: 0 success, 1 I/O or memory failure, 2 malformed input or flags
+(including a size flag too large for any numpy array), 3 statistically
+degenerate data (offending column named on stderr).
 Diagnostics go to stderr; stdout carries nothing unless ``--out`` is "-".
 Worker count defaults to the JCI_WORKERS environment variable (``--workers``
 overrides it).
@@ -45,6 +46,14 @@ _DEGENERATE_ERRORS = (ZeroVarianceColumn, DegenerateSample)
 def _fail(message: str, code: int) -> int:
     print(f"jciscan: {message}", file=sys.stderr)
     return code
+
+
+def _check_representable(what: str, cells: int) -> None:
+    """A size flag asking for more float64 cells than one numpy array can
+    address is malformed input; a size numpy can represent but the OS will
+    not grant fails later as a memory failure."""
+    if cells * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise InvalidValue(f"{what} asks for {cells} float64 cells, more than one array can hold")
 
 
 # --------------------------------------------------------------------------
@@ -138,6 +147,7 @@ def cmd_simulate(args) -> int:
     spec = study_spec(
         args.study, n=args.n, p=args.p, seed=args.seed, replications=args.reps
     )
+    _check_representable(f"study {spec.study_id} at n={spec.n}, p={spec.p}", spec.n * spec.p)
     reports = run_replications(
         spec,
         worker_count=args.workers if args.workers is not None else default_worker_count(),
@@ -196,6 +206,7 @@ def cmd_report(args) -> int:
         raise InvalidValue("nothing to write: set --out-histogram and/or --out-groups")
     if args.bins < 1:
         raise InvalidValue(f"--bins must be >= 1, got {args.bins}")
+    _check_representable(f"--bins {args.bins}", args.bins + 1)
 
     scores: list[float] = []
     groups: dict[tuple[str, str], list[float]] = {}
@@ -296,6 +307,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_FORMAT)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}", EXIT_IO)
 
 
 def entry() -> None:

@@ -1,6 +1,8 @@
 """All-pairs interaction sweep: precompute once, score every pair, keep the best.
 
-Two routes compute a pair's value; :func:`precompute` picks one per dataset.
+Two routes compute a pair's value; :func:`precompute` picks one per dataset
+and returns its workspace: :class:`Workspace` for the float route,
+:class:`CodeWorkspace` for the exact route.
 
 The float route serves every input the exact route does not.  It hoists
 everything that does not depend on the partner column: means, centered
@@ -26,9 +28,14 @@ exact while ``2 c^2 n^3 m < 2^53``, and ``r_hat = |N| / sqrt(D_1 D_2 D_y)``,
 the square root and the divisions, so tiling, summation order and BLAS
 threads cannot change them.
 
-One row iterator, :func:`_rows`, computes the values of both routes; the
-top-k/threshold selection, the flat score array and the dump stream all
-consume it, so a scan that also collects every score sweeps once.
+Each workspace's ``rows(anchors, span)`` is the only place its route
+computes a pair value.  Both yield ``(j1, lo, r_hat, tau_hat)`` row pieces,
+so the top-k/threshold selection, the flat score array and the dump stream
+consume either route alike, and a scan that also collects every score
+sweeps once.  A workspace's ``tile`` is the smallest anchor count its route
+scores efficiently: 1 on the float route, one GEMM tile of anchors on the
+exact route.  :func:`scan` cuts work tiles of ``max(block_size, tile)``
+anchors and :func:`iter_score_rows` joins one ``tile`` of anchors at a time.
 
 Determinism contract
 --------------------
@@ -252,15 +259,54 @@ class ScanResult:
 
 
 # --------------------------------------------------------------------------
-# Workspace
+# Workspaces: one per route, each the only place its pair values are made
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class CodeSums:
-    """Integer sums of the exact route, for codes ``x`` and the response
-    shifted to ``y' = y - min(y)``.  Every sum is a float64 holding an
-    exact integer.
+class Workspace:
+    """The float route's workspace, shared read-only by workers.
+
+    ``matrix`` is the n x p centered float64 predictor matrix, the only
+    copy of the predictors; ``scale[j]`` is sqrt(css_j); the response is
+    centered with index ``RESPONSE_INDEX``."""
+
+    response: CenteredColumn
+    matrix: np.ndarray
+    scale: np.ndarray
+    response_scale: float
+    sqrt_n: float
+
+    tile = 1  # one anchor's row is already a whole (n,) @ (n, p) product
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.matrix.shape[1]
+
+    def rows(self, anchors: range, span: tuple[int, int]):
+        """Yield ``(j1, lo, r_hat, tau_hat)`` per anchor, in anchor order:
+        anchor j1 against partners ``lo, lo + 1, ...`` clipped to the
+        canonical pair index span.  The vector-matrix product always has
+        shape (n,) @ (n, p), so a value never depends on span or tiling."""
+        for j1 in anchors:
+            lo, hi = _partners(j1, self.p, span)
+            if lo >= hi:
+                continue
+            sums = ((self.response.centered * self.matrix[:, j1]) @ self.matrix)[lo:hi]
+            denom = (self.scale[j1] * self.response_scale) * self.scale[lo:hi]
+            yield j1, lo, self.sqrt_n * np.abs(sums) / denom, sums / self.n
+
+
+@dataclass(frozen=True, eq=False)
+class CodeWorkspace:
+    """The exact route's workspace, shared read-only by workers: the
+    caller's n x p uint8 genotype ``codes``, uncopied, and integer sums for
+    them and the response shifted to ``y' = y - min(y)``.  Every sum is a
+    float64 holding an exact integer.
 
     Attributes:
         response: ``y'`` as float32.
@@ -271,6 +317,7 @@ class CodeSums:
         response_spread: ``D_y = n S_yy - S_y^2``.
     """
 
+    codes: np.ndarray
     response: np.ndarray
     sums: np.ndarray
     cross: np.ndarray
@@ -278,48 +325,84 @@ class CodeSums:
     response_sum: float
     response_spread: float
 
-
-@dataclass(frozen=True, eq=False)
-class Workspace:
-    """Immutable precomputed view of a dataset, shared read-only by workers.
-
-    ``matrix`` is the n x p predictor matrix, the only copy of the
-    predictors; ``scale[j]`` is sqrt(css_j); the response is centered with
-    index ``RESPONSE_INDEX``.  On the float route ``matrix`` is centered
-    float64 and the sweep scores from it and the scales.  On the exact
-    route (``exact`` set) it is the caller's uint8 genotype codes,
-    uncopied, and every pair value comes from ``exact`` and the codes.
-    """
-
-    response: CenteredColumn
-    matrix: np.ndarray
-    scale: np.ndarray
-    response_scale: float
-    sqrt_n: float
-    exact: CodeSums | None = None
-
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.codes.shape[0]
 
     @property
     def p(self) -> int:
-        return self.matrix.shape[1]
+        return self.codes.shape[1]
+
+    @property
+    def tile(self) -> int:
+        """One GEMM tile of anchors."""
+        return _ANCHOR_BLOCK
+
+    def rows(self, anchors: range, span: tuple[int, int]):
+        """Yield ``(j1, lo, r_hat, tau_hat)``: each anchor's row as
+        contiguous pieces, one per partner chunk of its tiles, in increasing
+        ``lo``.  Each partner chunk is widened to float32 once and shared by
+        every anchor block of ``anchors``.  Every sum is an exact integer, so
+        a value never depends on span, tiling or threading."""
+        limits = [_partners(j1, self.p, span) for j1 in anchors]
+        last = max(end for _, end in limits)
+        for c0 in range(min(limits)[0], last, _PARTNER_CHUNK):
+            c1 = min(c0 + _PARTNER_CHUNK, last)
+            chunk = self.codes[:, c0:c1].astype(np.float32)
+            for b0 in range(0, len(anchors), _ANCHOR_BLOCK):
+                block = limits[b0 : b0 + _ANCHOR_BLOCK]
+                lo = max(c0, min(block)[0])
+                hi = min(c1, max(end for _, end in block))
+                if lo >= hi:
+                    continue
+                a0 = anchors[b0]
+                r_hat, tau_hat = self._tile(a0, a0 + len(block), lo, chunk[:, lo - c0 : hi - c0])
+                for i, (start, end) in enumerate(block):
+                    s, e = max(lo, start) - lo, min(hi, end) - lo
+                    if s < e:
+                        yield a0 + i, lo + s, r_hat[i, s:e], tau_hat[i, s:e]
+
+    def _tile(self, a0: int, a1: int, lo: int, partners: np.ndarray):
+        """r_hat and tau_hat of anchors ``[a0, a1)`` against the float32
+        partner columns starting at ``lo``, as two (a1 - a0) x width arrays.
+
+        With ``b_j = n S_jy - S_j S_y`` the numerator is
+        ``N = n (n S_12y - S_y S_12) - (S_1 b_2 + b_1 S_2)``; within the
+        exactness bounds every intermediate is an integer of magnitude at
+        most ``2 c^2 n^3 m < 2^53``, so float64 holds each one exactly, and
+        so does n^3: tau_hat is the correctly rounded N / n^3.
+        """
+        n, k = self.n, a1 - a0
+        anchors, mates = slice(a0, a1), slice(lo, lo + partners.shape[1])
+        x = self.codes[:, anchors].astype(np.float32)
+        products = np.concatenate([x, x * self.response[:, None]], axis=1).T @ partners
+        num = np.multiply(products[k:], n, dtype=np.float64)  # n S_12y
+        num -= np.multiply(products[:k], self.response_sum, dtype=np.float64)
+        num *= n
+        num -= np.stack([self.sums[anchors], self.cross[anchors]], axis=1) @ np.stack(
+            [self.cross[mates], self.sums[mates]]
+        )
+        r_hat = np.multiply.outer(self.spread[anchors] * self.response_spread, self.spread[mates])
+        np.sqrt(r_hat, out=r_hat)
+        np.divide(np.abs(num), r_hat, out=r_hat)
+        num /= float(n) ** 3
+        return r_hat, num
 
 
-def precompute(matrix, response) -> Workspace:
+def precompute(matrix, response) -> Workspace | CodeWorkspace:
     """Center every column and the response exactly once.
 
     Accepts a real n x p array or any object exposing ``.codes`` (a
     genotype matrix).  uint8 codes against an integer-valued response take
-    the exact route while its bounds hold (see the module docstring): the
-    codes stay as they are and only per-column integer sums are computed.
-    Any other input takes the float route: codes are widened to float64
-    and the columns are centered together in a contiguous p x n copy;
-    means, centered values and css are bit-identical to
-    :func:`~jciscan.cumulants.center` on each column.  After this call a
-    float-route pair costs one fused length-n product-sum plus one
-    division and one square root.
+    the exact route while its bounds hold (see the module docstring) and
+    get a :class:`CodeWorkspace`: the codes stay as they are and only
+    per-column integer sums are computed, by int64 reductions.  Any other
+    input takes the float route and gets a :class:`Workspace`: codes are
+    widened to float64 and the columns are centered together in a
+    contiguous p x n copy; means, centered values and css are
+    bit-identical to :func:`~jciscan.cumulants.center` on each column.
+    After this call a float-route pair costs one fused length-n
+    product-sum plus one division and one square root.
 
     Raises:
         InvalidValue: non-finite entries (response first, then the lowest
@@ -346,7 +429,7 @@ def precompute(matrix, response) -> Workspace:
     cy = center(y, index=RESPONSE_INDEX)
     validate_c1(cy)
     if codes is not None and raw.dtype == np.uint8 and _exact_bounds_hold(raw, y):
-        return _exact_workspace(raw, y, cy)
+        return _exact_workspace(raw, y)
 
     # Row j of `cols` is column j: contiguous rows give the same pairwise
     # sums and dot products as center() on that column alone.
@@ -391,41 +474,29 @@ def _exact_bounds_hold(codes: np.ndarray, y: np.ndarray) -> bool:
     return c2m * n < _FLOAT32_EXACT and 2 * c2m * n**3 < _FLOAT64_EXACT
 
 
-def _exact_workspace(codes: np.ndarray, y: np.ndarray, cy: CenteredColumn) -> Workspace:
-    """The exact route's workspace: integer sums per column, taken from
-    float32 column chunks whose sums stay below 2^24, so no n x p copy is
-    made.  ``y - min(y)`` is exact for an integer-valued y within bounds."""
-    n, p = codes.shape
+def _exact_workspace(codes: np.ndarray, y: np.ndarray) -> CodeWorkspace:
+    """The exact route's workspace: integer sums per column from int64
+    reductions over the codes, buffered, so no n x p copy is made.
+    ``y - min(y)`` is exact for an integer-valued y within bounds."""
+    n = codes.shape[0]
     shifted = (y - y.min()).astype(np.int64)
-    response = shifted.astype(np.float32)
-    weights = np.stack([np.ones(n, np.float32), response])
-    linear = np.empty((2, p))  # S_j and S_jy
-    square = np.empty(p)  # S_jj
-    for c0 in range(0, p, _PARTNER_CHUNK):
-        chunk = codes[:, c0 : c0 + _PARTNER_CHUNK].astype(np.float32)
-        linear[:, c0 : c0 + chunk.shape[1]] = weights @ chunk
-        square[c0 : c0 + chunk.shape[1]] = np.einsum("ij,ij->j", chunk, chunk)
-    s, sy, ss = linear[0].astype(np.int64), linear[1].astype(np.int64), square.astype(np.int64)
+    s = codes.sum(axis=0, dtype=np.int64)
+    sy = np.einsum("ij,i->j", codes, shifted, dtype=np.int64)
+    ss = np.einsum("ij,ij->j", codes, codes, dtype=np.int64)
     s_y, s_yy = int(shifted.sum()), int(shifted @ shifted)
     spread = n * ss - s * s
     if not spread.all():
         raise ZeroVarianceColumn(int(np.argmin(spread != 0)))
-    matrix = codes.view()
-    matrix.setflags(write=False)
-    return Workspace(
-        response=cy,
-        matrix=matrix,
-        scale=np.sqrt(spread / n),
-        response_scale=math.sqrt(cy.css),
-        sqrt_n=math.sqrt(n),
-        exact=CodeSums(
-            response=response,
-            sums=s.astype(np.float64),
-            cross=(n * sy - s * s_y).astype(np.float64),
-            spread=spread.astype(np.float64),
-            response_sum=float(s_y),
-            response_spread=float(n * s_yy - s_y * s_y),
-        ),
+    view = codes.view()
+    view.setflags(write=False)
+    return CodeWorkspace(
+        codes=view,
+        response=shifted.astype(np.float32),
+        sums=s.astype(np.float64),
+        cross=(n * sy - s * s_y).astype(np.float64),
+        spread=spread.astype(np.float64),
+        response_sum=float(s_y),
+        response_spread=float(n * s_yy - s_y * s_y),
     )
 
 
@@ -456,94 +527,14 @@ def _partners(j1: int, p: int, span: tuple[int, int]) -> tuple[int, int]:
     return max(j1 + 1, j1 + 1 + (span[0] - base)), min(p, j1 + 1 + (span[1] - base))
 
 
-def _rows(ws: Workspace, anchors: range, span: tuple[int, int]):
-    """Yield ``(j1, lo, scores, sums)``: the scores of anchor j1 against
-    partners ``lo, lo + 1, ...`` clipped to the canonical pair index span,
-    and the sums whose quotient by :func:`_tau_divisor` is tau_hat (the
-    centered product-sums on the float route, N on the exact route).  The
-    float route yields one whole row per anchor, in anchor order; the
-    exact route yields each anchor's row as contiguous pieces, one per
-    partner chunk of its tiles, in increasing ``lo``.
-
-    This is the only place a pair value is computed.  On the float route
-    the vector-matrix product always has shape (n,) @ (n, p); on the exact
-    route every sum is an exact integer.  Either way a pair's value never
-    depends on the span, tiling or threading.
-    """
-    if ws.exact is not None:
-        yield from _exact_rows(ws, anchors, span)
-        return
-    for j1 in anchors:
-        lo, hi = _partners(j1, ws.p, span)
-        if lo >= hi:
-            continue
-        sums = ((ws.response.centered * ws.matrix[:, j1]) @ ws.matrix)[lo:hi]
-        denom = (ws.scale[j1] * ws.response_scale) * ws.scale[lo:hi]
-        yield j1, lo, ws.sqrt_n * np.abs(sums) / denom, sums
-
-
-def _exact_rows(ws: Workspace, anchors: range, span: tuple[int, int]):
-    """The exact route of :func:`_rows`.  Each partner chunk is widened to
-    float32 once and shared by every anchor block of ``anchors``."""
-    limits = [_partners(j1, ws.p, span) for j1 in anchors]
-    last = max(end for _, end in limits)
-    for c0 in range(min(limits)[0], last, _PARTNER_CHUNK):
-        c1 = min(c0 + _PARTNER_CHUNK, last)
-        chunk = ws.matrix[:, c0:c1].astype(np.float32)
-        for b0 in range(0, len(anchors), _ANCHOR_BLOCK):
-            block = limits[b0 : b0 + _ANCHOR_BLOCK]
-            lo = max(c0, min(block)[0])
-            hi = min(c1, max(end for _, end in block))
-            if lo >= hi:
-                continue
-            a0 = anchors[b0]
-            scores, sums = _exact_tile(ws, a0, a0 + len(block), lo, chunk[:, lo - c0 : hi - c0])
-            for i, (start, end) in enumerate(block):
-                start, end = max(lo, start), min(hi, end)
-                if start < end:
-                    yield a0 + i, start, scores[i, start - lo : end - lo], sums[i, start - lo : end - lo]
-
-
-def _exact_tile(ws: Workspace, a0: int, a1: int, lo: int, partners: np.ndarray):
-    """r_hat and N of anchors ``[a0, a1)`` against the float32 partner
-    columns starting at ``lo``, as two (a1 - a0) x width arrays.
-
-    With ``b_j = n S_jy - S_j S_y`` the numerator is
-    ``N = n (n S_12y - S_y S_12) - (S_1 b_2 + b_1 S_2)``; within the
-    exactness bounds every intermediate is an integer of magnitude at most
-    ``2 c^2 n^3 m < 2^53``, so float64 holds each one exactly.
-    """
-    exact, n, k = ws.exact, ws.n, a1 - a0
-    anchors, mates = slice(a0, a1), slice(lo, lo + partners.shape[1])
-    x = ws.matrix[:, anchors].astype(np.float32)
-    products = np.concatenate([x, x * exact.response[:, None]], axis=1).T @ partners
-    num = np.multiply(products[k:], n, dtype=np.float64)  # n S_12y
-    num -= np.multiply(products[:k], exact.response_sum, dtype=np.float64)
-    num *= n
-    num -= np.stack([exact.sums[anchors], exact.cross[anchors]], axis=1) @ np.stack(
-        [exact.cross[mates], exact.sums[mates]]
-    )
-    scores = np.multiply.outer(exact.spread[anchors] * exact.response_spread, exact.spread[mates])
-    np.sqrt(scores, out=scores)
-    np.divide(np.abs(num), scores, out=scores)
-    return scores, num
-
-
-def _tau_divisor(ws: Workspace) -> float:
-    """tau_hat is a row's sums over this: n on the float route, n^3 on the
-    exact route, where both N and n^3 are exact, so the quotient is the
-    correctly rounded N / n^3."""
-    return ws.n if ws.exact is None else float(ws.n) ** 3
-
-
 #: A tile's top-k buffer is cut back to k once it holds more than this many
 #: times k candidates.
 _CUT_FACTOR = 4
 
 
-def _take(j1, lo, scores, sums, keep, divisor) -> PairTable:
+def _take(j1, lo, scores, taus, keep) -> PairTable:
     j2 = lo + keep
-    return PairTable(np.full_like(j2, j1), j2, sums[keep] / divisor, scores[keep])
+    return PairTable(np.full_like(j2, j1), j2, taus[keep], scores[keep])
 
 
 def _sweep_tile(ws, anchors, span, top_k, threshold, out):
@@ -556,8 +547,7 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
     held = 0
     floor = -np.inf
     scanned = 0
-    divisor = _tau_divisor(ws)
-    for j1, lo, scores, sums in _rows(ws, anchors, span):
+    for j1, lo, scores, taus in ws.rows(anchors, span):
         scanned += scores.size
         if out is not None:
             at = pair_index(j1, lo, ws.p) - span[0]
@@ -567,7 +557,7 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
             # (j1, j2) tie-break settles them.
             keep = np.flatnonzero(scores >= floor)
             if keep.size:
-                top.append(_take(j1, lo, scores, sums, keep, divisor))
+                top.append(_take(j1, lo, scores, taus, keep))
                 held += keep.size
             if held > _CUT_FACTOR * top_k:
                 top = [PairTable.concat(top).ordered(top_k)]
@@ -576,15 +566,17 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
         if threshold is not None:
             keep = np.flatnonzero(scores > threshold)
             if keep.size:
-                hits.append(_take(j1, lo, scores, sums, keep, divisor))
+                hits.append(_take(j1, lo, scores, taus, keep))
     return PairTable.concat(top).ordered(top_k), PairTable.concat(hits), scanned
 
 
 def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = False) -> ScanResult:
     """Score every pair in range; keep the top-k and/or thresholded subset.
 
-    ``workspace`` is a :class:`Workspace` or a raw matrix (then
-    ``response`` is required and :func:`precompute` runs internally).
+    ``workspace`` is a :class:`Workspace`, a :class:`CodeWorkspace` or a
+    raw matrix (then ``response`` is required and :func:`precompute` runs
+    internally).  Work tiles hold ``max(block_size, ws.tile)`` anchors, so
+    a small ``block_size`` never cuts below the route's smallest tile.
     With ``collect_scores`` the result also carries the flat score array
     over the configured range (canonical pair order), filled during the
     same sweep.  The result is identical for any block_size/worker_count
@@ -593,14 +585,15 @@ def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = Fa
     Raises:
         EmptyRange: the configured pair range selects no pairs.
     """
-    if not isinstance(workspace, Workspace):
+    if not isinstance(workspace, (Workspace, CodeWorkspace)):
         workspace = precompute(workspace, response)
     ws = workspace
     span = _span(ws.p, config.pair_range)
 
     started = time.perf_counter()
     anchors = _anchors_for_span(ws.p, span)
-    tiles = [anchors[i : i + config.block_size] for i in range(0, len(anchors), config.block_size)]
+    step = max(config.block_size, ws.tile)
+    tiles = [anchors[i : i + step] for i in range(0, len(anchors), step)]
     scores = np.empty(span[1] - span[0]) if collect_scores else None
 
     def sweep(tile):
@@ -624,7 +617,7 @@ def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = Fa
     )
 
 
-def all_scores(ws: Workspace, pair_range: tuple[int, int] | None = None) -> np.ndarray:
+def all_scores(ws: Workspace | CodeWorkspace, pair_range: tuple[int, int] | None = None) -> np.ndarray:
     """Flat float64 array of every pair's score, canonical order.
 
     Position ``i`` holds the pair with canonical index ``start + i`` where
@@ -637,15 +630,18 @@ def all_scores(ws: Workspace, pair_range: tuple[int, int] | None = None) -> np.n
     return out
 
 
-def iter_score_rows(ws: Workspace):
+def iter_score_rows(ws: Workspace | CodeWorkspace):
     """Yield ``(j1, scores_for_j2_gt_j1)`` per anchor, canonical order.
     Streaming companion to :func:`all_scores` for O(p^2) dump writers.
-    Rows are joined from their pieces one anchor block at a time."""
+    Rows are joined from their pieces one ``ws.tile`` block of anchors at
+    a time: a row per anchor on the float route, one GEMM tile of anchors
+    on the exact route."""
     span = (0, pair_count(ws.p))
-    for a0 in range(0, ws.p - 1, _ANCHOR_BLOCK):
-        block = range(a0, min(a0 + _ANCHOR_BLOCK, ws.p - 1))
+    step = ws.tile
+    for a0 in range(0, ws.p - 1, step):
+        block = range(a0, min(a0 + step, ws.p - 1))
         pieces: list[list[np.ndarray]] = [[] for _ in block]
-        for j1, _, scores, _ in _rows(ws, block, span):
+        for j1, _, scores, _ in ws.rows(block, span):
             pieces[j1 - a0].append(scores)
         for j1, row in zip(block, pieces):
             yield j1, row[0] if len(row) == 1 else np.concatenate(row)

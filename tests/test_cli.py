@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jciscan import ScanConfig, pair_count, precompute, scan
+from jciscan import CodeWorkspace, ScanConfig, pair_count, precompute, scan
 from jciscan.cli import build_parser, main
 from jciscan.cumulants import PairStatistic
 from jciscan.dataio import (
@@ -281,7 +281,7 @@ def test_scan_csv_and_packed_outputs_identical_for_case_control_response(tmp_pat
     codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
     y = 1 + ((codes[:, 2] == 3) ^ (codes[:, 5] == 1) ^ (rng.random(n) < 0.2))
     gm = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=(1,) * p)
-    assert precompute(gm, y.astype(float)).exact is not None
+    assert isinstance(precompute(gm, y.astype(float)), CodeWorkspace)
     labels = [gm.column_label(j) for j in range(p)]
     packed = tmp_path / "g.jcg"
     write_packed(gm, packed)
@@ -467,6 +467,32 @@ def test_report_rejects_malformed_dump(tmp_path):
     write_dump(ok, [["a", "b", 1, 1, "0.5"]])
     assert run(["report", "--scores", str(ok)]) == 2  # no outputs requested
     assert run(["report", "--scores", str(ok), "--bins", "0", "--out-histogram", str(tmp_path / "h.csv")]) == 2
+
+
+# Every size here asks for petabytes or more, so the OS refuses the
+# allocation before any page is touched; none of them can be granted.
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["report", "--bins", str(10**15)], 1),  # 7.1 PiB of bin edges
+        (["report", "--bins", str(10**20)], 2),  # beyond numpy's array size
+        (["simulate", "--study", "2", "--reps", "1", "--n", str(10**12)], 1),  # 7.1 PiB
+        (["simulate", "--study", "2", "--reps", "1", "--n", str(10**20)], 2),
+    ],
+)
+def test_oversized_size_flags_exit_with_one_line(tmp_path, capsys, argv, code):
+    dump = tmp_path / "dump.csv"
+    write_dump(dump, [["a", "b", 1, 1, "0.5"], ["a", "c", 1, 2, "0.25"]])
+    out = str(tmp_path / "out.csv")
+    if argv[0] == "report":
+        argv = argv + ["--scores", str(dump), "--out-histogram", out]
+    else:
+        argv = argv + ["--out-summary", out]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("jciscan: "), err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_cli_scan_dump_matches_library_scores(tmp_path):

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 import jciscan
 from jciscan import (
+    CodeWorkspace,
     GenotypeMatrix,
     PairTable,
     ScanConfig,
+    Workspace,
     all_scores,
     merge_top_pairs,
     pair_count,
@@ -110,7 +112,7 @@ def float_route_scores(X, y):
 def test_exact_route_matches_integer_closed_form_property(seed, n, p, shape):
     codes, y = draw_instance(np.random.default_rng(seed), n, p, shape)
     ws = precompute(genotypes(codes), y)
-    assert ws.exact is not None
+    assert isinstance(ws, CodeWorkspace)
     every = scan(ws, ScanConfig(top_k=pair_count(p))).top_pairs
     exact = exact_pair_values(codes, y)
     for pair in every:
@@ -142,7 +144,7 @@ def test_exact_route_ties_are_exact_and_ordered_by_pair():
 def test_exact_route_result_is_identical_across_workers_blocks_and_shards():
     codes, y = draw_instance(np.random.default_rng(21), 120, 150, "case_control")
     ws = precompute(genotypes(codes), y)
-    assert ws.exact is not None
+    assert isinstance(ws, CodeWorkspace)
     total = pair_count(150)
     cfg = dict(top_k=25, threshold=0.2)
     base = scan(ws, ScanConfig(**cfg))
@@ -156,6 +158,29 @@ def test_exact_route_result_is_identical_across_workers_blocks_and_shards():
     shards = [scan(ws, ScanConfig(**cfg, pair_range=span)) for span in zip(cuts, cuts[1:])]
     assert merge_top_pairs([s.top_pairs for s in shards], 25) == base.top_pairs
     assert select_by_threshold(PairTable.concat(s.selected for s in shards), 0.2) == base.selected
+
+
+def test_exact_route_work_tiles_never_go_below_one_gemm_tile(monkeypatch):
+    # block_size=1 still hands the exact route whole GEMM tiles of anchors,
+    # so each partner chunk is widened once per tile, not once per anchor.
+    codes, y = draw_instance(np.random.default_rng(25), 120, 150, "case_control")
+    ws = precompute(genotypes(codes), y)
+    assert isinstance(ws, CodeWorkspace)
+    expected = scan(ws, ScanConfig(top_k=5, block_size=256))
+    calls = []
+    rows = CodeWorkspace.rows
+
+    def recording_rows(self, anchors, span):
+        calls.append(anchors)
+        return rows(self, anchors, span)
+
+    monkeypatch.setattr(CodeWorkspace, "rows", recording_rows)
+    result = scan(ws, ScanConfig(top_k=5, block_size=1, worker_count=3))
+    assert result == expected
+    calls.sort(key=lambda anchors: anchors.start)
+    assert [a.start for a in calls] == list(range(0, 149, ws.tile))
+    assert calls[-1].stop == 149
+    assert all(len(anchors) >= ws.tile for anchors in calls[:-1])
 
 
 def test_exact_route_score_streams_agree_bytewise():
@@ -191,13 +216,13 @@ def test_exact_route_values_do_not_depend_on_tile_shape(monkeypatch):
 _BLAS_THREAD_PROBE = """
 import hashlib
 import numpy as np
-from jciscan import GenotypeMatrix, ScanConfig, precompute, scan
+from jciscan import CodeWorkspace, GenotypeMatrix, ScanConfig, precompute, scan
 rng = np.random.default_rng(12)
 codes = rng.integers(1, 4, size=(1000, 400)).astype(np.uint8)
 y = ((rng.random(1000) < 0.3) | ((codes[:, 0] == 3) & (codes[:, 1] == 1))).astype(float)
 gm = GenotypeMatrix(codes=codes, snp_ids=tuple(map(str, range(400))), chromosomes=(1,) * 400)
 ws = precompute(gm, y)
-assert ws.exact is not None
+assert isinstance(ws, CodeWorkspace)
 result = scan(ws, ScanConfig(top_k=20), collect_scores=True)
 top = repr([(s.j1, s.j2, s.tau_hat.hex(), s.r_hat.hex()) for s in result.top_pairs])
 print(hashlib.sha256(result.scores.tobytes()).hexdigest(), hashlib.sha256(top.encode()).hexdigest())
@@ -244,7 +269,7 @@ def test_inputs_outside_the_exact_route_keep_the_float_route_bytes(case):
         predictors = codes.astype(np.float64)
     # float64_bound: 18 n^3 m > 2^53 at n = 80,000 and m = 1
     ws = precompute(predictors, y)
-    assert ws.exact is None
+    assert isinstance(ws, Workspace)
     X = np.asarray(getattr(predictors, "codes", predictors), dtype=np.float64)
     assert all_scores(ws).tobytes() == all_scores(precompute(X, y)).tobytes()
     assert all_scores(ws).tobytes() == float_route_scores(X, y).tobytes()

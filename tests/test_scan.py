@@ -300,6 +300,23 @@ def test_iter_score_rows_matches_all_scores():
     assert np.array_equal(flat, rebuilt)
 
 
+@pytest.mark.parametrize("binary", [False, True])
+def test_float_route_tau_hat_is_the_centered_product_sum_over_n(binary):
+    # Bit for bit the anchor row's centered product-sum over n, for the
+    # full span and for a shard alike.
+    X, y = random_instance(seed=16, max_n=120, max_p=60, binary=binary)
+    n, p = X.shape
+    ws = precompute(X, y)
+    assert isinstance(ws, jciscan.Workspace)
+    C = np.column_stack([center(X[:, j], index=j).centered for j in range(p)])
+    cy = center(y)
+    for pair_range in (None, (17, pair_count(p) // 2)):
+        res = scan(ws, ScanConfig(top_k=40, threshold=0.02, pair_range=pair_range))
+        assert len(res.top_pairs) == 40 and len(res.selected) > 40
+        for s in list(res.top_pairs) + list(res.selected):
+            assert s.tau_hat == ((cy.centered * C[:, s.j1]) @ C)[s.j2] / n
+
+
 # --------------------------------------------------------------------------
 # Determinism and ordering
 # --------------------------------------------------------------------------
