@@ -27,6 +27,7 @@ from .errors import (
     ZeroVarianceColumn,
 )
 from .scan import (
+    DEFAULT_BLOCK_SIZE,
     ScanConfig,
     default_worker_count,
     iter_score_rows,
@@ -74,11 +75,9 @@ def _load_scan_input(args):
         return gm, y, labels, list(gm.chromosomes)
     if (args.phenotype is None) == (args.response_column is None):
         raise InvalidValue("CSV input needs exactly one of --response-column / --phenotype")
+    matrix, y, names = dataio.parse_csv(args.input, args.response_column)
     if args.phenotype is not None:
-        matrix, _, names = dataio.parse_csv(args.input, None)
         y = dataio.read_phenotype(args.phenotype)
-    else:
-        matrix, y, names = dataio.parse_csv(args.input, args.response_column)
     chroms = [dataio.parse_column_label(name)[0] for name in names]
     if dataio.is_genotype(matrix):
         # Codes score on the same route whichever format they were read from.
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--top-k", type=int, help="keep the k best pairs")
     p_scan.add_argument("--threshold", type=float, help="also select pairs with r_hat > c")
     p_scan.add_argument("--workers", type=int, help="worker threads (default: JCI_WORKERS or 1)")
-    p_scan.add_argument("--block-size", type=int, default=256, help="anchor columns per work tile")
+    p_scan.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE, help="anchor columns per work tile")
     p_scan.add_argument("--pair-range", type=_pair_range_arg, help="canonical pair span START:END")
     p_scan.add_argument("--missing", choices=["reject", "impute"], default="reject")
     p_scan.add_argument("--out", default="-", help='output CSV path ("-" = stdout)')

@@ -30,12 +30,13 @@ threads cannot change them.
 
 Each workspace's ``rows(anchors, span)`` is the only place its route
 computes a pair value.  Both yield ``(j1, lo, r_hat, tau_hat)`` row pieces,
-so the top-k/threshold selection, the flat score array and the dump stream
-consume either route alike, and a scan that also collects every score
-sweeps once.  A workspace's ``tile`` is the smallest anchor count its route
-scores efficiently: 1 on the float route, one GEMM tile of anchors on the
-exact route.  :func:`scan` cuts work tiles of ``max(block_size, tile)``
-anchors and :func:`iter_score_rows` joins one ``tile`` of anchors at a time.
+and those rows have one reader, :func:`_sweep_tile`, which feeds the top-k,
+threshold and flat-array consumers alike for either route; a scan that also
+collects every score sweeps once.  A workspace's ``tile`` is the smallest
+anchor count its route scores efficiently: 1 on the float route, one GEMM
+tile of anchors on the exact route.  :func:`scan` cuts work tiles of
+``max(block_size, tile)`` anchors, and :func:`iter_score_rows` sweeps one
+``tile`` of anchors at a time into a flat array and yields its rows.
 
 Determinism contract
 --------------------
@@ -117,7 +118,7 @@ def pair_index(j1: int, j2: int, p: int) -> int:
     (0,1), (0,2), ..., (0,p-1), (1,2), ..., (p-2,p-1)."""
     if not (0 <= j1 < j2 < p):
         raise InvalidPair(f"require 0 <= j1 < j2 < p, got ({j1}, {j2}) with p={p}")
-    return j1 * p - j1 * (j1 + 1) // 2 + (j2 - j1 - 1)
+    return _row_start(j1, p) + (j2 - j1 - 1)
 
 
 def pair_from_index(idx: int, p: int) -> tuple[int, int]:
@@ -633,18 +634,18 @@ def all_scores(ws: Workspace | CodeWorkspace, pair_range: tuple[int, int] | None
 def iter_score_rows(ws: Workspace | CodeWorkspace):
     """Yield ``(j1, scores_for_j2_gt_j1)`` per anchor, canonical order.
     Streaming companion to :func:`all_scores` for O(p^2) dump writers.
-    Rows are joined from their pieces one ``ws.tile`` block of anchors at
-    a time: a row per anchor on the float route, one GEMM tile of anchors
-    on the exact route."""
-    span = (0, pair_count(ws.p))
-    step = ws.tile
-    for a0 in range(0, ws.p - 1, step):
-        block = range(a0, min(a0 + step, ws.p - 1))
-        pieces: list[list[np.ndarray]] = [[] for _ in block]
-        for j1, _, scores, _ in ws.rows(block, span):
-            pieces[j1 - a0].append(scores)
-        for j1, row in zip(block, pieces):
-            yield j1, row[0] if len(row) == 1 else np.concatenate(row)
+    Each ``ws.tile`` block of anchors is swept into a fresh array of at
+    most ``ws.tile x (p - 1)`` scores, and its rows are views of that
+    array, so a caller may keep them."""
+    p = ws.p
+    for a0 in range(0, p - 1, ws.tile):
+        a1 = min(a0 + ws.tile, p - 1)
+        span = (_row_start(a0, p), _row_start(a1, p))
+        out = np.empty(span[1] - span[0])
+        _sweep_tile(ws, range(a0, a1), span, None, None, out)
+        for j1 in range(a0, a1):
+            at = _row_start(j1, p) - span[0]
+            yield j1, out[at : at + p - 1 - j1]
 
 
 def select_by_threshold(stats, c: float) -> PairTable:

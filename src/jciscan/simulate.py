@@ -14,8 +14,8 @@ conventional 1-based names X1, X2, ...):
    response X1*X2 + X3*X4 + X5*X6
 
 Reproducibility: every generator is a pure function of (n, p, seed) using
-the PCG64 generator.  The replication harness derives child seeds by
-spawning the root SeedSequence once per replicate, and each generator
+the PCG64 generator.  Replicate r draws from the root SeedSequence's
+spawn child r, built as it starts (:func:`child_seed`), and each generator
 draws in a fixed documented order, so datasets are byte-identical across
 runs and platforms.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyReport, InvalidValue
-from .scan import ScanConfig, ScanResult, precompute, ranks_of_pairs, scan
+from .scan import MIN_SCAN_SAMPLES, ScanConfig, ScanResult, precompute, ranks_of_pairs, scan
 
 #: (n, p) defaults per study id.
 STUDY_DEFAULTS: dict[int, tuple[int, int]] = {
@@ -63,7 +63,6 @@ _STUDY3_RESPONSE_RATE = 0.75
 _STUDY5_CORRELATIONS = (0.1, 0.3, 0.5)
 
 _STUDY4_RHO = 0.1
-_MIN_P = {1: 2, 2: 4, 3: 8, 4: 10, 5: 6}
 
 
 @dataclass(frozen=True)
@@ -139,10 +138,11 @@ def study_spec(
     dn, dp = STUDY_DEFAULTS[study_id]
     n = dn if n is None else n
     p = dp if p is None else p
-    if n < 3:
-        raise InvalidValue(f"need n >= 3, got {n}")
-    if p < _MIN_P[study_id]:
-        raise InvalidValue(f"study {study_id} needs p >= {_MIN_P[study_id]}, got {p}")
+    if n < MIN_SCAN_SAMPLES:
+        raise InvalidValue(f"need n >= {MIN_SCAN_SAMPLES}, got {n}")
+    need = max(j2 for _, j2 in STUDY_TRUE_PAIRS[study_id]) + 1
+    if p < need:
+        raise InvalidValue(f"study {study_id} needs p >= {need}, got {p}")
     if seed < 0:
         raise InvalidValue(f"seed must be >= 0, got {seed}")
     return SimStudySpec(
@@ -269,8 +269,9 @@ GENERATORS = {
 
 def child_seed(seed: int, replicate: int) -> np.random.SeedSequence:
     """Seed of one replicate: the root SeedSequence's spawn child at
-    position ``replicate``.  Stable across runs and platforms."""
-    return np.random.SeedSequence(seed).spawn(replicate + 1)[replicate]
+    position ``replicate``, built directly from its spawn key, so it costs
+    O(1) at any ``replicate``.  Stable across runs and platforms."""
+    return np.random.SeedSequence(seed, spawn_key=(replicate,))
 
 
 def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) -> list[ReplicateReport]:
@@ -283,15 +284,14 @@ def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) 
     gen = generator if generator is not None else GENERATORS.get(spec.study_id)
     if gen is None:
         raise InvalidValue(f"no generator for study_id {spec.study_id}; pass one explicitly")
-    children = np.random.SeedSequence(spec.seed).spawn(spec.replications)
     config = ScanConfig(top_k=5, worker_count=worker_count)
     reports: list[ReplicateReport] = []
     for r in range(spec.replications):
-        ds = gen(spec.n, spec.p, children[r])
+        ds = gen(spec.n, spec.p, child_seed(spec.seed, r))
         ws = precompute(ds.predictors, ds.response)
         result = scan(ws, config, collect_scores=True)
         ranks = ranks_of_pairs(result.scores, spec.p, spec.true_pairs)
-        in_top5 = {pair: rank <= 5 for pair, rank in ranks.items()}
+        in_top5 = {pair: rank <= config.top_k for pair, rank in ranks.items()}
         reports.append(
             ReplicateReport(
                 replicate=r, result=replace(result, scores=None), ranks=ranks, in_top5=in_top5

@@ -36,7 +36,7 @@ from jciscan.errors import (
     TooFewColumns,
     ZeroVarianceColumn,
 )
-from jciscan.scan import PairTable, default_worker_count, iter_score_rows
+from jciscan.scan import CodeWorkspace, PairTable, Workspace, default_worker_count, iter_score_rows
 
 # --------------------------------------------------------------------------
 # Naive reference: pure-Python double loop straight from the definitions.
@@ -298,6 +298,36 @@ def test_iter_score_rows_matches_all_scores():
     flat = all_scores(ws)
     rebuilt = np.concatenate([row for _, row in iter_score_rows(ws)])
     assert np.array_equal(flat, rebuilt)
+
+
+def test_sweep_tile_is_the_only_reader_of_rows(monkeypatch):
+    # Every consumer of pair values (top-k, threshold, the flat array and
+    # the dump stream) reaches a workspace's rows through _sweep_tile.
+    callers = []
+    for cls in (Workspace, CodeWorkspace):
+        def recorded(self, anchors, span, _rows=cls.rows):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _rows(self, anchors, span)
+
+        monkeypatch.setattr(cls, "rows", recorded)
+
+    rng = np.random.default_rng(21)
+    codes = rng.integers(1, 4, size=(40, 90)).astype(np.uint8)
+    genotype = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(90)), chromosomes=(1,) * 90)
+    case_control = np.tile([1.0, 2.0], 20)
+    inputs = [
+        (rng.normal(size=(30, 12)), rng.normal(size=30), Workspace),
+        (genotype, case_control, CodeWorkspace),
+    ]
+    for matrix, y, route in inputs:
+        ws = precompute(matrix, y)
+        assert isinstance(ws, route)
+        scan(ws, ScanConfig(top_k=5, threshold=0.1))
+        scan(ws, ScanConfig(top_k=5), collect_scores=True)
+        all_scores(ws)
+        rows = list(iter_score_rows(ws))
+        assert len(rows) == ws.p - 1
+    assert callers and set(callers) == {"_sweep_tile"}
 
 
 @pytest.mark.parametrize("binary", [False, True])

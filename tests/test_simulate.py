@@ -1,6 +1,8 @@
 """Simulation designs: moment checks against the stated targets,
 reproducibility, harness behavior, summaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,11 @@ from jciscan import (
     summarize,
 )
 from jciscan.errors import EmptyReport, InvalidValue
+from jciscan.scan import MIN_SCAN_SAMPLES
 from jciscan.simulate import (
+    GENERATORS,
     STUDY_DEFAULTS,
+    STUDY_TRUE_PAIRS,
     ReplicateReport,
     SimStudySpec,
     child_seed,
@@ -57,6 +62,23 @@ def test_study_spec_validation():
         SimStudySpec(study_id=1, n=50, p=10, true_pairs=((3, 3),), seed=0)
     with pytest.raises(InvalidValue):
         SimStudySpec(study_id=1, n=50, p=10, true_pairs=((0, 10),), seed=0)
+
+
+#: Smallest p each design can be drawn at: one past its highest true column.
+STUDY_MIN_P = {1: 2, 2: 4, 3: 8, 4: 10, 5: 6}
+
+
+@pytest.mark.parametrize("study_id", sorted(STUDY_DEFAULTS))
+def test_study_spec_bounds_per_study(study_id):
+    need = STUDY_MIN_P[study_id]
+    assert need == max(j2 for _, j2 in STUDY_TRUE_PAIRS[study_id]) + 1
+    with pytest.raises(InvalidValue, match=f"needs p >= {need}"):
+        study_spec(study_id, p=need - 1)
+    spec = study_spec(study_id, n=MIN_SCAN_SAMPLES, p=need)
+    assert (spec.n, spec.p) == (MIN_SCAN_SAMPLES, need)
+    assert GENERATORS[study_id](spec.n, spec.p, child_seed(0, 0)).predictors.shape == (spec.n, need)
+    with pytest.raises(InvalidValue, match=f"n >= {MIN_SCAN_SAMPLES}"):
+        study_spec(study_id, n=MIN_SCAN_SAMPLES - 1)
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +218,33 @@ def test_reports_drop_the_score_array():
         full = scan(precompute(ds.predictors, ds.response), ScanConfig(top_k=5), collect_scores=True)
         assert rep.ranks == ranks_of_pairs(full.scores, 20, spec.true_pairs)
         assert rep.result.top_pairs == full.top_pairs
+
+
+def test_child_seed_is_the_spawn_child():
+    for s in (0, 41):
+        children = np.random.SeedSequence(s).spawn(21)
+        for r, child in enumerate(children):
+            assert child_seed(s, r).spawn_key == child.spawn_key == (r,)
+            assert np.array_equal(child_seed(s, r).generate_state(8), child.generate_state(8))
+
+
+def test_first_replicate_starts_without_a_seed_per_replicate():
+    # A run builds each replicate's seed as the replicate starts, so a huge
+    # replicate count costs nothing before the first dataset is drawn.
+    class FirstCall(Exception):
+        pass
+
+    def generator(n, p, seed):
+        raise FirstCall(tracemalloc.get_traced_memory()[1])
+
+    spec = SimStudySpec(study_id=1, n=20, p=4, true_pairs=((0, 1),), seed=5, replications=100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstCall) as raised:
+            run_replications(spec, generator=generator)
+    finally:
+        tracemalloc.stop()
+    assert raised.value.args[0] < 8 * 2**20
 
 
 def test_replicates_differ_from_each_other():
