@@ -31,22 +31,49 @@ threads cannot change them.
 Each workspace's ``rows(anchors, span)`` is the only place its route
 computes a pair value.  Both yield ``(j1, lo, r_hat, tau_hat)`` row pieces,
 and those rows have one reader, :func:`_sweep_tile`, which feeds the top-k,
-threshold and flat-array consumers alike for either route; a scan that also
-collects every score sweeps once.  A workspace's ``tile`` is the smallest
-anchor count its route scores efficiently: 1 on the float route, one GEMM
-tile of anchors on the exact route.  :func:`scan` cuts work tiles of
-``max(block_size, tile)`` anchors, and :func:`iter_score_rows` sweeps one
-``tile`` of anchors at a time into a flat array and yields its rows.
+threshold and flat-array consumers alike for either route.  A workspace's
+``tile`` is one GEMM tile of anchors (``_ANCHOR_BLOCK``) on either route.
+:func:`scan` cuts work tiles of ``max(block_size, tile)`` anchors, and
+:func:`iter_score_rows` sweeps one ``tile`` of anchors at a time into a flat
+array and yields its rows.
+
+The certified screen
+--------------------
+On the float route a top-k or threshold scan, and :func:`ranks_of_pairs`,
+first read ``Workspace.bounds``: BLAS-3 tiles ``G = W.T @ C[:, B]`` of
+``_ANCHOR_BLOCK`` anchors by at most ``_PARTNER_CHUNK`` partners, with
+``W = y_c * C[:, A]``, giving every pair an estimate ``sqrt_n |G| / denom``
+and a radius.  Whatever the summation order, FMA use or thread split, the
+GEMM entry and the row's GEMV product-sum each lie within
+``gamma_n sum_i |w_i||c_i|`` of the exact dot product, plus an underflow
+term (Higham, Accuracy and Stability of Numerical Algorithms, section
+3.1), so they differ by at most
+
+    2 gamma_n max_i |w_i| ||c||_1 + 4 n eta,    gamma_n = n u / (1 - n u),
+
+mapped through the monotone post-processing with a few ulps of slack;
+``max |w| ||c||_1`` needs no squares, so it holds at any column scale, and
+a tile where a factor leaves the normal range or a partial sum might
+overflow is left unsettled and rescored whole.  The tiles only choose
+which rows :func:`_sweep_tile` reads: all of them for a flat array; for
+top-k, the anchors holding a pair whose upper bound reaches the k-th
+largest lower bound of the tile; for a threshold, those holding a pair
+whose upper bound exceeds it.  Every reported r_hat, tau_hat and rank is
+still made by ``rows``.  The exact route's tiles are its values, so it has
+no ``bounds`` and reads every row.
 
 Determinism contract
 --------------------
 Results are bit-identical for every ``block_size``, ``worker_count`` and
 ``pair_range`` shard, and for every BLAS thread count.  On the float route
 this holds by construction: each pair's value comes from the per-anchor
-row product above, whose operand shapes are fixed by (n, p) alone.  On the
-exact route it holds because every sum is an exact integer.  Tiling and
-threading only decide *which* pairs a worker evaluates; they never change
-how a value is computed.  Every pair set, from a tile's candidate buffer
+row product above, whose operand shapes are fixed by (n, p) alone.  The
+screen's GEMM bits do change with BLAS threads and tile shapes, but the
+bound holds for every such order, so they can only change which extra
+rows are read, never a value or which pairs are kept.  On the exact route
+it holds because every sum is an exact integer.  Tiling and threading
+only decide *which* pairs a worker evaluates; they never change how a
+value is computed.  Every pair set, from a tile's candidate buffer
 to ``ScanResult`` and the shard merge, is one :class:`PairTable` of
 parallel arrays; tile buffers, the final tile merge, shard merges and
 threshold selection are all ordered by its one stable lexicographic sort
@@ -90,14 +117,25 @@ from .errors import (
 
 DEFAULT_BLOCK_SIZE = 256
 
-#: An exact-route tile is this many anchors against at most this many
-#: partners: two float32 products and a few float64 combine arrays of
-#: that shape, whatever p is.
+#: A GEMM tile, on either route, is this many anchors against at most this
+#: many partners: the exact route's two float32 products and float64
+#: combine arrays, or the float route's screen arrays, have that shape
+#: whatever p is.
 _ANCHOR_BLOCK = 64
 _PARTNER_CHUNK = 2048
 
 #: Smallest sample size for which a pair scan is considered meaningful.
 MIN_SCAN_SAMPLES = 3
+
+#: Float route screen constants (see :meth:`Workspace.bounds`): the unit
+#: roundoff; a bound on one operation's absolute underflow error, also
+#: under flush-to-zero; the relative slack on each bound for the roundings
+#: of the post-processing on both sides (about 12 ulps) with margin; and a
+#: size past which a tile's partial sums might overflow, so it is rescored.
+_UNIT = 2.0**-53
+_ETA = 2.0**-1022
+_SLACK = 2.0**-46
+_SAFE = 2.0**1020
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +294,6 @@ class ScanResult:
     selected: PairTable
     pairs_scanned: int
     elapsed_seconds: float = field(compare=False)
-    scores: np.ndarray | None = field(default=None, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -269,16 +306,16 @@ class Workspace:
     """The float route's workspace, shared read-only by workers.
 
     ``matrix`` is the n x p centered float64 predictor matrix, the only
-    copy of the predictors; ``scale[j]`` is sqrt(css_j); the response is
-    centered with index ``RESPONSE_INDEX``."""
+    copy of the predictors; ``scale[j]`` is sqrt(css_j) and ``l1[j]`` is
+    ``sum_i |c_ij|``; the response is centered with index
+    ``RESPONSE_INDEX``."""
 
     response: CenteredColumn
     matrix: np.ndarray
     scale: np.ndarray
+    l1: np.ndarray
     response_scale: float
     sqrt_n: float
-
-    tile = 1  # one anchor's row is already a whole (n,) @ (n, p) product
 
     @property
     def n(self) -> int:
@@ -288,7 +325,12 @@ class Workspace:
     def p(self) -> int:
         return self.matrix.shape[1]
 
-    def rows(self, anchors: range, span: tuple[int, int]):
+    @property
+    def tile(self) -> int:
+        """One GEMM tile of anchors of :meth:`bounds`."""
+        return _ANCHOR_BLOCK
+
+    def rows(self, anchors, span: tuple[int, int]):
         """Yield ``(j1, lo, r_hat, tau_hat)`` per anchor, in anchor order:
         anchor j1 against partners ``lo, lo + 1, ...`` clipped to the
         canonical pair index span.  The vector-matrix product always has
@@ -300,6 +342,84 @@ class Workspace:
             sums = ((self.response.centered * self.matrix[:, j1]) @ self.matrix)[lo:hi]
             denom = (self.scale[j1] * self.response_scale) * self.scale[lo:hi]
             yield j1, lo, self.sqrt_n * np.abs(sums) / denom, sums / self.n
+
+    def bounds(self, anchors: range, span: tuple[int, int]):
+        """Yield ``(a0, lo, estimate, radius)`` per GEMM tile of ``anchors``:
+        an estimate of r_hat over anchors ``a0, a0 + 1, ...`` by partners
+        ``lo, lo + 1, ...`` and a radius per anchor such that the r_hat
+        :meth:`rows` gives each pair lies within ``estimate -+ radius``,
+        whatever BLAS does.  Pairs outside the span (j2 <= j1 included) have
+        estimate -inf.  A tile the bound cannot settle has estimate 0 and
+        radius inf throughout.  The estimate array is reused: read it
+        before asking for the next tile.
+
+        With ``W = y_c * C[:, A]`` (the products :meth:`rows` forms) a tile
+        is ``G = W.T @ C[:, B]``, and the estimate is ``|G|`` times
+        ``sqrt_n / denom``, formed as the outer product of
+        ``sqrt_n / (scale[A] * response_scale)`` and ``1 / scale[B]``.  Any
+        summation order, FMA or thread split puts both G and the row's
+        product-sum s within ``gamma_n sum_i |w_i||c_i|`` plus ``2 n eta`` of
+        the exact dot product (Higham, Accuracy and Stability of Numerical
+        Algorithms, section 3.1), so
+        ``|G - s| <= 2 gamma_n max_i |w_i| ||c||_1 + 4 n eta``.  No entry is
+        squared, so the bound holds at any column scale.  The radius maps
+        it through the monotone post-processing, takes its largest value
+        over the tile's partners, and adds ``_SLACK`` times the tile's
+        largest estimate and radius plus ``eta``: that covers the few
+        roundings of either side's post-processing and of one comparison
+        of ``estimate -+ radius`` with a value.  A tile is unsettled when
+        a partial sum might overflow, a scale factor leaves the normal
+        range, or an estimate is not finite."""
+        n = self.n
+        gamma = n * _UNIT / (1 - n * _UNIT)
+        # The computed l1 is low by at most gamma_n relative.
+        spread = 2 * gamma * (1 + gamma) * (1 + _SLACK) * self.sqrt_n
+        with np.errstate(over="ignore", divide="ignore"):
+            # sqrt_n / denom is the outer product of these normal factors.
+            anchor_factors = self.sqrt_n / (self.scale * self.response_scale)
+            partner_factors = 1 / self.scale
+            ratios = self.l1 * partner_factors
+            factor_max = anchor_factors.max() * partner_factors.max()
+            factor_min = anchor_factors.min() * partner_factors.min()
+        normal = min(anchor_factors.min(), partner_factors.min(), factor_min) >= 1 / _SAFE and factor_max <= _SAFE
+        underflow = 4 * n * _ETA * self.sqrt_n * factor_max + _ETA
+        # Two tile buffers, reused from tile to tile: fresh arrays of this
+        # size cost a page-faulting allocation each.
+        size = min(len(anchors), _ANCHOR_BLOCK) * min(self.p, _PARTNER_CHUNK)
+        buffers = np.empty((2, size))
+        for _, _, tiles in _tile_grid(anchors, self.p, span):
+            for a0, starts, ends, lo, hi in tiles:
+                a1 = a0 + len(starts)
+                estimate, factor = (b[: (a1 - a0) * (hi - lo)].reshape(a1 - a0, hi - lo) for b in buffers)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = self.response.centered[:, None] * self.matrix[:, a0:a1]
+                    np.matmul(w.T, self.matrix[:, lo:hi], out=estimate)
+                    wmax = np.abs(w).max(axis=0)
+                    np.abs(estimate, out=estimate)
+                    estimate *= np.multiply.outer(anchor_factors[a0:a1], partner_factors[lo:hi], out=factor)
+                    peak = estimate.max()
+                    radius = spread * ratios[lo:hi].max() * wmax * anchor_factors[a0:a1]
+                    radius += underflow
+                    radius += _SLACK * (peak + radius.max())
+                    settled = (
+                        normal
+                        and wmax.max() * self.l1[lo:hi].max() * self.sqrt_n < _SAFE
+                        and np.isfinite(peak + radius.max())
+                    )
+                if not settled:
+                    estimate.fill(0.0)
+                    radius.fill(np.inf)
+                    yield a0, lo, estimate, radius
+                    continue
+                # Only the first and last anchors' rows are clipped by the
+                # span, and only a diagonal block by j2 > j1.
+                head = min(starts.max(), hi)
+                if head > lo:
+                    estimate[:, : head - lo][np.arange(lo, head) < starts[:, None]] = -np.inf
+                tail = max(ends.min(), lo)
+                if tail < hi:
+                    estimate[:, tail - lo :][np.arange(tail, hi) >= ends[:, None]] = -np.inf
+                yield a0, lo, estimate, radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,26 +459,20 @@ class CodeWorkspace:
         """One GEMM tile of anchors."""
         return _ANCHOR_BLOCK
 
+    #: The exact route's tiles are its values: every anchor's rows are read.
+    bounds = None
+
     def rows(self, anchors: range, span: tuple[int, int]):
         """Yield ``(j1, lo, r_hat, tau_hat)``: each anchor's row as
         contiguous pieces, one per partner chunk of its tiles, in increasing
         ``lo``.  Each partner chunk is widened to float32 once and shared by
         every anchor block of ``anchors``.  Every sum is an exact integer, so
         a value never depends on span, tiling or threading."""
-        limits = [_partners(j1, self.p, span) for j1 in anchors]
-        last = max(end for _, end in limits)
-        for c0 in range(min(limits)[0], last, _PARTNER_CHUNK):
-            c1 = min(c0 + _PARTNER_CHUNK, last)
+        for c0, c1, tiles in _tile_grid(anchors, self.p, span):
             chunk = self.codes[:, c0:c1].astype(np.float32)
-            for b0 in range(0, len(anchors), _ANCHOR_BLOCK):
-                block = limits[b0 : b0 + _ANCHOR_BLOCK]
-                lo = max(c0, min(block)[0])
-                hi = min(c1, max(end for _, end in block))
-                if lo >= hi:
-                    continue
-                a0 = anchors[b0]
-                r_hat, tau_hat = self._tile(a0, a0 + len(block), lo, chunk[:, lo - c0 : hi - c0])
-                for i, (start, end) in enumerate(block):
+            for a0, starts, ends, lo, hi in tiles:
+                r_hat, tau_hat = self._tile(a0, a0 + len(starts), lo, chunk[:, lo - c0 : hi - c0])
+                for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
                     s, e = max(lo, start) - lo, min(hi, end) - lo
                     if s < e:
                         yield a0 + i, lo + s, r_hat[i, s:e], tau_hat[i, s:e]
@@ -453,6 +567,7 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
         response=cy,
         matrix=cmat,
         scale=np.sqrt(css),
+        l1=np.abs(cmat).sum(axis=0),
         response_scale=math.sqrt(cy.css),
         sqrt_n=math.sqrt(n),
     )
@@ -528,6 +643,35 @@ def _partners(j1: int, p: int, span: tuple[int, int]) -> tuple[int, int]:
     return max(j1 + 1, j1 + 1 + (span[0] - base)), min(p, j1 + 1 + (span[1] - base))
 
 
+def _tile_grid(anchors: range, p: int, span: tuple[int, int]):
+    """The tile walk of both routes: partner chunks of at most
+    ``_PARTNER_CHUNK`` columns in order, each as ``(c0, c1, tiles)`` with
+    its tiles of at most ``_ANCHOR_BLOCK`` anchors.  A tile is
+    ``(a0, starts, ends, lo, hi)``: anchors ``a0, a0 + 1, ...`` with their
+    partners ``[starts[i], ends[i])`` in the span, and the chunk's columns
+    ``[lo, hi)`` clipped to the union of those partners.  The first and
+    last anchors hold pairs in the span, and the span is contiguous in
+    canonical order, so every anchor between them holds its whole row."""
+    starts = np.arange(anchors.start + 1, anchors.stop + 1)
+    ends = np.full(len(anchors), p)
+    starts[0] = _partners(anchors[0], p, span)[0]
+    ends[-1] = _partners(anchors[-1], p, span)[1]
+    blocks = [
+        (b0, int(starts[b0 : b0 + _ANCHOR_BLOCK].min()), int(ends[b0 : b0 + _ANCHOR_BLOCK].max()))
+        for b0 in range(0, len(anchors), _ANCHOR_BLOCK)
+    ]
+    last = int(ends.max())
+    for c0 in range(int(starts.min()), last, _PARTNER_CHUNK):
+        c1 = min(c0 + _PARTNER_CHUNK, last)
+        tiles = []
+        for b0, first, stop in blocks:
+            lo, hi = max(c0, first), min(c1, stop)
+            if lo < hi:
+                b1 = b0 + _ANCHOR_BLOCK
+                tiles.append((anchors[b0], starts[b0:b1], ends[b0:b1], lo, hi))
+        yield c0, c1, tiles
+
+
 #: A tile's top-k buffer is cut back to k once it holds more than this many
 #: times k candidates.
 _CUT_FACTOR = 4
@@ -542,14 +686,17 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
     """Sweep one tile of anchors.  Returns ``(top, hits, scanned)``: the
     tile's ordered top-k and its threshold hits as tables (empty when not
     requested) and the pair count.  Writes every score into ``out`` (flat,
-    offset by the span start) when given."""
+    offset by the span start) when given, reading every anchor's row;
+    otherwise a workspace with ``bounds`` reads only the rows
+    :func:`_screened` cannot rule out."""
+    read = anchors
+    if out is None and ws.bounds is not None:
+        read = _screened(ws, anchors, span, top_k, threshold)
     top: list[PairTable] = []
     hits: list[PairTable] = []
     held = 0
     floor = -np.inf
-    scanned = 0
-    for j1, lo, scores, taus in ws.rows(anchors, span):
-        scanned += scores.size
+    for j1, lo, scores, taus in ws.rows(read, span):
         if out is not None:
             at = pair_index(j1, lo, ws.p) - span[0]
             out[at : at + scores.size] = scores
@@ -568,20 +715,54 @@ def _sweep_tile(ws, anchors, span, top_k, threshold, out):
             keep = np.flatnonzero(scores > threshold)
             if keep.size:
                 hits.append(_take(j1, lo, scores, taus, keep))
-    return PairTable.concat(top).ordered(top_k), PairTable.concat(hits), scanned
+    scanned = min(span[1], _row_start(anchors[-1] + 1, ws.p)) - max(span[0], _row_start(anchors[0], ws.p))
+    top_table = PairTable.concat(top).ordered(top_k) if top else _EMPTY
+    return top_table, PairTable.concat(hits) if hits else _EMPTY, scanned
 
 
-def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = False) -> ScanResult:
+def _screened(ws, anchors: range, span, top_k, threshold) -> list[int]:
+    """The anchors of a tile whose rows may hold a kept pair, by the
+    workspace's certified bounds: for top-k, those holding a pair whose
+    upper bound reaches ``floor``, the k-th largest lower bound in the
+    tile, so at least k pairs score at least ``floor`` and no pair below
+    it can place; for a threshold, those holding a pair whose upper bound
+    exceeds it."""
+    need = np.zeros(len(anchors), dtype=bool)
+    reach = np.full(len(anchors), -np.inf)  # largest upper bound per anchor
+    best = np.empty(0)  # the k largest lower bounds of pairs so far
+    floor = -np.inf
+    for a0, _, estimate, radius in ws.bounds(anchors, span):
+        at = slice(a0 - anchors.start, a0 - anchors.start + len(radius))
+        most = estimate.max(axis=1)
+        if threshold is not None:
+            need[at] |= most + radius > threshold
+        if top_k is None:
+            continue
+        np.maximum(reach[at], most + radius, out=reach[at])
+        if len(most) >= top_k:  # each anchor's best pair is a distinct pair
+            floor = max(floor, np.partition(most - radius, len(most) - top_k)[len(most) - top_k])
+        with np.errstate(invalid="ignore"):  # -inf + inf: a row that cannot raise the floor
+            live = np.flatnonzero(most > floor + radius)
+        i, j = np.nonzero(estimate[live] > (floor + radius[live])[:, None])
+        if i.size:
+            best = np.concatenate([best, estimate[live[i], j] - radius[live[i]]])
+            if best.size >= top_k:
+                best = np.partition(best, best.size - top_k)[best.size - top_k :]
+                floor = max(floor, best[0])
+    if top_k is not None:
+        need |= reach >= floor
+    return [anchors[i] for i in np.flatnonzero(need)]
+
+
+def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
     """Score every pair in range; keep the top-k and/or thresholded subset.
 
     ``workspace`` is a :class:`Workspace`, a :class:`CodeWorkspace` or a
     raw matrix (then ``response`` is required and :func:`precompute` runs
     internally).  Work tiles hold ``max(block_size, ws.tile)`` anchors, so
-    a small ``block_size`` never cuts below the route's smallest tile.
-    With ``collect_scores`` the result also carries the flat score array
-    over the configured range (canonical pair order), filled during the
-    same sweep.  The result is identical for any block_size/worker_count
-    combination; see the module docstring for why.
+    a small ``block_size`` never cuts below the route's smallest tile.  The
+    result is identical for any block_size/worker_count combination; see
+    the module docstring for why.
 
     Raises:
         EmptyRange: the configured pair range selects no pairs.
@@ -595,17 +776,15 @@ def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = Fa
     anchors = _anchors_for_span(ws.p, span)
     step = max(config.block_size, ws.tile)
     tiles = [anchors[i : i + step] for i in range(0, len(anchors), step)]
-    scores = np.empty(span[1] - span[0]) if collect_scores else None
 
     def sweep(tile):
-        return _sweep_tile(ws, tile, span, config.top_k, config.threshold, scores)
+        return _sweep_tile(ws, tile, span, config.top_k, config.threshold, None)
 
     workers = min(config.worker_count, len(tiles))
     if workers <= 1:
         parts = [sweep(tile) for tile in tiles]
     else:
-        # The workspace is shared read-only; each tile owns its candidate
-        # sets and its disjoint slice of `scores`.
+        # The workspace is shared read-only; each tile owns its candidate sets.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(sweep, tiles))
 
@@ -614,8 +793,13 @@ def scan(workspace, config: ScanConfig, response=None, collect_scores: bool = Fa
         selected=PairTable.concat(h for _, h, _ in parts).ordered(),
         pairs_scanned=sum(c for _, _, c in parts),
         elapsed_seconds=time.perf_counter() - started,
-        scores=scores,
     )
+
+
+def _scores(ws, span: tuple[int, int]) -> np.ndarray:
+    out = np.empty(span[1] - span[0])
+    _sweep_tile(ws, _anchors_for_span(ws.p, span), span, None, None, out)
+    return out
 
 
 def all_scores(ws: Workspace | CodeWorkspace, pair_range: tuple[int, int] | None = None) -> np.ndarray:
@@ -625,10 +809,7 @@ def all_scores(ws: Workspace | CodeWorkspace, pair_range: tuple[int, int] | None
     ``start`` is the beginning of ``pair_range`` (0 when unset).  Memory is
     O(#pairs); intended for desk-scale p.
     """
-    span = _span(ws.p, pair_range)
-    out = np.empty(span[1] - span[0])
-    _sweep_tile(ws, _anchors_for_span(ws.p, span), span, None, None, out)
-    return out
+    return _scores(ws, _span(ws.p, pair_range))
 
 
 def iter_score_rows(ws: Workspace | CodeWorkspace):
@@ -641,8 +822,7 @@ def iter_score_rows(ws: Workspace | CodeWorkspace):
     for a0 in range(0, p - 1, ws.tile):
         a1 = min(a0 + ws.tile, p - 1)
         span = (_row_start(a0, p), _row_start(a1, p))
-        out = np.empty(span[1] - span[0])
-        _sweep_tile(ws, range(a0, a1), span, None, None, out)
+        out = _scores(ws, span)
         for j1 in range(a0, a1):
             at = _row_start(j1, p) - span[0]
             yield j1, out[at : at + p - 1 - j1]
@@ -671,24 +851,73 @@ def merge_top_pairs(parts, top_k: int) -> PairTable:
     return PairTable.concat(PairTable.of(part) for part in parts).ordered(top_k)
 
 
-def ranks_of_pairs(scores: np.ndarray, p: int, pairs) -> dict[tuple[int, int], int]:
+def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
     """1-based rank of each requested pair in the full descending order.
 
-    ``scores`` must be a full-range array from :func:`all_scores`.  The
-    rank counts strictly greater scores plus equal-scored pairs that
+    The rank counts strictly greater scores plus equal-scored pairs that
     precede canonically (canonical order is exactly the (j1, j2) tie rule).
+    ``scores`` is a full-range array from :func:`all_scores`, or the
+    workspace itself.  Given a workspace, each pair's value v comes from
+    its anchor's row; the pairs of a tile whose certified lower bound
+    exceeds v (:meth:`Workspace.bounds`) count as greater, and only the
+    anchors holding a pair whose bounds bracket v are read in full and
+    counted exactly, ties included.  Both give the same ranks.
     """
-    if scores.shape[0] != pair_count(p):
-        raise DimensionMismatch(
-            f"need the full score array ({pair_count(p)} entries), got {scores.shape[0]}"
-        )
-    ranks: dict[tuple[int, int], int] = {}
+    if isinstance(scores, np.ndarray):
+        if scores.shape[0] != pair_count(p):
+            raise DimensionMismatch(
+                f"need the full score array ({pair_count(p)} entries), got {scores.shape[0]}"
+            )
+        ranks: dict[tuple[int, int], int] = {}
+        for j1, j2 in pairs:
+            ci = pair_index(j1, j2, p)
+            v = scores[ci]
+            greater = int(np.count_nonzero(scores > v))
+            ties_before = int(np.count_nonzero(scores[:ci] == v))
+            ranks[(j1, j2)] = greater + ties_before + 1
+        return ranks
+
+    ws = scores
+    if ws.p != p:
+        raise DimensionMismatch(f"workspace has p={ws.p}, expected {p}")
+    pairs = [(j1, j2) for j1, j2 in pairs]
     for j1, j2 in pairs:
-        ci = pair_index(j1, j2, p)
-        v = scores[ci]
-        greater = int(np.count_nonzero(scores > v))
-        ties_before = int(np.count_nonzero(scores[:ci] == v))
-        ranks[(j1, j2)] = greater + ties_before + 1
+        pair_index(j1, j2, p)
+    if not pairs:
+        return {}
+    if ws.bounds is None:
+        return ranks_of_pairs(_scores(ws, (0, pair_count(p))), p, pairs)
+
+    rows: dict[int, np.ndarray] = {}
+
+    def row(a: int) -> np.ndarray:
+        """Anchor a's scores against partners a + 1, ..., p - 1."""
+        if a not in rows:
+            rows[a] = _scores(ws, (_row_start(a, p), _row_start(a + 1, p)))
+        return rows[a]
+
+    values = np.array([row(j1)[j2 - j1 - 1] for j1, j2 in pairs])
+    greater = np.zeros((len(pairs), p), dtype=np.int64)  # per value, per anchor
+    unsure = np.zeros((len(pairs), p), dtype=bool)
+    for a0, _, estimate, radius in ws.bounds(range(p - 1), (0, pair_count(p))):
+        # Pairs below every value settle at once; the rest are few.  fmin
+        # skips a NaN value, which no pair exceeds or ties.
+        floor = np.fmin.reduce(values) - radius
+        live = np.flatnonzero(estimate.max(axis=1) >= floor)
+        i, j = np.nonzero(estimate[live] >= floor[live, None])
+        i = live[i]
+        near, reach = estimate[i, j], radius[i]
+        for t, v in enumerate(values):
+            greater[t, a0 : a0 + len(radius)] += np.bincount(i[near > v + reach], minlength=len(radius))
+            unsure[t, a0 + i[(near <= v + reach) & (near >= v - reach)]] = True
+    ranks = {}
+    for t, ((j1, j2), v) in enumerate(zip(pairs, values)):
+        count = int(greater[t][~unsure[t]].sum())
+        for a in np.flatnonzero(unsure[t]):
+            exact = row(int(a))
+            before = exact.size if a < j1 else j2 - j1 - 1 if a == j1 else 0
+            count += int(np.count_nonzero(exact > v)) + int(np.count_nonzero(exact[:before] == v))
+        ranks[(j1, j2)] = count + 1
     return ranks
 
 

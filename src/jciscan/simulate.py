@@ -23,7 +23,7 @@ runs and platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,9 +98,7 @@ class SimDataset:
 @dataclass(frozen=True)
 class ReplicateReport:
     """Scan outcome of one replicate: the top-5 view plus the exact rank
-    and top-5 membership of every true pair.  ``result.scores`` is None:
-    the full score array is dropped once the ranks are read from it, so a
-    run holds one replicate's scores at a time."""
+    and top-5 membership of every true pair."""
 
     replicate: int
     result: ScanResult
@@ -278,8 +276,9 @@ def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) 
     """Run every replicate of a study; each uses its own child seed.
 
     Per replicate: generate, scan with top_k=5, and compute the exact rank
-    of every true pair from the full score array.  ``generator`` overrides
-    the study-id dispatch for custom designs (same (n, p, seed) signature).
+    of every true pair from the workspace (:func:`~jciscan.scan.ranks_of_pairs`),
+    so no replicate holds a full score array.  ``generator`` overrides the
+    study-id dispatch for custom designs (same (n, p, seed) signature).
     """
     gen = generator if generator is not None else GENERATORS.get(spec.study_id)
     if gen is None:
@@ -289,14 +288,10 @@ def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) 
     for r in range(spec.replications):
         ds = gen(spec.n, spec.p, child_seed(spec.seed, r))
         ws = precompute(ds.predictors, ds.response)
-        result = scan(ws, config, collect_scores=True)
-        ranks = ranks_of_pairs(result.scores, spec.p, spec.true_pairs)
+        result = scan(ws, config)
+        ranks = ranks_of_pairs(ws, spec.p, spec.true_pairs)
         in_top5 = {pair: rank <= config.top_k for pair, rank in ranks.items()}
-        reports.append(
-            ReplicateReport(
-                replicate=r, result=replace(result, scores=None), ranks=ranks, in_top5=in_top5
-            )
-        )
+        reports.append(ReplicateReport(replicate=r, result=result, ranks=ranks, in_top5=in_top5))
     return reports
 
 

@@ -61,3 +61,17 @@ def test_scan_dump_looks_up_iter_score_rows_at_call_time(monkeypatch, tmp_path):
     assert cli.main([*argv, "--out", str(tmp_path / "top.csv"), "--dump-all", str(dump)]) == 0
     assert calls == [6]
     assert len(dump.read_text().splitlines()) == 1 + 15
+
+
+def test_run_replications_looks_up_scan_and_ranks_at_call_time(monkeypatch):
+    # The tracer pairs each replicate's generate span with one
+    # ranks_of_pairs span, so each name is reached once per replicate.
+    calls = []
+    for name in ("scan", "ranks_of_pairs"):
+        def wrapper(*args, _raw=getattr(simulate, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _raw(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, wrapper)
+    run_replications(study_spec(1, n=30, p=6, replications=3))
+    assert calls == ["scan", "ranks_of_pairs"] * 3

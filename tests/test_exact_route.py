@@ -187,11 +187,11 @@ def test_exact_route_score_streams_agree_bytewise():
     codes, y = draw_instance(np.random.default_rng(22), 90, 70, "counts")
     ws = precompute(genotypes(codes), y)
     flat = all_scores(ws)
-    collected = scan(ws, ScanConfig(top_k=3, block_size=7, worker_count=3), collect_scores=True).scores
+    shards = [all_scores(ws, pair_range=span) for span in [(0, 7), (7, 1000), (1000, pair_count(70))]]
     rows = list(iter_score_rows(ws))
     assert [j1 for j1, _ in rows] == list(range(69))
     assert all(row.size == 69 - j1 for j1, row in rows)
-    assert collected.tobytes() == flat.tobytes()
+    assert np.concatenate(shards).tobytes() == flat.tobytes()
     assert np.concatenate([row for _, row in rows]).tobytes() == flat.tobytes()
 
 
@@ -216,16 +216,16 @@ def test_exact_route_values_do_not_depend_on_tile_shape(monkeypatch):
 _BLAS_THREAD_PROBE = """
 import hashlib
 import numpy as np
-from jciscan import CodeWorkspace, GenotypeMatrix, ScanConfig, precompute, scan
+from jciscan import CodeWorkspace, GenotypeMatrix, ScanConfig, all_scores, precompute, scan
 rng = np.random.default_rng(12)
 codes = rng.integers(1, 4, size=(1000, 400)).astype(np.uint8)
 y = ((rng.random(1000) < 0.3) | ((codes[:, 0] == 3) & (codes[:, 1] == 1))).astype(float)
 gm = GenotypeMatrix(codes=codes, snp_ids=tuple(map(str, range(400))), chromosomes=(1,) * 400)
 ws = precompute(gm, y)
 assert isinstance(ws, CodeWorkspace)
-result = scan(ws, ScanConfig(top_k=20), collect_scores=True)
+result = scan(ws, ScanConfig(top_k=20))
 top = repr([(s.j1, s.j2, s.tau_hat.hex(), s.r_hat.hex()) for s in result.top_pairs])
-print(hashlib.sha256(result.scores.tobytes()).hexdigest(), hashlib.sha256(top.encode()).hexdigest())
+print(hashlib.sha256(all_scores(ws).tobytes()).hexdigest(), hashlib.sha256(top.encode()).hexdigest())
 """
 
 

@@ -1,6 +1,7 @@
 """Scanner tests: pair enumeration, hoisting, sweep vs naive oracle,
 determinism, sharding, selection."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -36,7 +37,17 @@ from jciscan.errors import (
     TooFewColumns,
     ZeroVarianceColumn,
 )
-from jciscan.scan import CodeWorkspace, PairTable, Workspace, default_worker_count, iter_score_rows
+from jciscan.scan import (
+    CodeWorkspace,
+    PairTable,
+    Workspace,
+    _row_start,
+    default_worker_count,
+    iter_score_rows,
+)
+
+# By module path: the package's `scan` function shadows the submodule.
+scan_module = importlib.import_module("jciscan.scan")
 
 # --------------------------------------------------------------------------
 # Naive reference: pure-Python double loop straight from the definitions.
@@ -323,11 +334,155 @@ def test_sweep_tile_is_the_only_reader_of_rows(monkeypatch):
         ws = precompute(matrix, y)
         assert isinstance(ws, route)
         scan(ws, ScanConfig(top_k=5, threshold=0.1))
-        scan(ws, ScanConfig(top_k=5), collect_scores=True)
+        ranks_of_pairs(ws, ws.p, [(0, 1), (2, 5)])
         all_scores(ws)
         rows = list(iter_score_rows(ws))
         assert len(rows) == ws.p - 1
     assert callers and set(callers) == {"_sweep_tile"}
+
+
+def test_drained_float_score_rows_sweep_one_gemm_tile_of_anchors_at_a_time(monkeypatch):
+    # 199 anchors in blocks of Workspace.tile (64): four sweeps, not one per anchor.
+    calls = []
+    raw = scan_module._sweep_tile
+
+    def counted(*args):
+        calls.append(args[1])
+        return raw(*args)
+
+    monkeypatch.setattr(scan_module, "_sweep_tile", counted)
+    rng = np.random.default_rng(3)
+    ws = precompute(rng.normal(size=(30, 200)), rng.normal(size=30))
+    rows = list(iter_score_rows(ws))
+    assert [j1 for j1, _ in rows] == list(range(199))
+    assert len(calls) <= 4
+    assert np.concatenate([row for _, row in rows]).tobytes() == all_scores(ws).tobytes()
+
+
+def _screen_design(data):
+    """A workspace drawn for the screen-versus-oracle tests: 0/1 columns
+    with duplicated and complemented columns (exact ties), normal columns,
+    normal columns scaled by 2^-500, 1 or 2^500, or genotype codes with
+    duplicated and recoded columns against a case/control response (the
+    exact route)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(3, 60), label="n")
+    p = data.draw(st.integers(2, 40), label="p")
+    kind = data.draw(st.sampled_from(["binary", "normal", "scaled", "genotype"]), label="kind")
+    if kind == "genotype":
+        codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
+        codes[:2] = [[1] * p, [3] * p]
+        for _ in range(p // 2):
+            a, b = rng.integers(p, size=2)
+            codes[:, a] = codes[:, b] if rng.random() < 0.5 else 4 - codes[:, b]
+        y = rng.integers(0, 2, size=n).astype(np.float64)
+        y[:2] = [0.0, 1.0]
+        matrix = GenotypeMatrix(codes=codes, snp_ids=tuple(map(str, range(p))), chromosomes=(1,) * p)
+        return precompute(matrix, y)
+    if kind == "binary":
+        X = (rng.random((n, p)) < 0.5).astype(np.float64)
+        X[0], X[1] = 1.0, 0.0
+        for _ in range(p // 2):
+            a, b = rng.integers(p, size=2)
+            X[:, a] = X[:, b] if rng.random() < 0.5 else 1.0 - X[:, b]
+        y = X[:, 0] * X[:, -1] + (rng.random(n) < 0.5)
+        y[0], y[1] = 0.0, 1.0
+    else:
+        X = rng.normal(size=(n, p))
+        y = X[:, 0] * X[:, -1] + rng.normal(size=n)
+        if kind == "scaled":
+            X *= 2.0 ** rng.choice([-500, 0, 500], size=p)
+    return precompute(X, y)
+
+
+def _oracle_table(ws, flat, picked) -> PairTable:
+    """The pairs at canonical indices ``picked``, in that order, with r_hat
+    from the flat array and tau_hat read from the anchor's row."""
+    pairs = [pair_from_index(i, ws.p) for i in picked]
+    taus = []
+    for j1, j2 in pairs:
+        row = (_row_start(j1, ws.p), _row_start(j1 + 1, ws.p))
+        taus += [t[j2 - lo] for _, lo, _, t in ws.rows(range(j1, j1 + 1), row) if lo <= j2 < lo + t.size]
+    return PairTable(
+        np.array([j1 for j1, _ in pairs], dtype=np.intp),
+        np.array([j2 for _, j2 in pairs], dtype=np.intp),
+        np.array(taus, dtype=np.float64),
+        flat[np.array(picked, dtype=np.intp)],
+    )
+
+
+def _assert_screen_matches_oracle(ws, top_k, threshold, block, workers, pair_range, ranked):
+    """``scan`` against the order of ``all_scores`` (r_hat descending, then
+    canonical index), and ``ranks_of_pairs`` on the workspace against the
+    same ranks from the flat array."""
+    flat = all_scores(ws)
+    order = np.lexsort((np.arange(flat.size), -flat))
+    a, b = pair_range if pair_range is not None else (0, flat.size)
+    in_range = order[(order >= a) & (order < b)]
+    config = ScanConfig(top_k=top_k, threshold=threshold, block_size=block,
+                        worker_count=workers, pair_range=pair_range)
+    res = scan(ws, config)
+    assert res.pairs_scanned == b - a
+    assert res.top_pairs == _oracle_table(ws, flat, in_range[:top_k])
+    if threshold is not None:
+        assert res.selected == _oracle_table(ws, flat, in_range[flat[in_range] > threshold])
+    assert ranks_of_pairs(ws, ws.p, ranked) == ranks_of_pairs(flat, ws.p, ranked)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_screen_equals_the_all_scores_oracle(data):
+    ws = _screen_design(data)
+    total = pair_count(ws.p)
+    flat = all_scores(ws)
+    top_k = data.draw(st.integers(1, total), label="top_k")
+    threshold = data.draw(st.none() | st.sampled_from(flat.tolist()), label="threshold")
+    block = data.draw(st.sampled_from([1, 5, 64, 256]), label="block")
+    workers = data.draw(st.sampled_from([1, 3]), label="workers")
+    pair_range = None
+    if data.draw(st.booleans(), label="sharded"):
+        a = data.draw(st.integers(0, total - 1), label="range_start")
+        pair_range = (a, data.draw(st.integers(a + 1, total), label="range_end"))
+    picked = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=4), label="ranked")
+    ranked = [pair_from_index(i, ws.p) for i in picked]
+    _assert_screen_matches_oracle(ws, top_k, threshold, block, workers, pair_range, ranked)
+
+
+def test_screen_equals_the_oracle_across_a_partner_chunk_edge():
+    # p = 2100 puts partners 2048.. of the first anchors in a second chunk;
+    # column 2050 repeats column 3, so exact ties straddle the edge.
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(40, 2100))
+    X[:, 2050] = X[:, 3]
+    y = X[:, 3] * X[:, 2090] + X[:, 5] * X[:, 7] + rng.normal(size=40)
+    ws = precompute(X, y)
+    assert isinstance(ws, Workspace)
+    flat = all_scores(ws)
+    cut = float(np.sort(flat)[-400])
+    ranked = [(3, 2090), (5, 7), (2050, 2090), (0, 2099), (2047, 2048)]
+    _assert_screen_matches_oracle(ws, 60, cut, 300, 2, None, ranked)
+    edge = pair_index(1, 2040, 2100)
+    _assert_screen_matches_oracle(ws, 25, cut, 64, 1, (edge, edge + 5000), ranked)
+
+
+@pytest.mark.parametrize(
+    "column_scale, response_scale",
+    [(-530, 0), (-530, 500), (-500, 0), (-500, 500), (0, -500), (0, 0), (0, 500), (500, -500), (500, 0)],
+)
+def test_screen_equals_the_oracle_at_extreme_scales(column_scale, response_scale):
+    # Half the columns (the true pair's among them) at 2^column_scale.  At
+    # 2^-530 the tile's factors leave the normal range and every anchor is
+    # rescored; at 2^-500 the underflow term dominates the radius.
+    rng = np.random.default_rng(abs(7 * column_scale + response_scale))
+    X = rng.normal(size=(12, 9)) * 2.0 ** rng.choice([column_scale, 0], size=9)
+    Z = rng.normal(size=(12, 2))
+    X[:, :2] = Z * 2.0**column_scale
+    y = (Z[:, 0] * Z[:, 1] + rng.normal(size=12)) * 2.0**response_scale
+    ws = precompute(X, y)
+    flat = all_scores(ws)
+    ranked = [pair_from_index(i, 9) for i in range(pair_count(9))]
+    for top_k, cut, block, workers in ((3, None, 1, 1), (36, float(np.sort(flat)[-10]), 4, 3)):
+        _assert_screen_matches_oracle(ws, top_k, cut, block, workers, None, ranked)
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -369,18 +524,22 @@ def test_result_invariant_across_workers_and_blocks():
 
 
 def test_collected_scores_survive_thread_switching():
-    # Tiles write disjoint slices of one shared score array; switching
-    # threads every microsecond must not lose or misplace a write.
-    X, y = random_instance(seed=22, max_n=40, max_p=60)
+    # Five work tiles screen and rescore in five threads over one shared
+    # workspace; switching threads every microsecond must not lose or
+    # misplace a candidate, and the flat array stays the same.
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(40, 300))
+    y = X[:, 3] * X[:, 7] + rng.normal(size=40)
     ws = precompute(X, y)
     expect = all_scores(ws)
+    base = scan(ws, ScanConfig(top_k=3, threshold=0.1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8, block_size=1),
-                       collect_scores=True)
-            assert res.scores.tobytes() == expect.tobytes()
+            res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8, block_size=1))
+            assert res == base
+            assert all_scores(ws).tobytes() == expect.tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -388,13 +547,18 @@ def test_collected_scores_survive_thread_switching():
 _BLAS_THREAD_PROBE = """
 import hashlib
 import numpy as np
-from jciscan import ScanConfig, precompute, scan
+from jciscan import ScanConfig, all_scores, precompute, ranks_of_pairs, scan
 rng = np.random.default_rng(11)
 x = rng.normal(size=(1000, 400))
 y = x[:, 0] * x[:, 1] + rng.normal(size=1000)
-result = scan(precompute(x, y), ScanConfig(top_k=20), collect_scores=True)
+ws = precompute(x, y)
+flat = all_scores(ws)
+result = scan(ws, ScanConfig(top_k=20))
 top = repr([(s.j1, s.j2, s.r_hat.hex()) for s in result.top_pairs])
-print(hashlib.sha256(result.scores.tobytes()).hexdigest(), hashlib.sha256(top.encode()).hexdigest())
+screened = scan(ws, ScanConfig(top_k=20, threshold=float(np.sort(flat)[-300]), block_size=100))
+picked = repr([(s.j1, s.j2, s.tau_hat.hex(), s.r_hat.hex()) for s in screened.selected])
+ranks = repr(ranks_of_pairs(ws, 400, [(0, 1), (2, 3), (5, 300), (398, 399)]))
+print(*(hashlib.sha256(v).hexdigest() for v in (flat.tobytes(), top.encode(), picked.encode(), ranks.encode())))
 """
 
 
@@ -402,7 +566,8 @@ def test_scores_do_not_depend_on_blas_thread_count():
     # At 1000 x 400 the sweep's products are above OpenBLAS's threading
     # cutoff, and a plain W.T @ C GEMM of this shape gives different bits
     # under 1 and 2 threads (OpenBLAS 0.3.31, x86-64), so a sweep that lets
-    # the thread count leak into its values fails here.
+    # the thread count leak into its values fails here.  The screened
+    # top-k, threshold and ranks read those GEMM tiles, and must not.
     src = os.path.dirname(os.path.dirname(os.path.abspath(jciscan.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     hashes = []
@@ -413,7 +578,7 @@ def test_scores_do_not_depend_on_blas_thread_count():
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         hashes.append(done.stdout.split())
-    assert len(hashes[0]) == 2
+    assert len(hashes[0]) == 4
     assert hashes[0] == hashes[1]
 
 
@@ -481,17 +646,20 @@ def test_columnar_merge_matches_sorted_oracle(data):
 
     a = data.draw(st.integers(0, total - 1), label="range_start")
     b = data.draw(st.integers(a + 1, total), label="range_end")
-    ranged = scan(ws, ScanConfig(top_k=top_k, worker_count=3, block_size=block, pair_range=(a, b)),
-                  collect_scores=True)
-    assert ranged.scores.tobytes() == all_scores(ws, pair_range=(a, b)).tobytes()
+    ranged = scan(ws, ScanConfig(top_k=top_k, worker_count=3, block_size=block, pair_range=(a, b)))
+    in_range = [i for i in order if a <= i < b]
+    assert [pair_index(s.j1, s.j2, p) for s in ranged.top_pairs] == in_range[:top_k]
+    assert all_scores(ws, pair_range=(a, b)).tobytes() == flat[a:b].tobytes()
 
 
 def test_ranks_consistent_with_top_pairs_positions():
     X, y = random_instance(seed=55)
     p = X.shape[1]
     ws = precompute(X, y)
-    res = scan(ws, ScanConfig(top_k=10), collect_scores=True)
-    got = ranks_of_pairs(res.scores, p, [(s.j1, s.j2) for s in res.top_pairs])
+    res = scan(ws, ScanConfig(top_k=10))
+    top = [(s.j1, s.j2) for s in res.top_pairs]
+    got = ranks_of_pairs(all_scores(ws), p, top)
+    assert ranks_of_pairs(ws, p, top) == got
     for i, s in enumerate(res.top_pairs):
         assert got[(s.j1, s.j2)] == i + 1
 

@@ -212,12 +212,27 @@ def test_single_replication_equals_manual_child_run():
 def test_reports_drop_the_score_array():
     spec = study_spec(1, n=50, p=20, seed=13, replications=3)
     reports = run_replications(spec)
-    assert all(rep.result.scores is None for rep in reports)
+    assert not any(hasattr(rep.result, "scores") for rep in reports)
     for r, rep in enumerate(reports):
         ds = gen_study1(50, 20, child_seed(13, r))
-        full = scan(precompute(ds.predictors, ds.response), ScanConfig(top_k=5), collect_scores=True)
-        assert rep.ranks == ranks_of_pairs(full.scores, 20, spec.true_pairs)
-        assert rep.result.top_pairs == full.top_pairs
+        ws = precompute(ds.predictors, ds.response)
+        assert rep.ranks == ranks_of_pairs(all_scores(ws), 20, spec.true_pairs)
+        assert rep.result.top_pairs == scan(ws, ScanConfig(top_k=5)).top_pairs
+
+
+def test_replicate_holds_no_score_array():
+    # n=20, p=3000: 4,498,500 pairs, whose flat float64 scores take 34 MiB.
+    spec = study_spec(1, n=20, p=3000, seed=5)
+    tracemalloc.start()
+    try:
+        (report,) = run_replications(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    ds = gen_study1(20, 3000, child_seed(5, 0))
+    ws = precompute(ds.predictors, ds.response)
+    assert report.ranks == ranks_of_pairs(all_scores(ws), 3000, spec.true_pairs)
 
 
 def test_child_seed_is_the_spawn_child():
