@@ -59,6 +59,8 @@ _HEADER = struct.Struct("<4sHHQQ")
 _COLUMN_META = struct.Struct("<BH")
 #: Largest single read of a packed payload from a stream that cannot seek.
 _READ_CHUNK = 16 * 2**20
+#: Cells decoded per column chunk of a packed payload.
+_DECODE_CELLS = 2**18
 
 #: 2-bit encodings: code value -> bit pair (code - 1); 0b11 marks missing.
 MISSING_BITS = 0b11
@@ -378,23 +380,25 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
             raise TruncatedFile(expected, len(payload))
 
         raw = np.frombuffer(payload, dtype=np.uint8).reshape(p, -1)
-        # (p, col_bytes, 4) 2-bit groups, low bits first, flattened per column.
-        groups = (raw[:, :, None] >> _SLOT_SHIFTS) & 0b11
-        codes = groups.reshape(p, -1)[:, :n].T.astype(np.uint8) + 1
-
-        missing = codes == MISSING_BITS + 1
-        if missing.any():
-            if missing_policy == "reject":
-                rows, cols = np.nonzero(missing)
-                first = np.lexsort((rows, cols))[0]
-                raise MissingGenotype(column=int(cols[first]), row=int(rows[first]))
-            for j in np.nonzero(missing.any(axis=0))[0]:
-                col_missing = missing[:, j]
-                present = codes[~col_missing, j]
-                if present.size == 0:
-                    raise MissingGenotype(column=int(j), row=0)
-                counts = np.bincount(present, minlength=4)
-                codes[col_missing, j] = int(np.argmax(counts[1:4])) + 1
+        # Decoded a few columns at a time straight into the one n x p array,
+        # so the temporaries stay near _DECODE_CELLS bytes whatever n x p is.
+        codes = np.empty((n, p), dtype=np.uint8)
+        step = max(1, _DECODE_CELLS // (4 * raw.shape[1]))
+        for c0 in range(0, p, step):
+            # (columns, col_bytes, 4) 2-bit groups, low bits first, flattened per column.
+            bits = raw[c0 : c0 + step, :, None] >> _SLOT_SHIFTS
+            bits &= 0b11
+            bits = bits.reshape(len(bits), -1)[:, :n]
+            if bits.max() == MISSING_BITS:  # a reduction: most chunks need no mask
+                missing = bits == MISSING_BITS
+                for j in np.flatnonzero(missing.any(axis=1)):
+                    if missing_policy == "reject":
+                        raise MissingGenotype(column=c0 + int(j), row=int(np.argmax(missing[j])))
+                    present = bits[j][~missing[j]]
+                    if present.size == 0:
+                        raise MissingGenotype(column=c0 + int(j), row=0)
+                    bits[j][missing[j]] = np.argmax(np.bincount(present, minlength=3))
+            np.add(bits.T, 1, out=codes[:, c0 : c0 + len(bits)])
         codes.setflags(write=False)
         return GenotypeMatrix(codes=codes, snp_ids=tuple(snp_ids), chromosomes=tuple(chroms))
 

@@ -16,10 +16,13 @@ The exact route serves genotype codes against an integer-valued response
 (case/control, counts) while every sum fits the float formats exactly.
 With y shifted by its minimum, every raw sum is a small integer: per
 column ``S_j``, ``D_j = n S_jj - S_j^2`` and ``S_jy``, per pair ``S_12``
-and ``S_12y``.  The pair sums come from float32 GEMM tiles
-``X[:, A].T @ X[:, B]`` and ``(y * X[:, A]).T @ X[:, B]``, which are exact
-while ``c^2 n m < 2^24`` (c the largest code, m = max(y) - min(y)).  A
-float64 combine then forms the integer numerator
+and ``S_12y``.  The pair sums take one float32 GEMM per level l of y,
+``A_l = X[rows_l, A].T @ X[rows_l, B]`` over the rows where y = l, so
+``S_12 = sum_l A_l`` and ``S_12y = sum_l l A_l`` cost n multiply-adds per
+pair.  They accumulate in float32 and stay exact, because every partial
+sum is an integer of magnitude at most ``c^2 n m < 2^24`` (c the largest
+code, m = max(y) - min(y)).  A float64 combine then forms the integer
+numerator
 
     N = n^2 S_12y - n (S_1 S_2y + S_2 S_1y + S_y S_12) + 2 S_1 S_2 S_y,
 
@@ -29,56 +32,52 @@ the square root and the divisions, so tiling, summation order and BLAS
 threads cannot change them.
 
 Each workspace's ``rows(anchors, span)`` is the only place its route
-computes a pair value.  Both yield ``(j1, lo, r_hat, tau_hat)`` row pieces,
-and those rows have one reader, :func:`_sweep_tile`, which feeds the top-k,
-threshold and flat-array consumers alike for either route.  A workspace's
-``tile`` is one GEMM tile of anchors (``_ANCHOR_BLOCK``) on either route.
-:func:`scan` cuts work tiles of ``max(block_size, tile)`` anchors, and
-:func:`iter_score_rows` sweeps one ``tile`` of anchors at a time into a flat
-array and yields its rows.
+computes a pair value.  Both yield whole 2-D tiles ``(j1, lo, r_hat,
+tau_hat)``: anchors ``j1``, one per row, by partners ``lo, lo + 1, ...``,
+NaN outside the span.  Their one reader, :func:`_sweep_tile`, feeds the
+top-k, threshold, rank and flat-array consumers of either route with one
+flat ``nonzero`` per tile.  A workspace's ``tile`` is one GEMM tile of
+anchors (``_ANCHOR_BLOCK``); :func:`scan` cuts work tiles of
+``max(block_size, tile)`` anchors, and :func:`iter_score_rows` sweeps one
+``tile`` of anchors at a time into a flat array and yields its rows.
+
+One top-k floor per scan
+------------------------
+A top-k :func:`scan` keeps one floor for the whole call (:class:`_TopK`),
+a value at least k distinct scanned pairs reach: no pair below it can
+place, and pairs equal to it are kept for the final (j1, j2) tie-break.
+It carries from tile to tile, is shared by every worker, and only rises.
+A worker that reads it late sees a lower value, which only keeps more
+candidates; it never drops a pair the final cut keeps.  This is the
+running k-th-best bound of threshold top-k algorithms (Fagin, Lotem and
+Naor, JCSS 2003).
 
 The certified screen
 --------------------
 On the float route a top-k or threshold scan, and :func:`ranks_of_pairs`,
-first read ``Workspace.bounds``: BLAS-3 tiles ``G = W.T @ C[:, B]`` of
-``_ANCHOR_BLOCK`` anchors by at most ``_PARTNER_CHUNK`` partners, with
-``W = y_c * C[:, A]``, giving every pair an estimate ``sqrt_n |G| / denom``
-and a radius.  Whatever the summation order, FMA use or thread split, the
-GEMM entry and the row's GEMV product-sum each lie within
-``gamma_n sum_i |w_i||c_i|`` of the exact dot product, plus an underflow
-term (Higham, Accuracy and Stability of Numerical Algorithms, section
-3.1), so they differ by at most
-
-    2 gamma_n max_i |w_i| ||c||_1 + 4 n eta,    gamma_n = n u / (1 - n u),
-
-mapped through the monotone post-processing with a few ulps of slack;
-``max |w| ||c||_1`` needs no squares, so it holds at any column scale, and
-a tile where a factor leaves the normal range or a partial sum might
-overflow is left unsettled and rescored whole.  The tiles only choose
-which rows :func:`_sweep_tile` reads: all of them for a flat array; for
-top-k, the anchors holding a pair whose upper bound reaches the k-th
-largest lower bound of the tile; for a threshold, those holding a pair
-whose upper bound exceeds it.  Every reported r_hat, tau_hat and rank is
-still made by ``rows``.  The exact route's tiles are its values, so it has
-no ``bounds`` and reads every row.
+first read ``Workspace.bounds``: BLAS-3 tiles giving every pair an
+estimate and a radius that holds the value ``rows`` makes whatever the
+summation order, FMA use or thread split (see :meth:`Workspace.bounds`).
+They only choose which rows :func:`_sweep_tile` reads: for top-k, once
+every work tile is screened, the anchors holding a pair whose upper bound
+reaches the floor; for a threshold, those holding a pair whose upper
+bound exceeds it.  The exact route's tiles are its values: it has no
+``bounds`` and reads every row.
 
 Determinism contract
 --------------------
 Results are bit-identical for every ``block_size``, ``worker_count`` and
 ``pair_range`` shard, and for every BLAS thread count.  On the float route
-this holds by construction: each pair's value comes from the per-anchor
-row product above, whose operand shapes are fixed by (n, p) alone.  The
-screen's GEMM bits do change with BLAS threads and tile shapes, but the
-bound holds for every such order, so they can only change which extra
-rows are read, never a value or which pairs are kept.  On the exact route
-it holds because every sum is an exact integer.  Tiling and threading
-only decide *which* pairs a worker evaluates; they never change how a
-value is computed.  Every pair set, from a tile's candidate buffer
-to ``ScanResult`` and the shard merge, is one :class:`PairTable` of
-parallel arrays; tile buffers, the final tile merge, shard merges and
-threshold selection are all ordered by its one stable lexicographic sort
-on the full key, so the order never depends on which tile or worker found
-a pair.
+each pair's value comes from the per-anchor row product above, whose
+operand shapes are fixed by (n, p) alone; the screen's GEMM bits change
+with BLAS threads and tile shapes, but its bound holds for every order, so
+they only change which extra rows are read.  On the exact route every sum
+is an exact integer.  Tiling, threading and the floor only decide *which*
+pairs are evaluated and kept as candidates, never how a value is computed.
+Every pair set is one :class:`PairTable` of parallel arrays, and the final
+top-k cut, shard merges and threshold selection are all ordered by its one
+stable lexicographic sort on the full key, so the order never depends on
+which tile or worker found a pair.
 
 Ordering contract
 -----------------
@@ -90,6 +89,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -331,17 +331,23 @@ class Workspace:
         return _ANCHOR_BLOCK
 
     def rows(self, anchors, span: tuple[int, int]):
-        """Yield ``(j1, lo, r_hat, tau_hat)`` per anchor, in anchor order:
-        anchor j1 against partners ``lo, lo + 1, ...`` clipped to the
-        canonical pair index span.  The vector-matrix product always has
-        shape (n,) @ (n, p), so a value never depends on span or tiling."""
-        for j1 in anchors:
-            lo, hi = _partners(j1, self.p, span)
-            if lo >= hi:
-                continue
-            sums = ((self.response.centered * self.matrix[:, j1]) @ self.matrix)[lo:hi]
-            denom = (self.scale[j1] * self.response_scale) * self.scale[lo:hi]
-            yield j1, lo, self.sqrt_n * np.abs(sums) / denom, sums / self.n
+        """Yield ``(j1, lo, r_hat, tau_hat)`` per tile of at most
+        ``_ANCHOR_BLOCK`` of ``anchors``, in order.  Each row's product
+        always has shape (n,) @ (n, p), so a value never depends on span,
+        tiling or which anchors share its tile."""
+        anchors = np.asarray(anchors, dtype=np.intp)
+        sums = np.empty((min(anchors.size, _ANCHOR_BLOCK), self.p))
+        for t0 in range(0, anchors.size, _ANCHOR_BLOCK):
+            j1 = anchors[t0 : t0 + _ANCHOR_BLOCK]
+            starts, ends = _partners(j1, self.p, span)
+            lo, hi = int(starts.min()), int(ends.max())
+            for row, a in zip(sums, j1.tolist()):
+                np.matmul(self.response.centered * self.matrix[:, a], self.matrix, out=row)
+            block = sums[: j1.size, lo:hi]
+            denom = np.multiply.outer(self.scale[j1] * self.response_scale, self.scale[lo:hi])
+            r_hat = self.sqrt_n * np.abs(block) / denom
+            _mask(r_hat, starts, ends, lo, np.nan)
+            yield j1, lo, r_hat, block / self.n
 
     def bounds(self, anchors: range, span: tuple[int, int]):
         """Yield ``(a0, lo, estimate, radius)`` per GEMM tile of ``anchors``:
@@ -411,14 +417,7 @@ class Workspace:
                     radius.fill(np.inf)
                     yield a0, lo, estimate, radius
                     continue
-                # Only the first and last anchors' rows are clipped by the
-                # span, and only a diagonal block by j2 > j1.
-                head = min(starts.max(), hi)
-                if head > lo:
-                    estimate[:, : head - lo][np.arange(lo, head) < starts[:, None]] = -np.inf
-                tail = max(ends.min(), lo)
-                if tail < hi:
-                    estimate[:, tail - lo :][np.arange(tail, hi) >= ends[:, None]] = -np.inf
+                _mask(estimate, starts, ends, lo, -np.inf)
                 yield a0, lo, estimate, radius
 
 
@@ -430,7 +429,9 @@ class CodeWorkspace:
     float64 holding an exact integer.
 
     Attributes:
-        response: ``y'`` as float32.
+        order: the row indices grouped by y', ascending.
+        levels: ``(l, rows)`` per distinct value l of y', ascending from
+            0: ``order[rows]`` are the rows where ``y' = l``.
         sums: ``S_j = sum_i x_ij``.
         cross: ``n S_jy - S_j S_y``, with ``S_jy = sum_i x_ij y'_i``.
         spread: ``D_j = n S_jj - S_j^2``, n^2 times the 1/n variance.
@@ -439,7 +440,8 @@ class CodeWorkspace:
     """
 
     codes: np.ndarray
-    response: np.ndarray
+    order: np.ndarray
+    levels: tuple[tuple[int, slice], ...]
     sums: np.ndarray
     cross: np.ndarray
     spread: np.ndarray
@@ -463,45 +465,45 @@ class CodeWorkspace:
     bounds = None
 
     def rows(self, anchors: range, span: tuple[int, int]):
-        """Yield ``(j1, lo, r_hat, tau_hat)``: each anchor's row as
-        contiguous pieces, one per partner chunk of its tiles, in increasing
-        ``lo``.  Each partner chunk is widened to float32 once and shared by
-        every anchor block of ``anchors``.  Every sum is an exact integer, so
-        a value never depends on span, tiling or threading."""
+        """Yield ``(j1, lo, r_hat, tau_hat)`` per GEMM tile of ``anchors``
+        (:func:`_tile_grid`), in reused arrays: read each before the next.
+        Each partner chunk is widened to float32 once, rows grouped by level.
+        With ``b_j = n S_jy - S_j S_y`` the float64 combine forms
+        ``N = n^2 S_12y - n S_y S_12 - (S_1 b_2 + b_1 S_2)``, every
+        intermediate an integer below ``2 c^2 n^3 m < 2^53``, so each is
+        exact; tau_hat is the correctly rounded N / n^3, and r_hat is
+        ``|N / d|`` with ``d = sqrt((D_1 D_y) D_2)``, the same as ``|N| / d``."""
+        n, top = self.n, len(self.levels) - 1
+        size = min(len(anchors), _ANCHOR_BLOCK) * min(self.p, _PARTNER_CHUNK)
+        wide, narrow = np.empty((2, size)), np.empty((3, size), dtype=np.float32)
         for c0, c1, tiles in _tile_grid(anchors, self.p, span):
-            chunk = self.codes[:, c0:c1].astype(np.float32)
+            chunk = self.codes[self.order, c0:c1].astype(np.float32)
             for a0, starts, ends, lo, hi in tiles:
-                r_hat, tau_hat = self._tile(a0, a0 + len(starts), lo, chunk[:, lo - c0 : hi - c0])
-                for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
-                    s, e = max(lo, start) - lo, min(hi, end) - lo
-                    if s < e:
-                        yield a0 + i, lo + s, r_hat[i, s:e], tau_hat[i, s:e]
-
-    def _tile(self, a0: int, a1: int, lo: int, partners: np.ndarray):
-        """r_hat and tau_hat of anchors ``[a0, a1)`` against the float32
-        partner columns starting at ``lo``, as two (a1 - a0) x width arrays.
-
-        With ``b_j = n S_jy - S_j S_y`` the numerator is
-        ``N = n (n S_12y - S_y S_12) - (S_1 b_2 + b_1 S_2)``; within the
-        exactness bounds every intermediate is an integer of magnitude at
-        most ``2 c^2 n^3 m < 2^53``, so float64 holds each one exactly, and
-        so does n^3: tau_hat is the correctly rounded N / n^3.
-        """
-        n, k = self.n, a1 - a0
-        anchors, mates = slice(a0, a1), slice(lo, lo + partners.shape[1])
-        x = self.codes[:, anchors].astype(np.float32)
-        products = np.concatenate([x, x * self.response[:, None]], axis=1).T @ partners
-        num = np.multiply(products[k:], n, dtype=np.float64)  # n S_12y
-        num -= np.multiply(products[:k], self.response_sum, dtype=np.float64)
-        num *= n
-        num -= np.stack([self.sums[anchors], self.cross[anchors]], axis=1) @ np.stack(
-            [self.cross[mates], self.sums[mates]]
-        )
-        r_hat = np.multiply.outer(self.spread[anchors] * self.response_spread, self.spread[mates])
-        np.sqrt(r_hat, out=r_hat)
-        np.divide(np.abs(num), r_hat, out=r_hat)
-        num /= float(n) ** 3
-        return r_hat, num
+                k, w = len(starts), hi - lo
+                num, r_hat, s12, s12y, product = (b[: k * w].reshape(k, w) for b in (*wide, *narrow))
+                mine, mates = slice(a0, a0 + k), slice(lo, hi)
+                x = self.codes[self.order, mine].astype(np.float32)
+                # From the top level down, S_12 gathers each A_l and S_12y
+                # gains S_12 times the gap to the next level: l A_l in all.
+                for i in range(top, -1, -1):
+                    rows = self.levels[i][1]
+                    np.matmul(x[rows].T, chunk[rows, lo - c0 : hi - c0], out=s12 if i == top else product)
+                    if i < top:
+                        s12 += product
+                    gap = self.levels[i][0] - self.levels[i - 1][0] if i else 0
+                    if i == top:
+                        np.multiply(s12, gap, out=s12y)
+                    elif gap:
+                        s12y += s12 if gap == 1 else np.multiply(s12, gap, out=product)
+                np.multiply(s12y, n * n, out=num, dtype=np.float64)
+                num -= np.multiply(s12, n * self.response_sum, out=r_hat, dtype=np.float64)
+                pair = np.stack([self.sums[mine], self.cross[mine]], 1)
+                num -= np.matmul(pair, np.stack([self.cross[mates], self.sums[mates]]), out=r_hat)
+                np.multiply.outer(self.spread[mine] * self.response_spread, self.spread[mates], out=r_hat)
+                np.abs(np.divide(num, np.sqrt(r_hat, out=r_hat), out=r_hat), out=r_hat)
+                num /= float(n) ** 3
+                _mask(r_hat, starts, ends, lo, np.nan)
+                yield np.arange(a0, a0 + k), lo, r_hat, num
 
 
 def precompute(matrix, response) -> Workspace | CodeWorkspace:
@@ -553,7 +555,9 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     with np.errstate(invalid="ignore"):  # non-finite columns are reported below
         means = cols.sum(axis=1) / n
         cols -= means[:, None]
-        css = np.array([np.dot(row, row) for row in cols])
+        # One stacked product: each row's dot product in the same order as
+        # center()'s np.dot, bit for bit, without a Python loop.
+        css = (cols[:, None, :] @ cols[:, :, None]).ravel()
         bad = ~finite | near_constant(means, cols, css)
     if bad.any():
         j = int(np.argmax(bad))
@@ -600,6 +604,8 @@ def _exact_workspace(codes: np.ndarray, y: np.ndarray) -> CodeWorkspace:
     sy = np.einsum("ij,i->j", codes, shifted, dtype=np.int64)
     ss = np.einsum("ij,ij->j", codes, codes, dtype=np.int64)
     s_y, s_yy = int(shifted.sum()), int(shifted @ shifted)
+    counts = np.bincount(shifted)
+    levels = tuple((int(v), slice(counts[:v].sum(), counts[: v + 1].sum())) for v in np.flatnonzero(counts))
     spread = n * ss - s * s
     if not spread.all():
         raise ZeroVarianceColumn(int(np.argmin(spread != 0)))
@@ -607,7 +613,8 @@ def _exact_workspace(codes: np.ndarray, y: np.ndarray) -> CodeWorkspace:
     view.setflags(write=False)
     return CodeWorkspace(
         codes=view,
-        response=shifted.astype(np.float32),
+        order=np.argsort(shifted, kind="stable"),
+        levels=levels,
         sums=s.astype(np.float64),
         cross=(n * sy - s * s_y).astype(np.float64),
         spread=spread.astype(np.float64),
@@ -637,10 +644,10 @@ def _anchors_for_span(p: int, span: tuple[int, int]) -> range:
     return range(lo_anchor, hi_anchor + 1)
 
 
-def _partners(j1: int, p: int, span: tuple[int, int]) -> tuple[int, int]:
-    """Partners ``[lo, hi)`` of anchor j1 inside the canonical pair span."""
+def _partners(j1, p: int, span: tuple[int, int]):
+    """Partners ``[lo, hi)`` of anchor(s) j1 inside the canonical pair span."""
     base = _row_start(j1, p)
-    return max(j1 + 1, j1 + 1 + (span[0] - base)), min(p, j1 + 1 + (span[1] - base))
+    return np.maximum(j1 + 1, j1 + 1 + (span[0] - base)), np.minimum(p, j1 + 1 + (span[1] - base))
 
 
 def _tile_grid(anchors: range, p: int, span: tuple[int, int]):
@@ -649,13 +656,8 @@ def _tile_grid(anchors: range, p: int, span: tuple[int, int]):
     its tiles of at most ``_ANCHOR_BLOCK`` anchors.  A tile is
     ``(a0, starts, ends, lo, hi)``: anchors ``a0, a0 + 1, ...`` with their
     partners ``[starts[i], ends[i])`` in the span, and the chunk's columns
-    ``[lo, hi)`` clipped to the union of those partners.  The first and
-    last anchors hold pairs in the span, and the span is contiguous in
-    canonical order, so every anchor between them holds its whole row."""
-    starts = np.arange(anchors.start + 1, anchors.stop + 1)
-    ends = np.full(len(anchors), p)
-    starts[0] = _partners(anchors[0], p, span)[0]
-    ends[-1] = _partners(anchors[-1], p, span)[1]
+    ``[lo, hi)`` clipped to the union of those partners."""
+    starts, ends = _partners(np.arange(anchors.start, anchors.stop), p, span)
     blocks = [
         (b0, int(starts[b0 : b0 + _ANCHOR_BLOCK].min()), int(ends[b0 : b0 + _ANCHOR_BLOCK].max()))
         for b0 in range(0, len(anchors), _ANCHOR_BLOCK)
@@ -672,86 +674,146 @@ def _tile_grid(anchors: range, p: int, span: tuple[int, int]):
         yield c0, c1, tiles
 
 
-#: A tile's top-k buffer is cut back to k once it holds more than this many
-#: times k candidates.
-_CUT_FACTOR = 4
+def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
+    """Set ``fill`` in a tile's cells (partners from ``lo``) outside each
+    row's ``[starts[i], ends[i])``.  The span is contiguous in canonical
+    order, so it clips only its end anchors' rows; j2 > j1 a diagonal block."""
+    hi = lo + tile.shape[1]
+    head = min(starts.max(), hi)
+    if head > lo:
+        tile[:, : head - lo][np.arange(lo, head) < starts[:, None]] = fill
+    tail = max(ends.min(), lo)
+    if tail < hi:
+        tile[:, tail - lo :][np.arange(tail, hi) >= ends[:, None]] = fill
 
 
-def _take(j1, lo, scores, taus, keep) -> PairTable:
-    j2 = lo + keep
-    return PairTable(np.full_like(j2, j1), j2, taus[keep], scores[keep])
+class _TopK:
+    """The top-k state of one :func:`scan`, shared by its work tiles and
+    workers: the pairs ``held`` and the ``floor`` (module docstring), the
+    larger of the k-th largest value read and lower bound screened; a scan
+    reads and screens each pair once, so each count is over distinct pairs."""
+
+    def __init__(self, k: int):
+        self.k, self.floor, self.held = k, -np.inf, [_EMPTY]
+        self._bounds, self._lock = np.empty(0), threading.Lock()
+
+    def bound(self, lower: np.ndarray) -> None:
+        with self._lock:
+            self._bounds = self._lift(np.concatenate([self._bounds, lower]))
+
+    def keep(self, r_hat: np.ndarray):
+        """The cells of a tile at or above the floor, as in :func:`_cells`,
+        first lifted to the tile's own k-th largest when more than 2k reach it."""
+        flat, values = np.flatnonzero(r_hat >= self.floor), r_hat.ravel()
+        if flat.size > 2 * self.k:
+            with self._lock:
+                self._lift(values[flat])
+            flat = flat[values[flat] >= self.floor]
+        return np.divmod(flat, r_hat.shape[1])
+
+    def add(self, found: PairTable) -> None:
+        with self._lock:
+            self.held.append(found)
+            if sum(map(len, self.held)) > 2 * self.k:
+                pool = PairTable.concat(self.held)
+                self._lift(pool.r_hat)
+                self.held = [pool[pool.r_hat >= self.floor]]
+
+    def _lift(self, values: np.ndarray) -> np.ndarray:
+        """Lift the floor to the k-th largest of ``values`` when there are
+        k; return those at or above it."""
+        if values.size >= self.k:
+            self.floor = max(self.floor, np.partition(values, values.size - self.k)[values.size - self.k])
+        return values[values >= self.floor]
 
 
-def _sweep_tile(ws, anchors, span, top_k, threshold, out):
-    """Sweep one tile of anchors.  Returns ``(top, hits, scanned)``: the
-    tile's ordered top-k and its threshold hits as tables (empty when not
-    requested) and the pair count.  Writes every score into ``out`` (flat,
-    offset by the span start) when given, reading every anchor's row;
-    otherwise a workspace with ``bounds`` reads only the rows
-    :func:`_screened` cannot rule out."""
+def _cells(mask: np.ndarray):
+    """A 2-D mask's true cells as (rows, columns): a flat scan, faster than a 2-D ``nonzero``."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None):
+    """Sweep one work tile of anchors, one 2-D tile of ``ws.rows`` at a
+    time; return the threshold hits (a table) and the pair count.  Each
+    tile's pairs at or above the floor of ``top`` (:class:`_TopK`) go to it
+    as one table; ``out`` receives every score, flat from the span start;
+    with ``ranked = (values, index, counts)``, ``counts[t]`` gains the pairs
+    above ``values[t]`` and those equal to it before canonical index
+    ``index[t]``.  Given the ``(need, reach)`` of :func:`_screened`, only
+    the anchors it needs and those the floor has not passed are read."""
     read = anchors
-    if out is None and ws.bounds is not None:
-        read = _screened(ws, anchors, span, top_k, threshold)
-    top: list[PairTable] = []
-    hits: list[PairTable] = []
-    held = 0
-    floor = -np.inf
-    for j1, lo, scores, taus in ws.rows(read, span):
+    if screen is not None:
+        need, reach = screen
+        if top is not None:
+            need = need | (reach >= top.floor)
+        read = [anchors[i] for i in np.flatnonzero(need)]
+    hits = []
+    for j1, lo, r_hat, tau_hat in ws.rows(read, span):
+
+        def table(i, j):
+            return PairTable(j1[i], lo + j, tau_hat[i, j], r_hat[i, j])
+
         if out is not None:
-            at = pair_index(j1, lo, ws.p) - span[0]
-            out[at : at + scores.size] = scores
-        if top_k is not None:
-            # >= floor keeps exact ties with the k-th best; the cut's
-            # (j1, j2) tie-break settles them.
-            keep = np.flatnonzero(scores >= floor)
-            if keep.size:
-                top.append(_take(j1, lo, scores, taus, keep))
-                held += keep.size
-            if held > _CUT_FACTOR * top_k:
-                top = [PairTable.concat(top).ordered(top_k)]
-                held = top_k
-                floor = top[0].r_hat[-1]
+            starts, ends = _partners(j1, ws.p, span)
+            starts, ends = np.maximum(starts, lo), np.minimum(ends, lo + r_hat.shape[1])
+            at = _row_start(j1, ws.p) + starts - j1 - 1 - span[0]
+            for i, (s, e, a) in enumerate(zip(starts.tolist(), ends.tolist(), at.tolist())):
+                out[a : a + e - s] = r_hat[i, s - lo : e - lo]
+        if top is not None:
+            found = table(*top.keep(r_hat))
+            if len(found):
+                top.add(found)
         if threshold is not None:
-            keep = np.flatnonzero(scores > threshold)
-            if keep.size:
-                hits.append(_take(j1, lo, scores, taus, keep))
+            hits.append(table(*_cells(r_hat > threshold)))
+        if ranked is not None:
+            values, index, counts = ranked
+            for t, v in enumerate(values.tolist()):
+                i, j = _cells(r_hat == v)
+                before = _row_start(j1[i], ws.p) + lo + j - j1[i] - 1 < index[t]
+                counts[t] += np.count_nonzero(r_hat > v) + np.count_nonzero(before)
     scanned = min(span[1], _row_start(anchors[-1] + 1, ws.p)) - max(span[0], _row_start(anchors[0], ws.p))
-    top_table = PairTable.concat(top).ordered(top_k) if top else _EMPTY
-    return top_table, PairTable.concat(hits) if hits else _EMPTY, scanned
+    return PairTable.concat(hits), scanned
 
 
-def _screened(ws, anchors: range, span, top_k, threshold) -> list[int]:
-    """The anchors of a tile whose rows may hold a kept pair, by the
-    workspace's certified bounds: for top-k, those holding a pair whose
-    upper bound reaches ``floor``, the k-th largest lower bound in the
-    tile, so at least k pairs score at least ``floor`` and no pair below
-    it can place; for a threshold, those holding a pair whose upper bound
-    exceeds it."""
+def _screened(ws, anchors: range, span, top, threshold, ranked=None):
+    """Screen a work tile by the workspace's certified bounds: ``(need,
+    reach)``, whether each anchor's row must be read and its largest upper
+    bound.  A threshold needs the rows with a pair whose upper bound
+    exceeds it; top-k lifts the scan's floor by the lower bounds; ``ranked``
+    (as in :func:`_sweep_tile`) needs the rows with a pair whose bounds
+    bracket a value and counts the pairs of the others certainly above it."""
     need = np.zeros(len(anchors), dtype=bool)
-    reach = np.full(len(anchors), -np.inf)  # largest upper bound per anchor
-    best = np.empty(0)  # the k largest lower bounds of pairs so far
-    floor = -np.inf
+    reach = np.full(len(anchors), -np.inf)
+    if ranked is not None:
+        values, counts = ranked[0], ranked[2]
+        above = np.zeros((len(values), len(anchors)), dtype=np.int64)
     for a0, _, estimate, radius in ws.bounds(anchors, span):
         at = slice(a0 - anchors.start, a0 - anchors.start + len(radius))
         most = estimate.max(axis=1)
         if threshold is not None:
             need[at] |= most + radius > threshold
-        if top_k is None:
-            continue
-        np.maximum(reach[at], most + radius, out=reach[at])
-        if len(most) >= top_k:  # each anchor's best pair is a distinct pair
-            floor = max(floor, np.partition(most - radius, len(most) - top_k)[len(most) - top_k])
-        with np.errstate(invalid="ignore"):  # -inf + inf: a row that cannot raise the floor
-            live = np.flatnonzero(most > floor + radius)
-        i, j = np.nonzero(estimate[live] > (floor + radius[live])[:, None])
-        if i.size:
-            best = np.concatenate([best, estimate[live[i], j] - radius[live[i]]])
-            if best.size >= top_k:
-                best = np.partition(best, best.size - top_k)[best.size - top_k :]
-                floor = max(floor, best[0])
-    if top_k is not None:
-        need |= reach >= floor
-    return [anchors[i] for i in np.flatnonzero(need)]
+        if ranked is not None:
+            # Pairs below every value settle at once; the rest are few.
+            # fmin skips a NaN value, which no pair exceeds or ties.
+            low = np.fmin.reduce(values) - radius
+            live = np.flatnonzero(most >= low)
+            i, j = _cells(estimate[live] >= low[live, None])
+            i = live[i]
+            near, wide = estimate[i, j], radius[i]
+            for t, v in enumerate(values.tolist()):
+                above[t, at] += np.bincount(i[near > v + wide], minlength=len(radius))
+                need[at.start + i[(near <= v + wide) & (near >= v - wide)]] = True
+        if top is not None:
+            np.maximum(reach[at], most + radius, out=reach[at])
+            cut = top.floor
+            with np.errstate(invalid="ignore"):  # -inf + inf: a row that cannot raise the floor
+                live = np.flatnonzero(most > cut + radius)
+            i, j = _cells(estimate[live] > (cut + radius[live])[:, None])
+            if i.size:
+                top.bound(estimate[live[i], j] - radius[live[i]])
+    if ranked is not None:
+        counts += above[:, ~need].sum(axis=1)
+    return need, reach
 
 
 def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
@@ -760,9 +822,11 @@ def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
     ``workspace`` is a :class:`Workspace`, a :class:`CodeWorkspace` or a
     raw matrix (then ``response`` is required and :func:`precompute` runs
     internally).  Work tiles hold ``max(block_size, ws.tile)`` anchors, so
-    a small ``block_size`` never cuts below the route's smallest tile.  The
-    result is identical for any block_size/worker_count combination; see
-    the module docstring for why.
+    a small ``block_size`` never cuts below the route's smallest tile.  A
+    workspace with ``bounds`` screens every work tile before any row is
+    read, so the reads see the whole scan's floor.  The result is
+    identical for any block_size/worker_count combination; see the module
+    docstring for why.
 
     Raises:
         EmptyRange: the configured pair range selects no pairs.
@@ -776,22 +840,25 @@ def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
     anchors = _anchors_for_span(ws.p, span)
     step = max(config.block_size, ws.tile)
     tiles = [anchors[i : i + step] for i in range(0, len(anchors), step)]
+    top = _TopK(config.top_k) if config.top_k is not None else None
 
-    def sweep(tile):
-        return _sweep_tile(ws, tile, span, config.top_k, config.threshold, None)
+    def screen(tile):
+        return _screened(ws, tile, span, top, config.threshold) if ws.bounds is not None else None
 
+    def sweep(tile, screened):
+        return _sweep_tile(ws, tile, span, top, config.threshold, None, screened)
+
+    # The workspace is shared read-only; the top-k state takes a lock.
     workers = min(config.worker_count, len(tiles))
-    if workers <= 1:
-        parts = [sweep(tile) for tile in tiles]
-    else:
-        # The workspace is shared read-only; each tile owns its candidate sets.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(sweep, tiles))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = map if workers <= 1 else pool.map
+        screens = list(run(screen, tiles))
+        parts = list(run(sweep, tiles, screens))
 
     return ScanResult(
-        top_pairs=PairTable.concat(t for t, _, _ in parts).ordered(config.top_k),
-        selected=PairTable.concat(h for _, h, _ in parts).ordered(),
-        pairs_scanned=sum(c for _, _, c in parts),
+        top_pairs=PairTable.concat(top.held).ordered(top.k) if top is not None else _EMPTY,
+        selected=PairTable.concat(h for h, _ in parts).ordered(),
+        pairs_scanned=sum(c for _, c in parts),
         elapsed_seconds=time.perf_counter() - started,
     )
 
@@ -858,10 +925,11 @@ def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
     precede canonically (canonical order is exactly the (j1, j2) tie rule).
     ``scores`` is a full-range array from :func:`all_scores`, or the
     workspace itself.  Given a workspace, each pair's value v comes from
-    its anchor's row; the pairs of a tile whose certified lower bound
-    exceeds v (:meth:`Workspace.bounds`) count as greater, and only the
-    anchors holding a pair whose bounds bracket v are read in full and
-    counted exactly, ties included.  Both give the same ranks.
+    its anchor's row, and :func:`_sweep_tile` counts the tiles it reads;
+    on the float route the pairs whose certified lower bound exceeds v
+    (:meth:`Workspace.bounds`) count as greater, and only the anchors
+    holding a pair whose bounds bracket v are read.  Both give the same
+    ranks.
     """
     if isinstance(scores, np.ndarray):
         if scores.shape[0] != pair_count(p):
@@ -881,44 +949,15 @@ def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
     if ws.p != p:
         raise DimensionMismatch(f"workspace has p={ws.p}, expected {p}")
     pairs = [(j1, j2) for j1, j2 in pairs]
-    for j1, j2 in pairs:
-        pair_index(j1, j2, p)
-    if not pairs:
-        return {}
-    if ws.bounds is None:
-        return ranks_of_pairs(_scores(ws, (0, pair_count(p))), p, pairs)
-
-    rows: dict[int, np.ndarray] = {}
-
-    def row(a: int) -> np.ndarray:
-        """Anchor a's scores against partners a + 1, ..., p - 1."""
-        if a not in rows:
-            rows[a] = _scores(ws, (_row_start(a, p), _row_start(a + 1, p)))
-        return rows[a]
-
-    values = np.array([row(j1)[j2 - j1 - 1] for j1, j2 in pairs])
-    greater = np.zeros((len(pairs), p), dtype=np.int64)  # per value, per anchor
-    unsure = np.zeros((len(pairs), p), dtype=bool)
-    for a0, _, estimate, radius in ws.bounds(range(p - 1), (0, pair_count(p))):
-        # Pairs below every value settle at once; the rest are few.  fmin
-        # skips a NaN value, which no pair exceeds or ties.
-        floor = np.fmin.reduce(values) - radius
-        live = np.flatnonzero(estimate.max(axis=1) >= floor)
-        i, j = np.nonzero(estimate[live] >= floor[live, None])
-        i = live[i]
-        near, reach = estimate[i, j], radius[i]
-        for t, v in enumerate(values):
-            greater[t, a0 : a0 + len(radius)] += np.bincount(i[near > v + reach], minlength=len(radius))
-            unsure[t, a0 + i[(near <= v + reach) & (near >= v - reach)]] = True
-    ranks = {}
-    for t, ((j1, j2), v) in enumerate(zip(pairs, values)):
-        count = int(greater[t][~unsure[t]].sum())
-        for a in np.flatnonzero(unsure[t]):
-            exact = row(int(a))
-            before = exact.size if a < j1 else j2 - j1 - 1 if a == j1 else 0
-            count += int(np.count_nonzero(exact > v)) + int(np.count_nonzero(exact[:before] == v))
-        ranks[(j1, j2)] = count + 1
-    return ranks
+    index = np.array([pair_index(j1, j2, p) for j1, j2 in pairs], dtype=np.int64)
+    values = np.array([_scores(ws, (c, c + 1))[0] for c in index.tolist()])
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    if pairs:
+        anchors, span = range(p - 1), (0, pair_count(p))
+        ranked = (values, index, counts)
+        screen = _screened(ws, anchors, span, None, None, ranked) if ws.bounds is not None else None
+        _sweep_tile(ws, anchors, span, None, None, None, screen, ranked)
+    return {pair: int(count) + 1 for pair, count in zip(pairs, counts)}
 
 
 def default_worker_count() -> int:

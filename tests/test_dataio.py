@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jciscan import dataio
 from jciscan.dataio import (
     FLAG_MISSING_ALLOWED,
     MAGIC,
@@ -466,6 +467,46 @@ def test_genotype_matrix_checks_codes_without_matrix_temporaries():
         codes[500, 999] = bad
         with pytest.raises(InvalidValue):
             GenotypeMatrix(codes=codes, **meta)
+
+
+def test_parse_packed_peak_memory_stays_near_the_codes():
+    # Decoding column chunks straight into the final array: the peak is the
+    # codes, the payload and bounded chunk temporaries, not several
+    # n x p intermediates.
+    n, p = 400, 5000
+    codes = np.random.default_rng(40).integers(1, 4, size=(n, p)).astype(np.uint8)
+    buf = io.BytesIO()
+    write_packed(make_matrix(codes), buf)
+    data = buf.getvalue()
+    tracemalloc.start()
+    try:
+        back = parse_packed(io.BytesIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.codes, codes)
+    assert peak <= 1.5 * codes.nbytes + payload_bytes(n, p)
+
+
+def test_parse_packed_handles_missing_codes_per_column_chunk(monkeypatch):
+    # Chunks of two columns: the first missing code in file order, and the
+    # modal imputation, are found whichever chunk holds them.
+    monkeypatch.setattr(dataio, "_DECODE_CELLS", 16)
+    codes = np.random.default_rng(41).integers(1, 4, size=(9, 7)).astype(np.uint8)
+    gm = make_matrix(codes)
+    data = bytearray(_with_missing_entry(gm, row=2, col=5))
+    data[24 + sum(3 + len(i) for i in gm.snp_ids) + 3 * payload_bytes(9, 1) + 1] |= 0b11 << 6  # (7, 3)
+    data = bytes(data)
+    with pytest.raises(MissingGenotype) as exc:
+        parse_packed(io.BytesIO(data))
+    assert (exc.value.column, exc.value.row) == (3, 7)
+    back = parse_packed(io.BytesIO(data), missing_policy="impute")
+    for row, col in [(7, 3), (2, 5)]:
+        present = np.delete(codes[:, col], row)
+        assert back.codes[row, col] == np.argmax(np.bincount(present, minlength=4)[1:]) + 1
+    untouched = np.ones(codes.shape, dtype=bool)
+    untouched[7, 3] = untouched[2, 5] = False
+    assert np.array_equal(back.codes[untouched], codes[untouched])
 
 
 # --------------------------------------------------------------------------

@@ -137,6 +137,77 @@ def test_exact_route_ties_are_exact_and_ordered_by_pair():
 
 
 # --------------------------------------------------------------------------
+# One GEMM per response level
+# --------------------------------------------------------------------------
+
+
+def integer_scores(codes, y):
+    """Every pair's r_hat and tau_hat in canonical order, from Python-int
+    sums of the codes and the unshifted response:
+    ``N = n^2 S_12y - n (S_1 S_2y + S_2 S_1y + S_y S_12) + 2 S_1 S_2 S_y``
+    and ``D = n S_jj - S_j^2``, then one float64 rounding per operation,
+    ``|N| / sqrt((D_1 D_y) D_2)`` and ``N / n^3``."""
+    n, p = codes.shape
+    x = codes.astype(object)
+    yi = y.astype(np.int64).astype(object)
+    s, s_y = x.sum(axis=0), yi.sum()
+    s_jy, s_12, s_12y = yi.dot(x), x.T.dot(x), (x * yi[:, None]).T.dot(x)
+    d = [float(n * sq - total * total) for sq, total in zip((x * x).sum(axis=0), s)]
+    d_y = float(n * yi.dot(yi) - s_y * s_y)
+    r_hat, tau_hat = [], []
+    for j1 in range(p):
+        for j2 in range(j1 + 1, p):
+            num = (
+                n * n * s_12y[j1, j2]
+                - n * (s[j1] * s_jy[j2] + s[j2] * s_jy[j1] + s_y * s_12[j1, j2])
+                + 2 * s[j1] * s[j2] * s_y
+            )
+            r_hat.append(abs(num) / math.sqrt(d[j1] * d_y * d[j2]))
+            tau_hat.append(num / n**3)
+    return np.array(r_hat), np.array(tau_hat)
+
+
+#: Response levels: consecutive counts, a level holding a single row, and
+#: a signed response with gaps between its levels.
+LEVEL_DESIGNS = {
+    "two": list(range(2)),
+    "three": list(range(3)),
+    "ten": list(range(10)),
+    "forty": list(range(40)),
+    "single_row_level": [0, 1],
+    "shifted_signed": [-9, -8, -6, -1],
+}
+
+
+@pytest.mark.parametrize("design", sorted(LEVEL_DESIGNS))
+def test_per_level_gemms_equal_the_integer_numerator_bytewise(design, monkeypatch):
+    levels = LEVEL_DESIGNS[design]
+    rng = np.random.default_rng(len(design))
+    n, p = 90, 23
+    codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
+    codes[:2] = [[1] * p, [3] * p]
+    codes[:, 9] = 4 - codes[:, 2]  # exact ties
+    y = rng.choice(levels, size=n).astype(np.float64)
+    y[: len(levels)] = levels
+    if design == "single_row_level":
+        y[-1] = 6.0
+    ws = precompute(genotypes(codes), y)
+    assert isinstance(ws, CodeWorkspace)
+    assert len(ws.levels) == len(np.unique(y))
+    r_hat, tau_hat = integer_scores(codes, y)
+    every = ScanConfig(top_k=pair_count(p))
+    top = scan(ws, every).top_pairs
+    assert all_scores(ws).tobytes() == r_hat.tobytes()
+    index = [scan_module.pair_index(a, b, p) for a, b in zip(top.j1.tolist(), top.j2.tolist())]
+    assert top.tau_hat.tobytes() == tau_hat[index].tobytes()
+    for anchor_block, partner_chunk in [(3, 5), (1, 1), (64, 7)]:
+        monkeypatch.setattr(scan_module, "_ANCHOR_BLOCK", anchor_block)
+        monkeypatch.setattr(scan_module, "_PARTNER_CHUNK", partner_chunk)
+        assert all_scores(ws).tobytes() == r_hat.tobytes()
+        assert scan(ws, every).top_pairs == top
+
+
+# --------------------------------------------------------------------------
 # Invariance
 # --------------------------------------------------------------------------
 

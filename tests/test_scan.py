@@ -230,6 +230,24 @@ def test_precompute_shape_guards():
         precompute(rng.normal(size=(10, 1)), rng.normal(size=10))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 400),
+    p=st.integers(2, 30),
+    log_scale=st.integers(-400, 400),
+)
+def test_precompute_scale_is_the_center_reference_bitwise(seed, n, p, log_scale):
+    # The stacked sums of squares keep center()'s np.dot bits; scale is
+    # their square root (a square does not round-trip a root, so the roots
+    # are compared).
+    rng = np.random.default_rng(seed)
+    X = (rng.normal(size=(n, p)) + 100 * rng.normal(size=p)) * 2.0**log_scale
+    ws = precompute(X, rng.normal(size=n))
+    css = np.array([center(X[:, j], index=j).css for j in range(p)])
+    assert ws.scale.tobytes() == np.sqrt(css).tobytes()
+
+
 def test_precompute_matches_center_reference_bitwise():
     rng = np.random.default_rng(3)
     y = rng.normal(size=40)
@@ -402,7 +420,7 @@ def _oracle_table(ws, flat, picked) -> PairTable:
     taus = []
     for j1, j2 in pairs:
         row = (_row_start(j1, ws.p), _row_start(j1 + 1, ws.p))
-        taus += [t[j2 - lo] for _, lo, _, t in ws.rows(range(j1, j1 + 1), row) if lo <= j2 < lo + t.size]
+        taus += [t[0, j2 - lo] for _, lo, _, t in ws.rows(range(j1, j1 + 1), row) if lo <= j2 < lo + t.shape[1]]
     return PairTable(
         np.array([j1 for j1, _ in pairs], dtype=np.intp),
         np.array([j2 for _, j2 in pairs], dtype=np.intp),
@@ -523,25 +541,95 @@ def test_result_invariant_across_workers_and_blocks():
             assert res == base
 
 
+@pytest.mark.parametrize("route", ["float", "exact"])
+def test_shared_top_k_floor_keeps_every_result(route):
+    # One floor per scan, carried from tile to tile and shared by workers:
+    # every worker count, block size and k from 1 to all pairs gives the
+    # all_scores order.  Column 150 repeats column 3, so exact ties cross
+    # work tiles.
+    rng = np.random.default_rng(50)
+    n, p = 40, 200
+    if route == "exact":
+        codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
+        codes[:2] = [[1] * p, [3] * p]
+        codes[:, 150] = codes[:, 3]
+        matrix = GenotypeMatrix(codes=codes, snp_ids=tuple(map(str, range(p))), chromosomes=(1,) * p)
+        y = np.tile([1.0, 2.0], n // 2)
+    else:
+        matrix = rng.normal(size=(n, p))
+        matrix[:, 150] = matrix[:, 3]
+        y = matrix[:, 3] * matrix[:, 7] + rng.normal(size=n)
+    ws = precompute(matrix, y)
+    assert isinstance(ws, Workspace if route == "float" else CodeWorkspace)
+    flat = all_scores(ws)
+    order = np.lexsort((np.arange(flat.size), -flat))
+    j1, j2 = np.triu_indices(p, 1)
+    for top_k in (1, 2, 10, 99, flat.size // 2, flat.size):
+        base = scan(ws, ScanConfig(top_k=top_k))
+        best = order[:top_k]
+        assert np.array_equal(base.top_pairs.j1, j1[best]) and np.array_equal(base.top_pairs.j2, j2[best])
+        assert base.top_pairs.r_hat.tobytes() == flat[best].tobytes()
+        for workers in (1, 2, 3, 4):
+            for block in (1, 7, 64, 256):
+                assert scan(ws, ScanConfig(top_k=top_k, worker_count=workers, block_size=block)) == base
+
+
+def test_top_k_floor_keeps_pairs_equal_to_it():
+    # The floor is the k-th largest lower bound (or value) seen; a pair at
+    # exactly the floor may still place by the (j1, j2) rule, so it is kept.
+    top = scan_module._TopK(2)
+    top.bound(np.array([0.5, 0.7, 0.2]))
+    assert top.floor == 0.5
+    rows, cols = top.keep(np.array([[0.5, 0.4, np.nan, 0.9]]))
+    assert rows.tolist() == [0, 0] and cols.tolist() == [0, 3]
+
+
+def test_float_top_k_scan_reads_about_one_work_tiles_rows(monkeypatch):
+    # Every work tile is screened before any row is read, and the floor
+    # lives for the whole scan, so eight work tiles read about the rows one
+    # work tile over all anchors reads: near k, not near k per work tile.
+    rng = np.random.default_rng(51)
+    X = rng.normal(size=(1000, 2000))
+    ws = precompute(X, X[:, 0] * X[:, 1] + rng.normal(size=1000))
+    reads = []
+    rows = Workspace.rows
+
+    def counted(self, anchors, span):
+        reads.append(len(anchors))
+        return rows(self, anchors, span)
+
+    monkeypatch.setattr(Workspace, "rows", counted)
+    one_tile = scan(ws, ScanConfig(top_k=100, block_size=2000))
+    single = sum(reads)
+    reads.clear()
+    assert scan(ws, ScanConfig(top_k=100)) == one_tile
+    assert single <= 120
+    assert sum(reads) <= 1.1 * single
+
+
 def test_collected_scores_survive_thread_switching():
     # Five work tiles screen and rescore in five threads over one shared
-    # workspace; switching threads every microsecond must not lose or
-    # misplace a candidate, and the flat array stays the same.
+    # workspace and one shared top-k floor, on either route; switching
+    # threads every microsecond must not lose or misplace a candidate, and
+    # the flat array stays the same.
     rng = np.random.default_rng(22)
     X = rng.normal(size=(40, 300))
     y = X[:, 3] * X[:, 7] + rng.normal(size=40)
-    ws = precompute(X, y)
-    expect = all_scores(ws)
-    base = scan(ws, ScanConfig(top_k=3, threshold=0.1))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8, block_size=1))
-            assert res == base
-            assert all_scores(ws).tobytes() == expect.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    codes = rng.integers(1, 4, size=(40, 300)).astype(np.uint8)
+    codes[:2] = [[1] * 300, [3] * 300]
+    genotype = GenotypeMatrix(codes=codes, snp_ids=tuple(map(str, range(300))), chromosomes=(1,) * 300)
+    for ws in (precompute(X, y), precompute(genotype, np.tile([0.0, 1.0], 20))):
+        expect = all_scores(ws)
+        base = scan(ws, ScanConfig(top_k=3, threshold=0.1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8, block_size=1))
+                assert res == base
+                assert all_scores(ws).tobytes() == expect.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 _BLAS_THREAD_PROBE = """
