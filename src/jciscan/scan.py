@@ -35,11 +35,12 @@ Each workspace's ``rows(anchors, span)`` is the only place its route
 computes a pair value.  Both yield whole 2-D tiles ``(j1, lo, r_hat,
 tau_hat)``: anchors ``j1``, one per row, by partners ``lo, lo + 1, ...``,
 NaN outside the span.  Their one reader, :func:`_sweep_tile`, feeds the
-top-k, threshold, rank and flat-array consumers of either route with one
-flat ``nonzero`` per tile.  A workspace's ``tile`` is one GEMM tile of
-anchors (``_ANCHOR_BLOCK``); :func:`scan` cuts work tiles of
-``max(block_size, tile)`` anchors, and :func:`iter_score_rows` sweeps one
-``tile`` of anchors at a time into a flat array and yields its rows.
+top-k, threshold, rank-count, rank-value and flat-array consumers of
+either route with one flat ``nonzero`` per tile.  A workspace's ``tile``
+is one GEMM tile of anchors (``_ANCHOR_BLOCK``); :func:`scan` cuts work
+tiles of ``max(block_size, tile)`` anchors, and :func:`iter_score_rows`
+sweeps one ``tile`` of anchors at a time into a flat array and yields its
+rows.
 
 One top-k floor per scan
 ------------------------
@@ -50,19 +51,28 @@ It carries from tile to tile, is shared by every worker, and only rises.
 A worker that reads it late sees a lower value, which only keeps more
 candidates; it never drops a pair the final cut keeps.  This is the
 running k-th-best bound of threshold top-k algorithms (Fagin, Lotem and
-Naor, JCSS 2003).
+Naor, JCSS 2003).  Ranks ride on the same pass: a :func:`scan` with
+``rank_pairs`` first reads the requested pairs' values from one read of
+their anchors' rows, then counts, in every row the pass reads, the pairs
+above each value and those tied with it that precede it canonically.
 
 The certified screen
 --------------------
-On the float route a top-k or threshold scan, and :func:`ranks_of_pairs`,
-first read ``Workspace.bounds``: BLAS-3 tiles giving every pair an
-estimate and a radius that holds the value ``rows`` makes whatever the
-summation order, FMA use or thread split (see :meth:`Workspace.bounds`).
-They only choose which rows :func:`_sweep_tile` reads: for top-k, once
-every work tile is screened, the anchors holding a pair whose upper bound
-reaches the floor; for a threshold, those holding a pair whose upper
-bound exceeds it.  The exact route's tiles are its values: it has no
-``bounds`` and reads every row.
+On the float route a top-k, threshold or rank scan first reads
+``Workspace.bounds``: BLAS-3 tiles giving every pair an estimate and a
+radius that holds the value ``rows`` makes whatever the summation order,
+FMA use or thread split (see :meth:`Workspace.bounds`).  Each tile is
+screened once per scan, for every output asked for: top-k lifts the floor
+by the lower bounds, a threshold marks the anchors holding a pair whose
+upper bound exceeds it, and each rank value marks the anchors holding a
+pair whose bounds bracket it and counts, per anchor, the pairs certainly
+above it.  Once every work tile is screened, :func:`_sweep_tile` reads the
+union of the marked anchors and those holding a pair whose upper bound
+reaches the floor, feeds each row it reads to every consumer, and adds
+the screen's counts only for the anchors it does not read.  The screen
+only chooses rows: every reported value and rank comes from ``rows``.
+The exact route's tiles are its values: it has no ``bounds`` and reads
+every row, so its ranks are counted from the rows alone.
 
 Determinism contract
 --------------------
@@ -74,6 +84,8 @@ with BLAS threads and tile shapes, but its bound holds for every order, so
 they only change which extra rows are read.  On the exact route every sum
 is an exact integer.  Tiling, threading and the floor only decide *which*
 pairs are evaluated and kept as candidates, never how a value is computed.
+Rank counts are integers that each work tile returns on its own and that
+are summed after the pool, so no worker writes to a shared count.
 Every pair set is one :class:`PairTable` of parallel arrays, and the final
 top-k cut, shard merges and threshold selection are all ordered by its one
 stable lexicographic sort on the full key, so the order never depends on
@@ -94,6 +106,7 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,20 +195,29 @@ def _row_start(j1: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Sweep parameters.  At least one of ``top_k`` / ``threshold`` is
-    required; both may be set, in which case the result carries both
-    views.  ``pair_range`` restricts the sweep to a half-open interval of
-    canonical pair indices for sharding."""
+    """Sweep parameters.  At least one of ``top_k``, ``threshold`` and
+    ``rank_pairs`` is required; any combination may be set, and the result
+    carries every view asked for from one pass.  ``rank_pairs`` names
+    ``(j1, j2)`` pairs whose 1-based rank among the scanned pairs the result
+    reports; it is held as a tuple of int pairs.  ``pair_range`` restricts
+    the sweep to a half-open interval of canonical pair indices for
+    sharding, and ranks are then ranks within it."""
 
     top_k: int | None = None
     threshold: float | None = None
     block_size: int = DEFAULT_BLOCK_SIZE
     worker_count: int = 1
     pair_range: tuple[int, int] | None = None
+    rank_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.top_k is None and self.threshold is None:
-            raise InvalidValue("set top_k, threshold, or both")
+        try:
+            pairs = tuple((int(j1), int(j2)) for j1, j2 in self.rank_pairs)
+        except (TypeError, ValueError):
+            raise InvalidPair(f"rank_pairs must be (j1, j2) integer pairs, got {self.rank_pairs!r}") from None
+        object.__setattr__(self, "rank_pairs", pairs)
+        if self.top_k is None and self.threshold is None and not pairs:
+            raise InvalidValue("set top_k, threshold or rank_pairs (any combination)")
         if self.top_k is not None and self.top_k < 1:
             raise InvalidValue(f"top_k must be >= 1, got {self.top_k}")
         if self.threshold is not None and not self.threshold >= 0:  # NaN too
@@ -279,21 +301,36 @@ _EMPTY = PairTable(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.e
 
 
 @dataclass(frozen=True)
+class ScanStats:
+    """What one :func:`scan` call did: the certified bounds tiles it
+    screened and the anchor rows it read (the rank values' rows and the
+    sweep's)."""
+
+    tiles_screened: int
+    rows_read: int
+
+
+@dataclass(frozen=True)
 class ScanResult:
     """Outcome of one sweep.
 
     ``top_pairs`` is sorted by the ordering contract and has at most
     ``top_k`` entries; ``selected`` holds every scanned pair with
     r_hat strictly greater than the threshold, in the same order.  Both
-    are :class:`PairTable` columns, empty when not requested.
-    ``elapsed_seconds`` is wall-clock bookkeeping; equality compares only
-    the deterministic fields, matching the determinism contract.
+    are :class:`PairTable` columns, empty when not requested.  ``ranks``
+    holds ``((j1, j2), rank)`` for each of ``rank_pairs``, in request
+    order: the pair's 1-based position among the scanned pairs.
+    ``elapsed_seconds`` and ``stats`` are bookkeeping; equality and hash
+    compare only the deterministic fields, matching the determinism
+    contract.
     """
 
     top_pairs: PairTable
     selected: PairTable
+    ranks: tuple[tuple[tuple[int, int], int], ...]
     pairs_scanned: int
     elapsed_seconds: float = field(compare=False)
+    stats: ScanStats = field(compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -464,9 +501,10 @@ class CodeWorkspace:
     #: The exact route's tiles are its values: every anchor's rows are read.
     bounds = None
 
-    def rows(self, anchors: range, span: tuple[int, int]):
-        """Yield ``(j1, lo, r_hat, tau_hat)`` per GEMM tile of ``anchors``
-        (:func:`_tile_grid`), in reused arrays: read each before the next.
+    def rows(self, anchors, span: tuple[int, int]):
+        """Yield ``(j1, lo, r_hat, tau_hat)`` per GEMM tile of the ascending
+        ``anchors`` (:func:`_tile_grid`), in reused arrays: read each before
+        the next.
         Each partner chunk is widened to float32 once, rows grouped by level.
         With ``b_j = n S_jy - S_j S_y`` the float64 combine forms
         ``N = n^2 S_12y - n S_y S_12 - (S_1 b_2 + b_1 S_2)``, every
@@ -650,27 +688,30 @@ def _partners(j1, p: int, span: tuple[int, int]):
     return np.maximum(j1 + 1, j1 + 1 + (span[0] - base)), np.minimum(p, j1 + 1 + (span[1] - base))
 
 
-def _tile_grid(anchors: range, p: int, span: tuple[int, int]):
+def _tile_grid(anchors, p: int, span: tuple[int, int]):
     """The tile walk of both routes: partner chunks of at most
     ``_PARTNER_CHUNK`` columns in order, each as ``(c0, c1, tiles)`` with
-    its tiles of at most ``_ANCHOR_BLOCK`` anchors.  A tile is
-    ``(a0, starts, ends, lo, hi)``: anchors ``a0, a0 + 1, ...`` with their
-    partners ``[starts[i], ends[i])`` in the span, and the chunk's columns
+    its tiles of at most ``_ANCHOR_BLOCK`` consecutive ``anchors`` (an
+    ascending sequence, cut at each gap).  A tile is ``(a0, starts, ends,
+    lo, hi)``: anchors ``a0, a0 + 1, ...`` with their partners
+    ``[starts[i], ends[i])`` in the span, and the chunk's columns
     ``[lo, hi)`` clipped to the union of those partners."""
-    starts, ends = _partners(np.arange(anchors.start, anchors.stop), p, span)
+    anchors = np.asarray(anchors, dtype=np.intp)
+    starts, ends = _partners(anchors, p, span)
+    gaps = (np.flatnonzero(np.diff(anchors) != 1) + 1).tolist()
+    cuts = [b0 for r0, r1 in zip([0, *gaps], [*gaps, anchors.size]) for b0 in range(r0, r1, _ANCHOR_BLOCK)]
     blocks = [
-        (b0, int(starts[b0 : b0 + _ANCHOR_BLOCK].min()), int(ends[b0 : b0 + _ANCHOR_BLOCK].max()))
-        for b0 in range(0, len(anchors), _ANCHOR_BLOCK)
+        (b0, b1, int(starts[b0:b1].min()), int(ends[b0:b1].max()))
+        for b0, b1 in zip(cuts, [*cuts[1:], anchors.size])
     ]
     last = int(ends.max())
     for c0 in range(int(starts.min()), last, _PARTNER_CHUNK):
         c1 = min(c0 + _PARTNER_CHUNK, last)
         tiles = []
-        for b0, first, stop in blocks:
+        for b0, b1, first, stop in blocks:
             lo, hi = max(c0, first), min(c1, stop)
             if lo < hi:
-                b1 = b0 + _ANCHOR_BLOCK
-                tiles.append((anchors[b0], starts[b0:b1], ends[b0:b1], lo, hi))
+                tiles.append((int(anchors[b0]), starts[b0:b1], ends[b0:b1], lo, hi))
         yield c0, c1, tiles
 
 
@@ -732,20 +773,37 @@ def _cells(mask: np.ndarray):
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None):
-    """Sweep one work tile of anchors, one 2-D tile of ``ws.rows`` at a
-    time; return the threshold hits (a table) and the pair count.  Each
-    tile's pairs at or above the floor of ``top`` (:class:`_TopK`) go to it
-    as one table; ``out`` receives every score, flat from the span start;
-    with ``ranked = (values, index, counts)``, ``counts[t]`` gains the pairs
-    above ``values[t]`` and those equal to it before canonical index
-    ``index[t]``.  Given the ``(need, reach)`` of :func:`_screened`, only
-    the anchors it needs and those the floor has not passed are read."""
+class _Screen(NamedTuple):
+    """One work tile's screen (:func:`_screened`): whether each anchor's
+    row must be read, its largest upper bound, per rank value the pairs of
+    each anchor certainly above it, and the bounds tiles screened."""
+
+    need: np.ndarray
+    reach: np.ndarray
+    above: np.ndarray
+    tiles: int
+
+
+def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None, picked=None):
+    """Sweep the ascending ``anchors``, one 2-D tile of ``ws.rows`` at a
+    time; return the threshold hits (a table), the rank counts and the
+    number of rows read.  Each tile goes to every consumer given: its pairs
+    at or above the floor of ``top`` (:class:`_TopK`) go to it as one table;
+    ``out`` receives every score, flat from the span start; with ``ranked =
+    (values, index)``, count ``t`` gains the pairs above ``values[t]`` and
+    those equal to it before canonical index ``index[t]``; with ``picked =
+    (pairs, values)``, ``values[t]`` becomes the value of ``pairs[t]``.
+    Given a :class:`_Screen`, only the anchors it needs and those the floor
+    has not passed are read, and each anchor left unread adds its pairs
+    certainly above each value to the counts."""
+    values, index = ranked if ranked is not None else (np.empty(0), None)
+    counts = np.zeros(values.size, dtype=np.int64)
     read = anchors
     if screen is not None:
-        need, reach = screen
+        need = screen.need
         if top is not None:
-            need = need | (reach >= top.floor)
+            need = need | (screen.reach >= top.floor)
+        counts += screen.above[:, ~need].sum(axis=1)
         read = [anchors[i] for i in np.flatnonzero(need)]
     hits = []
     for j1, lo, r_hat, tau_hat in ws.rows(read, span):
@@ -765,34 +823,35 @@ def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None
                 top.add(found)
         if threshold is not None:
             hits.append(table(*_cells(r_hat > threshold)))
-        if ranked is not None:
-            values, index, counts = ranked
-            for t, v in enumerate(values.tolist()):
-                i, j = _cells(r_hat == v)
-                before = _row_start(j1[i], ws.p) + lo + j - j1[i] - 1 < index[t]
-                counts[t] += np.count_nonzero(r_hat > v) + np.count_nonzero(before)
-    scanned = min(span[1], _row_start(anchors[-1] + 1, ws.p)) - max(span[0], _row_start(anchors[0], ws.p))
-    return PairTable.concat(hits), scanned
+        for t, v in enumerate(values.tolist()):
+            i, j = _cells(r_hat == v)
+            before = _row_start(j1[i], ws.p) + lo + j - j1[i] - 1 < index[t]
+            counts[t] += np.count_nonzero(r_hat > v) + np.count_nonzero(before)
+        if picked is not None:
+            for t, (a, b) in enumerate(picked[0]):
+                i = np.flatnonzero(j1 == a)
+                if i.size and lo <= b < lo + r_hat.shape[1]:
+                    picked[1][t] = r_hat[i[0], b - lo]
+    return PairTable.concat(hits), counts, len(read)
 
 
-def _screened(ws, anchors: range, span, top, threshold, ranked=None):
-    """Screen a work tile by the workspace's certified bounds: ``(need,
-    reach)``, whether each anchor's row must be read and its largest upper
-    bound.  A threshold needs the rows with a pair whose upper bound
-    exceeds it; top-k lifts the scan's floor by the lower bounds; ``ranked``
-    (as in :func:`_sweep_tile`) needs the rows with a pair whose bounds
-    bracket a value and counts the pairs of the others certainly above it."""
+def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
+    """Screen a work tile by the workspace's certified bounds.  A threshold
+    needs the rows with a pair whose upper bound exceeds it; top-k lifts
+    the scan's floor by the lower bounds; each rank value needs the rows
+    with a pair whose bounds bracket it, and counts per anchor the pairs
+    certainly above it."""
     need = np.zeros(len(anchors), dtype=bool)
     reach = np.full(len(anchors), -np.inf)
-    if ranked is not None:
-        values, counts = ranked[0], ranked[2]
-        above = np.zeros((len(values), len(anchors)), dtype=np.int64)
+    above = np.zeros((values.size, len(anchors)), dtype=np.int64)
+    tiles = 0
     for a0, _, estimate, radius in ws.bounds(anchors, span):
+        tiles += 1
         at = slice(a0 - anchors.start, a0 - anchors.start + len(radius))
         most = estimate.max(axis=1)
         if threshold is not None:
             need[at] |= most + radius > threshold
-        if ranked is not None:
+        if values.size:
             # Pairs below every value settle at once; the rest are few.
             # fmin skips a NaN value, which no pair exceeds or ties.
             low = np.fmin.reduce(values) - radius
@@ -808,45 +867,59 @@ def _screened(ws, anchors: range, span, top, threshold, ranked=None):
             cut = top.floor
             with np.errstate(invalid="ignore"):  # -inf + inf: a row that cannot raise the floor
                 live = np.flatnonzero(most > cut + radius)
-            i, j = _cells(estimate[live] > (cut + radius[live])[:, None])
-            if i.size:
-                top.bound(estimate[live[i], j] - radius[live[i]])
-    if ranked is not None:
-        counts += above[:, ~need].sum(axis=1)
-    return need, reach
+            if live.size:
+                lower = estimate[live]
+                lower -= radius[live, None]
+                top.bound(lower[lower > cut])
+    return _Screen(need, reach, above, tiles)
 
 
 def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
-    """Score every pair in range; keep the top-k and/or thresholded subset.
+    """Score every pair in range; keep the top-k and/or thresholded subset,
+    and rank the requested pairs, all from one pass.
 
     ``workspace`` is a :class:`Workspace`, a :class:`CodeWorkspace` or a
     raw matrix (then ``response`` is required and :func:`precompute` runs
     internally).  Work tiles hold ``max(block_size, ws.tile)`` anchors, so
-    a small ``block_size`` never cuts below the route's smallest tile.  A
-    workspace with ``bounds`` screens every work tile before any row is
-    read, so the reads see the whole scan's floor.  The result is
-    identical for any block_size/worker_count combination; see the module
-    docstring for why.
+    a small ``block_size`` never cuts below the route's smallest tile.  The
+    rank pairs' values come first, from one read of their anchors' rows.
+    A workspace with ``bounds`` then screens every work tile once, for
+    every output at the same time, before any row is read, so the reads see
+    the whole scan's floor; each work tile returns its own rank counts,
+    summed after the pool.  The result is identical for any
+    block_size/worker_count combination; see the module docstring for why.
 
     Raises:
         EmptyRange: the configured pair range selects no pairs.
+        InvalidPair: a pair range beyond the pairs, or a rank pair with
+            ``j1 >= j2``, outside ``[0, p)`` or outside the pair range.
     """
     if not isinstance(workspace, (Workspace, CodeWorkspace)):
         workspace = precompute(workspace, response)
     ws = workspace
     span = _span(ws.p, config.pair_range)
+    pairs = config.rank_pairs
+    index = np.array([pair_index(j1, j2, ws.p) for j1, j2 in pairs], dtype=np.int64)
+    for pair, i in zip(pairs, index.tolist()):
+        if not span[0] <= i < span[1]:
+            raise InvalidPair(f"rank pair {pair} lies outside pair_range {span}")
 
     started = time.perf_counter()
+    values = np.full(len(pairs), np.nan)
+    value_rows = 0
+    if pairs:
+        owners = sorted({j1 for j1, _ in pairs})
+        _, _, value_rows = _sweep_tile(ws, owners, span, None, None, None, picked=(pairs, values))
     anchors = _anchors_for_span(ws.p, span)
     step = max(config.block_size, ws.tile)
     tiles = [anchors[i : i + step] for i in range(0, len(anchors), step)]
     top = _TopK(config.top_k) if config.top_k is not None else None
 
     def screen(tile):
-        return _screened(ws, tile, span, top, config.threshold) if ws.bounds is not None else None
+        return _screened(ws, tile, span, top, config.threshold, values) if ws.bounds is not None else None
 
     def sweep(tile, screened):
-        return _sweep_tile(ws, tile, span, top, config.threshold, None, screened)
+        return _sweep_tile(ws, tile, span, top, config.threshold, None, screened, (values, index))
 
     # The workspace is shared read-only; the top-k state takes a lock.
     workers = min(config.worker_count, len(tiles))
@@ -855,11 +928,17 @@ def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
         screens = list(run(screen, tiles))
         parts = list(run(sweep, tiles, screens))
 
+    counts = sum((c for _, c, _ in parts), np.zeros(len(pairs), dtype=np.int64))
     return ScanResult(
         top_pairs=PairTable.concat(top.held).ordered(top.k) if top is not None else _EMPTY,
-        selected=PairTable.concat(h for h, _ in parts).ordered(),
-        pairs_scanned=sum(c for _, c in parts),
+        selected=PairTable.concat(h for h, _, _ in parts).ordered(),
+        ranks=tuple(zip(pairs, (c + 1 for c in counts.tolist()))),
+        pairs_scanned=int(span[1] - span[0]),
         elapsed_seconds=time.perf_counter() - started,
+        stats=ScanStats(
+            tiles_screened=sum(s.tiles for s in screens if s is not None),
+            rows_read=value_rows + sum(r for _, _, r in parts),
+        ),
     )
 
 
@@ -923,14 +1002,27 @@ def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
 
     The rank counts strictly greater scores plus equal-scored pairs that
     precede canonically (canonical order is exactly the (j1, j2) tie rule).
-    ``scores`` is a full-range array from :func:`all_scores`, or the
-    workspace itself.  Given a workspace, each pair's value v comes from
-    its anchor's row, and :func:`_sweep_tile` counts the tiles it reads;
-    on the float route the pairs whose certified lower bound exceeds v
-    (:meth:`Workspace.bounds`) count as greater, and only the anchors
-    holding a pair whose bounds bracket v are read.  Both give the same
-    ranks.
+    ``scores`` is one of:
+
+    * a full-range array from :func:`all_scores`;
+    * a workspace: then this is ``scan(ws, ScanConfig(rank_pairs=pairs))``,
+      one screened pass that holds no score array;
+    * a :class:`ScanResult`: the ranks its scan made for ``rank_pairs`` are
+      looked up, so a caller that also wants a top-k or threshold view
+      asks :func:`scan` for all of them in one pass.
+
+    All three give the same ranks.
+
+    Raises:
+        InvalidValue: a pair the :class:`ScanResult` did not rank.
     """
+    pairs = [(j1, j2) for j1, j2 in pairs]
+    if isinstance(scores, ScanResult):
+        held = dict(scores.ranks)
+        missing = [pair for pair in pairs if pair not in held]
+        if missing:
+            raise InvalidValue(f"the scan result ranks no {missing}")
+        return {pair: held[pair] for pair in pairs}
     if isinstance(scores, np.ndarray):
         if scores.shape[0] != pair_count(p):
             raise DimensionMismatch(
@@ -948,16 +1040,7 @@ def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
     ws = scores
     if ws.p != p:
         raise DimensionMismatch(f"workspace has p={ws.p}, expected {p}")
-    pairs = [(j1, j2) for j1, j2 in pairs]
-    index = np.array([pair_index(j1, j2, p) for j1, j2 in pairs], dtype=np.int64)
-    values = np.array([_scores(ws, (c, c + 1))[0] for c in index.tolist()])
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    if pairs:
-        anchors, span = range(p - 1), (0, pair_count(p))
-        ranked = (values, index, counts)
-        screen = _screened(ws, anchors, span, None, None, ranked) if ws.bounds is not None else None
-        _sweep_tile(ws, anchors, span, None, None, None, screen, ranked)
-    return {pair: int(count) + 1 for pair, count in zip(pairs, counts)}
+    return ranks_of_pairs(scan(ws, ScanConfig(rank_pairs=pairs)), p, pairs) if pairs else {}
 
 
 def default_worker_count() -> int:

@@ -275,21 +275,24 @@ def child_seed(seed: int, replicate: int) -> np.random.SeedSequence:
 def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) -> list[ReplicateReport]:
     """Run every replicate of a study; each uses its own child seed.
 
-    Per replicate: generate, scan with top_k=5, and compute the exact rank
-    of every true pair from the workspace (:func:`~jciscan.scan.ranks_of_pairs`),
-    so no replicate holds a full score array.  ``generator`` overrides the
-    study-id dispatch for custom designs (same (n, p, seed) signature).
+    Per replicate: generate, then one :func:`~jciscan.scan.scan` with
+    top_k=5 and ``rank_pairs`` set to the true pairs, so the top-5 view and
+    the exact rank of every true pair come from one screened pass and no
+    replicate holds a full score array; the ranks are then read from the
+    result with :func:`~jciscan.scan.ranks_of_pairs`.  ``generator``
+    overrides the study-id dispatch for custom designs (same (n, p, seed)
+    signature).
     """
     gen = generator if generator is not None else GENERATORS.get(spec.study_id)
     if gen is None:
         raise InvalidValue(f"no generator for study_id {spec.study_id}; pass one explicitly")
-    config = ScanConfig(top_k=5, worker_count=worker_count)
+    config = ScanConfig(top_k=5, rank_pairs=spec.true_pairs, worker_count=worker_count)
     reports: list[ReplicateReport] = []
     for r in range(spec.replications):
         ds = gen(spec.n, spec.p, child_seed(spec.seed, r))
         ws = precompute(ds.predictors, ds.response)
         result = scan(ws, config)
-        ranks = ranks_of_pairs(ws, spec.p, spec.true_pairs)
+        ranks = ranks_of_pairs(result, spec.p, spec.true_pairs)
         in_top5 = {pair: rank <= config.top_k for pair, rank in ranks.items()}
         reports.append(ReplicateReport(replicate=r, result=result, ranks=ranks, in_top5=in_top5))
     return reports

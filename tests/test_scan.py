@@ -431,37 +431,50 @@ def _oracle_table(ws, flat, picked) -> PairTable:
 
 def _assert_screen_matches_oracle(ws, top_k, threshold, block, workers, pair_range, ranked):
     """``scan`` against the order of ``all_scores`` (r_hat descending, then
-    canonical index), and ``ranks_of_pairs`` on the workspace against the
-    same ranks from the flat array."""
+    canonical index): each of top-k, threshold and the ranks of the
+    ``ranked`` pairs inside the span is checked when asked for, the ranks
+    against ``ranks_of_pairs`` on the flat array with every pair outside
+    the span at -inf.  ``ranks_of_pairs`` on the workspace is checked
+    against the same ranks from the full flat array."""
     flat = all_scores(ws)
     order = np.lexsort((np.arange(flat.size), -flat))
     a, b = pair_range if pair_range is not None else (0, flat.size)
     in_range = order[(order >= a) & (order < b)]
+    inside = [pair for pair in ranked if a <= pair_index(*pair, ws.p) < b]
     config = ScanConfig(top_k=top_k, threshold=threshold, block_size=block,
-                        worker_count=workers, pair_range=pair_range)
+                        worker_count=workers, pair_range=pair_range, rank_pairs=inside)
     res = scan(ws, config)
     assert res.pairs_scanned == b - a
-    assert res.top_pairs == _oracle_table(ws, flat, in_range[:top_k])
-    if threshold is not None:
-        assert res.selected == _oracle_table(ws, flat, in_range[flat[in_range] > threshold])
+    assert res.top_pairs == (_oracle_table(ws, flat, in_range[:top_k]) if top_k is not None else ())
+    above = in_range[flat[in_range] > threshold] if threshold is not None else []
+    assert res.selected == (_oracle_table(ws, flat, above) if threshold is not None else ())
+    window = np.full_like(flat, -np.inf)
+    window[a:b] = flat[a:b]
+    expect = ranks_of_pairs(window, ws.p, inside)
+    assert res.ranks == tuple((pair, expect[pair]) for pair in inside)
     assert ranks_of_pairs(ws, ws.p, ranked) == ranks_of_pairs(flat, ws.p, ranked)
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_screen_equals_the_all_scores_oracle(data):
+    # Top-k, threshold and ranks in every combination, from one pass.
     ws = _screen_design(data)
     total = pair_count(ws.p)
     flat = all_scores(ws)
-    top_k = data.draw(st.integers(1, total), label="top_k")
+    top_k = data.draw(st.none() | st.integers(1, total), label="top_k")
     threshold = data.draw(st.none() | st.sampled_from(flat.tolist()), label="threshold")
-    block = data.draw(st.sampled_from([1, 5, 64, 256]), label="block")
-    workers = data.draw(st.sampled_from([1, 3]), label="workers")
-    pair_range = None
+    block = data.draw(st.sampled_from([1, 7, 64, 256]), label="block")
+    workers = data.draw(st.integers(1, 4), label="workers")
+    a, b = 0, total
     if data.draw(st.booleans(), label="sharded"):
         a = data.draw(st.integers(0, total - 1), label="range_start")
-        pair_range = (a, data.draw(st.integers(a + 1, total), label="range_end"))
-    picked = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=4), label="ranked")
+        b = data.draw(st.integers(a + 1, total), label="range_end")
+    pair_range = (a, b) if (a, b) != (0, total) else None
+    picked = []
+    if data.draw(st.booleans(), label="ranks") or (top_k is None and threshold is None):
+        picked = data.draw(st.lists(st.integers(0, total - 1), max_size=3), label="ranked")
+        picked.append(data.draw(st.integers(a, b - 1), label="ranked_in_span"))
     ranked = [pair_from_index(i, ws.p) for i in picked]
     _assert_screen_matches_oracle(ws, top_k, threshold, block, workers, pair_range, ranked)
 
@@ -477,7 +490,7 @@ def test_screen_equals_the_oracle_across_a_partner_chunk_edge():
     assert isinstance(ws, Workspace)
     flat = all_scores(ws)
     cut = float(np.sort(flat)[-400])
-    ranked = [(3, 2090), (5, 7), (2050, 2090), (0, 2099), (2047, 2048)]
+    ranked = [(3, 2090), (5, 7), (2050, 2090), (0, 2099), (2047, 2048), (1, 2045)]
     _assert_screen_matches_oracle(ws, 60, cut, 300, 2, None, ranked)
     edge = pair_index(1, 2040, 2100)
     _assert_screen_matches_oracle(ws, 25, cut, 64, 1, (edge, edge + 5000), ranked)
@@ -564,14 +577,20 @@ def test_shared_top_k_floor_keeps_every_result(route):
     flat = all_scores(ws)
     order = np.lexsort((np.arange(flat.size), -flat))
     j1, j2 = np.triu_indices(p, 1)
+    # The true pair, its twin through the repeated column in another work
+    # tile (an exact tie on the exact route), and pairs far down.
+    ranked = ((3, 7), (7, 150), (3, 150), (0, 199), (150, 151))
+    expect = ranks_of_pairs(flat, p, ranked)
     for top_k in (1, 2, 10, 99, flat.size // 2, flat.size):
-        base = scan(ws, ScanConfig(top_k=top_k))
+        base = scan(ws, ScanConfig(top_k=top_k, rank_pairs=ranked))
         best = order[:top_k]
         assert np.array_equal(base.top_pairs.j1, j1[best]) and np.array_equal(base.top_pairs.j2, j2[best])
         assert base.top_pairs.r_hat.tobytes() == flat[best].tobytes()
+        assert dict(base.ranks) == expect
         for workers in (1, 2, 3, 4):
             for block in (1, 7, 64, 256):
-                assert scan(ws, ScanConfig(top_k=top_k, worker_count=workers, block_size=block)) == base
+                config = ScanConfig(top_k=top_k, worker_count=workers, block_size=block, rank_pairs=ranked)
+                assert scan(ws, config) == base
 
 
 def test_top_k_floor_keeps_pairs_equal_to_it():
@@ -607,29 +626,59 @@ def test_float_top_k_scan_reads_about_one_work_tiles_rows(monkeypatch):
     assert sum(reads) <= 1.1 * single
 
 
-def test_collected_scores_survive_thread_switching():
-    # Five work tiles screen and rescore in five threads over one shared
-    # workspace and one shared top-k floor, on either route; switching
-    # threads every microsecond must not lose or misplace a candidate, and
-    # the flat array stays the same.
+def _switching_workspaces():
+    """A float-route and an exact-route workspace of 40 x 300, for the
+    thread-switching tests: five work tiles of 64 anchors each."""
     rng = np.random.default_rng(22)
     X = rng.normal(size=(40, 300))
     y = X[:, 3] * X[:, 7] + rng.normal(size=40)
     codes = rng.integers(1, 4, size=(40, 300)).astype(np.uint8)
     codes[:2] = [[1] * 300, [3] * 300]
     genotype = GenotypeMatrix(codes=codes, snp_ids=tuple(map(str, range(300))), chromosomes=(1,) * 300)
-    for ws in (precompute(X, y), precompute(genotype, np.tile([0.0, 1.0], 20))):
+    return precompute(X, y), precompute(genotype, np.tile([0.0, 1.0], 20))
+
+
+def _switching_every_microsecond(check):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            check()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_collected_scores_survive_thread_switching():
+    # Five work tiles screen and rescore in five threads over one shared
+    # workspace and one shared top-k floor, on either route; switching
+    # threads every microsecond must not lose or misplace a candidate, and
+    # the flat array stays the same.
+    for ws in _switching_workspaces():
         expect = all_scores(ws)
         base = scan(ws, ScanConfig(top_k=3, threshold=0.1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8, block_size=1))
-                assert res == base
-                assert all_scores(ws).tobytes() == expect.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
+
+        def check():
+            res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8, block_size=1))
+            assert res == base
+            assert all_scores(ws).tobytes() == expect.tobytes()
+
+        _switching_every_microsecond(check)
+
+
+def test_rank_counts_survive_thread_switching():
+    # Each work tile returns its own rank counts, summed after the pool, so
+    # eight workers switching every microsecond give the serial ranks.
+    ranked = ((3, 7), (0, 299), (5, 6), (150, 200))
+    for ws in _switching_workspaces():
+        expect = ranks_of_pairs(all_scores(ws), ws.p, ranked)
+        base = scan(ws, ScanConfig(top_k=3, rank_pairs=ranked))
+        assert dict(base.ranks) == expect
+
+        def check():
+            res = scan(ws, ScanConfig(top_k=3, rank_pairs=ranked, worker_count=8, block_size=1))
+            assert res.ranks == base.ranks and res == base
+
+        _switching_every_microsecond(check)
 
 
 _BLAS_THREAD_PROBE = """
@@ -645,8 +694,11 @@ result = scan(ws, ScanConfig(top_k=20))
 top = repr([(s.j1, s.j2, s.r_hat.hex()) for s in result.top_pairs])
 screened = scan(ws, ScanConfig(top_k=20, threshold=float(np.sort(flat)[-300]), block_size=100))
 picked = repr([(s.j1, s.j2, s.tau_hat.hex(), s.r_hat.hex()) for s in screened.selected])
-ranks = repr(ranks_of_pairs(ws, 400, [(0, 1), (2, 3), (5, 300), (398, 399)]))
-print(*(hashlib.sha256(v).hexdigest() for v in (flat.tobytes(), top.encode(), picked.encode(), ranks.encode())))
+pairs = [(0, 1), (2, 3), (5, 300), (398, 399)]
+ranks = repr(ranks_of_pairs(ws, 400, pairs))
+fused = repr(scan(ws, ScanConfig(top_k=20, threshold=0.1, rank_pairs=pairs, block_size=100)).ranks)
+digests = (flat.tobytes(), top.encode(), picked.encode(), ranks.encode(), fused.encode())
+print(*(hashlib.sha256(v).hexdigest() for v in digests))
 """
 
 
@@ -655,7 +707,8 @@ def test_scores_do_not_depend_on_blas_thread_count():
     # cutoff, and a plain W.T @ C GEMM of this shape gives different bits
     # under 1 and 2 threads (OpenBLAS 0.3.31, x86-64), so a sweep that lets
     # the thread count leak into its values fails here.  The screened
-    # top-k, threshold and ranks read those GEMM tiles, and must not.
+    # top-k, threshold and ranks, alone or fused in one scan, read those
+    # GEMM tiles, and must not.
     src = os.path.dirname(os.path.dirname(os.path.abspath(jciscan.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     hashes = []
@@ -666,7 +719,7 @@ def test_scores_do_not_depend_on_blas_thread_count():
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         hashes.append(done.stdout.split())
-    assert len(hashes[0]) == 4
+    assert len(hashes[0]) == 5
     assert hashes[0] == hashes[1]
 
 
@@ -868,8 +921,10 @@ def test_pair_table_hashes_like_its_pairs_and_leaves_callers_arrays_writable():
     with pytest.raises(DimensionMismatch):
         PairTable(*(np.zeros((2, 1)),) * 4)
     X, y = random_instance(seed=5, max_n=20, max_p=8)
-    result = scan(precompute(X, y), ScanConfig(top_k=3, threshold=0.0))
-    assert hash(result) == hash(scan(precompute(X, y), ScanConfig(top_k=3, threshold=0.0)))
+    config = ScanConfig(top_k=3, threshold=0.0, rank_pairs=[(0, 1), (2, 4)])
+    result = scan(precompute(X, y), config)
+    again = scan(precompute(X, y), config)
+    assert result == again and hash(result) == hash(again)
 
 
 def test_pair_range_scores_alignment():
@@ -919,6 +974,53 @@ def test_scan_config_validation():
         ScanConfig(top_k=5, worker_count=0)
     cfg = ScanConfig(top_k=5, threshold=0.5)
     assert cfg.top_k == 5 and cfg.threshold == 0.5
+
+
+def test_rank_pairs_alone_are_a_scan_output():
+    cfg = ScanConfig(rank_pairs=[(np.int64(0), 1), [2, 5]])
+    assert cfg.rank_pairs == ((0, 1), (2, 5)) and hash(cfg) == hash(ScanConfig(rank_pairs=((0, 1), (2, 5))))
+    with pytest.raises(InvalidValue, match="top_k, threshold or rank_pairs"):
+        ScanConfig()
+    with pytest.raises(InvalidValue, match="top_k, threshold or rank_pairs"):
+        ScanConfig(rank_pairs=())
+    with pytest.raises(InvalidPair):
+        ScanConfig(rank_pairs=((0, 1, 2),))
+    X, y = random_instance(seed=73, max_n=30, max_p=10)
+    ws = precompute(X, y)
+    result = scan(ws, cfg)
+    assert len(result.top_pairs) == 0 and len(result.selected) == 0
+    assert dict(result.ranks) == ranks_of_pairs(all_scores(ws), ws.p, [(0, 1), (2, 5)])
+
+
+def test_invalid_rank_pairs_raise_invalid_pair():
+    rng = np.random.default_rng(74)
+    X = rng.normal(size=(30, 10))
+    ws = precompute(X, X[:, 0] * X[:, 1] + rng.normal(size=30))
+    p = 10
+    for bad in ((2, 2), (3, 1), (-1, 4), (4, p), (p, p + 1)):
+        with pytest.raises(InvalidPair):
+            scan(ws, ScanConfig(top_k=3, rank_pairs=(bad,)))
+        with pytest.raises(InvalidPair):
+            ranks_of_pairs(ws, p, [bad])
+    start = pair_index(1, 2, p)
+    with pytest.raises(InvalidPair, match="outside pair_range"):
+        scan(ws, ScanConfig(top_k=3, pair_range=(start, start + 5), rank_pairs=((0, 1),)))
+    with pytest.raises(InvalidPair, match="outside pair_range"):
+        scan(ws, ScanConfig(top_k=3, pair_range=(start, start + 5), rank_pairs=((1, 2 + 5),)))
+    inside = scan(ws, ScanConfig(top_k=3, pair_range=(start, start + 5), rank_pairs=((1, 2 + 4),)))
+    assert len(inside.ranks) == 1 and 1 <= inside.ranks[0][1] <= 5
+
+
+def test_ranks_of_pairs_reads_a_scan_result():
+    X, y = random_instance(seed=75, max_n=40, max_p=12)
+    ws = precompute(X, y)
+    result = scan(ws, ScanConfig(top_k=5, rank_pairs=((0, 1), (3, 4))))
+    assert ranks_of_pairs(result, ws.p, [(3, 4)]) == {(3, 4): ranks_of_pairs(ws, ws.p, [(3, 4)])[(3, 4)]}
+    assert ranks_of_pairs(result, ws.p, [(0, 1), (3, 4)]) == dict(result.ranks)
+    with pytest.raises(InvalidValue, match=r"\(2, 5\)"):
+        ranks_of_pairs(result, ws.p, [(0, 1), (2, 5)])
+    with pytest.raises(InvalidValue):
+        ranks_of_pairs(scan(ws, ScanConfig(top_k=5)), ws.p, [(0, 1)])
 
 
 def test_default_worker_count_env(monkeypatch):

@@ -23,7 +23,7 @@ from jciscan import (
     summarize,
 )
 from jciscan.errors import EmptyReport, InvalidValue
-from jciscan.scan import MIN_SCAN_SAMPLES
+from jciscan.scan import MIN_SCAN_SAMPLES, Workspace
 from jciscan.simulate import (
     GENERATORS,
     STUDY_DEFAULTS,
@@ -233,6 +233,31 @@ def test_replicate_holds_no_score_array():
     ds = gen_study1(20, 3000, child_seed(5, 0))
     ws = precompute(ds.predictors, ds.response)
     assert report.ranks == ranks_of_pairs(all_scores(ws), 3000, spec.true_pairs)
+
+
+def test_one_replicate_screens_each_bounds_tile_once(monkeypatch):
+    # The top-5 view and the true pairs' ranks come from one scan, so each
+    # certified bounds tile is screened once per replicate, not once for
+    # the top-5 and again for the ranks; the screen then reads a few rows.
+    spec = study_spec(3, n=80, p=400, seed=4)
+    ds = gen_study3(80, 400, child_seed(4, 0))
+    ws = precompute(ds.predictors, ds.response)
+    assert isinstance(ws, Workspace)
+    grid = [tile[:2] for tile in ws.bounds(range(399), (0, pair_count(400)))]
+    screened = []
+    raw = Workspace.bounds
+
+    def counted(self, anchors, span):
+        for tile in raw(self, anchors, span):
+            screened.append(tile[:2])
+            yield tile
+
+    monkeypatch.setattr(Workspace, "bounds", counted)
+    (report,) = run_replications(spec)
+    assert sorted(screened) == sorted(grid)
+    assert report.result.stats.tiles_screened == len(grid)
+    assert report.result.stats.rows_read < 400 // 4
+    assert report.ranks == ranks_of_pairs(all_scores(ws), 400, spec.true_pairs)
 
 
 def test_child_seed_is_the_spawn_child():
