@@ -37,10 +37,20 @@ tau_hat)``: anchors ``j1``, one per row, by partners ``lo, lo + 1, ...``,
 NaN outside the span.  Their one reader, :func:`_sweep_tile`, feeds the
 top-k, threshold, rank-count, rank-value and flat-array consumers of
 either route with one flat ``nonzero`` per tile.  A workspace's ``tile``
-is one GEMM tile of anchors (``_ANCHOR_BLOCK``); :func:`scan` cuts work
-tiles of ``max(block_size, tile)`` anchors, and :func:`iter_score_rows`
-sweeps one ``tile`` of anchors at a time into a flat array and yields its
-rows.
+is one GEMM tile of anchors: 64 on the float route (``_ANCHOR_BLOCK``),
+256 on the exact route (``_CODE_ANCHORS``); :func:`scan` cuts work tiles
+of ``max(block_size, tile)`` anchors, and :func:`iter_score_rows` sweeps
+one ``tile`` of anchors at a time into a flat array and yields its rows.
+
+The exact route works in a fixed working set.  Each ``rows`` call
+allocates its buffers once, sized by the GEMM tile and never by p: it
+gathers a tile's 256 anchor columns and up to 512 partner columns from the
+codes, rows grouped by level, straight into two reused float32 buffers
+(n x 256 and n x 512), runs the per-level GEMMs into 256 x 512 float32
+sums, and combines them in float64 64 anchors at a time, each slice one
+yielded tile.  Cache-sized operand panels keep GEMM at full speed (Goto
+and van de Geijn, ACM TOMS 2008).  The buffers take ``4 n (256 + 512)``
+bytes for the gathers and 2 MiB for the sums and the combine, whatever p is.
 
 One top-k floor per scan
 ------------------------
@@ -63,10 +73,11 @@ On the float route a top-k, threshold or rank scan first reads
 radius that holds the value ``rows`` makes whatever the summation order,
 FMA use or thread split (see :meth:`Workspace.bounds`).  Each tile is
 screened once per scan, for every output asked for: top-k lifts the floor
-by the lower bounds, a threshold marks the anchors holding a pair whose
-upper bound exceeds it, and each rank value marks the anchors holding a
-pair whose bounds bracket it and counts, per anchor, the pairs certainly
-above it.  Once every work tile is screened, :func:`_sweep_tile` reads the
+first by each anchor's best lower bound in the tile (distinct pairs),
+then by the cell lower bounds still above it; a threshold marks the
+anchors holding a pair whose upper bound exceeds it; and each rank value
+marks the anchors holding a pair whose bounds bracket it and counts, per
+anchor, the pairs certainly above it.  Once every work tile is screened, :func:`_sweep_tile` reads the
 union of the marked anchors and those holding a pair whose upper bound
 reaches the floor, feeds each row it reads to every consumer, and adds
 the screen's counts only for the anchors it does not read.  The screen
@@ -130,12 +141,21 @@ from .errors import (
 
 DEFAULT_BLOCK_SIZE = 256
 
-#: A GEMM tile, on either route, is this many anchors against at most this
-#: many partners: the exact route's two float32 products and float64
-#: combine arrays, or the float route's screen arrays, have that shape
-#: whatever p is.
+#: The float route's GEMM tile is this many anchors against at most this
+#: many partners: the screen arrays of :meth:`Workspace.bounds` have that
+#: shape whatever p is, and :meth:`Workspace.rows` makes this many rows at a
+#: time.
 _ANCHOR_BLOCK = 64
 _PARTNER_CHUNK = 2048
+
+#: The exact route's GEMM tile is this many anchors against at most this
+#: many partners, gathered from the codes into two float32 buffers reused
+#: for the whole :meth:`CodeWorkspace.rows` call, so its working set never
+#: depends on p.  The float64 combine runs ``_COMBINE_ROWS`` anchors of a
+#: tile at a time, and each such slice is one yielded tile.
+_CODE_ANCHORS = 256
+_CODE_PARTNERS = 512
+_COMBINE_ROWS = 64
 
 #: Smallest sample size for which a pair scan is considered meaningful.
 MIN_SCAN_SAMPLES = 3
@@ -430,32 +450,31 @@ class Workspace:
         # size cost a page-faulting allocation each.
         size = min(len(anchors), _ANCHOR_BLOCK) * min(self.p, _PARTNER_CHUNK)
         buffers = np.empty((2, size))
-        for _, _, tiles in _tile_grid(anchors, self.p, span):
-            for a0, starts, ends, lo, hi in tiles:
-                a1 = a0 + len(starts)
-                estimate, factor = (b[: (a1 - a0) * (hi - lo)].reshape(a1 - a0, hi - lo) for b in buffers)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    w = self.response.centered[:, None] * self.matrix[:, a0:a1]
-                    np.matmul(w.T, self.matrix[:, lo:hi], out=estimate)
-                    wmax = np.abs(w).max(axis=0)
-                    np.abs(estimate, out=estimate)
-                    estimate *= np.multiply.outer(anchor_factors[a0:a1], partner_factors[lo:hi], out=factor)
-                    peak = estimate.max()
-                    radius = spread * ratios[lo:hi].max() * wmax * anchor_factors[a0:a1]
-                    radius += underflow
-                    radius += _SLACK * (peak + radius.max())
-                    settled = (
-                        normal
-                        and wmax.max() * self.l1[lo:hi].max() * self.sqrt_n < _SAFE
-                        and np.isfinite(peak + radius.max())
-                    )
-                if not settled:
-                    estimate.fill(0.0)
-                    radius.fill(np.inf)
-                    yield a0, lo, estimate, radius
-                    continue
-                _mask(estimate, starts, ends, lo, -np.inf)
+        for a0, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _ANCHOR_BLOCK, _PARTNER_CHUNK):
+            a1 = a0 + len(starts)
+            estimate, factor = (b[: (a1 - a0) * (hi - lo)].reshape(a1 - a0, hi - lo) for b in buffers)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = self.response.centered[:, None] * self.matrix[:, a0:a1]
+                np.matmul(w.T, self.matrix[:, lo:hi], out=estimate)
+                wmax = np.abs(w).max(axis=0)
+                np.abs(estimate, out=estimate)
+                estimate *= np.multiply.outer(anchor_factors[a0:a1], partner_factors[lo:hi], out=factor)
+                peak = estimate.max()
+                radius = spread * ratios[lo:hi].max() * wmax * anchor_factors[a0:a1]
+                radius += underflow
+                radius += _SLACK * (peak + radius.max())
+                settled = (
+                    normal
+                    and wmax.max() * self.l1[lo:hi].max() * self.sqrt_n < _SAFE
+                    and np.isfinite(peak + radius.max())
+                )
+            if not settled:
+                estimate.fill(0.0)
+                radius.fill(np.inf)
                 yield a0, lo, estimate, radius
+                continue
+            _mask(estimate, starts, ends, lo, -np.inf)
+            yield a0, lo, estimate, radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,52 +515,68 @@ class CodeWorkspace:
     @property
     def tile(self) -> int:
         """One GEMM tile of anchors."""
-        return _ANCHOR_BLOCK
+        return _CODE_ANCHORS
 
     #: The exact route's tiles are its values: every anchor's rows are read.
     bounds = None
 
     def rows(self, anchors, span: tuple[int, int]):
-        """Yield ``(j1, lo, r_hat, tau_hat)`` per GEMM tile of the ascending
+        """Yield ``(j1, lo, r_hat, tau_hat)`` per slice of at most
+        ``_COMBINE_ROWS`` anchors of each GEMM tile of the ascending
         ``anchors`` (:func:`_tile_grid`), in reused arrays: read each before
         the next.
-        Each partner chunk is widened to float32 once, rows grouped by level.
+        A tile's anchor and partner columns are gathered from the codes, rows
+        grouped by level, straight into two float32 buffers of n x
+        ``_CODE_ANCHORS`` and n x ``_CODE_PARTNERS`` allocated once per call;
+        the anchors are gathered once per run of tiles that share them.
         With ``b_j = n S_jy - S_j S_y`` the float64 combine forms
         ``N = n^2 S_12y - n S_y S_12 - (S_1 b_2 + b_1 S_2)``, every
         intermediate an integer below ``2 c^2 n^3 m < 2^53``, so each is
         exact; tau_hat is the correctly rounded N / n^3, and r_hat is
         ``|N / d|`` with ``d = sqrt((D_1 D_y) D_2)``, the same as ``|N| / d``."""
         n, top = self.n, len(self.levels) - 1
-        size = min(len(anchors), _ANCHOR_BLOCK) * min(self.p, _PARTNER_CHUNK)
-        wide, narrow = np.empty((2, size)), np.empty((3, size), dtype=np.float32)
-        for c0, c1, tiles in _tile_grid(anchors, self.p, span):
-            chunk = self.codes[self.order, c0:c1].astype(np.float32)
-            for a0, starts, ends, lo, hi in tiles:
-                k, w = len(starts), hi - lo
-                num, r_hat, s12, s12y, product = (b[: k * w].reshape(k, w) for b in (*wide, *narrow))
-                mine, mates = slice(a0, a0 + k), slice(lo, hi)
-                x = self.codes[self.order, mine].astype(np.float32)
-                # From the top level down, S_12 gathers each A_l and S_12y
-                # gains S_12 times the gap to the next level: l A_l in all.
-                for i in range(top, -1, -1):
-                    rows = self.levels[i][1]
-                    np.matmul(x[rows].T, chunk[rows, lo - c0 : hi - c0], out=s12 if i == top else product)
-                    if i < top:
-                        s12 += product
-                    gap = self.levels[i][0] - self.levels[i - 1][0] if i else 0
-                    if i == top:
-                        np.multiply(s12, gap, out=s12y)
-                    elif gap:
-                        s12y += s12 if gap == 1 else np.multiply(s12, gap, out=product)
-                np.multiply(s12y, n * n, out=num, dtype=np.float64)
-                num -= np.multiply(s12, n * self.response_sum, out=r_hat, dtype=np.float64)
+        block = min(len(anchors), _CODE_ANCHORS)
+        width = min(self.p, _CODE_PARTNERS)
+        step = min(block, _COMBINE_ROWS)
+        mine_buffer, mates_buffer = np.empty(n * block, np.float32), np.empty(n * width, np.float32)
+        narrow = np.empty((3, block * width), dtype=np.float32)
+        wide = np.empty((2, step * width))
+        held = None
+        for a0, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _CODE_ANCHORS, _CODE_PARTNERS):
+            k, w = len(starts), hi - lo
+            if a0 != held:
+                x = mine_buffer[: n * k].reshape(n, k)
+                x[...] = self.codes[self.order, a0 : a0 + k]
+                held = a0
+            mates = mates_buffer[: n * w].reshape(n, w)
+            mates[...] = self.codes[self.order, lo:hi]
+            s12, s12y, product = (b[: k * w].reshape(k, w) for b in narrow)
+            # From the top level down, S_12 gathers each A_l and S_12y
+            # gains S_12 times the gap to the next level: l A_l in all.
+            for i in range(top, -1, -1):
+                level = self.levels[i][1]
+                np.matmul(x[level].T, mates[level], out=s12 if i == top else product)
+                if i < top:
+                    s12 += product
+                gap = self.levels[i][0] - self.levels[i - 1][0] if i else 0
+                if i == top:
+                    np.multiply(s12, gap, out=s12y)
+                elif gap:
+                    s12y += s12 if gap == 1 else np.multiply(s12, gap, out=product)
+            mated = np.stack([self.cross[lo:hi], self.sums[lo:hi]])
+            for r0 in range(0, k, step):
+                r1 = min(r0 + step, k)
+                num, r_hat = (b[: (r1 - r0) * w].reshape(r1 - r0, w) for b in wide)
+                mine = slice(a0 + r0, a0 + r1)
+                np.multiply(s12y[r0:r1], n * n, out=num, dtype=np.float64)
+                num -= np.multiply(s12[r0:r1], n * self.response_sum, out=r_hat, dtype=np.float64)
                 pair = np.stack([self.sums[mine], self.cross[mine]], 1)
-                num -= np.matmul(pair, np.stack([self.cross[mates], self.sums[mates]]), out=r_hat)
-                np.multiply.outer(self.spread[mine] * self.response_spread, self.spread[mates], out=r_hat)
+                num -= np.matmul(pair, mated, out=r_hat)
+                np.multiply.outer(self.spread[mine] * self.response_spread, self.spread[lo:hi], out=r_hat)
                 np.abs(np.divide(num, np.sqrt(r_hat, out=r_hat), out=r_hat), out=r_hat)
                 num /= float(n) ** 3
-                _mask(r_hat, starts, ends, lo, np.nan)
-                yield np.arange(a0, a0 + k), lo, r_hat, num
+                _mask(r_hat, starts[r0:r1], ends[r0:r1], lo, np.nan)
+                yield np.arange(a0 + r0, a0 + r1), lo, r_hat, num
 
 
 def precompute(matrix, response) -> Workspace | CodeWorkspace:
@@ -604,12 +639,15 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
         raise ZeroVarianceColumn(j)
     cmat = np.ascontiguousarray(cols.T)
     cmat.setflags(write=False)
+    # `cols` is spent once `cmat` exists, so its absolute values give l1
+    # in place: two n x p copies at most, never three.
+    l1 = np.abs(cols, out=cols).sum(axis=1)
 
     return Workspace(
         response=cy,
         matrix=cmat,
         scale=np.sqrt(css),
-        l1=np.abs(cmat).sum(axis=0),
+        l1=l1,
         response_scale=math.sqrt(cy.css),
         sqrt_n=math.sqrt(n),
     )
@@ -688,31 +726,22 @@ def _partners(j1, p: int, span: tuple[int, int]):
     return np.maximum(j1 + 1, j1 + 1 + (span[0] - base)), np.minimum(p, j1 + 1 + (span[1] - base))
 
 
-def _tile_grid(anchors, p: int, span: tuple[int, int]):
-    """The tile walk of both routes: partner chunks of at most
-    ``_PARTNER_CHUNK`` columns in order, each as ``(c0, c1, tiles)`` with
-    its tiles of at most ``_ANCHOR_BLOCK`` consecutive ``anchors`` (an
-    ascending sequence, cut at each gap).  A tile is ``(a0, starts, ends,
-    lo, hi)``: anchors ``a0, a0 + 1, ...`` with their partners
-    ``[starts[i], ends[i])`` in the span, and the chunk's columns
-    ``[lo, hi)`` clipped to the union of those partners."""
+def _tile_grid(anchors, p: int, span: tuple[int, int], block: int, width: int):
+    """The tile walk of both routes: the ascending ``anchors`` in runs of at
+    most ``block`` consecutive anchors (cut at each gap), each run against
+    its partners in the span ``width`` columns at a time.  A tile is ``(a0,
+    starts, ends, lo, hi)``: anchors ``a0, a0 + 1, ...`` with their partners
+    ``[starts[i], ends[i])`` in the span, and the columns ``[lo, hi)`` of
+    the union of those partners.  The tiles of one run come one after
+    another, and share their ``starts`` and ``ends``."""
     anchors = np.asarray(anchors, dtype=np.intp)
     starts, ends = _partners(anchors, p, span)
     gaps = (np.flatnonzero(np.diff(anchors) != 1) + 1).tolist()
-    cuts = [b0 for r0, r1 in zip([0, *gaps], [*gaps, anchors.size]) for b0 in range(r0, r1, _ANCHOR_BLOCK)]
-    blocks = [
-        (b0, b1, int(starts[b0:b1].min()), int(ends[b0:b1].max()))
-        for b0, b1 in zip(cuts, [*cuts[1:], anchors.size])
-    ]
-    last = int(ends.max())
-    for c0 in range(int(starts.min()), last, _PARTNER_CHUNK):
-        c1 = min(c0 + _PARTNER_CHUNK, last)
-        tiles = []
-        for b0, b1, first, stop in blocks:
-            lo, hi = max(c0, first), min(c1, stop)
-            if lo < hi:
-                tiles.append((int(anchors[b0]), starts[b0:b1], ends[b0:b1], lo, hi))
-        yield c0, c1, tiles
+    cuts = [b0 for r0, r1 in zip([0, *gaps], [*gaps, anchors.size]) for b0 in range(r0, r1, block)]
+    for b0, b1 in zip(cuts, [*cuts[1:], anchors.size]):
+        first, stop = int(starts[b0:b1].min()), int(ends[b0:b1].max())
+        for lo in range(first, stop, width):
+            yield int(anchors[b0]), starts[b0:b1], ends[b0:b1], lo, min(lo + width, stop)
 
 
 def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
@@ -731,8 +760,9 @@ def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
 class _TopK:
     """The top-k state of one :func:`scan`, shared by its work tiles and
     workers: the pairs ``held`` and the ``floor`` (module docstring), the
-    larger of the k-th largest value read and lower bound screened; a scan
-    reads and screens each pair once, so each count is over distinct pairs."""
+    largest of the k-th largest value read, cell lower bound screened, and
+    best lower bound of a tile's anchors, one tile at a time; a scan reads
+    and screens each pair once, so each count is over distinct pairs."""
 
     def __init__(self, k: int):
         self.k, self.floor, self.held = k, -np.inf, [_EMPTY]
@@ -741,6 +771,12 @@ class _TopK:
     def bound(self, lower: np.ndarray) -> None:
         with self._lock:
             self._bounds = self._lift(np.concatenate([self._bounds, lower]))
+
+    def lift(self, lower: np.ndarray) -> None:
+        """Lift the floor by lower bounds of distinct pairs without holding
+        them, so a pair they bound may still reach :meth:`bound` once."""
+        with self._lock:
+            self._lift(lower)
 
     def keep(self, r_hat: np.ndarray):
         """The cells of a tile at or above the floor, as in :func:`_cells`,
@@ -864,6 +900,9 @@ def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
                 need[at.start + i[(near <= v + wide) & (near >= v - wide)]] = True
         if top is not None:
             np.maximum(reach[at], most + radius, out=reach[at])
+            # Each anchor's best lower bound is a distinct pair's, so these
+            # lift the floor first, and only the cells above it are copied.
+            top.lift(most - radius)
             cut = top.floor
             with np.errstate(invalid="ignore"):  # -inf + inf: a row that cannot raise the floor
                 live = np.flatnonzero(most > cut + radius)

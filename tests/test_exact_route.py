@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -43,6 +44,11 @@ RESPONSE_SHAPES = {"case_control": (1, 2), "signed": (-1, 1), "counts": (0, 5)}
 def genotypes(codes):
     p = codes.shape[1]
     return GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=(1,) * p)
+
+
+def tiles_yielded(ws):
+    """How many tiles ``ws.rows`` yields for every pair."""
+    return sum(1 for _ in ws.rows(range(ws.p - 1), (0, pair_count(ws.p))))
 
 
 def draw_instance(rng, n, p, shape):
@@ -200,9 +206,12 @@ def test_per_level_gemms_equal_the_integer_numerator_bytewise(design, monkeypatc
     assert all_scores(ws).tobytes() == r_hat.tobytes()
     index = [scan_module.pair_index(a, b, p) for a, b in zip(top.j1.tolist(), top.j2.tolist())]
     assert top.tau_hat.tobytes() == tau_hat[index].tobytes()
-    for anchor_block, partner_chunk in [(3, 5), (1, 1), (64, 7)]:
-        monkeypatch.setattr(scan_module, "_ANCHOR_BLOCK", anchor_block)
-        monkeypatch.setattr(scan_module, "_PARTNER_CHUNK", partner_chunk)
+    default_tiles = tiles_yielded(ws)
+    for anchors, partners, combine in [(3, 5, 2), (1, 1, 1), (64, 7, 5)]:
+        monkeypatch.setattr(scan_module, "_CODE_ANCHORS", anchors)
+        monkeypatch.setattr(scan_module, "_CODE_PARTNERS", partners)
+        monkeypatch.setattr(scan_module, "_COMBINE_ROWS", combine)
+        assert tiles_yielded(ws) > default_tiles
         assert all_scores(ws).tobytes() == r_hat.tobytes()
         assert scan(ws, every).top_pairs == top
 
@@ -233,8 +242,8 @@ def test_exact_route_result_is_identical_across_workers_blocks_and_shards():
 
 def test_exact_route_work_tiles_never_go_below_one_gemm_tile(monkeypatch):
     # block_size=1 still hands the exact route whole GEMM tiles of anchors,
-    # so each partner chunk is widened once per tile, not once per anchor.
-    codes, y = draw_instance(np.random.default_rng(25), 120, 150, "case_control")
+    # so each partner column is gathered once per tile, not once per anchor.
+    codes, y = draw_instance(np.random.default_rng(25), 120, 600, "case_control")
     ws = precompute(genotypes(codes), y)
     assert isinstance(ws, CodeWorkspace)
     expected = scan(ws, ScanConfig(top_k=5, block_size=256))
@@ -249,9 +258,28 @@ def test_exact_route_work_tiles_never_go_below_one_gemm_tile(monkeypatch):
     result = scan(ws, ScanConfig(top_k=5, block_size=1, worker_count=3))
     assert result == expected
     calls.sort(key=lambda anchors: anchors.start)
-    assert [a.start for a in calls] == list(range(0, 149, ws.tile))
-    assert calls[-1].stop == 149
+    assert [a.start for a in calls] == list(range(0, 599, ws.tile))
+    assert calls[-1].stop == 599
     assert all(len(anchors) >= ws.tile for anchors in calls[:-1])
+
+
+def test_exact_route_scan_working_set_does_not_grow_with_p():
+    # Every GEMM tile is gathered from the codes into float32 buffers sized
+    # by the tile, so a top-k scan allocates the same few MiB at p = 600 and
+    # at p = 6000 (a widened n x 2048 partner chunk alone is 7.8 MiB here).
+    rng = np.random.default_rng(26)
+    for p in (600, 6000):
+        codes = rng.integers(1, 4, size=(1000, p)).astype(np.uint8)
+        ws = precompute(genotypes(codes), (rng.random(1000) < 0.4).astype(np.float64))
+        assert isinstance(ws, CodeWorkspace)
+        tracemalloc.start()
+        try:
+            result = scan(ws, ScanConfig(top_k=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.top_pairs) == 100
+        assert peak < 7 * 2**20, (p, peak)
 
 
 def test_exact_route_score_streams_agree_bytewise():
@@ -267,15 +295,19 @@ def test_exact_route_score_streams_agree_bytewise():
 
 
 def test_exact_route_values_do_not_depend_on_tile_shape(monkeypatch):
-    # Tiles of 3 anchors by 5 partners split every row into pieces; the
-    # integer sums, and so every byte of every stream, stay the same.
+    # GEMM tiles of 3 anchors by 5 partners, combined 2 anchors at a time,
+    # split every row into pieces; the integer sums, and so every byte of
+    # every stream, stay the same.
     codes, y = draw_instance(np.random.default_rng(23), 40, 23, "signed")
     ws = precompute(genotypes(codes), y)
     flat = all_scores(ws).tobytes()
     top = scan(ws, ScanConfig(top_k=30, threshold=0.1))
-    monkeypatch.setattr(scan_module, "_ANCHOR_BLOCK", 3)
-    monkeypatch.setattr(scan_module, "_PARTNER_CHUNK", 5)
+    default_tiles = tiles_yielded(ws)
+    monkeypatch.setattr(scan_module, "_CODE_ANCHORS", 3)
+    monkeypatch.setattr(scan_module, "_CODE_PARTNERS", 5)
+    monkeypatch.setattr(scan_module, "_COMBINE_ROWS", 2)
     small = precompute(genotypes(codes), y)
+    assert tiles_yielded(small) > default_tiles
     assert all_scores(small).tobytes() == flat
     assert np.concatenate([row for _, row in iter_score_rows(small)]).tobytes() == flat
     assert scan(small, ScanConfig(top_k=30, threshold=0.1, block_size=4)) == top

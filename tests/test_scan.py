@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -357,6 +358,41 @@ def test_sweep_tile_is_the_only_reader_of_rows(monkeypatch):
         rows = list(iter_score_rows(ws))
         assert len(rows) == ws.p - 1
     assert callers and set(callers) == {"_sweep_tile"}
+
+
+def test_first_top_k_screen_stays_within_its_tile_buffers():
+    # While the floor is still -inf, each anchor's best lower bound lifts it
+    # before any cell bound is copied, so the first screen of a top-k scan
+    # allocates about the two reused 64 x 2048 float64 tile buffers, not a
+    # copy of every lower bound in its first tile.
+    rng = np.random.default_rng(17)
+    ws = precompute(rng.normal(size=(20, 3000)), rng.normal(size=20))
+    top = scan_module._TopK(5)
+    tracemalloc.start()
+    try:
+        scan_module._screened(ws, range(256), (0, pair_count(3000)), top, None, np.empty(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = 2 * scan_module._ANCHOR_BLOCK * scan_module._PARTNER_CHUNK * 8
+    assert peak < buffers + 2**19
+    assert top.floor > -np.inf
+
+
+def test_float_precompute_holds_at_most_two_copies_of_the_matrix():
+    # The centered p x n rows give l1 in place once their n x p transpose
+    # exists, so precompute never holds a third float64 copy.
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(200, 1000))
+    tracemalloc.start()
+    try:
+        ws = precompute(X, rng.normal(size=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * X.nbytes + 2**18
+    # Any summation order keeps l1 within gamma_n of the exact sum.
+    np.testing.assert_allclose(ws.l1, np.abs(ws.matrix).sum(axis=0), rtol=2 * 200 * 2.0**-53)
 
 
 def test_drained_float_score_rows_sweep_one_gemm_tile_of_anchors_at_a_time(monkeypatch):
