@@ -39,8 +39,9 @@ top-k, threshold, rank-count, rank-value and flat-array consumers of
 either route with one flat ``nonzero`` per tile.  A workspace's ``tile``
 is one GEMM tile of anchors: 64 on the float route (``_ANCHOR_BLOCK``),
 256 on the exact route (``_CODE_ANCHORS``); :func:`scan` cuts work tiles
-of ``max(block_size, tile)`` anchors, and :func:`iter_score_rows` sweeps
-one ``tile`` of anchors at a time into a flat array and yields its rows.
+of ``max(block_size, tile)`` anchors.  :func:`iter_score_rows` sweeps 64
+anchors (``_ANCHOR_BLOCK``) at a time on either route into a flat array and
+yields its rows, so a dump block stays 64 x (p - 1) scores.
 
 The exact route works in a fixed working set.  Each ``rows`` call
 allocates its buffers once, sized by the GEMM tile and never by p: it
@@ -48,9 +49,12 @@ gathers a tile's 256 anchor columns and up to 512 partner columns from the
 codes, rows grouped by level, straight into two reused float32 buffers
 (n x 256 and n x 512), runs the per-level GEMMs into 256 x 512 float32
 sums, and combines them in float64 64 anchors at a time, each slice one
-yielded tile.  Cache-sized operand panels keep GEMM at full speed (Goto
-and van de Geijn, ACM TOMS 2008).  The buffers take ``4 n (256 + 512)``
-bytes for the gathers and 2 MiB for the sums and the combine, whatever p is.
+yielded tile.  A partner chunk that reaches into the tile's own anchors is
+summed 64 anchors at a time from each slice's first partner, so the
+diagonal block costs what it did with 64-anchor tiles.  Cache-sized
+operand panels keep GEMM at full speed (Goto and van de Geijn, ACM TOMS
+2008).  The buffers take ``4 n (256 + 512)`` bytes for the gathers and
+2 MiB for the sums and the combine, whatever p is.
 
 One top-k floor per scan
 ------------------------
@@ -144,7 +148,8 @@ DEFAULT_BLOCK_SIZE = 256
 #: The float route's GEMM tile is this many anchors against at most this
 #: many partners: the screen arrays of :meth:`Workspace.bounds` have that
 #: shape whatever p is, and :meth:`Workspace.rows` makes this many rows at a
-#: time.
+#: time.  :func:`iter_score_rows` sweeps this many anchors at a time on
+#: either route.
 _ANCHOR_BLOCK = 64
 _PARTNER_CHUNK = 2048
 
@@ -528,13 +533,15 @@ class CodeWorkspace:
         A tile's anchor and partner columns are gathered from the codes, rows
         grouped by level, straight into two float32 buffers of n x
         ``_CODE_ANCHORS`` and n x ``_CODE_PARTNERS`` allocated once per call;
-        the anchors are gathered once per run of tiles that share them.
+        the anchors are gathered once per run of tiles that share them.  A
+        partner chunk that reaches into the tile's own anchors is summed one
+        combine slice at a time, from the slice's first partner.
         With ``b_j = n S_jy - S_j S_y`` the float64 combine forms
         ``N = n^2 S_12y - n S_y S_12 - (S_1 b_2 + b_1 S_2)``, every
         intermediate an integer below ``2 c^2 n^3 m < 2^53``, so each is
         exact; tau_hat is the correctly rounded N / n^3, and r_hat is
         ``|N / d|`` with ``d = sqrt((D_1 D_y) D_2)``, the same as ``|N| / d``."""
-        n, top = self.n, len(self.levels) - 1
+        n = self.n
         block = min(len(anchors), _CODE_ANCHORS)
         width = min(self.p, _CODE_PARTNERS)
         step = min(block, _COMBINE_ROWS)
@@ -543,40 +550,58 @@ class CodeWorkspace:
         wide = np.empty((2, step * width))
         held = None
         for a0, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _CODE_ANCHORS, _CODE_PARTNERS):
-            k, w = len(starts), hi - lo
+            k = len(starts)
             if a0 != held:
                 x = mine_buffer[: n * k].reshape(n, k)
                 x[...] = self.codes[self.order, a0 : a0 + k]
                 held = a0
-            mates = mates_buffer[: n * w].reshape(n, w)
+            mates = mates_buffer[: n * (hi - lo)].reshape(n, hi - lo)
             mates[...] = self.codes[self.order, lo:hi]
-            s12, s12y, product = (b[: k * w].reshape(k, w) for b in narrow)
-            # From the top level down, S_12 gathers each A_l and S_12y
-            # gains S_12 times the gap to the next level: l A_l in all.
-            for i in range(top, -1, -1):
-                level = self.levels[i][1]
-                np.matmul(x[level].T, mates[level], out=s12 if i == top else product)
-                if i < top:
-                    s12 += product
-                gap = self.levels[i][0] - self.levels[i - 1][0] if i else 0
-                if i == top:
-                    np.multiply(s12, gap, out=s12y)
-                elif gap:
-                    s12y += s12 if gap == 1 else np.multiply(s12, gap, out=product)
-            mated = np.stack([self.cross[lo:hi], self.sums[lo:hi]])
-            for r0 in range(0, k, step):
-                r1 = min(r0 + step, k)
-                num, r_hat = (b[: (r1 - r0) * w].reshape(r1 - r0, w) for b in wide)
-                mine = slice(a0 + r0, a0 + r1)
-                np.multiply(s12y[r0:r1], n * n, out=num, dtype=np.float64)
-                num -= np.multiply(s12[r0:r1], n * self.response_sum, out=r_hat, dtype=np.float64)
-                pair = np.stack([self.sums[mine], self.cross[mine]], 1)
-                num -= np.matmul(pair, mated, out=r_hat)
-                np.multiply.outer(self.spread[mine] * self.response_spread, self.spread[lo:hi], out=r_hat)
-                np.abs(np.divide(num, np.sqrt(r_hat, out=r_hat), out=r_hat), out=r_hat)
-                num /= float(n) ** 3
-                _mask(r_hat, starts[r0:r1], ends[r0:r1], lo, np.nan)
-                yield np.arange(a0 + r0, a0 + r1), lo, r_hat, num
+            # Partners that reach into the tile's own anchors are summed one
+            # combine slice at a time from that slice's first partner, so no
+            # GEMM spends a tile's worth of cells on pairs with j2 <= j1.
+            if lo >= starts.max():
+                pieces = [(0, k, lo)]
+            else:
+                pieces = [(r0, min(r0 + step, k), max(lo, int(starts[r0 : r0 + step].min())))
+                          for r0 in range(0, k, step)]
+            for p0, p1, c0 in pieces:
+                if c0 >= hi:
+                    continue
+                h, w = p1 - p0, hi - c0
+                s12, s12y, product = (b[: h * w].reshape(h, w) for b in narrow)
+                self._level_sums(x[:, p0:p1], mates[:, c0 - lo :], s12, s12y, product)
+                mated = np.stack([self.cross[c0:hi], self.sums[c0:hi]])
+                for r0 in range(0, h, step):
+                    r1 = min(r0 + step, h)
+                    num, r_hat = (b[: (r1 - r0) * w].reshape(r1 - r0, w) for b in wide)
+                    mine = slice(a0 + p0 + r0, a0 + p0 + r1)
+                    np.multiply(s12y[r0:r1], n * n, out=num, dtype=np.float64)
+                    num -= np.multiply(s12[r0:r1], n * self.response_sum, out=r_hat, dtype=np.float64)
+                    pair = np.stack([self.sums[mine], self.cross[mine]], 1)
+                    num -= np.matmul(pair, mated, out=r_hat)
+                    np.multiply.outer(self.spread[mine] * self.response_spread, self.spread[c0:hi], out=r_hat)
+                    np.abs(np.divide(num, np.sqrt(r_hat, out=r_hat), out=r_hat), out=r_hat)
+                    num /= float(n) ** 3
+                    _mask(r_hat, starts[p0 + r0 : p0 + r1], ends[p0 + r0 : p0 + r1], c0, np.nan)
+                    yield np.arange(mine.start, mine.stop), c0, r_hat, num
+
+    def _level_sums(self, x, mates, s12, s12y, product) -> None:
+        """``S_12`` and ``S_12y`` of anchors ``x`` against partners ``mates``
+        (n x columns, rows grouped by level), one GEMM per level: from the
+        top level down, S_12 gathers each A_l and S_12y gains S_12 times the
+        gap to the next level, l A_l in all."""
+        top = len(self.levels) - 1
+        for i in range(top, -1, -1):
+            level = self.levels[i][1]
+            np.matmul(x[level].T, mates[level], out=s12 if i == top else product)
+            if i < top:
+                s12 += product
+            gap = self.levels[i][0] - self.levels[i - 1][0] if i else 0
+            if i == top:
+                np.multiply(s12, gap, out=s12y)
+            elif gap:
+                s12y += s12 if gap == 1 else np.multiply(s12, gap, out=product)
 
 
 def precompute(matrix, response) -> Workspace | CodeWorkspace:
@@ -1000,12 +1025,12 @@ def all_scores(ws: Workspace | CodeWorkspace, pair_range: tuple[int, int] | None
 def iter_score_rows(ws: Workspace | CodeWorkspace):
     """Yield ``(j1, scores_for_j2_gt_j1)`` per anchor, canonical order.
     Streaming companion to :func:`all_scores` for O(p^2) dump writers.
-    Each ``ws.tile`` block of anchors is swept into a fresh array of at
-    most ``ws.tile x (p - 1)`` scores, and its rows are views of that
-    array, so a caller may keep them."""
+    On either route each block of ``_ANCHOR_BLOCK`` anchors is swept into a
+    fresh array of at most ``_ANCHOR_BLOCK x (p - 1)`` scores, and its rows
+    are views of that array, so a caller may keep them."""
     p = ws.p
-    for a0 in range(0, p - 1, ws.tile):
-        a1 = min(a0 + ws.tile, p - 1)
+    for a0 in range(0, p - 1, _ANCHOR_BLOCK):
+        a1 = min(a0 + _ANCHOR_BLOCK, p - 1)
         span = (_row_start(a0, p), _row_start(a1, p))
         out = _scores(ws, span)
         for j1 in range(a0, a1):

@@ -282,6 +282,43 @@ def test_exact_route_scan_working_set_does_not_grow_with_p():
         assert peak < 7 * 2**20, (p, peak)
 
 
+def test_exact_route_gemms_skip_the_diagonal_block(monkeypatch):
+    # Partners inside a 256-anchor tile's own anchors are summed 64 anchors
+    # at a time, so the GEMMs spend at most a 64-anchor triangle per slice
+    # on pairs with j2 <= j1 (whole 256-anchor triangles cost 70k cells here).
+    rng = np.random.default_rng(28)
+    codes = rng.integers(1, 4, size=(30, 600)).astype(np.uint8)
+    ws = precompute(genotypes(codes), (rng.random(30) < 0.4).astype(np.float64))
+    cells = []
+    raw = CodeWorkspace._level_sums
+
+    def counted(self, x, mates, s12, s12y, product):
+        cells.append(s12.size)
+        return raw(self, x, mates, s12, s12y, product)
+
+    monkeypatch.setattr(CodeWorkspace, "_level_sums", counted)
+    scan(ws, ScanConfig(top_k=5))
+    assert pair_count(600) <= sum(cells) < pair_count(600) + 64 * 600
+
+
+def test_exact_route_score_rows_drain_in_64_anchor_blocks():
+    # A dump sweeps 64 anchors at a time, not one 256-anchor GEMM tile: at
+    # most two 64 x (p - 1) float64 blocks (1.5 MiB each here) live at once,
+    # beside the rows buffers (1.4 MiB); 256-anchor blocks would take 12 MiB.
+    rng = np.random.default_rng(27)
+    codes = rng.integers(1, 4, size=(200, 3000)).astype(np.uint8)
+    ws = precompute(genotypes(codes), (rng.random(200) < 0.4).astype(np.float64))
+    assert isinstance(ws, CodeWorkspace)
+    tracemalloc.start()
+    try:
+        drained = sum(1 for _ in iter_score_rows(ws))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drained == 2999
+    assert peak < 6 * 2**20, peak
+
+
 def test_exact_route_score_streams_agree_bytewise():
     codes, y = draw_instance(np.random.default_rng(22), 90, 70, "counts")
     ws = precompute(genotypes(codes), y)

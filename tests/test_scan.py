@@ -396,7 +396,7 @@ def test_float_precompute_holds_at_most_two_copies_of_the_matrix():
 
 
 def test_drained_float_score_rows_sweep_one_gemm_tile_of_anchors_at_a_time(monkeypatch):
-    # 199 anchors in blocks of Workspace.tile (64): four sweeps, not one per anchor.
+    # 199 anchors in blocks of _ANCHOR_BLOCK (64): four sweeps, not one per anchor.
     calls = []
     raw = scan_module._sweep_tile
 
