@@ -4,11 +4,14 @@ through :func:`_open` here).
 
 CSV
 ---
-RFC-4180-style text with a mandatory header row.  One column may be the
-response; remaining columns are numeric predictors in header order.
-Writes use 17 significant digits so parse(write(x)) reproduces float64
-values exactly.  Non-numeric cells are rejected (no imputation for text
-input).
+RFC-4180-style UTF-8 text with a mandatory header row; a leading
+byte-order mark is dropped.  One column may be the response; remaining
+columns are numeric predictors in header order.  A cell is a number by
+Python's ``float()`` and must be finite (:func:`parse_number`); each data
+row is converted by one numpy call, straight into a float64 row, and only
+a row with a bad cell is walked cell by cell to name it.  Writes use 17
+significant digits so parse(write(x)) reproduces float64 values exactly.
+Non-numeric cells are rejected (no imputation for text input).
 
 Packed genotype format
 ----------------------
@@ -132,8 +135,9 @@ def payload_bytes(n: int, p: int) -> int:
 def _open(stream, mode: str):
     """Context manager over ``stream``, the one place a file is opened.
 
-    A path is opened in ``mode`` (text modes as UTF-8 with ``newline=""``)
-    and closed on exit; an already open file object (``sys.stdout`` too) is
+    A path is opened in ``mode`` (text modes as UTF-8 with ``newline=""``;
+    a read drops a leading byte-order mark, a write never adds one) and
+    closed on exit; an already open file object (``sys.stdout`` too) is
     passed through and left open.  Text that fails to decode as UTF-8, or
     that the ``csv`` module cannot split (a cell over its field size
     limit), raises :class:`FormatError` from inside the block.
@@ -142,7 +146,8 @@ def _open(stream, mode: str):
     name = repr(os.fspath(stream) if is_path else getattr(stream, "name", "input"))
     try:
         if is_path:
-            text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+            encoding = "utf-8-sig" if "r" in mode else "utf-8"
+            text = {} if "b" in mode else {"encoding": encoding, "newline": ""}
             with open(stream, mode, **text) as fh:
                 yield fh
         else:
@@ -190,6 +195,26 @@ def parse_number(text: str, row: int, column: int, what: str) -> float:
     return value
 
 
+def _parse_cells(cells: list[str], places, what: str) -> np.ndarray:
+    """Parse text cells as finite float64 values, all by one numpy call.
+
+    For ``str`` cells numpy applies Python's ``float()``, the rule of
+    :func:`parse_number`.  When a cell fails that rule, :func:`parse_number`
+    runs over the cells in order, ``places`` giving each one's ``(row,
+    column)``, so the error names the first bad cell.
+
+    Raises:
+        ParseError: a cell is not a number, or is NaN or infinite.
+    """
+    try:
+        values = np.array(cells, dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([parse_number(cell, *at, what) for cell, at in zip(cells, places)])
+
+
 def parse_csv(stream, response_column: str | None):
     """Parse a headered numeric CSV.
 
@@ -219,17 +244,20 @@ def parse_csv(stream, response_column: str | None):
                     f"response column {response_column!r} not found in header"
                 ) from None
 
-        rows: list[list[float]] = []
+        # One float64 array per row, stacked once and dropped before the
+        # response split copies the predictors: no n x p Python floats.
+        rows: list[np.ndarray] = []
         for r, record in enumerate(reader):
             if len(record) != len(header):
                 raise FormatError(
                     f"row {r} has {len(record)} cells, header has {len(header)}"
                 )
-            rows.append([parse_number(cell, r, c, "cell") for c, cell in enumerate(record)])
+            rows.append(_parse_cells(record, ((r, c) for c in range(len(record))), "cell"))
         if not rows:
             raise FormatError("no data rows after the header")
 
-        table = np.asarray(rows, dtype=np.float64)
+        table = np.stack(rows)
+        del rows
         if resp_idx is None:
             return table, None, list(header)
         pred_cols = [j for j in range(len(header)) if j != resp_idx]
@@ -265,13 +293,16 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
 
 
 def read_phenotype(stream) -> np.ndarray:
-    """Read a phenotype vector: plain text, one finite real per line."""
+    """Read a phenotype vector: plain text, one finite real per line.
+
+    The whole file is decoded before any line is parsed, so text that is
+    not UTF-8 raises :class:`FormatError` even after a bad number.
+    """
     with _open(stream, "r") as fh:
-        lines = enumerate(line.strip() for line in fh)
-        values = [parse_number(text, i, 0, "phenotype") for i, text in lines if text]
-    if not values:
+        lines = [(i, text) for i, text in enumerate(line.strip() for line in fh) if text]
+    if not lines:
         raise FormatError("empty phenotype file")
-    return np.asarray(values, dtype=np.float64)
+    return _parse_cells([text for _, text in lines], ((i, 0) for i, _ in lines), "phenotype")
 
 
 def read_score_dump(stream):

@@ -78,7 +78,8 @@ radius that holds the value ``rows`` makes whatever the summation order,
 FMA use or thread split (see :meth:`Workspace.bounds`).  Each tile is
 screened once per scan, for every output asked for: top-k lifts the floor
 first by each anchor's best lower bound in the tile (distinct pairs),
-then by the cell lower bounds still above it; a threshold marks the
+then by the cell lower bounds still above it, a few rows at a time; a
+threshold marks the
 anchors holding a pair whose upper bound exceeds it; and each rank value
 marks the anchors holding a pair whose bounds bracket it and counts, per
 anchor, the pairs certainly above it.  Once every work tile is screened, :func:`_sweep_tile` reads the
@@ -161,6 +162,10 @@ _PARTNER_CHUNK = 2048
 _CODE_ANCHORS = 256
 _CODE_PARTNERS = 512
 _COMBINE_ROWS = 64
+
+#: The top-k screen of a float tile (:func:`_screened`) bounds cells this
+#: many anchor rows at a time.
+_SCREEN_ROWS = 8
 
 #: Smallest sample size for which a pair scan is considered meaningful.
 MIN_SCAN_SAMPLES = 3
@@ -754,7 +759,8 @@ def _partners(j1, p: int, span: tuple[int, int]):
 def _tile_grid(anchors, p: int, span: tuple[int, int], block: int, width: int):
     """The tile walk of both routes: the ascending ``anchors`` in runs of at
     most ``block`` consecutive anchors (cut at each gap), each run against
-    its partners in the span ``width`` columns at a time.  A tile is ``(a0,
+    its partners in the span in the fewest chunks of at most ``width``
+    columns, their widths within one of each other.  A tile is ``(a0,
     starts, ends, lo, hi)``: anchors ``a0, a0 + 1, ...`` with their partners
     ``[starts[i], ends[i])`` in the span, and the columns ``[lo, hi)`` of
     the union of those partners.  The tiles of one run come one after
@@ -765,8 +771,10 @@ def _tile_grid(anchors, p: int, span: tuple[int, int], block: int, width: int):
     cuts = [b0 for r0, r1 in zip([0, *gaps], [*gaps, anchors.size]) for b0 in range(r0, r1, block)]
     for b0, b1 in zip(cuts, [*cuts[1:], anchors.size]):
         first, stop = int(starts[b0:b1].min()), int(ends[b0:b1].max())
-        for lo in range(first, stop, width):
-            yield int(anchors[b0]), starts[b0:b1], ends[b0:b1], lo, min(lo + width, stop)
+        cols, chunks = stop - first, -(-(stop - first) // width)
+        for c in range(chunks):
+            lo, hi = first + cols * c // chunks, first + cols * (c + 1) // chunks
+            yield int(anchors[b0]), starts[b0:b1], ends[b0:b1], lo, hi
 
 
 def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
@@ -926,15 +934,18 @@ def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
         if top is not None:
             np.maximum(reach[at], most + radius, out=reach[at])
             # Each anchor's best lower bound is a distinct pair's, so these
-            # lift the floor first, and only the cells above it are copied.
+            # lift the floor first; then the cells above it are bounded a
+            # few rows at a time, each group lifting the floor for the next.
             top.lift(most - radius)
             cut = top.floor
             with np.errstate(invalid="ignore"):  # -inf + inf: a row that cannot raise the floor
                 live = np.flatnonzero(most > cut + radius)
-            if live.size:
-                lower = estimate[live]
-                lower -= radius[live, None]
+            for r in range(0, live.size, _SCREEN_ROWS):
+                rows = live[r : r + _SCREEN_ROWS]
+                lower = estimate[rows]
+                lower -= radius[rows, None]
                 top.bound(lower[lower > cut])
+                cut = top.floor
     return _Screen(need, reach, above, tiles)
 
 

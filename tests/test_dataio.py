@@ -1,6 +1,7 @@
 """Format tests: CSV parse/write round trips, packed-genotype layout,
 missing-code policies, error taxonomy."""
 
+import csv
 import io
 import os
 import struct
@@ -30,6 +31,7 @@ from jciscan.dataio import (
 from jciscan.errors import (
     FormatError,
     InvalidValue,
+    JciscanError,
     MissingGenotype,
     MissingResponse,
     NotPackedFile,
@@ -394,6 +396,130 @@ def test_read_phenotype():
 
 
 # --------------------------------------------------------------------------
+# Text numbers: one numpy call per row against the per-cell rule
+# --------------------------------------------------------------------------
+
+
+def per_cell_parse_csv(text, response_column):
+    """``parse_csv`` as the per-cell rule states it: every cell through
+    ``parse_number`` in file order, the ragged check before each row."""
+    with dataio._open(io.StringIO(text), "r") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for r, record in enumerate(reader):
+            if len(record) != len(header):
+                raise FormatError(f"row {r} has {len(record)} cells, header has {len(header)}")
+            rows.append([dataio.parse_number(cell, r, c, "cell") for c, cell in enumerate(record)])
+    if not rows:
+        raise FormatError("no data rows after the header")
+    table = np.asarray(rows, dtype=np.float64)
+    if response_column is None:
+        return table, None, header
+    resp = header.index(response_column)
+    keep = [j for j in range(len(header)) if j != resp]
+    return table[:, keep], table[:, resp], [header[j] for j in keep]
+
+
+def per_line_phenotype(text):
+    lines = enumerate(line.strip() for line in io.StringIO(text))
+    values = [dataio.parse_number(t, i, 0, "phenotype") for i, t in lines if t]
+    if not values:
+        raise FormatError("empty phenotype file")
+    return np.asarray(values, dtype=np.float64)
+
+
+def outcome(read, *args):
+    """What ``read`` gives: its arrays as bytes, or its error's type,
+    message and position."""
+    try:
+        result = read(*args)
+    except JciscanError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    matrix, response, names = result
+    as_bytes = None if response is None else response.tobytes()
+    return matrix.dtype, matrix.shape, matrix.tobytes(), as_bytes, names
+
+
+def _padded(cell):
+    return st.tuples(st.sampled_from(["", " ", "\t", "\u3000", "\u2005"]), cell,
+                     st.sampled_from(["", " ", "\t", "\u3000"])).map("".join)
+
+
+number_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1_000", "1e5_0", "0.000_1", "1.", ".5", "1e-400", "\u0661\u0662", "\uff11",
+                     "\U0001d7cf", "\u0663.\u0665"]),
+)
+good_cells = st.one_of(number_cells, _padded(number_cells))
+# Cells float() rejects or that are not finite, and arbitrary short text.
+odd_cells = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e400", "-1e999", "", "NA", "abc", "1,5",
+                     "0x10", "1 2", "1\x00", "\x001", '"1"', "1__0", "_1", "1_", "1.5e", ".",
+                     "\u2167", "\u00b2"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A headered CSV text of mostly good cells, with a few odd cells and
+    ragged rows, and a response column or None."""
+    p = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(n):
+        width = max(1, p + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+        rows.append(draw(st.lists(good_cells, min_size=width, max_size=width)))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(odd_cells)
+    out = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])), quoting=quoting)
+    header = [f"c{j}" for j in range(p)]
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue(), draw(st.sampled_from([None, *header]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=csv_tables())
+def test_row_parse_matches_the_per_cell_rule(table):
+    text, response_column = table
+    assert outcome(parse_csv, io.StringIO(text), response_column) == outcome(
+        per_cell_parse_csv, text, response_column
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.one_of(good_cells, good_cells, odd_cells, st.just("")), max_size=6),
+       end=st.sampled_from(["", "\n"]))
+def test_phenotype_parse_matches_the_per_line_rule(lines, end):
+    text = "\n".join(line.replace("\n", " ").replace("\r", " ") for line in lines) + end
+    assert outcome(read_phenotype, io.StringIO(text)) == outcome(per_line_phenotype, text)
+
+
+def test_parse_csv_peak_memory_stays_near_the_matrix(tmp_path):
+    # Each row becomes one float64 array, stacked once: no n x p Python floats.
+    values = np.random.default_rng(42).normal(size=(200, 3000))
+    path = tmp_path / "wide.csv"
+    write_csv(path, values[:, 1:], [f"x{j}" for j in range(1, 3000)], response=values[:, 0])
+    for response_column in (None, "y"):
+        tracemalloc.start()
+        try:
+            matrix, _, _ = parse_csv(path, response_column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape[0] == 200
+        assert peak <= 2.5 * values.nbytes, (response_column, peak)
+
+
+# --------------------------------------------------------------------------
 # Packed format properties
 # --------------------------------------------------------------------------
 
@@ -518,6 +644,8 @@ def test_undecodable_text_is_a_format_error(tmp_path):
     cases = [
         (parse_csv, b"a,y\n1,\xff\n2,3\n", {"response_column": "y"}),
         (read_phenotype, b"1.5\n\xff\n", {}),
+        # A phenotype file is decoded whole before any line is parsed.
+        (read_phenotype, b"NA\n" + b"1\n" * 10000 + b"\xff\n", {}),
         (lambda path: list(read_score_dump(path)), b"snp1,snp2,chrom1,chrom2,r_hat\na,b,1,1,0.\xff\n", {}),
     ]
     for reader, raw, kwargs in cases:
@@ -525,3 +653,38 @@ def test_undecodable_text_is_a_format_error(tmp_path):
         path.write_bytes(raw)
         with pytest.raises(FormatError, match="not UTF-8"):
             reader(path, **kwargs)
+
+
+# --------------------------------------------------------------------------
+# Byte-order mark
+# --------------------------------------------------------------------------
+
+BOM = "\ufeff".encode("utf-8")
+
+
+def test_csv_header_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(BOM + b"ch1:rs0,x1\n1,2.5\n3,4.5\n")
+    matrix, response, names = parse_csv(path, "x1")
+    assert names == ["ch1:rs0"]
+    assert parse_column_label(names[0]) == (1, "rs0")
+    assert matrix.tolist() == [[1.0], [3.0]]
+    assert response.tolist() == [2.5, 4.5]
+
+
+def test_phenotype_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(BOM + b"1\n0\n")
+    assert read_phenotype(path).tolist() == [1.0, 0.0]
+
+
+def test_score_dump_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom_dump.csv"
+    path.write_bytes(BOM + b"snp1,snp2,chrom1,chrom2,r_hat\na,b,1,2,0.25\n")
+    assert list(read_score_dump(path)) == [("1", "2", 0.25)]
+
+
+def test_writes_add_no_byte_order_mark(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, np.ones((1, 1)), ["a"])
+    assert path.read_bytes() == b"a\n1\n"

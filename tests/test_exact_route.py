@@ -301,6 +301,20 @@ def test_exact_route_gemms_skip_the_diagonal_block(monkeypatch):
     assert pair_count(600) <= sum(cells) < pair_count(600) + 64 * 600
 
 
+def test_partner_chunks_of_a_run_have_nearly_equal_widths():
+    # p = 600: the first run's 599 partners split into two chunks of at most
+    # 512 columns, 299 and 300 wide, not 512 and a narrow 87.
+    width = scan_module._CODE_PARTNERS
+    grid = scan_module._tile_grid(range(599), 600, (0, pair_count(600)), scan_module._CODE_ANCHORS, width)
+    runs = {}
+    for a0, _, _, lo, hi in grid:
+        runs.setdefault(a0, []).append((lo, hi))
+    assert [hi - lo for lo, hi in runs[0]] == [299, 300]
+    for chunks in runs.values():
+        assert all(hi - lo <= width for lo, hi in chunks)
+        assert all(hi == lo2 for (_, hi), (lo2, _) in zip(chunks, chunks[1:]))
+
+
 def test_exact_route_score_rows_drain_in_64_anchor_blocks():
     # A dump sweeps 64 anchors at a time, not one 256-anchor GEMM tile: at
     # most two 64 x (p - 1) float64 blocks (1.5 MiB each here) live at once,

@@ -361,22 +361,25 @@ def test_sweep_tile_is_the_only_reader_of_rows(monkeypatch):
 
 
 def test_first_top_k_screen_stays_within_its_tile_buffers():
-    # While the floor is still -inf, each anchor's best lower bound lifts it
-    # before any cell bound is copied, so the first screen of a top-k scan
+    # While the floor is still -inf, each anchor's best lower bound lifts it,
+    # and the cell bounds are then bounded a few rows at a time, each group
+    # lifting it for the next.  So the first screen of a top-k scan
     # allocates about the two reused 64 x 2048 float64 tile buffers, not a
-    # copy of every lower bound in its first tile.
+    # copy of every lower bound in its first tile, for a k above the tile's
+    # 64 anchors too.
     rng = np.random.default_rng(17)
     ws = precompute(rng.normal(size=(20, 3000)), rng.normal(size=20))
-    top = scan_module._TopK(5)
-    tracemalloc.start()
-    try:
-        scan_module._screened(ws, range(256), (0, pair_count(3000)), top, None, np.empty(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     buffers = 2 * scan_module._ANCHOR_BLOCK * scan_module._PARTNER_CHUNK * 8
-    assert peak < buffers + 2**19
-    assert top.floor > -np.inf
+    for k in (5, 64, 100, 1000):
+        top = scan_module._TopK(k)
+        tracemalloc.start()
+        try:
+            scan_module._screened(ws, range(256), (0, pair_count(3000)), top, None, np.empty(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers + 2**19, (k, peak)
+        assert top.floor > -np.inf
 
 
 def test_float_precompute_holds_at_most_two_copies_of_the_matrix():
