@@ -223,7 +223,8 @@ def parse_csv(stream, response_column: str | None):
     ``response_column`` is None.
 
     Raises:
-        FormatError: no header, empty data section, or ragged rows.
+        FormatError: no header, empty data section, ragged rows, or a
+            ``response_column`` the header names more than once.
         MissingResponse: ``response_column`` not in the header.
         ParseError: a non-numeric cell (0-based data row / file column).
     """
@@ -237,12 +238,14 @@ def parse_csv(stream, response_column: str | None):
             raise FormatError("malformed header: empty column name")
         resp_idx: int | None = None
         if response_column is not None:
-            try:
-                resp_idx = header.index(response_column)
-            except ValueError:
-                raise MissingResponse(
-                    f"response column {response_column!r} not found in header"
-                ) from None
+            named = header.count(response_column)
+            if not named:
+                raise MissingResponse(f"response column {response_column!r} not found in header")
+            if named > 1:
+                raise FormatError(
+                    f"response column {response_column!r} is ambiguous: the header names it {named} times"
+                )
+            resp_idx = header.index(response_column)
 
         # One float64 array per row, stacked once and dropped before the
         # response split copies the predictors: no n x p Python floats.
@@ -488,7 +491,7 @@ def genotype_from_floats(matrix, names) -> GenotypeMatrix:
     if bad.any():
         rows, cols = np.nonzero(bad)
         r, c = int(rows[0]), int(cols[0])
-        raise ParseError(r, c, f"value {arr[r, c]!r} at data row {r}, column {c} is not a genotype code")
+        raise ParseError(r, c, f"value {float(arr[r, c])!r} at data row {r}, column {c} is not a genotype code")
     parsed = [parse_column_label(name) for name in names]
     return GenotypeMatrix(
         codes=arr.astype(np.uint8),

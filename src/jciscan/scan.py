@@ -35,8 +35,8 @@ Each workspace's ``rows(anchors, span)`` is the only place its route
 computes a pair value.  Both yield whole 2-D tiles ``(j1, lo, r_hat,
 tau_hat)``: anchors ``j1``, one per row, by partners ``lo, lo + 1, ...``,
 NaN outside the span.  Their one reader, :func:`_sweep_tile`, feeds the
-top-k, threshold, rank-count, rank-value and flat-array consumers of
-either route with one flat ``nonzero`` per tile.  A workspace's ``tile``
+top-k, threshold, rank-count and flat-array consumers of either route
+with one flat ``nonzero`` per tile.  A workspace's ``tile``
 is one GEMM tile of anchors: 64 on the float route (``_ANCHOR_BLOCK``),
 256 on the exact route (``_CODE_ANCHORS``); :func:`scan` cuts work tiles
 of ``max(block_size, tile)`` anchors.  :func:`iter_score_rows` sweeps 64
@@ -61,14 +61,16 @@ One top-k floor per scan
 A top-k :func:`scan` keeps one floor for the whole call (:class:`_TopK`),
 a value at least k distinct scanned pairs reach: no pair below it can
 place, and pairs equal to it are kept for the final (j1, j2) tie-break.
-It carries from tile to tile, is shared by every worker, and only rises.
-A worker that reads it late sees a lower value, which only keeps more
-candidates; it never drops a pair the final cut keeps.  This is the
-running k-th-best bound of threshold top-k algorithms (Fagin, Lotem and
-Naor, JCSS 2003).  Ranks ride on the same pass: a :func:`scan` with
-``rank_pairs`` first reads the requested pairs' values from one read of
-their anchors' rows, then counts, in every row the pass reads, the pairs
-above each value and those tied with it that precede it canonically.
+It has two sources, the k-th largest certified lower bound screened and
+the k-th largest value held, and it carries from tile to tile, is shared
+by every worker, and only rises.  A worker that reads it late sees a
+lower value, which only keeps more candidates; it never drops a pair the
+final cut keeps.  This is the running k-th-best bound of threshold top-k
+algorithms (Fagin, Lotem and Naor, JCSS 2003).  Ranks ride on the same
+pass: a :func:`scan` with ``rank_pairs`` first reads each requested
+pair's value on its own, then counts, in every row the pass reads, the
+pairs above each value and those tied with it that precede it
+canonically.
 
 The certified screen
 --------------------
@@ -76,19 +78,19 @@ On the float route a top-k, threshold or rank scan first reads
 ``Workspace.bounds``: BLAS-3 tiles giving every pair an estimate and a
 radius that holds the value ``rows`` makes whatever the summation order,
 FMA use or thread split (see :meth:`Workspace.bounds`).  Each tile is
-screened once per scan, for every output asked for: top-k lifts the floor
-first by each anchor's best lower bound in the tile (distinct pairs),
-then by the cell lower bounds still above it, a few rows at a time; a
-threshold marks the
-anchors holding a pair whose upper bound exceeds it; and each rank value
-marks the anchors holding a pair whose bounds bracket it and counts, per
-anchor, the pairs certainly above it.  Once every work tile is screened, :func:`_sweep_tile` reads the
-union of the marked anchors and those holding a pair whose upper bound
-reaches the floor, feeds each row it reads to every consumer, and adds
-the screen's counts only for the anchors it does not read.  The screen
-only chooses rows: every reported value and rank comes from ``rows``.
-The exact route's tiles are its values: it has no ``bounds`` and reads
-every row, so its ranks are counted from the rows alone.
+screened once per scan, for every output asked for: top-k bounds the
+cell lower bounds above the floor a few rows at a time, so once every
+work tile is screened the floor is the k-th largest finite cell lower
+bound of the span; a threshold marks the anchors holding a pair whose
+upper bound exceeds it; and each rank value marks the anchors holding a
+pair whose bounds bracket it and counts, per anchor, the pairs certainly
+above it.  Once every work tile is screened, :func:`_sweep_tile` reads
+the union of the marked anchors and those holding a pair whose upper
+bound reaches the floor, feeds each row it reads to every consumer, and
+adds the screen's counts only for the anchors it does not read.  The
+screen only chooses rows: every reported value and rank comes from
+``rows``.  The exact route's tiles are its values: it has no ``bounds``
+and reads every row, so its ranks are counted from the rows alone.
 
 Determinism contract
 --------------------
@@ -333,8 +335,8 @@ _EMPTY = PairTable(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), np.e
 @dataclass(frozen=True)
 class ScanStats:
     """What one :func:`scan` call did: the certified bounds tiles it
-    screened and the anchor rows it read (the rank values' rows and the
-    sweep's)."""
+    screened and the anchor rows it read (one row per rank pair for its
+    value, then the sweep's)."""
 
     tiles_screened: int
     rows_read: int
@@ -793,9 +795,9 @@ def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
 class _TopK:
     """The top-k state of one :func:`scan`, shared by its work tiles and
     workers: the pairs ``held`` and the ``floor`` (module docstring), the
-    largest of the k-th largest value read, cell lower bound screened, and
-    best lower bound of a tile's anchors, one tile at a time; a scan reads
-    and screens each pair once, so each count is over distinct pairs."""
+    larger of the k-th largest cell lower bound screened and the k-th
+    largest value read; a scan reads and screens each pair once, so each
+    count is over distinct pairs."""
 
     def __init__(self, k: int):
         self.k, self.floor, self.held = k, -np.inf, [_EMPTY]
@@ -804,12 +806,6 @@ class _TopK:
     def bound(self, lower: np.ndarray) -> None:
         with self._lock:
             self._bounds = self._lift(np.concatenate([self._bounds, lower]))
-
-    def lift(self, lower: np.ndarray) -> None:
-        """Lift the floor by lower bounds of distinct pairs without holding
-        them, so a pair they bound may still reach :meth:`bound` once."""
-        with self._lock:
-            self._lift(lower)
 
     def keep(self, r_hat: np.ndarray):
         """The cells of a tile at or above the floor, as in :func:`_cells`,
@@ -853,18 +849,17 @@ class _Screen(NamedTuple):
     tiles: int
 
 
-def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None, picked=None):
+def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None):
     """Sweep the ascending ``anchors``, one 2-D tile of ``ws.rows`` at a
     time; return the threshold hits (a table), the rank counts and the
     number of rows read.  Each tile goes to every consumer given: its pairs
     at or above the floor of ``top`` (:class:`_TopK`) go to it as one table;
     ``out`` receives every score, flat from the span start; with ``ranked =
     (values, index)``, count ``t`` gains the pairs above ``values[t]`` and
-    those equal to it before canonical index ``index[t]``; with ``picked =
-    (pairs, values)``, ``values[t]`` becomes the value of ``pairs[t]``.
-    Given a :class:`_Screen`, only the anchors it needs and those the floor
-    has not passed are read, and each anchor left unread adds its pairs
-    certainly above each value to the counts."""
+    those equal to it before canonical index ``index[t]``.  Given a
+    :class:`_Screen`, only the anchors it needs and those the floor has not
+    passed are read, and each anchor left unread adds its pairs certainly
+    above each value to the counts."""
     values, index = ranked if ranked is not None else (np.empty(0), None)
     counts = np.zeros(values.size, dtype=np.int64)
     read = anchors
@@ -896,20 +891,15 @@ def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None
             i, j = _cells(r_hat == v)
             before = _row_start(j1[i], ws.p) + lo + j - j1[i] - 1 < index[t]
             counts[t] += np.count_nonzero(r_hat > v) + np.count_nonzero(before)
-        if picked is not None:
-            for t, (a, b) in enumerate(picked[0]):
-                i = np.flatnonzero(j1 == a)
-                if i.size and lo <= b < lo + r_hat.shape[1]:
-                    picked[1][t] = r_hat[i[0], b - lo]
     return PairTable.concat(hits), counts, len(read)
 
 
 def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
     """Screen a work tile by the workspace's certified bounds.  A threshold
     needs the rows with a pair whose upper bound exceeds it; top-k lifts
-    the scan's floor by the lower bounds; each rank value needs the rows
-    with a pair whose bounds bracket it, and counts per anchor the pairs
-    certainly above it."""
+    the scan's floor by the cell lower bounds; each rank value needs the
+    rows with a pair whose bounds bracket it, and counts per anchor the
+    pairs certainly above it."""
     need = np.zeros(len(anchors), dtype=bool)
     reach = np.full(len(anchors), -np.inf)
     above = np.zeros((values.size, len(anchors)), dtype=np.int64)
@@ -933,10 +923,8 @@ def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
                 need[at.start + i[(near <= v + wide) & (near >= v - wide)]] = True
         if top is not None:
             np.maximum(reach[at], most + radius, out=reach[at])
-            # Each anchor's best lower bound is a distinct pair's, so these
-            # lift the floor first; then the cells above it are bounded a
-            # few rows at a time, each group lifting the floor for the next.
-            top.lift(most - radius)
+            # The cells above the floor are bounded a few rows at a time,
+            # each group lifting the floor for the next.
             cut = top.floor
             with np.errstate(invalid="ignore"):  # -inf + inf: a row that cannot raise the floor
                 live = np.flatnonzero(most > cut + radius)
@@ -949,15 +937,14 @@ def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
     return _Screen(need, reach, above, tiles)
 
 
-def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
+def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     """Score every pair in range; keep the top-k and/or thresholded subset,
     and rank the requested pairs, all from one pass.
 
-    ``workspace`` is a :class:`Workspace`, a :class:`CodeWorkspace` or a
-    raw matrix (then ``response`` is required and :func:`precompute` runs
-    internally).  Work tiles hold ``max(block_size, ws.tile)`` anchors, so
-    a small ``block_size`` never cuts below the route's smallest tile.  The
-    rank pairs' values come first, from one read of their anchors' rows.
+    ``ws`` is a :class:`Workspace` or a :class:`CodeWorkspace` from
+    :func:`precompute`.  Work tiles hold ``max(block_size, ws.tile)``
+    anchors, so a small ``block_size`` never cuts below the route's
+    smallest tile.  The rank pairs' values come first, one row read each.
     A workspace with ``bounds`` then screens every work tile once, for
     every output at the same time, before any row is read, so the reads see
     the whole scan's floor; each work tile returns its own rank counts,
@@ -969,9 +956,6 @@ def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
         InvalidPair: a pair range beyond the pairs, or a rank pair with
             ``j1 >= j2``, outside ``[0, p)`` or outside the pair range.
     """
-    if not isinstance(workspace, (Workspace, CodeWorkspace)):
-        workspace = precompute(workspace, response)
-    ws = workspace
     span = _span(ws.p, config.pair_range)
     pairs = config.rank_pairs
     index = np.array([pair_index(j1, j2, ws.p) for j1, j2 in pairs], dtype=np.int64)
@@ -980,11 +964,7 @@ def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
             raise InvalidPair(f"rank pair {pair} lies outside pair_range {span}")
 
     started = time.perf_counter()
-    values = np.full(len(pairs), np.nan)
-    value_rows = 0
-    if pairs:
-        owners = sorted({j1 for j1, _ in pairs})
-        _, _, value_rows = _sweep_tile(ws, owners, span, None, None, None, picked=(pairs, values))
+    values = np.array([_scores(ws, (i, i + 1))[0] for i in index.tolist()])
     anchors = _anchors_for_span(ws.p, span)
     step = max(config.block_size, ws.tile)
     tiles = [anchors[i : i + step] for i in range(0, len(anchors), step)]
@@ -1012,7 +992,7 @@ def scan(workspace, config: ScanConfig, response=None) -> ScanResult:
         elapsed_seconds=time.perf_counter() - started,
         stats=ScanStats(
             tiles_screened=sum(s.tiles for s in screens if s is not None),
-            rows_read=value_rows + sum(r for _, _, r in parts),
+            rows_read=len(pairs) + sum(r for _, _, r in parts),
         ),
     )
 

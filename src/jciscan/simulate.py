@@ -88,11 +88,11 @@ class SimStudySpec:
 
 @dataclass(frozen=True, eq=False)
 class SimDataset:
-    """Generated predictors, response and the design's true pairs."""
+    """Generated predictors and response; the design's true pairs are the
+    spec's."""
 
     predictors: np.ndarray
     response: np.ndarray
-    true_pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def gen_study1(n: int, p: int, seed) -> SimDataset:
     rng = np.random.default_rng(seed)
     x = (rng.random((n, p)) < 0.5).astype(np.float64)
     y = x[:, 0] * x[:, 1]
-    return SimDataset(predictors=x, response=y, true_pairs=STUDY_TRUE_PAIRS[1])
+    return SimDataset(predictors=x, response=y)
 
 
 def gen_study2(n: int, p: int, seed) -> SimDataset:
@@ -172,7 +172,7 @@ def gen_study2(n: int, p: int, seed) -> SimDataset:
     rng = np.random.default_rng(seed)
     x = rng.normal(loc=0.0, scale=2.0, size=(n, p))
     y = x[:, 0] * x[:, 1] + x[:, 2] * x[:, 3]
-    return SimDataset(predictors=x, response=y, true_pairs=STUDY_TRUE_PAIRS[2])
+    return SimDataset(predictors=x, response=y)
 
 
 def gen_study3(n: int, p: int, seed) -> SimDataset:
@@ -205,7 +205,7 @@ def gen_study3(n: int, p: int, seed) -> SimDataset:
         x[:, 2 * m + 1] = even
     if p > 8:
         x[:, 8:] = (rng.random((n, p - 8)) < 0.5).astype(np.float64)
-    return SimDataset(predictors=x, response=y, true_pairs=STUDY_TRUE_PAIRS[3])
+    return SimDataset(predictors=x, response=y)
 
 
 def gen_study4(n: int, p: int, seed) -> SimDataset:
@@ -231,7 +231,7 @@ def gen_study4(n: int, p: int, seed) -> SimDataset:
         + 3.0 * x[:, 0] * x[:, 2]
         + 3.0 * x[:, 5] * x[:, 9]
     )
-    return SimDataset(predictors=x, response=y, true_pairs=STUDY_TRUE_PAIRS[4])
+    return SimDataset(predictors=x, response=y)
 
 
 def gen_study5(n: int, p: int, seed) -> SimDataset:
@@ -248,7 +248,7 @@ def gen_study5(n: int, p: int, seed) -> SimDataset:
         a, b = 2 * m, 2 * m + 1
         x[:, b] = rho * x[:, a] + math.sqrt(1.0 - rho**2) * x[:, b]
     y = x[:, 0] * x[:, 1] + x[:, 2] * x[:, 3] + x[:, 4] * x[:, 5]
-    return SimDataset(predictors=x, response=y, true_pairs=STUDY_TRUE_PAIRS[5])
+    return SimDataset(predictors=x, response=y)
 
 
 GENERATORS = {

@@ -148,6 +148,17 @@ def test_scan_exit_codes(tmp_path):
     )
 
 
+def test_scan_rejects_a_response_column_named_twice(tmp_path, capsys):
+    data = tmp_path / "twice.csv"
+    data.write_text("a,a,y\n1,2,0\n2,1,1\n3,5,0\n4,4,1\n")
+    out = tmp_path / "out.csv"
+    assert run(["scan", str(data), "--response-column", "a", "--top-k", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "jciscan: response column 'a' is ambiguous: the header names it 2 times\n"
+    )
+    assert not out.exists()
+
+
 def test_scan_builds_no_pair_objects(tmp_path, monkeypatch):
     # Results stay columnar from the sweep to the CSV writer: no per-pair
     # Python object is built, however many pairs are selected.
@@ -380,6 +391,9 @@ def test_convert_rejects_non_genotype_values(tmp_path, capsys):
     assert run(["convert", "--from", "csv", "--to", "packed", str(src), str(tmp_path / "o.jcg")]) == 2
     err = capsys.readouterr().err
     assert "row 1" in err and "column 0" in err
+    src.write_text("a,b\n1,1\n0,1\n")  # a 0/1 CSV
+    assert run(["convert", "--from", "csv", "--to", "packed", str(src), str(tmp_path / "o.jcg")]) == 2
+    assert capsys.readouterr().err == "jciscan: value 0.0 at data row 1, column 0 is not a genotype code\n"
 
 
 def test_convert_rejects_empty_and_same_format(tmp_path):

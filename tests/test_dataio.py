@@ -293,6 +293,11 @@ def test_parse_csv_errors():
         parse_csv(io.StringIO("a,b\n"), None)  # header only, no data
     with pytest.raises(MissingResponse):
         parse_csv(io.StringIO("a,b\n1,2\n"), "y")
+    with pytest.raises(FormatError, match="response column 'a' is ambiguous: the header names it 2 times"):
+        parse_csv(io.StringIO("a,a,y\n1,2,3\n"), "a")
+    # A repeated predictor name is no concern of the response's.
+    _, response, names = parse_csv(io.StringIO("a,a,y\n1,2,3\n"), "y")
+    assert names == ["a", "a"] and response.tolist() == [3.0]
     with pytest.raises(FormatError):
         parse_csv(io.StringIO("a,b\n1,2,3\n"), None)  # ragged
     with pytest.raises(ParseError) as exc:
@@ -357,8 +362,10 @@ def test_genotype_from_floats_domain_check():
     with pytest.raises(ParseError) as exc:
         genotype_from_floats(np.array([[1.0, 2.5], [2.0, 1.0]]), ["a", "b"])
     assert (exc.value.row, exc.value.column) == (0, 1)
-    with pytest.raises(ParseError):
+    assert str(exc.value) == "value 2.5 at data row 0, column 1 is not a genotype code"
+    with pytest.raises(ParseError) as exc:
         genotype_from_floats(np.array([[0.0]]), ["a"])
+    assert str(exc.value) == "value 0.0 at data row 0, column 0 is not a genotype code"
 
 
 def test_csv_packed_csv_roundtrip(tmp_path):

@@ -287,13 +287,9 @@ def test_precompute_matches_center_reference_bitwise():
         assert exc.value.index == -1
 
 
-def test_scan_with_and_without_prebuilt_workspace_is_identical():
+def test_two_workspaces_of_one_input_give_identical_scores():
     X, y = random_instance(seed=33)
-    cfg = ScanConfig(top_k=10)
     ws = precompute(X, y)
-    via_ws = scan(ws, cfg)
-    direct = scan(X, cfg, response=y)
-    assert via_ws.top_pairs == direct.top_pairs  # bitwise: 0 ulps apart
     assert np.array_equal(all_scores(ws), all_scores(precompute(X, y)))
 
 
@@ -361,12 +357,11 @@ def test_sweep_tile_is_the_only_reader_of_rows(monkeypatch):
 
 
 def test_first_top_k_screen_stays_within_its_tile_buffers():
-    # While the floor is still -inf, each anchor's best lower bound lifts it,
-    # and the cell bounds are then bounded a few rows at a time, each group
-    # lifting it for the next.  So the first screen of a top-k scan
-    # allocates about the two reused 64 x 2048 float64 tile buffers, not a
-    # copy of every lower bound in its first tile, for a k above the tile's
-    # 64 anchors too.
+    # The cell lower bounds are bounded a few rows at a time, each group
+    # lifting the floor for the next, so even while the floor is still -inf
+    # the first screen of a top-k scan allocates about the two reused
+    # 64 x 2048 float64 tile buffers, not a copy of every lower bound in
+    # its first tile, for a k above the tile's 64 anchors too.
     rng = np.random.default_rng(17)
     ws = precompute(rng.normal(size=(20, 3000)), rng.normal(size=20))
     buffers = 2 * scan_module._ANCHOR_BLOCK * scan_module._PARTNER_CHUNK * 8
@@ -380,6 +375,28 @@ def test_first_top_k_screen_stays_within_its_tile_buffers():
             tracemalloc.stop()
         assert peak < buffers + 2**19, (k, peak)
         assert top.floor > -np.inf
+
+
+@pytest.mark.parametrize("k", [1, 5, 64, 100, 1000])
+def test_top_k_screen_leaves_the_kth_largest_cell_lower_bound_as_floor(k):
+    # The screen keeps every cell lower bound above the running floor, so
+    # once every work tile is screened, before any row is read, the floor
+    # is the k-th largest finite lower bound over the span.
+    rng = np.random.default_rng(19)
+    ws = precompute(rng.normal(size=(20, 2100)), rng.normal(size=20))
+    total = pair_count(2100)
+    for span in ((0, total), (total // 3 + 17, 2 * total // 3 + 5)):
+        anchors = scan_module._anchors_for_span(ws.p, span)
+        top, lower = scan_module._TopK(k), []
+        for a0 in range(0, len(anchors), 256):
+            tile = anchors[a0 : a0 + 256]
+            scan_module._screened(ws, tile, span, top, None, np.empty(0))
+            for _, _, estimate, radius in ws.bounds(tile, span):
+                cells = estimate - radius[:, None]
+                lower.append(cells[np.isfinite(cells)])
+        lower = np.concatenate(lower)
+        assert lower.size > k
+        assert top.floor == np.partition(lower, lower.size - k)[lower.size - k], (k, span)
 
 
 def test_float_precompute_holds_at_most_two_copies_of_the_matrix():
@@ -1029,6 +1046,22 @@ def test_rank_pairs_alone_are_a_scan_output():
     result = scan(ws, cfg)
     assert len(result.top_pairs) == 0 and len(result.selected) == 0
     assert dict(result.ranks) == ranks_of_pairs(all_scores(ws), ws.p, [(0, 1), (2, 5)])
+    # Rank pairs that share an anchor, on both routes: each pair's value is
+    # read on its own, one row each.
+    rng = np.random.default_rng(73)
+    codes = rng.integers(1, 4, size=(40, 12)).astype(np.uint8)
+    genotype = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(12)), chromosomes=(1,) * 12)
+    shared = ((0, 1), (0, 9), (2, 5), (0, 5))
+    for matrix, y, route in [
+        (rng.normal(size=(30, 12)), rng.normal(size=30), Workspace),
+        (genotype, np.tile([0.0, 1.0], 20), CodeWorkspace),
+    ]:
+        ws = precompute(matrix, y)
+        assert isinstance(ws, route)
+        result = scan(ws, ScanConfig(rank_pairs=shared))
+        assert dict(result.ranks) == ranks_of_pairs(all_scores(ws), ws.p, shared)
+        if route is CodeWorkspace:  # no screen: every anchor's row is read
+            assert result.stats.rows_read == len(shared) + ws.p - 1
 
 
 def test_invalid_rank_pairs_raise_invalid_pair():

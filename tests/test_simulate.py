@@ -302,7 +302,7 @@ def test_run_replications_custom_generator():
         x = rng.normal(size=(n, p))
         from jciscan.simulate import SimDataset
 
-        return SimDataset(predictors=x, response=x[:, 0] * x[:, 1], true_pairs=((0, 1),))
+        return SimDataset(predictors=x, response=x[:, 0] * x[:, 1])
 
     spec = SimStudySpec(study_id=99, n=80, p=10, true_pairs=((0, 1),), seed=1, replications=2)
     with pytest.raises(InvalidValue):
