@@ -79,9 +79,6 @@ def _load_scan_input(args):
     if args.phenotype is not None:
         y = dataio.read_phenotype(args.phenotype)
     chroms = [dataio.parse_column_label(name)[0] for name in names]
-    if dataio.is_genotype(matrix):
-        # Codes score on the same route whichever format they were read from.
-        matrix = dataio.genotype_from_floats(matrix, names)
     return matrix, y, names, chroms
 
 
@@ -191,7 +188,7 @@ def cmd_convert(args) -> int:
     else:
         gm = dataio.parse_packed(args.input, missing_policy=args.missing)
         labels = [gm.column_label(j) for j in range(gm.p)]
-        dataio.write_csv(args.output, gm.codes.astype(np.float64), labels)
+        dataio.write_csv(args.output, gm.codes, labels)
     return EXIT_OK
 
 

@@ -272,8 +272,11 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
     """Write a numeric CSV (17 significant digits, exact round trip).
 
     The response column, when given, is appended after the predictors.
+    Integer and bool matrices are widened one row at a time as written.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind not in "biuf":
+        matrix = matrix.astype(np.float64)
     if matrix.ndim != 2:
         raise InvalidValue(f"matrix must be 2-D, got shape {matrix.shape}")
     if len(names) != matrix.shape[1]:
@@ -287,7 +290,7 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
 
     def rows():
         for i in range(matrix.shape[0]):
-            row = [format(v, fmt) for v in matrix[i].tolist()]
+            row = [format(v, fmt) for v in matrix[i].astype(np.float64, copy=False).tolist()]
             if response is not None:
                 row.append(format(float(response[i]), fmt))
             yield row
@@ -466,18 +469,6 @@ def is_packed(path) -> bool:
         return fh.read(len(MAGIC)) == MAGIC
 
 
-def _not_codes(arr: np.ndarray) -> np.ndarray:
-    """Mask of the cells outside the genotype domain {1, 2, 3}."""
-    return ~((arr == 1) | (arr == 2) | (arr == 3))
-
-
-def is_genotype(matrix) -> bool:
-    """Whether a non-empty float matrix holds only genotype codes, so that
-    :func:`genotype_from_floats` accepts it."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    return arr.size > 0 and not _not_codes(arr).any()
-
-
 def genotype_from_floats(matrix, names) -> GenotypeMatrix:
     """Build a GenotypeMatrix from float cells, validating the {1,2,3}
     domain.  Column labels of the form "ch<k>:<id>" populate chromosome
@@ -487,7 +478,7 @@ def genotype_from_floats(matrix, names) -> GenotypeMatrix:
         ParseError: first cell (row, column) outside the genotype domain.
     """
     arr = np.asarray(matrix, dtype=np.float64)
-    bad = _not_codes(arr)
+    bad = ~((arr == 1) | (arr == 2) | (arr == 3))
     if bad.any():
         rows, cols = np.nonzero(bad)
         r, c = int(rows[0]), int(cols[0])

@@ -12,7 +12,8 @@ against every partner j2 is a single fused product ``(y_c * x_c[j1]) @ C``
 followed by elementwise normalization, where C is the n x p centered
 matrix.
 
-The exact route serves genotype codes against an integer-valued response
+The exact route serves integers in [0, 255] of any dtype (genotype codes,
+0/1/2 dosages, 0/1 designs) against an integer-valued response
 (case/control, counts) while every sum fits the float formats exactly.
 With y shifted by its minimum, every raw sum is a small integer: per
 column ``S_j``, ``D_j = n S_jj - S_j^2`` and ``S_jy``, per pair ``S_12``
@@ -492,9 +493,9 @@ class Workspace:
 @dataclass(frozen=True, eq=False)
 class CodeWorkspace:
     """The exact route's workspace, shared read-only by workers: the
-    caller's n x p uint8 genotype ``codes``, uncopied, and integer sums for
-    them and the response shifted to ``y' = y - min(y)``.  Every sum is a
-    float64 holding an exact integer.
+    n x p uint8 ``codes`` (uncopied when given as uint8) and integer sums
+    for them and the response shifted to ``y' = y - min(y)``.  Every sum
+    is a float64 holding an exact integer.
 
     Attributes:
         order: the row indices grouped by y', ascending.
@@ -615,16 +616,17 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     """Center every column and the response exactly once.
 
     Accepts a real n x p array or any object exposing ``.codes`` (a
-    genotype matrix).  uint8 codes against an integer-valued response take
-    the exact route while its bounds hold (see the module docstring) and
-    get a :class:`CodeWorkspace`: the codes stay as they are and only
-    per-column integer sums are computed, by int64 reductions.  Any other
-    input takes the float route and gets a :class:`Workspace`: codes are
-    widened to float64 and the columns are centered together in a
-    contiguous p x n copy; means, centered values and css are
-    bit-identical to :func:`~jciscan.cumulants.center` on each column.
-    After this call a float-route pair costs one fused length-n
-    product-sum plus one division and one square root.
+    genotype matrix).  The route follows the values, not the container:
+    integers in [0, 255] of any dtype against an integer-valued response
+    take the exact route while its bounds hold (:func:`_exact_codes`) and
+    get a :class:`CodeWorkspace`: the codes as uint8 (uint8 input
+    uncopied) and per-column int64 sums.  Any other input takes the float
+    route and gets a :class:`Workspace`: the columns are widened to
+    float64 and centered together in a contiguous p x n copy; means,
+    centered values and css are bit-identical to
+    :func:`~jciscan.cumulants.center` on each column.  After this call a
+    float-route pair costs one fused length-n product-sum plus one
+    division and one square root.
 
     Raises:
         InvalidValue: non-finite entries (response first, then the lowest
@@ -635,8 +637,7 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
         DegenerateSample: n < 3.
         TooFewColumns: p < 2.
     """
-    codes = getattr(matrix, "codes", None)
-    raw = np.asarray(codes if codes is not None else matrix)
+    raw = np.asarray(getattr(matrix, "codes", matrix))
     if raw.ndim != 2:
         raise InvalidValue(f"expected an n x p matrix, got shape {raw.shape}")
     n, p = raw.shape
@@ -650,8 +651,8 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
 
     cy = center(y, index=RESPONSE_INDEX)
     validate_c1(cy)
-    if codes is not None and raw.dtype == np.uint8 and _exact_bounds_hold(raw, y):
-        return _exact_workspace(raw, y)
+    if (codes := _exact_codes(raw, y)) is not None:
+        return _exact_workspace(codes, y)
 
     # Row j of `cols` is column j: contiguous rows give the same pairwise
     # sums and dot products as center() on that column alone.
@@ -690,16 +691,27 @@ _FLOAT32_EXACT = 2**24
 _FLOAT64_EXACT = 2**53
 
 
-def _exact_bounds_hold(codes: np.ndarray, y: np.ndarray) -> bool:
-    """Whether the exact route's sums fit: y integer-valued, and with c the
-    largest code and m = max(y) - min(y), ``c^2 n m < 2^24`` (float32 GEMM
-    tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).  y is finite and
-    not constant here, so m >= 1 when y is integer-valued."""
-    if not np.array_equal(y, np.rint(y)):
-        return False
-    n = y.size
+def _exact_codes(matrix: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The uint8 codes the exact route scores, or None for the float route:
+    y integer-valued, every entry an integer in [0, 255], and with c the
+    largest code and m = max(y) - min(y) (>= 1 here), ``c^2 n m < 2^24``
+    (float32 GEMM tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).
+    uint8 passes through uncopied; any other real matrix is checked and
+    copied 64 columns at a time, up to the first block that fails."""
+    if not np.array_equal(y, np.rint(y)) or matrix.dtype.kind not in "biuf":
+        return None
+    codes = matrix
+    if matrix.dtype != np.uint8:
+        codes = np.empty(matrix.shape, dtype=np.uint8)
+        for j0 in range(0, matrix.shape[1], _ANCHOR_BLOCK):
+            block, out = matrix[:, j0 : j0 + _ANCHOR_BLOCK], codes[:, j0 : j0 + _ANCHOR_BLOCK]
+            if not (block.min() >= 0 and block.max() <= 255):  # NaN fails too
+                return None
+            out[...] = block
+            if not np.array_equal(out, block):
+                return None
     c2m = int(codes.max()) ** 2 * int(y.max() - y.min())
-    return c2m * n < _FLOAT32_EXACT and 2 * c2m * n**3 < _FLOAT64_EXACT
+    return codes if c2m * y.size < _FLOAT32_EXACT and 2 * c2m * y.size**3 < _FLOAT64_EXACT else None
 
 
 def _exact_workspace(codes: np.ndarray, y: np.ndarray) -> CodeWorkspace:

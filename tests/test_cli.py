@@ -7,13 +7,14 @@ import io
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jciscan import CodeWorkspace, ScanConfig, pair_count, precompute, scan
+from jciscan import CodeWorkspace, ScanConfig, all_scores, pair_count, precompute, scan
 from jciscan.cli import build_parser, main
 from jciscan.cumulants import PairStatistic
 from jciscan.dataio import (
@@ -311,6 +312,58 @@ def test_scan_csv_and_packed_outputs_identical_for_case_control_response(tmp_pat
     assert outputs[0] == outputs[1]
 
 
+def test_scan_dosage_csv_matches_the_uint8_code_route(tmp_path):
+    # 0/1/2 allele dosages in a CSV take the exact route from their values
+    # alone: the output is the in-process scan of the same uint8 codes, byte
+    # for byte.  Each mirrored column 2 - x ties its twin's pairs exactly,
+    # and the tied pairs come out in (j1, j2) order.
+    rng = np.random.default_rng(17)
+    n, half = 80, 6
+    base = rng.integers(0, 3, size=(n, half)).astype(np.uint8)
+    base[:2] = [[0] * half, [2] * half]
+    codes = np.hstack([base, 2 - base])
+    y = (rng.random(n) < 0.4).astype(np.float64)
+    y[:2] = [0.0, 1.0]
+    labels = [f"rs{j}" for j in range(codes.shape[1])]
+    data, out = tmp_path / "dosage.csv", tmp_path / "top.csv"
+    write_csv(data, codes, labels, response=y)
+    assert run(["scan", str(data), "--response-column", "y", "--top-k", "20", "--threshold", "0.1",
+                "--out", str(out)]) == 0
+
+    ws = precompute(codes, y)
+    assert isinstance(ws, CodeWorkspace)
+    result = scan(ws, ScanConfig(top_k=20, threshold=0.1))
+
+    def lines(table):
+        return [f"{labels[a]},{labels[b]},{r!r}\n"
+                for a, b, r in zip(table.j1.tolist(), table.j2.tolist(), table.r_hat.tolist())]
+
+    expected = ["snp1,snp2,r_hat\n", *lines(result.top_pairs), "# pairs with r_hat > 0.1\n",
+                *lines(result.selected)]
+    assert out.read_text() == "".join(expected)
+    top = result.top_pairs
+    keys = list(zip((-top.r_hat).tolist(), top.j1.tolist(), top.j2.tolist()))
+    assert len(set(top.r_hat.tolist())) <= len(top) // 2
+    assert keys == sorted(keys)
+
+
+def test_study1_csv_scan_scores_as_genotype_codes(tmp_path):
+    # Study 1's 0/1 design read from a CSV keeps exact ties: its dump holds
+    # the scores of the same design as genotype codes 1/2 (a shift leaves
+    # every exact integer sum, and so every score, unchanged), so as many
+    # distinct scores as they give.
+    data, dump = tmp_path / "d.csv", tmp_path / "dump.csv"
+    ds = write_study1_csv(data, n=200, p=100, seed=0)
+    assert run(["scan", str(data), "--response-column", "y", "--top-k", "5", "--dump-all", str(dump),
+                "--out", str(tmp_path / "top.csv")]) == 0
+    scores = [float(row[4]) for row in read_rows(dump)[1:]]
+    codes = ds.predictors.astype(np.uint8) + 1
+    gm = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(100)), chromosomes=(1,) * 100)
+    flat = all_scores(precompute(gm, ds.response))
+    assert scores == flat.tolist()
+    assert len(set(scores)) == np.unique(flat).size
+
+
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------
@@ -383,6 +436,26 @@ def test_convert_roundtrip_preserves_cells(tmp_path):
     assert run(["convert", "--from", "csv", "--to", "packed", str(src), str(packed)]) == 0
     assert run(["convert", "--from", "packed", "--to", "csv", str(packed), str(back)]) == 0
     assert src.read_text() == back.read_text()
+
+
+def test_convert_packed_to_csv_widens_one_row_at_a_time(tmp_path):
+    # The codes are written as the old float64 widening wrote them, byte for
+    # byte, but the run holds the decoded codes plus one row, not an n x p
+    # float64 copy (8 times the codes).
+    n, p = 200, 2000
+    codes = np.random.default_rng(23).integers(1, 4, size=(n, p)).astype(np.uint8)
+    gm = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=(2,) * p)
+    packed, out, ref = tmp_path / "g.jcg", tmp_path / "g.csv", tmp_path / "ref.csv"
+    write_packed(gm, packed)
+    tracemalloc.start()
+    try:
+        assert run(["convert", "--from", "packed", "--to", "csv", str(packed), str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * codes.nbytes + 2**20
+    write_csv(ref, codes.astype(np.float64), [gm.column_label(j) for j in range(p)])
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_convert_rejects_non_genotype_values(tmp_path, capsys):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jciscan
@@ -405,11 +405,12 @@ def test_exact_route_scores_do_not_depend_on_blas_thread_count():
 
 @pytest.mark.parametrize(
     "case",
-    ["non_integer_response", "float32_bound", "float64_bound", "float_array", "integer_float_array"],
+    ["non_integer_response", "float32_bound", "float64_bound", "float_array", "negative_integers",
+     "integers_above_255", "one_late_non_integer"],
 )
 def test_inputs_outside_the_exact_route_keep_the_float_route_bytes(case):
     rng = np.random.default_rng(24)
-    n, p = (80_000, 3) if case == "float64_bound" else (30, 8)
+    n, p = {"float64_bound": (80_000, 3), "one_late_non_integer": (30, 150)}.get(case, (30, 8))
     codes, y = draw_instance(rng, n, p, "case_control")
     predictors = genotypes(codes)
     if case == "non_integer_response":
@@ -419,11 +420,79 @@ def test_inputs_outside_the_exact_route_keep_the_float_route_bytes(case):
         y[1] = y[0] + 70_000
     elif case == "float_array":
         predictors = codes.astype(np.float64) + 0.25 * rng.random((n, p))
-    elif case == "integer_float_array":
+    elif case == "negative_integers":
+        predictors = codes.astype(np.float64) - 2.0
+    elif case == "integers_above_255":
+        predictors = codes.astype(np.float64) * 100.0
+    elif case == "one_late_non_integer":
+        # Only the third 64-column block of the route check fails.
         predictors = codes.astype(np.float64)
+        predictors[7, 140] += 0.5
     # float64_bound: 18 n^3 m > 2^53 at n = 80,000 and m = 1
     ws = precompute(predictors, y)
     assert isinstance(ws, Workspace)
     X = np.asarray(getattr(predictors, "codes", predictors), dtype=np.float64)
     assert all_scores(ws).tobytes() == all_scores(precompute(X, y)).tobytes()
     assert all_scores(ws).tobytes() == float_route_scores(X, y).tobytes()
+
+
+# --------------------------------------------------------------------------
+# The route follows the values, not the container
+# --------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=24, n=30, p=8, domain=(1, 3), shape="case_control")
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    p=st.integers(2, 150),
+    domain=st.sampled_from([(0, 1), (0, 2), (1, 3), (0, 255)]),
+    shape=st.sampled_from(sorted(RESPONSE_SHAPES)),
+)
+def test_route_follows_the_values_whatever_the_dtype_property(seed, n, p, domain, shape):
+    # Integer float arrays among them: a float copy of genotype codes
+    # scores as the codes do, bit for bit.
+    rng = np.random.default_rng(seed)
+    low, high = domain
+    codes = rng.integers(low, high + 1, size=(n, p)).astype(np.uint8)
+    codes[:2] = [[low] * p, [high] * p]
+    y_low, y_high = RESPONSE_SHAPES[shape]
+    y = rng.integers(y_low, y_high + 1, size=n).astype(np.float64)
+    y[:2] = [y_low, y_high]
+    forms = [codes, codes.astype(np.float64), np.asfortranarray(codes.astype(np.int64))]
+    if domain == (0, 1):
+        forms.append(codes.astype(bool))
+    if domain == (1, 3):
+        forms.append(genotypes(codes))
+    spaces = [precompute(form, y) for form in forms]
+    assert all(isinstance(ws, CodeWorkspace) for ws in spaces)
+    flat = [all_scores(ws).tobytes() for ws in spaces]
+    assert flat == [flat[0]] * len(flat)
+
+
+def _precompute_peak(matrix, y):
+    tracemalloc.start()
+    try:
+        ws = precompute(matrix, y)
+        return ws, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_route_check_makes_no_full_size_temporary():
+    # 1000 x 2000: 0/1/2 dosages as float64 cost their uint8 copy and small
+    # per-block temporaries; a continuous matrix fails the check in its
+    # first block and peaks at the float route's two n x p float64 copies.
+    rng = np.random.default_rng(31)
+    n, p = 1000, 2000
+    y = (rng.random(n) < 0.4).astype(np.float64)
+    dosages = rng.integers(0, 3, size=(n, p)).astype(np.float64)
+    ws, peak = _precompute_peak(dosages, y)
+    assert isinstance(ws, CodeWorkspace)
+    assert peak < n * p + 2**20
+    del ws, dosages
+    normal = rng.normal(size=(n, p))
+    ws, peak = _precompute_peak(normal, y)
+    assert isinstance(ws, Workspace)
+    assert peak < 2 * normal.nbytes + 2**20

@@ -285,6 +285,13 @@ def test_precompute_matches_center_reference_bitwise():
         with pytest.raises(ZeroVarianceColumn) as exc:
             precompute(X, np.full(40, 2.0))
         assert exc.value.index == -1
+        # Integer columns with a NaN or an infinity fail the exact route's
+        # check without a cast warning, and the float route names them.
+        X = codes.astype(np.float64)
+        for bad in (np.nan, np.inf):
+            X[3, 5] = bad
+            with pytest.raises(InvalidValue, match="column 5 "):
+                precompute(X, (y > 0).astype(np.float64))
 
 
 def test_two_workspaces_of_one_input_give_identical_scores():
@@ -577,6 +584,9 @@ def test_float_route_tau_hat_is_the_centered_product_sum_over_n(binary):
     # Bit for bit the anchor row's centered product-sum over n, for the
     # full span and for a shard alike.
     X, y = random_instance(seed=16, max_n=120, max_p=60, binary=binary)
+    if binary:
+        # Binary columns against a non-integer response stay on the float route.
+        y = y + 0.25 * np.random.default_rng(16).random(y.size)
     n, p = X.shape
     ws = precompute(X, y)
     assert isinstance(ws, jciscan.Workspace)

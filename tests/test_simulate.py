@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jciscan import (
+    GenotypeMatrix,
     ScanConfig,
     all_scores,
     gen_study1,
@@ -23,7 +24,7 @@ from jciscan import (
     summarize,
 )
 from jciscan.errors import EmptyReport, InvalidValue
-from jciscan.scan import MIN_SCAN_SAMPLES, Workspace
+from jciscan.scan import MIN_SCAN_SAMPLES, CodeWorkspace, Workspace
 from jciscan.simulate import (
     GENERATORS,
     STUDY_DEFAULTS,
@@ -239,8 +240,8 @@ def test_one_replicate_screens_each_bounds_tile_once(monkeypatch):
     # The top-5 view and the true pairs' ranks come from one scan, so each
     # certified bounds tile is screened once per replicate, not once for
     # the top-5 and again for the ranks; the screen then reads a few rows.
-    spec = study_spec(3, n=80, p=400, seed=4)
-    ds = gen_study3(80, 400, child_seed(4, 0))
+    spec = study_spec(2, n=80, p=400, seed=4)
+    ds = gen_study2(80, 400, child_seed(4, 0))
     ws = precompute(ds.predictors, ds.response)
     assert isinstance(ws, Workspace)
     grid = [tile[:2] for tile in ws.bounds(range(399), (0, pair_count(400)))]
@@ -258,6 +259,19 @@ def test_one_replicate_screens_each_bounds_tile_once(monkeypatch):
     assert report.result.stats.tiles_screened == len(grid)
     assert report.result.stats.rows_read < 400 // 4
     assert report.ranks == ranks_of_pairs(all_scores(ws), 400, spec.true_pairs)
+
+
+@pytest.mark.parametrize("gen", [gen_study1, gen_study3])
+def test_binary_designs_score_as_genotype_codes(gen):
+    # The 0/1 float designs route by their values, so their scores, exact
+    # ties included, are those of the same design as genotype codes 1/2: a
+    # shift leaves every exact integer sum, and so every score, unchanged.
+    ds = gen(200, 300, child_seed(0, 0))
+    ws = precompute(ds.predictors, ds.response)
+    assert isinstance(ws, CodeWorkspace)
+    codes = ds.predictors.astype(np.uint8) + 1
+    gm = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(300)), chromosomes=(1,) * 300)
+    assert all_scores(ws).tobytes() == all_scores(precompute(gm, ds.response)).tobytes()
 
 
 def test_child_seed_is_the_spawn_child():
