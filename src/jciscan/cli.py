@@ -182,9 +182,8 @@ def cmd_convert(args) -> int:
     if args.from_format == args.to_format:
         raise InvalidValue("--from and --to must differ")
     if args.from_format == "csv":
-        matrix, _, names = dataio.parse_csv(args.input, None)
-        gm = dataio.genotype_from_floats(matrix, names)
-        dataio.write_packed(gm, args.output)
+        codes, _, names = dataio.parse_csv(args.input, None, codes=True)
+        dataio.write_packed(dataio.genotype_from_floats(codes, names), args.output)
     else:
         gm = dataio.parse_packed(args.input, missing_policy=args.missing)
         labels = [gm.column_label(j) for j in range(gm.p)]

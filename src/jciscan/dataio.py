@@ -7,11 +7,18 @@ CSV
 RFC-4180-style UTF-8 text with a mandatory header row; a leading
 byte-order mark is dropped.  One column may be the response; remaining
 columns are numeric predictors in header order.  A cell is a number by
-Python's ``float()`` and must be finite (:func:`parse_number`); each data
-row is converted by one numpy call, straight into a float64 row, and only
-a row with a bad cell is walked cell by cell to name it.  Writes use 17
-significant digits so parse(write(x)) reproduces float64 values exactly.
-Non-numeric cells are rejected (no imputation for text input).
+Python's ``float()`` and must be finite (:func:`parse_number`): that rule
+defines every value and every error.  The data section is read in blocks
+of whole lines, about :data:`_CSV_BLOCK_CHARS` characters each.  A plain
+block (ASCII ``0-9 + - . e E``, commas and line ends only, no blank line,
+no cell over ``csv.field_size_limit()``) is converted by numpy's C reader,
+which rounds a number as ``float()`` does; it is kept when it gives one
+finite value per header column.  The first block that is not kept, and
+the rest of the stream, are walked row by row with ``csv.reader``, one
+numpy call per row, and only a row with a bad cell is walked cell by cell
+to name it.  Writes use 17 significant digits so parse(write(x))
+reproduces float64 values exactly.  Non-numeric cells are rejected (no
+imputation for text input).
 
 Packed genotype format
 ----------------------
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import struct
@@ -72,6 +80,17 @@ MISSING_BITS = 0b11
 _SLOT_SHIFTS = np.arange(4, dtype=np.uint8) * 2
 
 CSV_FLOAT_DIGITS = 17
+#: Characters of CSV data read per block: whole lines, at least this many
+#: unless the stream ends first.
+_CSV_BLOCK_CHARS = 256 * 2**10
+#: The bytes of a plain CSV block of unsigned integers; a plain block may
+#: also hold the bytes of :data:`_FLOAT_MARKS`.
+_INTEGER_BYTES = b"0123456789,\r\n"
+_FLOAT_MARKS = b"+-.eE"
+#: Longest cell read as an int64 (10**18 - 1 < 2**63).  A longer one can
+#: overflow, and older numpy versions then parse it through a float with a
+#: warning instead of raising.
+_INT64_DIGITS = 18
 
 #: Header of the score dump that ``scan --dump-all`` writes and ``report``
 #: reads: one row per pair, r_hat written as the shortest round-trip float.
@@ -215,23 +234,116 @@ def _parse_cells(cells: list[str], places, what: str) -> np.ndarray:
     return np.array([parse_number(cell, *at, what) for cell, at in zip(cells, places)])
 
 
-def parse_csv(stream, response_column: str | None):
+def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
+    """The rows of ``lines`` as an n x ``width`` float64 array by numpy's C
+    reader, or None when the block is not plain or the reader does not
+    give ``width`` finite values on every line.
+
+    A plain block reads the same by numpy as by ``csv.reader`` and
+    :func:`parse_number`: its cells hold only ASCII digits, signs, points
+    and exponents, which numpy converts with CPython's correctly rounded
+    ``PyOS_string_to_double``, the routine behind ``float()``; and it has
+    no quote, space or lone carriage return, no blank line (numpy skips
+    one, ``csv.reader`` gives a row of no cells) and no cell over the
+    ``csv`` field size limit.  A block of unsigned integers of at most
+    :data:`_INT64_DIGITS` digits is read as int64, twice as fast, and
+    widened: both roundings of an exact integer are to nearest, so the
+    bits are ``float()``'s.
+    """
+    text = "".join(lines)
+    if not text.isascii() or "\n" in lines or "\r\n" in lines:
+        return None
+    raw = text.encode("ascii")
+    marks = raw.translate(None, _INTEGER_BYTES)
+    if marks.translate(None, _FLOAT_MARKS) or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    limit = csv.field_size_limit()
+    longest = max(map(len, lines))  # bounds every cell
+    if not marks or longest > limit:
+        byte = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
+        ends = np.flatnonzero((byte == ord(",")) | (byte <= ord("\r")))
+        longest = int((ends[1:] - ends[:-1]).max()) - 1
+        if longest > limit:
+            return None
+    dtype = np.int64 if not marks and longest <= _INT64_DIGITS else np.float64
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=dtype, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    return values.astype(np.float64, copy=False)
+
+
+def _raise_on_next(exc: Exception):
+    """An iterator that raises ``exc`` when it is first drawn from."""
+    raise exc
+    yield  # unreachable: makes this a generator
+
+
+def _csv_rows(lines, width: int):
+    """Yield the data rows that follow a CSV header, in file order, as
+    float64 arrays of ``width`` columns.
+
+    ``lines`` is drawn a block at a time.  Each plain block is yielded as
+    one array (:func:`_plain_values`).  From the first block that is not,
+    the block and the rest of ``lines`` are walked by ``csv.reader`` one
+    row at a time (:func:`_parse_cells`), so the per-cell rule names every
+    error.  Text that fails to decode while a block is read is raised
+    after the block's rows are walked, where the walk would meet it.
+
+    Raises:
+        FormatError: a row without ``width`` cells.
+        ParseError: a cell that is not a finite number.
+    """
+    row = 0
+    while True:
+        block: list[str] = []
+        size = 0
+        try:
+            for line in lines:
+                block.append(line)
+                size += len(line)
+                if size >= _CSV_BLOCK_CHARS:
+                    break
+        except UnicodeDecodeError as exc:
+            lines = _raise_on_next(exc)
+            break
+        if not block:
+            return
+        values = _plain_values(block, width)
+        if values is None:
+            break
+        yield values
+        row += len(values)
+    for r, record in enumerate(csv.reader(itertools.chain(block, lines)), row):
+        if len(record) != width:
+            raise FormatError(f"row {r} has {len(record)} cells, header has {width}")
+        yield _parse_cells(record, ((r, c) for c in range(width)), "cell")[None]
+
+
+def parse_csv(stream, response_column: str | None, *, codes: bool = False):
     """Parse a headered numeric CSV.
 
     Returns ``(matrix, response, predictor_names)`` where ``matrix`` is an
-    n x p float64 array in header order and ``response`` is None when
-    ``response_column`` is None.
+    n x p float64 array in header order and ``response`` is an array of
+    its own, or None when ``response_column`` is None.  With ``codes``,
+    every cell must be a genotype code 1, 2 or 3, and the arrays are uint8:
+    each block of rows is cast as it is parsed, so no float64 table is
+    held.
 
     Raises:
         FormatError: no header, empty data section, ragged rows, or a
             ``response_column`` the header names more than once.
         MissingResponse: ``response_column`` not in the header.
-        ParseError: a non-numeric cell (0-based data row / file column).
+        ParseError: a non-numeric cell (0-based data row / file column);
+            with ``codes``, once every cell has parsed, the first number
+            that is not a genotype code.
     """
     with _open(stream, "r") as fh:
-        reader = csv.reader(fh)
+        lines = iter(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(lines))
         except StopIteration:
             raise FormatError("empty file: missing header row") from None
         if not header or any(name.strip() == "" for name in header):
@@ -247,25 +359,30 @@ def parse_csv(stream, response_column: str | None):
                 )
             resp_idx = header.index(response_column)
 
-        # One float64 array per row, stacked once and dropped before the
-        # response split copies the predictors: no n x p Python floats.
-        rows: list[np.ndarray] = []
-        for r, record in enumerate(reader):
-            if len(record) != len(header):
-                raise FormatError(
-                    f"row {r} has {len(record)} cells, header has {len(header)}"
-                )
-            rows.append(_parse_cells(record, ((r, c) for c in range(len(record))), "cell"))
-        if not rows:
-            raise FormatError("no data rows after the header")
+        blocks: list[np.ndarray] = []
+        not_code: ParseError | None = None
+        rows = 0
+        for values in _csv_rows(lines, len(header)):
+            if codes and not_code is None:
+                try:
+                    values = _as_codes(values, rows)
+                except ParseError as exc:
+                    not_code, blocks = exc, []
+            if not_code is None:
+                blocks.append(values)
+            rows += len(values)
+    if not rows:
+        raise FormatError("no data rows after the header")
+    if not_code is not None:
+        raise not_code
 
-        table = np.stack(rows)
-        del rows
-        if resp_idx is None:
-            return table, None, list(header)
-        pred_cols = [j for j in range(len(header)) if j != resp_idx]
-        names = [header[j] for j in pred_cols]
-        return table[:, pred_cols], table[:, resp_idx], names
+    table = np.concatenate(blocks)
+    del blocks
+    if resp_idx is None:
+        return table, None, list(header)
+    pred_cols = [j for j in range(len(header)) if j != resp_idx]
+    names = [header[j] for j in pred_cols]
+    return table[:, pred_cols], table[:, resp_idx].copy(), names
 
 
 def write_csv(stream, matrix, names, response=None, response_name: str = "y") -> None:
@@ -469,23 +586,38 @@ def is_packed(path) -> bool:
         return fh.read(len(MAGIC)) == MAGIC
 
 
+def _as_codes(values: np.ndarray, row0: int) -> np.ndarray:
+    """``values``, rows ``row0`` on of a table, as uint8 genotype codes
+    (uint8 values pass through uncopied).
+
+    Raises:
+        ParseError: the first cell, in row-major order, not 1, 2 or 3.
+    """
+    if values.size == 0 or (values.min() >= 1 and values.max() <= 3):
+        codes = values.astype(np.uint8, copy=False)
+        if codes is values or np.array_equal(codes, values):
+            return codes
+    r, c = (int(i) for i in np.argwhere((values != 1) & (values != 2) & (values != 3))[0])
+    raise ParseError(
+        row0 + r,
+        c,
+        f"value {float(values[r, c])!r} at data row {row0 + r}, column {c} is not a genotype code",
+    )
+
+
 def genotype_from_floats(matrix, names) -> GenotypeMatrix:
-    """Build a GenotypeMatrix from float cells, validating the {1,2,3}
-    domain.  Column labels of the form "ch<k>:<id>" populate chromosome
-    metadata.
+    """Build a GenotypeMatrix from numeric cells, validating the {1,2,3}
+    domain; uint8 codes are used as they are.  Column labels of the form
+    "ch<k>:<id>" populate chromosome metadata.
 
     Raises:
         ParseError: first cell (row, column) outside the genotype domain.
     """
-    arr = np.asarray(matrix, dtype=np.float64)
-    bad = ~((arr == 1) | (arr == 2) | (arr == 3))
-    if bad.any():
-        rows, cols = np.nonzero(bad)
-        r, c = int(rows[0]), int(cols[0])
-        raise ParseError(r, c, f"value {float(arr[r, c])!r} at data row {r}, column {c} is not a genotype code")
+    arr = np.asarray(matrix)
+    codes = _as_codes(arr if arr.dtype == np.uint8 else arr.astype(np.float64, copy=False), 0)
     parsed = [parse_column_label(name) for name in names]
     return GenotypeMatrix(
-        codes=arr.astype(np.uint8),
+        codes=codes,
         snp_ids=tuple(ident for _, ident in parsed),
         chromosomes=tuple(chrom for chrom, _ in parsed),
     )

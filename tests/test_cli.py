@@ -20,6 +20,7 @@ from jciscan.cumulants import PairStatistic
 from jciscan.dataio import (
     MAGIC,
     GenotypeMatrix,
+    genotype_from_floats,
     parse_csv,
     read_phenotype,
     write_csv,
@@ -476,6 +477,69 @@ def test_convert_rejects_empty_and_same_format(tmp_path):
     ok = tmp_path / "ok.csv"
     ok.write_text("a\n1\n")
     assert run(["convert", "--from", "csv", "--to", "csv", str(ok), str(tmp_path / "o.csv")]) == 2
+
+
+def test_convert_csv_to_packed_streams_uint8_codes(tmp_path, capsys):
+    # Each parsed block is cast to uint8 codes as it comes: the run never
+    # holds the n x p float64 table (8 times the codes).
+    n, p = 400, 3000
+    codes = np.random.default_rng(31).integers(1, 4, size=(n, p)).astype(np.uint8)
+    labels = [f"ch{1 + j % 22}:rs{j}" for j in range(p)]
+    src, out = tmp_path / "g.csv", tmp_path / "g.jcg"
+    write_csv(src, codes, labels)
+    tracemalloc.start()
+    try:
+        assert run(["convert", "--from", "csv", "--to", "packed", str(src), str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * codes.nbytes + 4 * 2**20, peak
+    expected = io.BytesIO()
+    write_packed(genotype_from_floats(codes, labels), expected)
+    assert out.read_bytes() == expected.getvalue()
+    # A non-code in the last block is named by file row and column.
+    text = src.read_text()
+    src.write_text(text[: text.rindex(",")] + ",4\n")
+    out.unlink()
+    assert run(["convert", "--from", "csv", "--to", "packed", str(src), str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"jciscan: value 4.0 at data row {n - 1}, column {p - 1} is not a genotype code\n"
+    )
+    assert not out.exists()
+
+
+def _scan_and_convert(src, tmp_path, capsys):
+    """Exit code, stderr and output bytes of ``scan`` and of ``convert``."""
+    outcomes = []
+    for argv, out in (
+        (["scan", str(src), "--response-column", "y", "--top-k", "5", "--threshold", "0.05",
+          "--out"], tmp_path / "top.csv"),
+        (["convert", "--from", "csv", "--to", "packed", str(src)], tmp_path / "g.jcg"),
+    ):
+        out.unlink(missing_ok=True)
+        code = run([*argv, str(out)])
+        outcomes.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+    return outcomes
+
+
+def test_csv_line_ends_blank_lines_and_bom_keep_their_outcomes(tmp_path, capsys):
+    rng = np.random.default_rng(29)
+    cells = np.column_stack([rng.integers(1, 4, size=(40, 6)), rng.integers(1, 3, size=40)])
+    lines = [",".join([f"ch1:rs{j}" for j in range(6)] + ["y"])]
+    lines += [",".join(map(str, row)) for row in cells.tolist()]
+    src = tmp_path / "data.csv"
+    src.write_text("\n".join(lines) + "\n")
+    expected = _scan_and_convert(src, tmp_path, capsys)
+    assert [(code, err) for code, err, _ in expected] == [(0, ""), (0, "")]
+    crlf = ("\r\n".join(lines) + "\r\n").encode()
+    for raw in (crlf, b"\xef\xbb\xbf" + src.read_bytes(), b"\xef\xbb\xbf" + crlf):
+        src.write_bytes(raw)
+        assert _scan_and_convert(src, tmp_path, capsys) == expected
+    for end in ("\n", "\r\n"):
+        src.write_text(end.join(lines[:4] + [""] + lines[4:]) + end, newline="")
+        assert _scan_and_convert(src, tmp_path, capsys) == [
+            (2, "jciscan: row 3 has 0 cells, header has 7\n", None)
+        ] * 2
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,11 @@ import io
 import os
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jciscan import dataio
@@ -524,6 +525,141 @@ def test_parse_csv_peak_memory_stays_near_the_matrix(tmp_path):
             tracemalloc.stop()
         assert matrix.shape[0] == 200
         assert peak <= 2.5 * values.nbytes, (response_column, peak)
+
+
+def test_parse_csv_response_owns_its_memory():
+    # A view would keep the whole parsed table alive beside the predictors.
+    matrix, response, _ = parse_csv(io.StringIO("a,y,b\n1,2,3\n4,5,6\n"), "y")
+    assert response.tolist() == [2.0, 5.0]
+    assert response.base is None and not np.shares_memory(matrix, response)
+
+
+# --------------------------------------------------------------------------
+# Plain blocks: numpy's C reader against the per-cell rule
+# --------------------------------------------------------------------------
+
+FIELD_LIMIT = csv.field_size_limit()
+
+plain_numbers = st.one_of(
+    st.integers(0, 10**30).map(str),  # unsigned, past int64 too
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")),
+    st.sampled_from(["007", "-0", "+0", "-0.0", "1E5", "1e-400", "-.5", "5.", "+1e+3",
+                     "999999999999999999", "9223372036854775808", "1234567890123456789012345",
+                     "1234567890123.456789012345", "9" * 25 + "e-10", "0" * FIELD_LIMIT]),
+)
+# Plain-alphabet cells that float() rejects or that are not finite; the
+# last is one character over the csv field size limit.
+plain_odd_cells = st.sampled_from(["1e400", "-1e999", ".", "e5", "+-1", "1-2", "", "1e", "--1",
+                                   "1.2.3", "E", "+", "1" * 400, "0" * (FIELD_LIMIT + 1)])
+
+
+@st.composite
+def plain_csv_files(draw):
+    """A headered CSV text in the plain alphabet: mostly numbers, with a few
+    odd cells, ragged rows, blank lines anywhere, LF or CRLF line ends, a
+    lone CR, or no final line end; and a response column or None."""
+    p = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        width = max(1, p + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1])))
+        rows.append(draw(st.lists(plain_numbers, min_size=width, max_size=width)))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(plain_odd_cells)
+    header = [f"c{j}" for j in range(p)]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [end] * (len(lines) - 1) + [draw(st.sampled_from([end, ""]))]
+    if draw(st.integers(0, 4)) == 0:
+        ends[draw(st.integers(0, len(ends) - 1))] = "\r"
+    text = "".join(line + e for line, e in zip(lines, ends))
+    return text, draw(st.sampled_from([None, *header]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=plain_csv_files(), block=st.sampled_from([1, 9, 64, 300, dataio._CSV_BLOCK_CHARS]))
+@example(table=("c0,c1\n1,2\n\n3,4\n", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\n1,2\r3,4\n", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\n1," + "0" * (FIELD_LIMIT + 1) + "\n", "c1"), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\n1," + "0" * FIELD_LIMIT + "\n", "c1"), block=dataio._CSV_BLOCK_CHARS)
+def test_plain_blocks_match_the_per_cell_rule(table, block):
+    # Small blocks put a plain block before a failing one at every row.
+    text, response_column = table
+    with mock.patch.object(dataio, "_CSV_BLOCK_CHARS", block):
+        got = outcome(parse_csv, io.StringIO(text), response_column)
+    assert got == outcome(per_cell_parse_csv, text, response_column)
+
+
+def codes_by_cells(text):
+    """``convert``'s codes by the per-cell rule: the whole table parsed,
+    then the first cell in row-major order that is not 1, 2 or 3 named."""
+    matrix, _, _ = per_cell_parse_csv(text, None)
+    bad = ~((matrix == 1) | (matrix == 2) | (matrix == 3))
+    if bad.any():
+        r, c = (int(i) for i in np.argwhere(bad)[0])
+        raise ParseError(r, c, f"value {float(matrix[r, c])!r} at data row {r}, column {c} is not a genotype code")
+    return matrix.astype(np.uint8)
+
+
+def codes_by_blocks(text):
+    codes, _, names = parse_csv(io.StringIO(text), None, codes=True)
+    return genotype_from_floats(codes, names).codes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from("1231231230"), min_size=3, max_size=3),
+                           min_size=n, max_size=n)
+    ),
+    odd=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 2),
+                           st.sampled_from(["4", "2.5", "01", "3e0", "2.0", "-1", "NA", " 2", "1e400"])),
+                 max_size=3),
+    block=st.sampled_from([1, 8, 40, dataio._CSV_BLOCK_CHARS]),
+)
+def test_codes_parse_matches_parse_then_domain_check(rows, odd, block):
+    # A bad number anywhere outranks a non-code cell, in any block.
+    for r, c, cell in odd:
+        rows[r % len(rows)][c] = cell
+    text = "a,b,c\n" + "".join(",".join(row) + "\n" for row in rows)
+    with mock.patch.object(dataio, "_CSV_BLOCK_CHARS", block):
+        got = outcome(codes_by_blocks, text)
+    assert got == outcome(codes_by_cells, text)
+
+
+def test_plain_csv_never_reaches_the_per_cell_walk(tmp_path, monkeypatch):
+    def walked(*args):
+        raise AssertionError("a plain block was walked cell by cell")
+
+    monkeypatch.setattr(dataio, "_parse_cells", walked)
+    monkeypatch.setattr(dataio, "_CSV_BLOCK_CHARS", 100)
+    rng = np.random.default_rng(17)
+    floats = rng.normal(size=(30, 6)) * 10.0 ** rng.integers(-300, 300, size=(30, 6))
+    codes = rng.integers(1, 4, size=(30, 6))
+    path = tmp_path / "plain.csv"
+    for matrix in (floats, codes - 1, codes):
+        write_csv(path, matrix, [f"x{j}" for j in range(6)])
+        for end in (b"\n", b"\r\n"):
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", end))
+            assert np.array_equal(parse_csv(path, None)[0], matrix)
+    assert np.array_equal(parse_csv(path, None, codes=True)[0], codes)
+
+
+def test_bad_cell_before_undecodable_text_is_named_first(tmp_path):
+    # Rows are read in order: a bad number in the block that holds the
+    # undecodable byte is reported, as the row-by-row walk reports it.
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(b"a,b\n1,NA\n" + b"1,2\n" * 20000 + b"3,\xff\n")
+    with pytest.raises(ParseError) as exc:
+        parse_csv(path, None)
+    assert (exc.value.row, exc.value.column) == (0, 1)
+    path.write_bytes(b"a,b\n" + b"1,2\n" * 20000 + b"3,\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        parse_csv(path, None)
 
 
 # --------------------------------------------------------------------------
