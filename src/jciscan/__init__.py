@@ -37,21 +37,36 @@ from .scan import (
     scan,
     select_by_threshold,
 )
-from .simulate import (
-    RankSummary,
-    ReplicateReport,
-    SimStudySpec,
-    gen_study1,
-    gen_study2,
-    gen_study3,
-    gen_study4,
-    gen_study5,
-    run_replications,
-    study_spec,
-    summarize,
-)
 
 __version__ = "0.1.0"
+
+#: The simulation harness's names, imported from :mod:`jciscan.simulate` on
+#: first use: a command that runs no simulation does not load it.
+_SIMULATE_NAMES = frozenset({
+    "RankSummary",
+    "ReplicateReport",
+    "SimStudySpec",
+    "gen_study1",
+    "gen_study2",
+    "gen_study3",
+    "gen_study4",
+    "gen_study5",
+    "run_replications",
+    "study_spec",
+    "summarize",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATE_NAMES)
 
 __all__ = [
     "CenteredColumn",

@@ -34,7 +34,6 @@ from .scan import (
     precompute,
     scan,
 )
-from .simulate import run_replications, study_spec, summarize
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -138,6 +137,8 @@ def _pair_label(pair: tuple[int, int]) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import run_replications, study_spec, summarize
+
     if args.out_summary is None and args.out_replicates is None:
         raise InvalidValue("nothing to write: set --out-summary and/or --out-replicates")
     spec = study_spec(

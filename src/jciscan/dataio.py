@@ -9,14 +9,17 @@ byte-order mark is dropped.  One column may be the response; remaining
 columns are numeric predictors in header order.  A cell is a number by
 Python's ``float()`` and must be finite (:func:`parse_number`): that rule
 defines every value and every error.  The data section is read in blocks
-of whole lines, about :data:`_CSV_BLOCK_CHARS` characters each.  A plain
-block (ASCII ``0-9 + - . e E``, commas and line ends only, no blank line,
-no cell over ``csv.field_size_limit()``) is converted by numpy's C reader,
-which rounds a number as ``float()`` does; it is kept when it gives one
-finite value per header column.  The first block that is not kept, and
-the rest of the stream, are walked row by row with ``csv.reader``, one
-numpy call per row, and only a row with a bad cell is walked cell by cell
-to name it.  Writes use 17 significant digits so parse(write(x))
+of whole lines, about :data:`_CSV_BLOCK_CHARS` characters each.  A block
+of single digits, one per header column on every line (a genotype or
+dosage table), is decoded straight from its bytes as uint8 digits and
+widened to float64 only when the parsed blocks are joined.  Any other
+plain block (ASCII ``0-9 + - . e E``, commas and line ends only, no blank
+line, no cell over ``csv.field_size_limit()``) is converted by numpy's C
+reader, which rounds a number as ``float()`` does; it is kept when it
+gives one finite value per header column.  The first block that is not
+kept, and the rest of the stream, are walked row by row with
+``csv.reader``, one numpy call per row, and only a row with a bad cell is
+walked cell by cell to name it.  Writes use 17 significant digits so parse(write(x))
 reproduces float64 values exactly.  Non-numeric cells are rejected (no
 imputation for text input).
 
@@ -87,10 +90,6 @@ _CSV_BLOCK_CHARS = 256 * 2**10
 #: also hold the bytes of :data:`_FLOAT_MARKS`.
 _INTEGER_BYTES = b"0123456789,\r\n"
 _FLOAT_MARKS = b"+-.eE"
-#: Longest cell read as an int64 (10**18 - 1 < 2**63).  A longer one can
-#: overflow, and older numpy versions then parse it through a float with a
-#: warning instead of raising.
-_INT64_DIGITS = 18
 
 #: Header of the score dump that ``scan --dump-all`` writes and ``report``
 #: reads: one row per pair, r_hat written as the shortest round-trip float.
@@ -235,44 +234,55 @@ def _parse_cells(cells: list[str], places, what: str) -> np.ndarray:
 
 
 def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
-    """The rows of ``lines`` as an n x ``width`` float64 array by numpy's C
-    reader, or None when the block is not plain or the reader does not
-    give ``width`` finite values on every line.
+    """The rows of ``lines`` as an n x ``width`` array, or None when the
+    block is not plain or does not give ``width`` finite values on every
+    line.
 
-    A plain block reads the same by numpy as by ``csv.reader`` and
+    A block whose every line is ``width`` single digits joined by commas,
+    all ended by LF or all by CRLF, is decoded straight from its bytes:
+    the digits' values are returned as uint8, and each is the value
+    ``float()`` gives its cell.  Any other plain block is read as float64
+    by numpy's C reader, and reads the same as by ``csv.reader`` and
     :func:`parse_number`: its cells hold only ASCII digits, signs, points
     and exponents, which numpy converts with CPython's correctly rounded
     ``PyOS_string_to_double``, the routine behind ``float()``; and it has
     no quote, space or lone carriage return, no blank line (numpy skips
     one, ``csv.reader`` gives a row of no cells) and no cell over the
-    ``csv`` field size limit.  A block of unsigned integers of at most
-    :data:`_INT64_DIGITS` digits is read as int64, twice as fast, and
-    widened: both roundings of an exact integer are to nearest, so the
-    bits are ``float()``'s.
+    ``csv`` field size limit.
     """
     text = "".join(lines)
     if not text.isascii() or "\n" in lines or "\r\n" in lines:
         return None
     raw = text.encode("ascii")
+    end = b"\r\n" if lines[0].endswith("\r\n") else b"\n"
+    size = 2 * width - 1 + len(end)
+    if len(raw) == size * len(lines) and raw[size - 1 :: size] == b"\n" * len(lines):
+        # Every line is ``size`` bytes ending in LF: ``width`` byte pairs
+        # (digit, comma), the last (digit, first byte of the line end).
+        # Read as little-endian u16 and less ("0", that separator), a pair
+        # is its digit's value, and any other pair is at least 10.
+        pairs = np.ndarray((len(lines), width), dtype="<u2", buffer=raw, strides=(size, 2))
+        zero = np.full(width, ord("0") | ord(",") << 8, dtype="<u2")
+        zero[-1] = ord("0") | end[0] << 8
+        values = pairs - zero
+        if values.max() <= 9:
+            return values.astype(np.uint8)
     marks = raw.translate(None, _INTEGER_BYTES)
     if marks.translate(None, _FLOAT_MARKS) or (b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")):
         return None
     limit = csv.field_size_limit()
-    longest = max(map(len, lines))  # bounds every cell
-    if not marks or longest > limit:
+    if max(map(len, lines)) > limit:  # a line bounds every cell in it
         byte = np.frombuffer(b"\n" + raw + b"\n", dtype=np.uint8)
         ends = np.flatnonzero((byte == ord(",")) | (byte <= ord("\r")))
-        longest = int((ends[1:] - ends[:-1]).max()) - 1
-        if longest > limit:
+        if int((ends[1:] - ends[:-1]).max()) - 1 > limit:
             return None
-    dtype = np.int64 if not marks and longest <= _INT64_DIGITS else np.float64
     try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=dtype, ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, dtype=np.float64, ndmin=2)
     except ValueError:
         return None
     if values.shape[1] != width or not np.isfinite(values).all():
         return None
-    return values.astype(np.float64, copy=False)
+    return values
 
 
 def _raise_on_next(exc: Exception):
@@ -283,7 +293,8 @@ def _raise_on_next(exc: Exception):
 
 def _csv_rows(lines, width: int):
     """Yield the data rows that follow a CSV header, in file order, as
-    float64 arrays of ``width`` columns.
+    arrays of ``width`` columns: float64, or uint8 for a block of single
+    digits.
 
     ``lines`` is drawn a block at a time.  Each plain block is yielded as
     one array (:func:`_plain_values`).  From the first block that is not,
@@ -376,7 +387,7 @@ def parse_csv(stream, response_column: str | None, *, codes: bool = False):
     if not_code is not None:
         raise not_code
 
-    table = np.concatenate(blocks)
+    table = np.concatenate(blocks, dtype=None if codes else np.float64)
     del blocks
     if resp_idx is None:
         return table, None, list(header)
@@ -468,14 +479,16 @@ def write_packed(matrix: GenotypeMatrix, stream) -> None:
                 raise InvalidValue(f"chromosome code {chrom} outside u8 range")
             fh.write(_COLUMN_META.pack(chrom, len(encoded)))
             fh.write(encoded)
-        # Column-major bit pairs, each column zero-padded to whole bytes;
-        # shifted in place so the only copies are the bits and the bytes.
-        bits = np.zeros((matrix.p, payload_bytes(matrix.n, 1) * 4), dtype=np.uint8)
-        bits[:, : matrix.n] = matrix.codes.T
-        bits[:, : matrix.n] -= 1
-        grouped = bits.reshape(matrix.p, -1, 4)
-        grouped <<= _SLOT_SHIFTS
-        fh.write(np.bitwise_or.reduce(grouped, axis=2).tobytes())
+        # Byte b of a column holds rows 4b..4b+3, row 4b+k in slot k: the
+        # rows k::4 of the codes fill slot k of every byte at once.  Bytes
+        # past row n keep zero bits, and the transpose is column-major.
+        packed = np.zeros((payload_bytes(matrix.n, 1), matrix.p), dtype=np.uint8)
+        for k in range(4):
+            slot = matrix.codes[k::4] - np.uint8(1)
+            slot <<= 2 * k
+            packed[: len(slot)] |= slot
+        del slot  # before the transposed copy: at most 3/4 of the codes held
+        fh.write(packed.T.tobytes())
 
 
 def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:

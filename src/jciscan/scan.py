@@ -123,7 +123,6 @@ import os
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -990,10 +989,15 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
 
     # The workspace is shared read-only; the top-k state takes a lock.
     workers = min(config.worker_count, len(tiles))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run = map if workers <= 1 else pool.map
-        screens = list(run(screen, tiles))
-        parts = list(run(sweep, tiles, screens))
+    if workers <= 1:
+        screens = list(map(screen, tiles))
+        parts = list(map(sweep, tiles, screens))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            screens = list(pool.map(screen, tiles))
+            parts = list(pool.map(sweep, tiles, screens))
 
     counts = sum((c for _, c, _ in parts), np.zeros(len(pairs), dtype=np.int64))
     return ScanResult(

@@ -6,6 +6,8 @@ import csv as csvmod
 import io
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jciscan
 from jciscan import CodeWorkspace, ScanConfig, all_scores, pair_count, precompute, scan
 from jciscan.cli import build_parser, main
 from jciscan.cumulants import PairStatistic
@@ -35,6 +38,42 @@ def run(argv):
         return main(argv)
     except SystemExit as exc:  # argparse-level rejections
         return int(exc.code)
+
+
+# Modules a command loads only when it runs them: the simulation harness
+# (simulate) and a thread pool (scan with more than one worker).
+_LAZY_MODULES = ("jciscan.simulate", "concurrent.futures")
+
+_IMPORT_PROBE = """
+import sys
+import jciscan.cli
+print(*(m for m in %r if m in sys.modules))
+import jciscan
+names = {}
+exec("from jciscan import *", names)
+assert set(jciscan.__all__) <= set(names) and set(jciscan.__all__) <= set(dir(jciscan))
+assert names["run_replications"] is jciscan.run_replications is sys.modules["jciscan.simulate"].run_replications
+try:
+    jciscan.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("jciscan.no_such_name resolved")
+""" % (_LAZY_MODULES,)
+
+
+def test_commands_import_only_what_they_run():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jciscan.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    assert probe.stdout.split() == []
+    # -X importtime lists every module the process imports on stderr.
+    helped = subprocess.run([sys.executable, "-X", "importtime", "-m", "jciscan", "--help"], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in helped.stderr.splitlines()}
+    assert "jciscan.cli" in imported
+    assert imported.isdisjoint(_LAZY_MODULES)
 
 
 def read_rows(path):

@@ -649,6 +649,100 @@ def test_plain_csv_never_reaches_the_per_cell_walk(tmp_path, monkeypatch):
     assert np.array_equal(parse_csv(path, None, codes=True)[0], codes)
 
 
+GRID_BREAKS = ("two digits", "sign", "point", "space", "blank line", "lone CR",
+               "no final line end", "ragged row", "header width", "non-ASCII digit",
+               "one character")
+
+
+def break_grid(change, header, rows, ends):
+    """Apply one of :data:`GRID_BREAKS` in place: a cell, a line end, a row
+    or the header that takes a table of single digits off the byte grid."""
+    middle = len(rows) // 2
+    if change == "two digits":
+        rows[0][0] = "12"
+    elif change == "sign":
+        rows[-1][-1] = "-1"
+    elif change == "point":
+        rows[0][-1] = "2."
+    elif change == "space":
+        rows[-1][0] = " 3"
+    elif change == "blank line":
+        rows.insert(middle, [])
+        ends.append(ends[-1])
+    elif change == "lone CR":
+        ends[middle] = "\r"
+    elif change == "no final line end":
+        ends[-1] = ""
+    elif change == "ragged row":
+        rows[middle].append("1")
+    elif change == "header width":
+        header.append("extra")
+    elif change == "non-ASCII digit":
+        rows[-1][0] = "\u0663"  # float() reads it as 3
+
+
+@st.composite
+def single_digit_files(draw):
+    """A headered CSV of single digits, mostly genotype codes, with LF or
+    CRLF line ends and at most one of :data:`GRID_BREAKS`; "one character"
+    puts a drawn character in place of any one of the data section's, so a
+    line can keep its length with a bad byte in any slot of the grid."""
+    p = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    rows = [draw(st.lists(st.sampled_from("1231231231230459"), min_size=p, max_size=p)) for _ in range(n)]
+    header = [f"c{j}" for j in range(p)]
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * (n + 1)
+    change = draw(st.sampled_from([None, *GRID_BREAKS]))
+    break_grid(change, header, rows, ends)
+    text = "".join(",".join(line) + end for line, end in zip([header, *rows], ends, strict=True))
+    if change == "one character":
+        at = draw(st.integers(len(",".join(header) + ends[0]), len(text) - 1))
+        text = text[:at] + draw(st.sampled_from(",\r\n .-+e5/:\u0663")) + text[at + 1 :]
+    return text, draw(st.sampled_from([None, *header]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=single_digit_files(), block=st.sampled_from([1, 9, 64, dataio._CSV_BLOCK_CHARS]))
+@example(table=("c0,c1\n1,2\n3,4", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\n1,2\n3,45", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\r\n1,2\r\n3,45\n", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\n1,2\n3.4\n", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\n1,2\n3,:\n", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\r\n1,2\r\n3,4\r5", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1\r\n1,2\r\n3,4\r", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0,c1,c2\n1,2\n3,4\n", None), block=dataio._CSV_BLOCK_CHARS)
+@example(table=("c0\n1\n\u0663\n", None), block=dataio._CSV_BLOCK_CHARS)
+def test_single_digit_blocks_match_the_per_cell_rule(table, block):
+    text, response_column = table
+    with mock.patch.object(dataio, "_CSV_BLOCK_CHARS", block):
+        got = outcome(parse_csv, io.StringIO(text), response_column)
+        got_codes = outcome(codes_by_blocks, text)
+    assert got == outcome(per_cell_parse_csv, text, response_column)
+    assert got_codes == outcome(codes_by_cells, text)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+@pytest.mark.parametrize("n", [40, 41, 42, 43])
+def test_genotype_csv_is_decoded_from_its_bytes(tmp_path, monkeypatch, n, end):
+    # Neither numpy's text reader nor the per-row walk runs on a genotype
+    # CSV, in any of several blocks.
+    def unused(*args, **kwargs):
+        raise AssertionError("a single-digit block left the byte decoder")
+
+    codes = np.random.default_rng(n).integers(1, 4, size=(n, 7)).astype(np.uint8)
+    path = tmp_path / "g.csv"
+    write_csv(path, codes, [f"ch1:rs{j}" for j in range(7)])
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
+    monkeypatch.setattr(np, "loadtxt", unused)
+    monkeypatch.setattr(dataio, "_parse_cells", unused)
+    monkeypatch.setattr(dataio, "_CSV_BLOCK_CHARS", 100)
+    got, _, _ = parse_csv(path, None, codes=True)
+    assert got.dtype == np.uint8 and np.array_equal(got, codes)
+    got, response, _ = parse_csv(path, "ch1:rs3")
+    assert got.dtype == response.dtype == np.float64
+    assert np.array_equal(got, np.delete(codes, 3, axis=1)) and np.array_equal(response, codes[:, 3])
+
+
 def test_bad_cell_before_undecodable_text_is_named_first(tmp_path):
     # Rows are read in order: a bad number in the block that holds the
     # undecodable byte is reported, as the row-by-row walk reports it.
@@ -686,11 +780,23 @@ def packed_bytes(gm):
     return buf.getvalue()
 
 
+def bit_matrix_payload(codes):
+    """The packed payload by the layout's definition: a p x 4 ceil(n/4)
+    matrix of bit pairs, zero-padded, each group of four shifted to its
+    slot and OR-ed into one byte."""
+    n, p = codes.shape
+    bits = np.zeros((p, payload_bytes(n, 1) * 4), dtype=np.uint8)
+    bits[:, :n] = codes.T - 1
+    grouped = bits.reshape(p, -1, 4) << (np.arange(4, dtype=np.uint8) * 2)
+    return np.bitwise_or.reduce(grouped, axis=2).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(gm=packed_matrices)
 def test_packed_roundtrip_property(gm):
     # n runs over 1..13, so every n mod 4 padding case is drawn.
     data = packed_bytes(gm)
+    assert data[len(data) - payload_bytes(gm.n, gm.p) :] == bit_matrix_payload(gm.codes)
     back = parse_packed(io.BytesIO(data))
     assert np.array_equal(back.codes, gm.codes)
     assert (back.snp_ids, back.chromosomes) == (gm.snp_ids, gm.chromosomes)
@@ -755,6 +861,22 @@ def test_parse_packed_peak_memory_stays_near_the_codes():
         tracemalloc.stop()
     assert np.array_equal(back.codes, codes)
     assert peak <= 1.5 * codes.nbytes + payload_bytes(n, p)
+
+
+def test_write_packed_peak_memory_stays_below_the_codes(tmp_path):
+    # Four row slices OR-ed into one ceil(n/4) x p array: no bit matrix as
+    # large as the codes.  n = 403 leaves a partial last byte per column.
+    n, p = 403, 5000
+    gm = make_matrix(np.random.default_rng(41).integers(1, 4, size=(n, p)))
+    path = tmp_path / "g.jcg"
+    tracemalloc.start()
+    try:
+        write_packed(gm, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * gm.codes.nbytes, peak / gm.codes.nbytes
+    assert path.read_bytes() == packed_bytes(gm)
 
 
 def test_parse_packed_handles_missing_codes_per_column_chunk(monkeypatch):
