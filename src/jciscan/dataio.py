@@ -467,18 +467,19 @@ def read_score_dump(stream):
 
 
 def write_packed(matrix: GenotypeMatrix, stream) -> None:
-    """Serialize a genotype matrix to the packed layout (no timestamps,
-    deterministic bytes)."""
+    """Serialize a genotype matrix to the packed layout (deterministic
+    bytes); a matrix it cannot encode leaves ``stream`` untouched."""
+    encoded = [snp_id.encode("utf-8") for snp_id in matrix.snp_ids]
+    for snp_id, raw, chrom in zip(matrix.snp_ids, encoded, matrix.chromosomes):
+        if len(raw) > 0xFFFF:
+            raise InvalidValue(f"SNP id too long to encode: {snp_id[:32]!r}...")
+        if not (0 <= chrom <= 0xFF):
+            raise InvalidValue(f"chromosome code {chrom} outside u8 range")
     with _open(stream, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0, matrix.n, matrix.p))
-        for snp_id, chrom in zip(matrix.snp_ids, matrix.chromosomes):
-            encoded = snp_id.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise InvalidValue(f"SNP id too long to encode: {snp_id[:32]!r}...")
-            if not (0 <= chrom <= 0xFF):
-                raise InvalidValue(f"chromosome code {chrom} outside u8 range")
-            fh.write(_COLUMN_META.pack(chrom, len(encoded)))
-            fh.write(encoded)
+        for raw, chrom in zip(encoded, matrix.chromosomes):
+            fh.write(_COLUMN_META.pack(chrom, len(raw)))
+            fh.write(raw)
         # Byte b of a column holds rows 4b..4b+3, row 4b+k in slot k: the
         # rows k::4 of the codes fill slot k of every byte at once.  Bytes
         # past row n keep zero bits, and the transpose is column-major.

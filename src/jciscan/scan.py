@@ -4,13 +4,14 @@ Two routes compute a pair's value; :func:`precompute` picks one per dataset
 and returns its workspace: :class:`Workspace` for the float route,
 :class:`CodeWorkspace` for the exact route.
 
-The float route serves every input the exact route does not.  It hoists
-everything that does not depend on the partner column: means, centered
-columns, centered sums of squares, their square roots and sqrt(n) are
-computed once per dataset.  After that, scoring one anchor column j1
-against every partner j2 is a single fused product ``(y_c * x_c[j1]) @ C``
-followed by elementwise normalization, where C is the n x p centered
-matrix.
+The float route serves every input the exact route does not.  It scales
+each column and y by a power of two, exact in the normal range, and then
+hoists everything that does not depend on the partner column: means,
+centered columns, centered sums of squares, their square roots and
+sqrt(n) are computed once per dataset.  After that, scoring one anchor
+column j1 against every partner j2 is a single fused product
+``(y_c * x_c[j1]) @ C`` followed by elementwise normalization, where C
+is the n x p centered matrix.
 
 The exact route serves integers in [0, 255] of any dtype (genotype codes,
 0/1/2 dosages, 0/1 designs) against an integer-valued response
@@ -78,7 +79,8 @@ The certified screen
 On the float route a top-k, threshold or rank scan first reads
 ``Workspace.bounds``: BLAS-3 tiles giving every pair an estimate and a
 radius that holds the value ``rows`` makes whatever the summation order,
-FMA use or thread split (see :meth:`Workspace.bounds`).  Each tile is
+FMA use or thread split (see :meth:`Workspace.bounds`); the prescale
+gives the bound one path at every column scale.  Each tile is
 screened once per scan, for every output asked for: top-k bounds the
 cell lower bounds above the floor a few rows at a time, so once every
 work tile is screened the floor is the k-th largest finite cell lower
@@ -174,13 +176,11 @@ MIN_SCAN_SAMPLES = 3
 
 #: Float route screen constants (see :meth:`Workspace.bounds`): the unit
 #: roundoff; a bound on one operation's absolute underflow error, also
-#: under flush-to-zero; the relative slack on each bound for the roundings
-#: of the post-processing on both sides (about 12 ulps) with margin; and a
-#: size past which a tile's partial sums might overflow, so it is rescored.
+#: under flush-to-zero; and the relative slack on each bound for the
+#: roundings of the post-processing on both sides (about 12 ulps) with margin.
 _UNIT = 2.0**-53
 _ETA = 2.0**-1022
 _SLACK = 2.0**-46
-_SAFE = 2.0**1020
 
 
 # --------------------------------------------------------------------------
@@ -374,16 +374,20 @@ class ScanResult:
 class Workspace:
     """The float route's workspace, shared read-only by workers.
 
-    ``matrix`` is the n x p centered float64 predictor matrix, the only
-    copy of the predictors; ``scale[j]`` is sqrt(css_j) and ``l1[j]`` is
-    ``sum_i |c_ij|``; the response is centered with index
-    ``RESPONSE_INDEX``."""
+    Column j is held scaled by ``2^-shift[j]`` and y by
+    ``2^-response_shift`` (:func:`precompute`), each field bit-identical to
+    :func:`~jciscan.cumulants.center` of the scaled column: ``matrix`` is
+    the n x p centered float64 matrix, the only copy of the predictors;
+    ``scale[j]`` is sqrt(css_j) and ``l1[j]`` is ``sum_i |c_ij|``; the
+    response is centered with index ``RESPONSE_INDEX``."""
 
     response: CenteredColumn
     matrix: np.ndarray
     scale: np.ndarray
     l1: np.ndarray
+    shift: np.ndarray
     response_scale: float
+    response_shift: int
     sqrt_n: float
 
     @property
@@ -403,7 +407,8 @@ class Workspace:
         """Yield ``(j1, lo, r_hat, tau_hat)`` per tile of at most
         ``_ANCHOR_BLOCK`` of ``anchors``, in order.  Each row's product
         always has shape (n,) @ (n, p), so a value never depends on span,
-        tiling or which anchors share its tile."""
+        tiling or which anchors share its tile.  The scaled ratio is r_hat
+        itself; tau_hat beyond the float range is +-inf."""
         anchors = np.asarray(anchors, dtype=np.intp)
         sums = np.empty((min(anchors.size, _ANCHOR_BLOCK), self.p))
         for t0 in range(0, anchors.size, _ANCHOR_BLOCK):
@@ -416,7 +421,10 @@ class Workspace:
             denom = np.multiply.outer(self.scale[j1] * self.response_scale, self.scale[lo:hi])
             r_hat = self.sqrt_n * np.abs(block) / denom
             _mask(r_hat, starts, ends, lo, np.nan)
-            yield j1, lo, r_hat, block / self.n
+            shifts = np.add.outer(self.shift[j1] + self.response_shift, self.shift[lo:hi])
+            with np.errstate(over="ignore"):  # past the float range, masked cells too
+                tau_hat = np.ldexp(block / self.n, shifts)
+            yield j1, lo, r_hat, tau_hat
 
     def bounds(self, anchors: range, span: tuple[int, int]):
         """Yield ``(a0, lo, estimate, radius)`` per GEMM tile of ``anchors``:
@@ -424,9 +432,8 @@ class Workspace:
         ``lo, lo + 1, ...`` and a radius per anchor such that the r_hat
         :meth:`rows` gives each pair lies within ``estimate -+ radius``,
         whatever BLAS does.  Pairs outside the span (j2 <= j1 included) have
-        estimate -inf.  A tile the bound cannot settle has estimate 0 and
-        radius inf throughout.  The estimate array is reused: read it
-        before asking for the next tile.
+        estimate -inf.  The estimate array is reused: read it before asking
+        for the next tile.
 
         With ``W = y_c * C[:, A]`` (the products :meth:`rows` forms) a tile
         is ``G = W.T @ C[:, B]``, and the estimate is ``|G|`` times
@@ -436,28 +443,25 @@ class Workspace:
         product-sum s within ``gamma_n sum_i |w_i||c_i|`` plus ``2 n eta`` of
         the exact dot product (Higham, Accuracy and Stability of Numerical
         Algorithms, section 3.1), so
-        ``|G - s| <= 2 gamma_n max_i |w_i| ||c||_1 + 4 n eta``.  No entry is
-        squared, so the bound holds at any column scale.  The radius maps
-        it through the monotone post-processing, takes its largest value
-        over the tile's partners, and adds ``_SLACK`` times the tile's
+        ``|G - s| <= 2 gamma_n max_i |w_i| ||c||_1 + 4 n eta``.  The radius
+        maps it through the monotone post-processing, takes its largest
+        value over the tile's partners, and adds ``_SLACK`` times the tile's
         largest estimate and radius plus ``eta``: that covers the few
         roundings of either side's post-processing and of one comparison
-        of ``estimate -+ radius`` with a value.  A tile is unsettled when
-        a partial sum might overflow, a scale factor leaves the normal
-        range, or an estimate is not finite."""
+        of ``estimate -+ radius`` with a value.  After the prescale every
+        |x| is in [1/2, 1) at its column's largest, so every |c| and |y_c|
+        is below 2 and, by :func:`~jciscan.cumulants.near_constant`'s
+        relative floor, css exceeds ``(eps n / 2)^2``: every factor is
+        normal and no partial sum exceeds ``8 n``, at any column scale."""
         n = self.n
         gamma = n * _UNIT / (1 - n * _UNIT)
         # The computed l1 is low by at most gamma_n relative.
         spread = 2 * gamma * (1 + gamma) * (1 + _SLACK) * self.sqrt_n
-        with np.errstate(over="ignore", divide="ignore"):
-            # sqrt_n / denom is the outer product of these normal factors.
-            anchor_factors = self.sqrt_n / (self.scale * self.response_scale)
-            partner_factors = 1 / self.scale
-            ratios = self.l1 * partner_factors
-            factor_max = anchor_factors.max() * partner_factors.max()
-            factor_min = anchor_factors.min() * partner_factors.min()
-        normal = min(anchor_factors.min(), partner_factors.min(), factor_min) >= 1 / _SAFE and factor_max <= _SAFE
-        underflow = 4 * n * _ETA * self.sqrt_n * factor_max + _ETA
+        # sqrt_n / denom is the outer product of these normal factors.
+        anchor_factors = self.sqrt_n / (self.scale * self.response_scale)
+        partner_factors = 1 / self.scale
+        ratios = self.l1 * partner_factors
+        underflow = 4 * n * _ETA * self.sqrt_n * anchor_factors.max() * partner_factors.max() + _ETA
         # Two tile buffers, reused from tile to tile: fresh arrays of this
         # size cost a page-faulting allocation each.
         size = min(len(anchors), _ANCHOR_BLOCK) * min(self.p, _PARTNER_CHUNK)
@@ -465,26 +469,13 @@ class Workspace:
         for a0, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _ANCHOR_BLOCK, _PARTNER_CHUNK):
             a1 = a0 + len(starts)
             estimate, factor = (b[: (a1 - a0) * (hi - lo)].reshape(a1 - a0, hi - lo) for b in buffers)
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = self.response.centered[:, None] * self.matrix[:, a0:a1]
-                np.matmul(w.T, self.matrix[:, lo:hi], out=estimate)
-                wmax = np.abs(w).max(axis=0)
-                np.abs(estimate, out=estimate)
-                estimate *= np.multiply.outer(anchor_factors[a0:a1], partner_factors[lo:hi], out=factor)
-                peak = estimate.max()
-                radius = spread * ratios[lo:hi].max() * wmax * anchor_factors[a0:a1]
-                radius += underflow
-                radius += _SLACK * (peak + radius.max())
-                settled = (
-                    normal
-                    and wmax.max() * self.l1[lo:hi].max() * self.sqrt_n < _SAFE
-                    and np.isfinite(peak + radius.max())
-                )
-            if not settled:
-                estimate.fill(0.0)
-                radius.fill(np.inf)
-                yield a0, lo, estimate, radius
-                continue
+            w = self.response.centered[:, None] * self.matrix[:, a0:a1]
+            np.matmul(w.T, self.matrix[:, lo:hi], out=estimate)
+            np.abs(estimate, out=estimate)
+            estimate *= np.multiply.outer(anchor_factors[a0:a1], partner_factors[lo:hi], out=factor)
+            radius = spread * ratios[lo:hi].max() * np.abs(w).max(axis=0) * anchor_factors[a0:a1]
+            radius += underflow
+            radius += _SLACK * (estimate.max() + radius.max())
             _mask(estimate, starts, ends, lo, -np.inf)
             yield a0, lo, estimate, radius
 
@@ -621,10 +612,11 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     get a :class:`CodeWorkspace`: the codes as uint8 (uint8 input
     uncopied) and per-column int64 sums.  Any other input takes the float
     route and gets a :class:`Workspace`: the columns are widened to
-    float64 and centered together in a contiguous p x n copy; means,
+    float64, scaled by ``2^-e`` (e the ``frexp`` exponent of the largest
+    |x|, y alike) and centered together in a contiguous p x n copy; means,
     centered values and css are bit-identical to
-    :func:`~jciscan.cumulants.center` on each column.  After this call a
-    float-route pair costs one fused length-n product-sum plus one
+    :func:`~jciscan.cumulants.center` on each scaled column.  After this
+    call a float-route pair costs one fused length-n product-sum plus one
     division and one square root.
 
     Raises:
@@ -648,7 +640,8 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     if y.shape != (n,):
         raise DimensionMismatch(f"response has shape {y.shape}, expected ({n},)")
 
-    cy = center(y, index=RESPONSE_INDEX)
+    response_shift = int(np.frexp(max(y.max(), -y.min()))[1])
+    cy = center(np.ldexp(y, -response_shift), index=RESPONSE_INDEX)
     validate_c1(cy)
     if (codes := _exact_codes(raw, y)) is not None:
         return _exact_workspace(codes, y)
@@ -656,7 +649,11 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     # Row j of `cols` is column j: contiguous rows give the same pairwise
     # sums and dot products as center() on that column alone.
     cols = np.array(raw.T, dtype=np.float64, order="C")
-    finite = np.isfinite(cols).all(axis=1)
+    # max and min, not np.abs: no n x p temporary; NaN and inf reach them.
+    top, bottom = cols.max(axis=1), cols.min(axis=1)
+    finite = np.isfinite(top) & np.isfinite(bottom)
+    shift = np.frexp(np.maximum(top, -bottom))[1]
+    np.ldexp(cols, -shift[:, None], out=cols)
     with np.errstate(invalid="ignore"):  # non-finite columns are reported below
         means = cols.sum(axis=1) / n
         cols -= means[:, None]
@@ -680,7 +677,9 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
         matrix=cmat,
         scale=np.sqrt(css),
         l1=l1,
+        shift=shift,
         response_scale=math.sqrt(cy.css),
+        response_shift=response_shift,
         sqrt_n=math.sqrt(n),
     )
 
@@ -697,7 +696,8 @@ def _exact_codes(matrix: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     (float32 GEMM tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).
     uint8 passes through uncopied; any other real matrix is checked and
     copied 64 columns at a time, up to the first block that fails."""
-    if not np.array_equal(y, np.rint(y)) or matrix.dtype.kind not in "biuf":
+    m = float(y.max()) - float(y.min())  # Python floats: inf past the float range, no warning
+    if not (m < _FLOAT64_EXACT and np.array_equal(y, np.rint(y))) or matrix.dtype.kind not in "biuf":
         return None
     codes = matrix
     if matrix.dtype != np.uint8:
@@ -709,7 +709,7 @@ def _exact_codes(matrix: np.ndarray, y: np.ndarray) -> np.ndarray | None:
             out[...] = block
             if not np.array_equal(out, block):
                 return None
-    c2m = int(codes.max()) ** 2 * int(y.max() - y.min())
+    c2m = int(codes.max()) ** 2 * int(m)
     return codes if c2m * y.size < _FLOAT32_EXACT and 2 * c2m * y.size**3 < _FLOAT64_EXACT else None
 
 
@@ -923,8 +923,7 @@ def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
             need[at] |= most + radius > threshold
         if values.size:
             # Pairs below every value settle at once; the rest are few.
-            # fmin skips a NaN value, which no pair exceeds or ties.
-            low = np.fmin.reduce(values) - radius
+            low = values.min() - radius
             live = np.flatnonzero(most >= low)
             i, j = _cells(estimate[live] >= low[live, None])
             i = live[i]
@@ -937,8 +936,7 @@ def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
             # The cells above the floor are bounded a few rows at a time,
             # each group lifting the floor for the next.
             cut = top.floor
-            with np.errstate(invalid="ignore"):  # -inf + inf: a row that cannot raise the floor
-                live = np.flatnonzero(most > cut + radius)
+            live = np.flatnonzero(most > cut + radius)
             for r in range(0, live.size, _SCREEN_ROWS):
                 rows = live[r : r + _SCREEN_ROWS]
                 lower = estimate[rows]

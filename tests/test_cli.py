@@ -62,9 +62,14 @@ else:
 """ % (_LAZY_MODULES,)
 
 
-def test_commands_import_only_what_they_run():
+def _env_with_src():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(jciscan.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_commands_import_only_what_they_run():
+    env = _env_with_src()
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
                            text=True, timeout=120, check=True)
     assert probe.stdout.split() == []
@@ -230,6 +235,25 @@ def test_scan_names_degenerate_column_on_stderr(tmp_path, capsys):
     const.write_text("a,weird,y\n1,7,0\n2,7,1\n3,7,0\n4,7,1\n")
     assert run(["scan", str(const), "--response-column", "y", "--top-k", "1"]) == 3
     assert "weird" in capsys.readouterr().err
+
+
+def test_scan_of_a_response_near_the_float_limit_matches_the_unscaled_scan(tmp_path):
+    # A response times 1e307 sums past the float range unless it is scaled
+    # down first; the scan runs quietly and names the same top pairs.
+    rng = np.random.default_rng(37)
+    X = rng.normal(size=(80, 10))
+    y = X[:, 2] * X[:, 5] + 0.5 * X[:, 1] * X[:, 7] + rng.normal(size=80)
+    names = [f"x{j}" for j in range(10)]
+    labels = []
+    for factor in (1.0, 1e307):
+        data, out = tmp_path / "d.csv", tmp_path / "top.csv"
+        write_csv(data, X, names, response=y * factor)
+        done = subprocess.run([sys.executable, "-m", "jciscan", "scan", str(data), "--response-column", "y",
+                               "--top-k", "10", "--out", str(out)], env=_env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        labels.append([row[:2] for row in read_rows(out)])
+    assert labels[0] == labels[1] and len(labels[0]) == 11
 
 
 def test_scan_packed_flag_validation(tmp_path):
@@ -516,6 +540,16 @@ def test_convert_rejects_empty_and_same_format(tmp_path):
     ok = tmp_path / "ok.csv"
     ok.write_text("a\n1\n")
     assert run(["convert", "--from", "csv", "--to", "csv", str(ok), str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize("label", ["ch300:a", "x" * 65536])
+def test_convert_rejects_unpackable_labels_before_touching_the_output(tmp_path, capsys, label):
+    src, out = tmp_path / "src.csv", tmp_path / "o.jcg"
+    src.write_text(f"ch1:ok,{label}\n1,2\n2,3\n")
+    out.write_bytes(b"earlier output")
+    assert run(["convert", "--from", "csv", "--to", "packed", str(src), str(out)]) == 2
+    assert capsys.readouterr().err.startswith("jciscan: ")
+    assert out.read_bytes() == b"earlier output"
 
 
 def test_convert_csv_to_packed_streams_uint8_codes(tmp_path, capsys):

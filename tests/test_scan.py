@@ -186,7 +186,7 @@ def test_precompute_names_offending_column():
 @given(
     seed=st.integers(0, 2**32 - 1),
     target=st.sampled_from([0, 1, 2, "y"]),
-    log_scale=st.floats(-8, 8),
+    log_scale=st.floats(-300, 300),
     sign=st.sampled_from([1.0, -1.0]),
     shift=st.floats(-1e3, 1e3),
 )
@@ -197,8 +197,8 @@ def test_scores_are_affine_invariant_at_any_scale(seed, target, log_scale, sign,
     y = X[:, 0] * X[:, 1] + X[:, 1] * X[:, 2] + X[:, 0] * X[:, 2] + 0.5 * rng.normal(size=40)
     base = all_scores(precompute(X, y))
     col = y if target == "y" else X[:, target]
-    scaled = sign * 10.0**log_scale * col
-    mapped = scaled + shift * scaled.std()
+    # Shifted before scaling: the std of a column near 1e300 overflows.
+    mapped = sign * 10.0**log_scale * (col + shift * col.std())
     if target == "y":
         moved = all_scores(precompute(X, mapped))
     else:
@@ -206,6 +206,55 @@ def test_scores_are_affine_invariant_at_any_scale(seed, target, log_scale, sign,
         X2[:, target] = mapped
         moved = all_scores(precompute(X2, y))
     np.testing.assert_allclose(moved, base, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e-160, 1e300, 1e-300])
+@pytest.mark.parametrize("target", ["pair", "y"])
+def test_scores_hold_at_column_scales_past_the_square_range(factor, target):
+    # Past 1e154 a square overflows and past 1e-162 it underflows; the
+    # power-of-two prescale keeps every score to within rounding.
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(60, 6))
+    y = X[:, 0] * X[:, 1] + rng.normal(size=60)
+    base = all_scores(precompute(X, y))
+    if target == "y":
+        moved = all_scores(precompute(X, y * factor))
+    else:
+        X2 = X.copy()
+        X2[:, :2] *= factor
+        moved = all_scores(precompute(X2, y))
+    np.testing.assert_allclose(moved, base, rtol=1e-13, atol=0)
+
+
+def test_integer_response_spanning_the_float_range_takes_the_float_route():
+    # Its range max(y) - min(y) overflows, so it can never take the exact
+    # route; scaled down first, it scores what the 0/1 response scores.
+    rng = np.random.default_rng(43)
+    codes = rng.integers(0, 3, size=(80, 7)).astype(np.uint8)
+    case = (codes[:, 1] * codes[:, 4] + rng.integers(0, 3, size=80)) > 2
+    ws = precompute(codes, np.where(case, 1.7e308, -1.7e308))
+    assert isinstance(ws, Workspace)
+    np.testing.assert_allclose(all_scores(ws), all_scores(precompute(codes, case * 1.0)), rtol=1e-12, atol=1e-15)
+
+
+def test_tau_hat_past_the_float_range_is_infinite_and_r_hat_exact():
+    # Columns 0 and 1 at 2^532 (about 1.4e160): tau_hat of their pair is
+    # 2^1064 times the unscaled one, past the float range, while tau_hat of
+    # a pair with one of them is exactly 2^532 times, and r_hat keeps its bits.
+    rng = np.random.default_rng(42)
+    X = rng.normal(size=(60, 6))
+    y = X[:, 0] * X[:, 1] + rng.normal(size=60)
+    config = ScanConfig(top_k=pair_count(6))
+    base = scan(precompute(X, y), config).top_pairs
+    X[:, :2] *= 2.0**532
+    big = scan(precompute(X, y), config).top_pairs
+    assert big.r_hat.tobytes() == base.r_hat.tobytes()
+    assert np.array_equal(big.j1, base.j1) and np.array_equal(big.j2, base.j2)
+    both = (base.j1 == 0) & (base.j2 == 1)
+    one = (base.j1 < 2) ^ both
+    assert big.tau_hat[both] == np.copysign(np.inf, base.tau_hat[both])
+    assert big.tau_hat[one].tobytes() == np.ldexp(base.tau_hat[one], 532).tobytes()
+    assert big.tau_hat[~(both | one)].tobytes() == base.tau_hat[~(both | one)].tobytes()
 
 
 def test_constant_columns_are_rejected_at_any_scale():
@@ -241,12 +290,12 @@ def test_precompute_shape_guards():
 def test_precompute_scale_is_the_center_reference_bitwise(seed, n, p, log_scale):
     # The stacked sums of squares keep center()'s np.dot bits; scale is
     # their square root (a square does not round-trip a root, so the roots
-    # are compared).
+    # are compared), held in units of 2^shift, which scale back exactly.
     rng = np.random.default_rng(seed)
     X = (rng.normal(size=(n, p)) + 100 * rng.normal(size=p)) * 2.0**log_scale
     ws = precompute(X, rng.normal(size=n))
     css = np.array([center(X[:, j], index=j).css for j in range(p)])
-    assert ws.scale.tobytes() == np.sqrt(css).tobytes()
+    assert np.ldexp(ws.scale, ws.shift).tobytes() == np.sqrt(css).tobytes()
 
 
 def test_precompute_matches_center_reference_bitwise():
@@ -262,9 +311,9 @@ def test_precompute_matches_center_reference_bitwise():
     ]:
         ws = precompute(X, y)
         cols = [center(raw[:, j], index=j) for j in range(raw.shape[1])]
-        assert np.array_equal(ws.matrix, np.column_stack([c.centered for c in cols]))
-        assert np.array_equal(ws.scale, np.sqrt(np.array([c.css for c in cols])))
-        assert ws.response_scale == float(np.sqrt(center(y).css))
+        assert np.array_equal(np.ldexp(ws.matrix, ws.shift), np.column_stack([c.centered for c in cols]))
+        assert np.array_equal(np.ldexp(ws.scale, ws.shift), np.sqrt(np.array([c.css for c in cols])))
+        assert math.ldexp(ws.response_scale, ws.response_shift) == float(np.sqrt(center(y).css))
 
     # Errors name the response first, then the lowest offending column,
     # without numpy warnings from the non-finite entries.
@@ -565,18 +614,22 @@ def test_screen_equals_the_oracle_across_a_partner_chunk_edge():
 )
 def test_screen_equals_the_oracle_at_extreme_scales(column_scale, response_scale):
     # Half the columns (the true pair's among them) at 2^column_scale.  At
-    # 2^-530 the tile's factors leave the normal range and every anchor is
-    # rescored; at 2^-500 the underflow term dominates the radius.
-    rng = np.random.default_rng(abs(7 * column_scale + response_scale))
-    X = rng.normal(size=(12, 9)) * 2.0 ** rng.choice([column_scale, 0], size=9)
-    Z = rng.normal(size=(12, 2))
-    X[:, :2] = Z * 2.0**column_scale
-    y = (Z[:, 0] * Z[:, 1] + rng.normal(size=12)) * 2.0**response_scale
-    ws = precompute(X, y)
+    # 2^-530 the unscaled factors of the bound would leave the normal range;
+    # the prescale brings every column and y back, so the bounds stay tight
+    # and a top-10 scan reads about 10 rows.
+    def design(n, p):
+        rng = np.random.default_rng(abs(7 * column_scale + response_scale))
+        X = rng.normal(size=(n, p)) * 2.0 ** rng.choice([column_scale, 0], size=p)
+        Z = rng.normal(size=(n, 2))
+        X[:, :2] = Z * 2.0**column_scale
+        return precompute(X, (Z[:, 0] * Z[:, 1] + rng.normal(size=n)) * 2.0**response_scale)
+
+    ws = design(12, 9)
     flat = all_scores(ws)
     ranked = [pair_from_index(i, 9) for i in range(pair_count(9))]
     for top_k, cut, block, workers in ((3, None, 1, 1), (36, float(np.sort(flat)[-10]), 4, 3)):
         _assert_screen_matches_oracle(ws, top_k, cut, block, workers, None, ranked)
+    assert scan(design(200, 300), ScanConfig(top_k=10)).stats.rows_read <= 20
 
 
 @pytest.mark.parametrize("binary", [False, True])
