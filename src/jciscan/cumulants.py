@@ -120,19 +120,18 @@ def sample_k2(col: CenteredColumn) -> float:
     return col.css / col.n
 
 
-def near_constant(mean, centered, css, eps: float = DEFAULT_VARIANCE_FLOOR):
+def near_constant(mean, spread, css, n: int, eps: float = DEFAULT_VARIANCE_FLOOR):
     """The variance-floor rule: ``css <= (eps * n * m)**2`` with
-    ``m = |mean| + max|x - mean|``, which is within a factor 2 of ``max|x|``.
+    ``m = |mean| + spread``, ``spread = max|x - mean|`` over the n values:
+    m is within a factor 2 of ``max|x|``.
 
     The floor scales with the column, so multiplying a column by any
     nonzero factor never changes the verdict; a column whose spread is
     lost in the rounding of its own magnitude (a constant such as a
-    repeated 0.1) is caught.  Works on one column or, row-wise, on a
-    p x n array of centered columns with per-row ``mean`` and ``css``.
+    repeated 0.1) is caught.  The caller reduces the spread, so this
+    takes one column's scalars or per-column arrays alike.
     """
-    n = centered.shape[-1]
-    magnitude = np.abs(mean) + np.maximum(centered.max(axis=-1), -centered.min(axis=-1))
-    return css <= (eps * n * magnitude) ** 2
+    return css <= (eps * n * (np.abs(mean) + spread)) ** 2
 
 
 def validate_c1(col: CenteredColumn, eps: float = DEFAULT_VARIANCE_FLOOR) -> None:
@@ -147,7 +146,8 @@ def validate_c1(col: CenteredColumn, eps: float = DEFAULT_VARIANCE_FLOOR) -> Non
     """
     if eps <= 0:
         raise InvalidValue(f"variance floor must be positive, got {eps}")
-    if near_constant(col.mean, col.centered, col.css, eps):
+    spread = max(col.centered.max(), -col.centered.min())
+    if near_constant(col.mean, spread, col.css, col.n, eps):
         raise ZeroVarianceColumn(col.index)
 
 

@@ -378,13 +378,12 @@ class Workspace:
     ``2^-response_shift`` (:func:`precompute`), each field bit-identical to
     :func:`~jciscan.cumulants.center` of the scaled column: ``matrix`` is
     the n x p centered float64 matrix, the only copy of the predictors;
-    ``scale[j]`` is sqrt(css_j) and ``l1[j]`` is ``sum_i |c_ij|``; the
-    response is centered with index ``RESPONSE_INDEX``."""
+    ``scale[j]`` is sqrt(css_j), the only per-column statistic a pair
+    reads; the response is centered with index ``RESPONSE_INDEX``."""
 
     response: CenteredColumn
     matrix: np.ndarray
     scale: np.ndarray
-    l1: np.ndarray
     shift: np.ndarray
     response_scale: float
     response_shift: int
@@ -443,24 +442,25 @@ class Workspace:
         product-sum s within ``gamma_n sum_i |w_i||c_i|`` plus ``2 n eta`` of
         the exact dot product (Higham, Accuracy and Stability of Numerical
         Algorithms, section 3.1), so
-        ``|G - s| <= 2 gamma_n max_i |w_i| ||c||_1 + 4 n eta``.  The radius
-        maps it through the monotone post-processing, takes its largest
-        value over the tile's partners, and adds ``_SLACK`` times the tile's
-        largest estimate and radius plus ``eta``: that covers the few
-        roundings of either side's post-processing and of one comparison
-        of ``estimate -+ radius`` with a value.  After the prescale every
-        |x| is in [1/2, 1) at its column's largest, so every |c| and |y_c|
-        is below 2 and, by :func:`~jciscan.cumulants.near_constant`'s
-        relative floor, css exceeds ``(eps n / 2)^2``: every factor is
-        normal and no partial sum exceeds ``8 n``, at any column scale."""
+        ``|G - s| <= 2 gamma_n max_i |w_i| ||c||_1 + 4 n eta``, and by
+        Cauchy-Schwarz ``||c||_1 <= sqrt(n) ||c||_2 <= sqrt(n) scale (1 +
+        gamma_n)``, the computed css being within gamma_n.  The radius maps
+        this through the monotone post-processing and adds ``_SLACK`` times
+        the tile's largest estimate and radius plus ``eta``: that covers
+        the rounding of ``sqrt_n`` and the few roundings of either side's
+        post-processing and of one comparison of ``estimate -+ radius``
+        with a value.  After the prescale every |x| is in [1/2, 1) at its
+        column's largest, so every |c| and |y_c| is below 2 and, by
+        :func:`~jciscan.cumulants.near_constant`'s relative floor, css
+        exceeds ``(eps n / 2)^2``: every factor is normal and no partial
+        sum exceeds ``8 n``, at any column scale."""
         n = self.n
         gamma = n * _UNIT / (1 - n * _UNIT)
-        # The computed l1 is low by at most gamma_n relative.
+        # ||c||_2 <= scale (1 + gamma_n): the computed css is within gamma_n.
         spread = 2 * gamma * (1 + gamma) * (1 + _SLACK) * self.sqrt_n
         # sqrt_n / denom is the outer product of these normal factors.
         anchor_factors = self.sqrt_n / (self.scale * self.response_scale)
         partner_factors = 1 / self.scale
-        ratios = self.l1 * partner_factors
         underflow = 4 * n * _ETA * self.sqrt_n * anchor_factors.max() * partner_factors.max() + _ETA
         # Two tile buffers, reused from tile to tile: fresh arrays of this
         # size cost a page-faulting allocation each.
@@ -473,7 +473,7 @@ class Workspace:
             np.matmul(w.T, self.matrix[:, lo:hi], out=estimate)
             np.abs(estimate, out=estimate)
             estimate *= np.multiply.outer(anchor_factors[a0:a1], partner_factors[lo:hi], out=factor)
-            radius = spread * ratios[lo:hi].max() * np.abs(w).max(axis=0) * anchor_factors[a0:a1]
+            radius = spread * self.sqrt_n * np.abs(w).max(axis=0) * anchor_factors[a0:a1]
             radius += underflow
             radius += _SLACK * (estimate.max() + radius.max())
             _mask(estimate, starts, ends, lo, -np.inf)
@@ -615,9 +615,10 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     float64, scaled by ``2^-e`` (e the ``frexp`` exponent of the largest
     |x|, y alike) and centered together in a contiguous p x n copy; means,
     centered values and css are bit-identical to
-    :func:`~jciscan.cumulants.center` on each scaled column.  After this
-    call a float-route pair costs one fused length-n product-sum plus one
-    division and one square root.
+    :func:`~jciscan.cumulants.center` on each scaled column.  One max and
+    one min per column give e, the finite check and the variance floor's
+    spread.  After this call a float-route pair costs one fused length-n
+    product-sum plus one division and one square root.
 
     Raises:
         InvalidValue: non-finite entries (response first, then the lowest
@@ -650,6 +651,7 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     # sums and dot products as center() on that column alone.
     cols = np.array(raw.T, dtype=np.float64, order="C")
     # max and min, not np.abs: no n x p temporary; NaN and inf reach them.
+    # Rounding is monotone, so they give the centered extremes bit for bit.
     top, bottom = cols.max(axis=1), cols.min(axis=1)
     finite = np.isfinite(top) & np.isfinite(bottom)
     shift = np.frexp(np.maximum(top, -bottom))[1]
@@ -660,7 +662,8 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
         # One stacked product: each row's dot product in the same order as
         # center()'s np.dot, bit for bit, without a Python loop.
         css = (cols[:, None, :] @ cols[:, :, None]).ravel()
-        bad = ~finite | near_constant(means, cols, css)
+        spread = np.maximum(np.ldexp(top, -shift) - means, means - np.ldexp(bottom, -shift))
+        bad = ~finite | near_constant(means, spread, css, n)
     if bad.any():
         j = int(np.argmax(bad))
         if not finite[j]:
@@ -668,15 +671,10 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
         raise ZeroVarianceColumn(j)
     cmat = np.ascontiguousarray(cols.T)
     cmat.setflags(write=False)
-    # `cols` is spent once `cmat` exists, so its absolute values give l1
-    # in place: two n x p copies at most, never three.
-    l1 = np.abs(cols, out=cols).sum(axis=1)
-
     return Workspace(
         response=cy,
         matrix=cmat,
         scale=np.sqrt(css),
-        l1=l1,
         shift=shift,
         response_scale=math.sqrt(cy.css),
         response_shift=response_shift,

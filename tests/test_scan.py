@@ -28,7 +28,7 @@ from jciscan import (
     scan,
     select_by_threshold,
 )
-from jciscan.cumulants import PairStatistic, center
+from jciscan.cumulants import PairStatistic, center, validate_c1
 from jciscan.errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -456,19 +456,114 @@ def test_top_k_screen_leaves_the_kth_largest_cell_lower_bound_as_floor(k):
 
 
 def test_float_precompute_holds_at_most_two_copies_of_the_matrix():
-    # The centered p x n rows give l1 in place once their n x p transpose
-    # exists, so precompute never holds a third float64 copy.
+    # The centered p x n rows and their n x p transpose are the only
+    # float64 copies precompute holds; it never holds a third.
     rng = np.random.default_rng(18)
     X = rng.normal(size=(200, 1000))
     tracemalloc.start()
     try:
-        ws = precompute(X, rng.normal(size=200))
+        precompute(X, rng.normal(size=200))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * X.nbytes + 2**18
-    # Any summation order keeps l1 within gamma_n of the exact sum.
-    np.testing.assert_allclose(ws.l1, np.abs(ws.matrix).sum(axis=0), rtol=2 * 200 * 2.0**-53)
+
+
+def _sparse_columns(rng, n, p, density):
+    """0/0.3 columns, 0.3 at about ``density`` of the rows: non-integer, so
+    they take the float route, and sparse, so ``||c||_1`` sits far below
+    ``sqrt(n) ||c||_2``.  Row 0 is 0.3 and row 1 is 0 in every column, so
+    none is constant."""
+    X = np.where(rng.random((n, p)) < density, 0.3, 0.0)
+    X[0], X[1] = 0.3, 0.0
+    return X
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_bounds_certify_every_row_value(data):
+    # Cell by cell: every in-span r_hat of Workspace.rows lies within
+    # estimate -+ radius of Workspace.bounds, and every cell outside the
+    # span has estimate -inf, on designs that stress the Cauchy-Schwarz
+    # radius (sparse columns), the centering (offsets, heavy tails) and
+    # the prescale (columns at 2^+-500).
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(3, 300), label="n")
+    p = data.draw(st.integers(2, 80), label="p")
+    kind = data.draw(st.sampled_from(["normal", "offset", "sparse", "cauchy", "scaled"]), label="kind")
+    if kind == "sparse":
+        X = _sparse_columns(rng, n, p, rng.uniform(0.01, 0.05))
+    elif kind == "cauchy":
+        X = rng.standard_cauchy(size=(n, p))
+    else:
+        X = rng.normal(size=(n, p))
+        if kind == "offset":
+            X += 1e6
+        elif kind == "scaled":
+            X *= 2.0 ** rng.choice([-500, 500], size=p)
+    y = rng.normal(size=n) + data.draw(st.sampled_from([0.0, 1e6]), label="y_offset")
+    ws = precompute(X, y)
+    assert isinstance(ws, Workspace)
+    total = pair_count(p)
+    a = data.draw(st.integers(0, total - 1), label="span_start")
+    b = data.draw(st.integers(a + 1, total), label="span_end")
+    anchors = scan_module._anchors_for_span(p, (a, b))
+    value = np.full((len(anchors), p), np.nan)
+    for j1, lo, r_hat, _ in ws.rows(anchors, (a, b)):
+        value[j1 - anchors.start, lo : lo + r_hat.shape[1]] = r_hat
+    estimate = np.full_like(value, -np.inf)
+    radius = np.full(len(anchors), np.nan)
+    for a0, lo, tile, tile_radius in ws.bounds(anchors, (a, b)):
+        rows = slice(a0 - anchors.start, a0 - anchors.start + tile.shape[0])
+        estimate[rows, lo : lo + tile.shape[1]] = tile
+        radius[rows] = tile_radius
+    j1, j2 = np.meshgrid(np.array(anchors), np.arange(p), indexing="ij")
+    index = np.array([pair_index(i, j, p) if i < j else -1 for i, j in zip(j1.ravel(), j2.ravel())])
+    in_span = ((index >= a) & (index < b)).reshape(j1.shape)
+    assert np.array_equal(np.isfinite(value), in_span)
+    assert np.all(estimate[~in_span] == -np.inf)
+    low, high = estimate - radius[:, None], estimate + radius[:, None]
+    assert np.all(low[in_span] <= value[in_span]) and np.all(value[in_span] <= high[in_span])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 200),
+    a=st.sampled_from([0.1, -0.1, 7e5, -7e5, 2.5]),
+    log_delta=st.floats(-15.5, -9.5),
+    log_scale=st.sampled_from([-100, 0, 100]),
+)
+def test_precompute_variance_floor_agrees_with_validate_c1(seed, n, a, log_delta, log_scale):
+    # Columns a + a delta z straddle the relative floor; precompute reads
+    # the spread from its prescale's extremes, validate_c1 from the
+    # centered column, and the verdicts agree at every column scale.
+    rng = np.random.default_rng(seed)
+    col = (a + a * 10.0**log_delta * rng.normal(size=n)) * 2.0**log_scale
+    X = np.column_stack([rng.normal(size=n), col])
+    try:
+        validate_c1(center(col, index=1))
+        expect = None
+    except ZeroVarianceColumn as exc:
+        expect = exc.index
+    try:
+        precompute(X, rng.normal(size=n))
+        found = None
+    except ZeroVarianceColumn as exc:
+        found = exc.index
+    assert found == expect
+
+
+def test_top_k_scan_of_a_sparse_design_reads_about_k_rows():
+    # Sparse columns keep ||c||_1 far below sqrt(n) ||c||_2, where the
+    # Cauchy-Schwarz radius is loosest; a top-10 scan still reads about 10
+    # anchor rows.
+    for seed, density in ((0, 0.01), (1, 0.03), (2, 0.05)):
+        rng = np.random.default_rng(seed)
+        X = _sparse_columns(rng, 400, 300, density)
+        ws = precompute(X, X[:, 0] * X[:, -1] + rng.normal(size=400))
+        assert isinstance(ws, Workspace)
+        assert scan(ws, ScanConfig(top_k=10)).stats.rows_read <= 20
 
 
 def test_drained_float_score_rows_sweep_one_gemm_tile_of_anchors_at_a_time(monkeypatch):
@@ -492,13 +587,13 @@ def test_drained_float_score_rows_sweep_one_gemm_tile_of_anchors_at_a_time(monke
 def _screen_design(data):
     """A workspace drawn for the screen-versus-oracle tests: 0/1 columns
     with duplicated and complemented columns (exact ties), normal columns,
-    normal columns scaled by 2^-500, 1 or 2^500, or genotype codes with
-    duplicated and recoded columns against a case/control response (the
-    exact route)."""
+    normal columns scaled by 2^-500, 1 or 2^500, sparse 0/0.3 columns, or
+    genotype codes with duplicated and recoded columns against a
+    case/control response (the exact route)."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     n = data.draw(st.integers(3, 60), label="n")
     p = data.draw(st.integers(2, 40), label="p")
-    kind = data.draw(st.sampled_from(["binary", "normal", "scaled", "genotype"]), label="kind")
+    kind = data.draw(st.sampled_from(["binary", "normal", "scaled", "sparse", "genotype"]), label="kind")
     if kind == "genotype":
         codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
         codes[:2] = [[1] * p, [3] * p]
@@ -517,6 +612,9 @@ def _screen_design(data):
             X[:, a] = X[:, b] if rng.random() < 0.5 else 1.0 - X[:, b]
         y = X[:, 0] * X[:, -1] + (rng.random(n) < 0.5)
         y[0], y[1] = 0.0, 1.0
+    elif kind == "sparse":
+        X = _sparse_columns(rng, n, p, rng.uniform(0.01, 0.3))
+        y = X[:, 0] * X[:, -1] + rng.normal(size=n)
     else:
         X = rng.normal(size=(n, p))
         y = X[:, 0] * X[:, -1] + rng.normal(size=n)
