@@ -117,12 +117,7 @@ def cmd_scan(args) -> int:
     dataio.write_table(out, ["snp1", "snp2", "r_hat"], rows())
 
     if args.dump_all is not None:
-        dump = (
-            [labels[j1], labels[j2], chroms[j1], chroms[j2], score]
-            for j1, row in iter_score_rows(ws)
-            for j2, score in enumerate(row.tolist(), j1 + 1)
-        )
-        dataio.write_table(args.dump_all, dataio.DUMP_HEADER, dump)
+        dataio.write_score_dump(args.dump_all, iter_score_rows(ws), labels, chroms)
     return EXIT_OK
 
 

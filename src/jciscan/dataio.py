@@ -71,8 +71,6 @@ FLAG_MISSING_ALLOWED = 0x0001
 
 _HEADER = struct.Struct("<4sHHQQ")
 _COLUMN_META = struct.Struct("<BH")
-#: Largest single read of a packed payload from a stream that cannot seek.
-_READ_CHUNK = 16 * 2**20
 #: Cells decoded per column chunk of a packed payload.
 _DECODE_CELLS = 2**18
 
@@ -439,6 +437,22 @@ def read_phenotype(stream) -> np.ndarray:
     return _parse_cells([text for _, text in lines], ((i, 0) for i, _ in lines), "phenotype")
 
 
+def write_score_dump(stream, rows, labels, chroms) -> None:
+    """Write a score dump (the :data:`DUMP_HEADER` table) from ``rows``,
+    an iterable of ``(j1, r_hat)`` with ``r_hat`` the scores of j1 against
+    partners ``j1 + 1, j1 + 2, ...``, drawn one item at a time.  Columns
+    are named by ``labels`` and ``chroms``."""
+    write_table(
+        stream,
+        DUMP_HEADER,
+        (
+            [labels[j1], labels[j2], chroms[j1], chroms[j2], score]
+            for j1, row in rows
+            for j2, score in enumerate(row.tolist(), j1 + 1)
+        ),
+    )
+
+
 def read_score_dump(stream):
     """Yield ``(chrom1, chrom2, r_hat)`` for each data row of a score dump
     (the :data:`DUMP_HEADER` table), one row at a time in file order.
@@ -499,6 +513,10 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
     "impute" (replace each missing entry with the column's modal code,
     ties broken toward the smaller code).
 
+    After the header and column metadata, the payload is read in one call
+    to the end of the stream and decoded a few columns at a time.  Bytes
+    past the payload are read too, and ignored.
+
     Raises:
         NotPackedFile: bad magic, unsupported version, or file too short
             to hold the header.
@@ -536,18 +554,14 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
                 raise FormatError(f"column {j} id is not valid UTF-8") from None
             chroms.append(chrom)
 
-        # A declared shape larger than the file never sizes an allocation:
-        # a seekable stream is checked up front, and every stream is read in
-        # bounded chunks until it ends.
+        # The stream's own length sizes the buffer, so the declared shape
+        # still never does.
         expected = payload_bytes(n, p)
-        left = _bytes_left(fh)
-        if left is not None and left < expected:
-            raise TruncatedFile(expected, left)
-        payload = _read_chunked(fh, expected)
+        payload = fh.read()
         if len(payload) < expected:
             raise TruncatedFile(expected, len(payload))
 
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(p, -1)
+        raw = np.frombuffer(payload, dtype=np.uint8, count=expected).reshape(p, -1)
         # Decoded a few columns at a time straight into the one n x p array,
         # so the temporaries stay near _DECODE_CELLS bytes whatever n x p is.
         codes = np.empty((n, p), dtype=np.uint8)
@@ -569,29 +583,6 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
             np.add(bits.T, 1, out=codes[:, c0 : c0 + len(bits)])
         codes.setflags(write=False)
         return GenotypeMatrix(codes=codes, snp_ids=tuple(snp_ids), chromosomes=tuple(chroms))
-
-
-def _bytes_left(fh) -> int | None:
-    """Bytes from the position of ``fh`` to its end; None when the stream
-    cannot seek."""
-    if not fh.seekable():
-        return None
-    here = fh.tell()
-    end = fh.seek(0, os.SEEK_END)
-    fh.seek(here)
-    return end - here
-
-
-def _read_chunked(fh, size: int) -> bytearray:
-    """Up to ``size`` bytes of ``fh``, read at most ``_READ_CHUNK`` at a
-    time; fewer when the stream ends first."""
-    data = bytearray()
-    while len(data) < size:
-        chunk = fh.read(min(_READ_CHUNK, size - len(data)))
-        if not chunk:
-            break
-        data += chunk
-    return data
 
 
 def is_packed(path) -> bool:

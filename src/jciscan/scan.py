@@ -461,7 +461,7 @@ class Workspace:
         # sqrt_n / denom is the outer product of these normal factors.
         anchor_factors = self.sqrt_n / (self.scale * self.response_scale)
         partner_factors = 1 / self.scale
-        underflow = 4 * n * _ETA * self.sqrt_n * anchor_factors.max() * partner_factors.max() + _ETA
+        underflow = 4 * n * _ETA * anchor_factors.max() * partner_factors.max() + _ETA
         # Two tile buffers, reused from tile to tile: fresh arrays of this
         # size cost a page-faulting allocation each.
         size = min(len(anchors), _ANCHOR_BLOCK) * min(self.p, _PARTNER_CHUNK)
@@ -473,7 +473,7 @@ class Workspace:
             np.matmul(w.T, self.matrix[:, lo:hi], out=estimate)
             np.abs(estimate, out=estimate)
             estimate *= np.multiply.outer(anchor_factors[a0:a1], partner_factors[lo:hi], out=factor)
-            radius = spread * self.sqrt_n * np.abs(w).max(axis=0) * anchor_factors[a0:a1]
+            radius = spread * np.abs(w).max(axis=0) * anchor_factors[a0:a1]
             radius += underflow
             radius += _SLACK * (estimate.max() + radius.max())
             _mask(estimate, starts, ends, lo, -np.inf)
@@ -608,9 +608,10 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     Accepts a real n x p array or any object exposing ``.codes`` (a
     genotype matrix).  The route follows the values, not the container:
     integers in [0, 255] of any dtype against an integer-valued response
-    take the exact route while its bounds hold (:func:`_exact_codes`) and
-    get a :class:`CodeWorkspace`: the codes as uint8 (uint8 input
-    uncopied) and per-column int64 sums.  Any other input takes the float
+    take the exact route while its bounds hold and get a
+    :class:`CodeWorkspace` (:func:`_exact_workspace`): the codes as uint8
+    (uint8 input uncopied) and per-column integer sums, all from one walk
+    over the input that also decides the route.  Any other input takes the float
     route and gets a :class:`Workspace`: the columns are widened to
     float64, scaled by ``2^-e`` (e the ``frexp`` exponent of the largest
     |x|, y alike) and centered together in a contiguous p x n copy; means,
@@ -644,8 +645,8 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     response_shift = int(np.frexp(max(y.max(), -y.min()))[1])
     cy = center(np.ldexp(y, -response_shift), index=RESPONSE_INDEX)
     validate_c1(cy)
-    if (codes := _exact_codes(raw, y)) is not None:
-        return _exact_workspace(codes, y)
+    if (code_ws := _exact_workspace(raw, y)) is not None:
+        return code_ws
 
     # Row j of `cols` is column j: contiguous rows give the same pairwise
     # sums and dot products as center() on that column alone.
@@ -687,39 +688,49 @@ _FLOAT32_EXACT = 2**24
 _FLOAT64_EXACT = 2**53
 
 
-def _exact_codes(matrix: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """The uint8 codes the exact route scores, or None for the float route:
-    y integer-valued, every entry an integer in [0, 255], and with c the
+def _exact_workspace(matrix: np.ndarray, y: np.ndarray) -> CodeWorkspace | None:
+    """The exact route's workspace, or None for the float route: y
+    integer-valued, every entry an integer in [0, 255], and with c the
     largest code and m = max(y) - min(y) (>= 1 here), ``c^2 n m < 2^24``
     (float32 GEMM tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).
-    uint8 passes through uncopied; any other real matrix is checked and
-    copied 64 columns at a time, up to the first block that fails."""
+
+    One walk over ``_ANCHOR_BLOCK`` columns at a time checks and narrows
+    the entries (uint8 input passes through uncopied; any other real
+    matrix is copied to uint8, up to the first block that fails), takes
+    the largest code and sums each column in float32: ``S_j`` and
+    ``S_jy`` by one product with ``[1, y']``, ``S_jj`` by one einsum.
+    Every partial sum is an integer of at most ``c^2 n m``, so once that
+    bound is checked the sums are exact in any order; no n x p copy is
+    widened.  ``y' = y - min(y)`` is exact for an integer-valued y within
+    bounds."""
+    n, p = matrix.shape
     m = float(y.max()) - float(y.min())  # Python floats: inf past the float range, no warning
-    if not (m < _FLOAT64_EXACT and np.array_equal(y, np.rint(y))) or matrix.dtype.kind not in "biuf":
+    # n m < 2^24 is the float32 bound at c = 1; at c = 0 every column is constant.
+    if not (n * m < _FLOAT32_EXACT and np.array_equal(y, np.rint(y))) or matrix.dtype.kind not in "biuf":
         return None
-    codes = matrix
-    if matrix.dtype != np.uint8:
-        codes = np.empty(matrix.shape, dtype=np.uint8)
-        for j0 in range(0, matrix.shape[1], _ANCHOR_BLOCK):
-            block, out = matrix[:, j0 : j0 + _ANCHOR_BLOCK], codes[:, j0 : j0 + _ANCHOR_BLOCK]
-            if not (block.min() >= 0 and block.max() <= 255):  # NaN fails too
+    shifted = y - y.min()
+    codes = matrix if matrix.dtype == np.uint8 else np.empty((n, p), dtype=np.uint8)
+    ones_y = np.stack([np.ones(n), shifted], axis=1).astype(np.float32)
+    sums = np.empty((p, 3), dtype=np.float32)
+    c = 0
+    for j0 in range(0, p, _ANCHOR_BLOCK):
+        block = codes[:, j0 : j0 + _ANCHOR_BLOCK]
+        if codes is not matrix:
+            given = matrix[:, j0 : j0 + _ANCHOR_BLOCK]
+            if not (given.min() >= 0 and given.max() <= 255):  # NaN fails too
                 return None
-            out[...] = block
-            if not np.array_equal(out, block):
+            block[...] = given
+            if not np.array_equal(block, given):
                 return None
-    c2m = int(codes.max()) ** 2 * int(m)
-    return codes if c2m * y.size < _FLOAT32_EXACT and 2 * c2m * y.size**3 < _FLOAT64_EXACT else None
-
-
-def _exact_workspace(codes: np.ndarray, y: np.ndarray) -> CodeWorkspace:
-    """The exact route's workspace: integer sums per column from int64
-    reductions over the codes, buffered, so no n x p copy is made.
-    ``y - min(y)`` is exact for an integer-valued y within bounds."""
-    n = codes.shape[0]
-    shifted = (y - y.min()).astype(np.int64)
-    s = codes.sum(axis=0, dtype=np.int64)
-    sy = np.einsum("ij,i->j", codes, shifted, dtype=np.int64)
-    ss = np.einsum("ij,ij->j", codes, codes, dtype=np.int64)
+        c = max(c, int(block.max()))
+        wide = block.astype(np.float32)
+        sums[j0 : j0 + _ANCHOR_BLOCK, :2] = wide.T @ ones_y
+        sums[j0 : j0 + _ANCHOR_BLOCK, 2] = np.einsum("ij,ij->j", wide, wide)
+    c2m = c * c * int(m)
+    if not (c2m * n < _FLOAT32_EXACT and 2 * c2m * n**3 < _FLOAT64_EXACT):
+        return None
+    s, sy, ss = sums.T.astype(np.int64)
+    shifted = shifted.astype(np.int64)
     s_y, s_yy = int(shifted.sum()), int(shifted @ shifted)
     counts = np.bincount(shifted)
     levels = tuple((int(v), slice(counts[:v].sum(), counts[: v + 1].sum())) for v in np.flatnonzero(counts))

@@ -828,6 +828,27 @@ def test_packed_oversized_declared_shape_is_truncated(n, p, tmp_path):
         parse_packed(fh)
 
 
+def test_packed_bytes_past_the_payload_are_ignored_from_every_source(tmp_path):
+    # The payload is read in one call to the end of the stream: trailing
+    # bytes are read too, and the decoded matrix is the clean file's.
+    # n = 7 leaves a partial last byte per column.
+    gm = random_matrix(np.random.default_rng(42), n=7, p=5)
+    clean = packed_bytes(gm)
+    for extra in (b"\x00", b"\xff" * 3, bytes(range(256)) * 8):
+        data = clean + extra
+        path = tmp_path / "g.jcg"
+        path.write_bytes(data)
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)  # far below any pipe buffer, so this cannot block
+        with os.fdopen(read_end, "rb") as piped:
+            parsed = [parse_packed(source) for source in (io.BytesIO(data), path, piped)]
+        for back in parsed:
+            assert np.array_equal(back.codes, gm.codes)
+            assert (back.snp_ids, back.chromosomes) == (gm.snp_ids, gm.chromosomes)
+            assert packed_bytes(back) == clean
+
+
 def test_genotype_matrix_checks_codes_without_matrix_temporaries():
     codes = np.full((1000, 1000), 2, dtype=np.uint8)
     meta = {"snp_ids": ("a",) * 1000, "chromosomes": (1,) * 1000}

@@ -496,3 +496,34 @@ def test_route_check_makes_no_full_size_temporary():
     ws, peak = _precompute_peak(normal, y)
     assert isinstance(ws, Workspace)
     assert peak < 2 * normal.nbytes + 2**20
+
+
+@pytest.mark.parametrize("p", [1, 63, 65, 130])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float64, bool])
+def test_one_walk_sums_are_exact_at_the_float32_edge(dtype, p):
+    # Codes in {0, 255} against binary y: c^2 n m is 16,776,450 < 2^24 at
+    # n = 258 and 16,841,475 at n = 259.  Column 0 is 255 on every row but
+    # the first, so its S_jj = 255^2 * 257 sits just below the bound; p = 63,
+    # 65 and 130 leave partial 64-column blocks.  bool holds {0, 1}, far
+    # inside the bound at either n.
+    high = 1 if dtype is bool else 255
+    for n in (258, 259):
+        rng = np.random.default_rng(n * p)
+        codes = np.where(rng.random((n, p)) < 0.5, high, 0)
+        codes[:, 0] = high
+        codes[:2] = [[0], [high]]
+        y = (rng.random(n) < 0.9).astype(np.float64)
+        y[:2] = [0, 1]
+        matrix = codes.astype(dtype)
+        ws = scan_module._exact_workspace(matrix, y)
+        if p > 1:  # precompute needs two columns; the route is the walk's
+            assert isinstance(precompute(matrix, y), Workspace if ws is None else CodeWorkspace)
+        if n == 259 and dtype is not bool:
+            assert ws is None
+            continue
+        assert isinstance(ws, CodeWorkspace)
+        x, shifted = codes.astype(np.int64), y.astype(np.int64)
+        s, sy, ss = x.sum(axis=0), shifted @ x, (x * x).sum(axis=0)
+        assert ws.sums.tobytes() == s.astype(np.float64).tobytes()
+        assert ws.cross.tobytes() == (n * sy - s * int(shifted.sum())).astype(np.float64).tobytes()
+        assert ws.spread.tobytes() == (n * ss - s * s).astype(np.float64).tobytes()
