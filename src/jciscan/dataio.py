@@ -50,6 +50,7 @@ import csv
 import itertools
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -93,6 +94,9 @@ _FLOAT_MARKS = b"+-.eE"
 #: reads: one row per pair, r_hat written as the shortest round-trip float.
 DUMP_HEADER = ("snp1", "snp2", "chrom1", "chrom2", "r_hat")
 
+#: A "ch<k>:<id>" label: k in ASCII digits without a leading zero.
+_CHROM_LABEL = re.compile(r"ch([1-9][0-9]{0,2}):(.+)", re.DOTALL)
+
 
 @dataclass(frozen=True, eq=False)
 class GenotypeMatrix:
@@ -134,11 +138,12 @@ class GenotypeMatrix:
 
 
 def parse_column_label(label: str) -> tuple[int, str]:
-    """Split "ch<k>:<id>" into (k, id); anything else maps to (0, label)."""
-    if label.startswith("ch"):
-        head, sep, rest = label.partition(":")
-        if sep and rest and head[2:].isdigit():
-            return int(head[2:]), rest
+    """Split "ch<k>:<id>" into (k, id), k written in ASCII digits without a
+    leading zero and in 1-255 (a u8 code); anything else maps to (0, label),
+    so :meth:`GenotypeMatrix.column_label` gives every label back whole."""
+    match = _CHROM_LABEL.fullmatch(label)
+    if match and int(match[1]) <= 255:
+        return int(match[1]), match[2]
     return 0, label
 
 

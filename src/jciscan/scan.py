@@ -81,16 +81,16 @@ On the float route a top-k, threshold or rank scan first reads
 radius that holds the value ``rows`` makes whatever the summation order,
 FMA use or thread split (see :meth:`Workspace.bounds`); the prescale
 gives the bound one path at every column scale.  Each tile is
-screened once per scan, for every output asked for: top-k bounds the
-cell lower bounds above the floor a few rows at a time, so once every
-work tile is screened the floor is the k-th largest finite cell lower
-bound of the span; a threshold marks the anchors holding a pair whose
-upper bound exceeds it; and each rank value marks the anchors holding a
-pair whose bounds bracket it and counts, per anchor, the pairs certainly
-above it.  Once every work tile is screened, :func:`_sweep_tile` reads
-the union of the marked anchors and those holding a pair whose upper
-bound reaches the floor, feeds each row it reads to every consumer, and
-adds the screen's counts only for the anchors it does not read.  The
+screened once per scan, for every output asked for: it keeps each
+anchor's largest upper bound; top-k bounds the cell lower bounds above
+the floor a few rows at a time, so once every work tile is screened the
+floor is the k-th largest finite cell lower bound of the span; and each
+rank value marks the anchors holding a pair whose bounds bracket it and
+counts, per anchor, the pairs certainly above it.  Once every work tile
+is screened, :func:`_sweep_tile` reads the marked anchors and those whose
+largest upper bound reaches the floor or exceeds the threshold, feeds
+each row it reads to every consumer, and adds the screen's counts only
+for the anchors it does not read.  The
 screen only chooses rows: every reported value and rank comes from
 ``rows``.  The exact route's tiles are its values: it has no ``bounds``
 and reads every row, so its ranks are counted from the rows alone.
@@ -525,7 +525,7 @@ class CodeWorkspace:
 
     def rows(self, anchors, span: tuple[int, int]):
         """Yield ``(j1, lo, r_hat, tau_hat)`` per slice of at most
-        ``_COMBINE_ROWS`` anchors of each GEMM tile of the ascending
+        ``_COMBINE_ROWS`` anchors of each GEMM tile of the range
         ``anchors`` (:func:`_tile_grid`), in reused arrays: read each before
         the next.
         A tile's anchor and partner columns are gathered from the codes, rows
@@ -612,18 +612,22 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     :class:`CodeWorkspace` (:func:`_exact_workspace`): the codes as uint8
     (uint8 input uncopied) and per-column integer sums, all from one walk
     over the input that also decides the route.  Any other input takes the float
-    route and gets a :class:`Workspace`: the columns are widened to
-    float64, scaled by ``2^-e`` (e the ``frexp`` exponent of the largest
-    |x|, y alike) and centered together in a contiguous p x n copy; means,
-    centered values and css are bit-identical to
-    :func:`~jciscan.cumulants.center` on each scaled column.  One max and
-    one min per column give e, the finite check and the variance floor's
-    spread.  After this call a float-route pair costs one fused length-n
-    product-sum plus one division and one square root.
+    route and gets a :class:`Workspace`, from one walk over blocks of
+    ``max(64, 64 * 2048 // n)`` columns, one screen tile's cells (1 MiB of
+    float64 at n <= 2048): each block is widened to float64 as contiguous
+    rows, scaled by ``2^-e`` (e the ``frexp`` exponent of the largest |x|,
+    y alike), centered, and written straight into the one n x p matrix, so
+    the route holds the input once plus one block.  Means, centered values
+    and css are bit-identical to :func:`~jciscan.cumulants.center` on each
+    scaled column.  One max and one min per column give e, the finite check
+    and the variance floor's spread.  After this call a float-route pair
+    costs one fused length-n product-sum plus one division and one square
+    root.
 
     Raises:
-        InvalidValue: non-finite entries (response first, then the lowest
-            offending column).
+        InvalidValue: a dtype other than bool, integer or float, or
+            non-finite entries (response first, then the lowest offending
+            column).
         ZeroVarianceColumn: a constant column (its id) or response (-1),
             by the relative floor of :func:`~jciscan.cumulants.near_constant`;
             on the exact route a column is constant when ``D_j == 0``.
@@ -633,6 +637,8 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     raw = np.asarray(getattr(matrix, "codes", matrix))
     if raw.ndim != 2:
         raise InvalidValue(f"expected an n x p matrix, got shape {raw.shape}")
+    if raw.dtype.kind not in "biuf":
+        raise InvalidValue(f"expected a real matrix, got dtype {raw.dtype}")
     n, p = raw.shape
     if n < MIN_SCAN_SAMPLES:
         raise DegenerateSample(f"pair scans need n >= {MIN_SCAN_SAMPLES}, got {n}")
@@ -648,33 +654,40 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     if (code_ws := _exact_workspace(raw, y)) is not None:
         return code_ws
 
-    # Row j of `cols` is column j: contiguous rows give the same pairwise
-    # sums and dot products as center() on that column alone.
-    cols = np.array(raw.T, dtype=np.float64, order="C")
-    # max and min, not np.abs: no n x p temporary; NaN and inf reach them.
-    # Rounding is monotone, so they give the centered extremes bit for bit.
-    top, bottom = cols.max(axis=1), cols.min(axis=1)
-    finite = np.isfinite(top) & np.isfinite(bottom)
-    shift = np.frexp(np.maximum(top, -bottom))[1]
-    np.ldexp(cols, -shift[:, None], out=cols)
-    with np.errstate(invalid="ignore"):  # non-finite columns are reported below
-        means = cols.sum(axis=1) / n
-        cols -= means[:, None]
-        # One stacked product: each row's dot product in the same order as
-        # center()'s np.dot, bit for bit, without a Python loop.
-        css = (cols[:, None, :] @ cols[:, :, None]).ravel()
-        spread = np.maximum(np.ldexp(top, -shift) - means, means - np.ldexp(bottom, -shift))
-        bad = ~finite | near_constant(means, spread, css, n)
-    if bad.any():
-        j = int(np.argmax(bad))
-        if not finite[j]:
-            raise InvalidValue(f"column {j} contains non-finite values")
-        raise ZeroVarianceColumn(j)
-    cmat = np.ascontiguousarray(cols.T)
-    cmat.setflags(write=False)
+    centered = np.empty((n, p))
+    shift = np.empty(p, dtype=np.intc)
+    css = np.empty(p)
+    # One screen tile's cells per block, so a small input is one block.
+    width = max(_ANCHOR_BLOCK, _ANCHOR_BLOCK * _PARTNER_CHUNK // n)
+    for j0 in range(0, p, width):
+        block = slice(j0, j0 + width)
+        # Row j of `cols` is column j0 + j: contiguous rows give the same
+        # pairwise sums and dot products as center() on that column alone.
+        cols = np.array(raw[:, block].T, dtype=np.float64, order="C")
+        # max and min, not np.abs: no temporary; NaN and inf reach them.
+        # Rounding is monotone, so they give the centered extremes bit for bit.
+        top, bottom = cols.max(axis=1), cols.min(axis=1)
+        finite = np.isfinite(top) & np.isfinite(bottom)
+        e = np.frexp(np.maximum(top, -bottom))[1]
+        np.ldexp(cols, -e[:, None], out=cols)
+        with np.errstate(invalid="ignore"):  # non-finite columns are reported below
+            means = cols.sum(axis=1) / n
+            cols -= means[:, None]
+            # One stacked product: each row's dot product in the same order
+            # as center()'s np.dot, bit for bit, without a Python loop.
+            ss = (cols[:, None, :] @ cols[:, :, None]).ravel()
+            spread = np.maximum(np.ldexp(top, -e) - means, means - np.ldexp(bottom, -e))
+            bad = ~finite | near_constant(means, spread, ss, n)
+        if bad.any():
+            j = int(np.argmax(bad))
+            if not finite[j]:
+                raise InvalidValue(f"column {j0 + j} contains non-finite values")
+            raise ZeroVarianceColumn(j0 + j)
+        centered[:, block], shift[block], css[block] = cols.T, e, ss
+    centered.setflags(write=False)
     return Workspace(
         response=cy,
-        matrix=cmat,
+        matrix=centered,
         scale=np.sqrt(css),
         shift=shift,
         response_scale=math.sqrt(cy.css),
@@ -706,7 +719,7 @@ def _exact_workspace(matrix: np.ndarray, y: np.ndarray) -> CodeWorkspace | None:
     n, p = matrix.shape
     m = float(y.max()) - float(y.min())  # Python floats: inf past the float range, no warning
     # n m < 2^24 is the float32 bound at c = 1; at c = 0 every column is constant.
-    if not (n * m < _FLOAT32_EXACT and np.array_equal(y, np.rint(y))) or matrix.dtype.kind not in "biuf":
+    if not (n * m < _FLOAT32_EXACT and np.array_equal(y, np.rint(y))):
         return None
     shifted = y - y.min()
     codes = matrix if matrix.dtype == np.uint8 else np.empty((n, p), dtype=np.uint8)
@@ -778,25 +791,22 @@ def _partners(j1, p: int, span: tuple[int, int]):
     return np.maximum(j1 + 1, j1 + 1 + (span[0] - base)), np.minimum(p, j1 + 1 + (span[1] - base))
 
 
-def _tile_grid(anchors, p: int, span: tuple[int, int], block: int, width: int):
-    """The tile walk of both routes: the ascending ``anchors`` in runs of at
-    most ``block`` consecutive anchors (cut at each gap), each run against
-    its partners in the span in the fewest chunks of at most ``width``
-    columns, their widths within one of each other.  A tile is ``(a0,
-    starts, ends, lo, hi)``: anchors ``a0, a0 + 1, ...`` with their partners
-    ``[starts[i], ends[i])`` in the span, and the columns ``[lo, hi)`` of
-    the union of those partners.  The tiles of one run come one after
-    another, and share their ``starts`` and ``ends``."""
-    anchors = np.asarray(anchors, dtype=np.intp)
-    starts, ends = _partners(anchors, p, span)
-    gaps = (np.flatnonzero(np.diff(anchors) != 1) + 1).tolist()
-    cuts = [b0 for r0, r1 in zip([0, *gaps], [*gaps, anchors.size]) for b0 in range(r0, r1, block)]
-    for b0, b1 in zip(cuts, [*cuts[1:], anchors.size]):
-        first, stop = int(starts[b0:b1].min()), int(ends[b0:b1].max())
+def _tile_grid(anchors: range, p: int, span: tuple[int, int], block: int, width: int):
+    """The tile walk of both routes: the consecutive ``anchors`` in runs of
+    at most ``block``, each run against its partners in the span in the
+    fewest chunks of at most ``width`` columns, their widths within one of
+    each other.  A tile is ``(a0, starts, ends, lo, hi)``: anchors ``a0, a0
+    + 1, ...`` with their partners ``[starts[i], ends[i])`` in the span, and
+    the columns ``[lo, hi)`` of the union of those partners.  The tiles of
+    one run come one after another, and share their ``starts`` and ``ends``."""
+    starts, ends = _partners(np.asarray(anchors, dtype=np.intp), p, span)
+    for b0 in range(0, len(anchors), block):
+        run = slice(b0, b0 + block)
+        first, stop = int(starts[run].min()), int(ends[run].max())
         cols, chunks = stop - first, -(-(stop - first) // width)
         for c in range(chunks):
             lo, hi = first + cols * c // chunks, first + cols * (c + 1) // chunks
-            yield int(anchors[b0]), starts[b0:b1], ends[b0:b1], lo, hi
+            yield anchors[b0], starts[run], ends[run], lo, hi
 
 
 def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
@@ -859,9 +869,10 @@ def _cells(mask: np.ndarray):
 
 
 class _Screen(NamedTuple):
-    """One work tile's screen (:func:`_screened`): whether each anchor's
-    row must be read, its largest upper bound, per rank value the pairs of
-    each anchor certainly above it, and the bounds tiles screened."""
+    """One work tile's screen (:func:`_screened`): whether a rank value
+    needs each anchor's row read, the anchor's largest upper bound, per rank
+    value the pairs of each anchor certainly above it, and the bounds tiles
+    screened."""
 
     need: np.ndarray
     reach: np.ndarray
@@ -878,8 +889,9 @@ def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None
     (values, index)``, count ``t`` gains the pairs above ``values[t]`` and
     those equal to it before canonical index ``index[t]``.  Given a
     :class:`_Screen`, only the anchors it needs and those the floor has not
-    passed are read, and each anchor left unread adds its pairs certainly
-    above each value to the counts."""
+    passed or whose largest upper bound exceeds the threshold are read, and
+    each anchor left unread adds its pairs certainly above each value to the
+    counts."""
     values, index = ranked if ranked is not None else (np.empty(0), None)
     counts = np.zeros(values.size, dtype=np.int64)
     read = anchors
@@ -887,6 +899,8 @@ def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None
         need = screen.need
         if top is not None:
             need = need | (screen.reach >= top.floor)
+        if threshold is not None:
+            need = need | (screen.reach > threshold)
         counts += screen.above[:, ~need].sum(axis=1)
         read = [anchors[i] for i in np.flatnonzero(need)]
     hits = []
@@ -914,12 +928,12 @@ def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None
     return PairTable.concat(hits), counts, len(read)
 
 
-def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
-    """Screen a work tile by the workspace's certified bounds.  A threshold
-    needs the rows with a pair whose upper bound exceeds it; top-k lifts
-    the scan's floor by the cell lower bounds; each rank value needs the
-    rows with a pair whose bounds bracket it, and counts per anchor the
-    pairs certainly above it."""
+def _screened(ws, anchors: range, span, top, values) -> _Screen:
+    """Screen a work tile by the workspace's certified bounds: each
+    anchor's largest upper bound, which the top-k floor and a threshold
+    cut; top-k lifts the scan's floor by the cell lower bounds; each rank
+    value needs the rows with a pair whose bounds bracket it, and counts per
+    anchor the pairs certainly above it."""
     need = np.zeros(len(anchors), dtype=bool)
     reach = np.full(len(anchors), -np.inf)
     above = np.zeros((values.size, len(anchors)), dtype=np.int64)
@@ -928,8 +942,7 @@ def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
         tiles += 1
         at = slice(a0 - anchors.start, a0 - anchors.start + len(radius))
         most = estimate.max(axis=1)
-        if threshold is not None:
-            need[at] |= most + radius > threshold
+        np.maximum(reach[at], most + radius, out=reach[at])
         if values.size:
             # Pairs below every value settle at once; the rest are few.
             low = values.min() - radius
@@ -941,7 +954,6 @@ def _screened(ws, anchors: range, span, top, threshold, values) -> _Screen:
                 above[t, at] += np.bincount(i[near > v + wide], minlength=len(radius))
                 need[at.start + i[(near <= v + wide) & (near >= v - wide)]] = True
         if top is not None:
-            np.maximum(reach[at], most + radius, out=reach[at])
             # The cells above the floor are bounded a few rows at a time,
             # each group lifting the floor for the next.
             cut = top.floor
@@ -989,7 +1001,7 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     top = _TopK(config.top_k) if config.top_k is not None else None
 
     def screen(tile):
-        return _screened(ws, tile, span, top, config.threshold, values) if ws.bounds is not None else None
+        return _screened(ws, tile, span, top, values) if ws.bounds is not None else None
 
     def sweep(tile, screened):
         return _sweep_tile(ws, tile, span, top, config.threshold, None, screened, (values, index))

@@ -156,6 +156,9 @@ def test_packed_file_size_formula(tmp_path):
 def test_packed_bad_magic_and_empty():
     with pytest.raises(NotPackedFile):
         parse_packed(io.BytesIO(b""))
+    for n, p in ((0, 2), (2, 0)):
+        with pytest.raises(FormatError, match=f"declared shape {n} x {p} is empty"):
+            parse_packed(io.BytesIO(struct.pack("<4sHHQQ", MAGIC, 1, 0, n, p)))
     with pytest.raises(NotPackedFile):
         parse_packed(io.BytesIO(b"NOPE" + b"\x00" * 40))
     with pytest.raises(NotPackedFile):
@@ -292,6 +295,8 @@ def test_parse_csv_errors():
         parse_csv(io.StringIO(""), "y")
     with pytest.raises(FormatError):
         parse_csv(io.StringIO("a,b\n"), None)  # header only, no data
+    with pytest.raises(FormatError, match="empty column name"):
+        parse_csv(io.StringIO("a,,y\n1,2,3\n"), "y")
     with pytest.raises(MissingResponse):
         parse_csv(io.StringIO("a,b\n1,2\n"), "y")
     with pytest.raises(FormatError, match="response column 'a' is ambiguous: the header names it 2 times"):
@@ -347,6 +352,26 @@ def test_parse_column_label():
     assert parse_column_label("snp42") == (0, "snp42")
     assert parse_column_label("chX:rs1") == (0, "chX:rs1")
     assert parse_column_label("ch:rs1") == (0, "ch:rs1")
+    assert parse_column_label("ch255:rs1") == (255, "rs1")
+    # k is ASCII digits without a leading zero, in 1-255; any other label
+    # is a whole id.
+    for label in ("ch0:rs2", "ch07:rs1", "ch\uff11:z", "ch256:rs3", "ch1:", "ch-1:a", "ch+1:a", "ch 1:a"):
+        assert parse_column_label(label) == (0, label)
+
+
+chromosome_labels = st.one_of(
+    st.text(),
+    st.builds("ch{}:{}".format, st.one_of(st.integers(0, 300), st.text("0123456789\uff11 +-", max_size=4)), st.text()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=chromosome_labels)
+def test_column_label_inverts_parse_column_label(label):
+    chrom, ident = parse_column_label(label)
+    gm = make_matrix(np.array([[1]]), ids=[ident], chroms=[chrom])
+    assert gm.column_label(0) == label
+    assert 0 <= chrom <= 255
 
 
 def test_column_label_roundtrip():

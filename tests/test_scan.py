@@ -278,6 +278,10 @@ def test_precompute_shape_guards():
         precompute(rng.normal(size=(2, 5)), rng.normal(size=2))
     with pytest.raises(TooFewColumns):
         precompute(rng.normal(size=(10, 1)), rng.normal(size=10))
+    with pytest.raises(InvalidValue, match="n x p matrix"):
+        precompute(rng.normal(size=10), rng.normal(size=10))
+    with pytest.raises(InvalidValue, match="n x p matrix"):
+        precompute(rng.normal(size=(10, 2, 2)), rng.normal(size=10))
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,7 +429,7 @@ def test_first_top_k_screen_stays_within_its_tile_buffers():
         top = scan_module._TopK(k)
         tracemalloc.start()
         try:
-            scan_module._screened(ws, range(256), (0, pair_count(3000)), top, None, np.empty(0))
+            scan_module._screened(ws, range(256), (0, pair_count(3000)), top, np.empty(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,7 +450,7 @@ def test_top_k_screen_leaves_the_kth_largest_cell_lower_bound_as_floor(k):
         top, lower = scan_module._TopK(k), []
         for a0 in range(0, len(anchors), 256):
             tile = anchors[a0 : a0 + 256]
-            scan_module._screened(ws, tile, span, top, None, np.empty(0))
+            scan_module._screened(ws, tile, span, top, np.empty(0))
             for _, _, estimate, radius in ws.bounds(tile, span):
                 cells = estimate - radius[:, None]
                 lower.append(cells[np.isfinite(cells)])
@@ -455,18 +459,62 @@ def test_top_k_screen_leaves_the_kth_largest_cell_lower_bound_as_floor(k):
         assert top.floor == np.partition(lower, lower.size - k)[lower.size - k], (k, span)
 
 
-def test_float_precompute_holds_at_most_two_copies_of_the_matrix():
-    # The centered p x n rows and their n x p transpose are the only
-    # float64 copies precompute holds; it never holds a third.
+def test_float_precompute_holds_the_matrix_once_plus_one_block():
+    # Column blocks go straight into the one n x p float64 matrix: beside
+    # it precompute holds one block and per-column vectors, never a copy.
     rng = np.random.default_rng(18)
-    X = rng.normal(size=(200, 1000))
-    tracemalloc.start()
-    try:
-        precompute(X, rng.normal(size=200))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * X.nbytes + 2**18
+    y = rng.normal(size=1000)
+    for X in (rng.normal(size=(1000, 2000)), rng.integers(1, 4, size=(1000, 2000)).astype(np.uint8)):
+        tracemalloc.start()
+        try:
+            ws = precompute(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(ws, Workspace)
+        assert peak <= ws.matrix.nbytes + 8 * 2**20, peak
+
+
+def test_precompute_column_blocks_keep_center_bits_and_absolute_column_ids():
+    # At n = 1000 a block is 131 columns, so p = 300 is three blocks, the
+    # last one partial.
+    rng = np.random.default_rng(23)
+    n, p = 1000, 300
+    X = (rng.normal(size=(n, p)) + 10 * rng.normal(size=p)) * 2.0 ** rng.integers(-400, 400, size=p)
+    y = rng.normal(size=n)
+    ws = precompute(X, y)
+    assert ws.matrix.flags.c_contiguous and not ws.matrix.flags.writeable
+    assert ws.shift.dtype == np.intc
+    for j in range(p):
+        col = center(np.ldexp(X[:, j], -int(ws.shift[j])), index=j)
+        assert ws.matrix[:, j].tobytes() == col.centered.tobytes()
+        assert ws.scale[j] == math.sqrt(col.css)
+    for j in (5, 140, 299):
+        for bad in (np.nan, -np.inf, None):
+            Z = X.copy()
+            if bad is None:
+                Z[:, j] = 0.1
+                with pytest.raises(ZeroVarianceColumn) as exc:
+                    precompute(Z, y)
+                assert exc.value.index == j
+            else:
+                Z[7, j] = bad
+                with pytest.raises(InvalidValue, match=f"^column {j} contains non-finite values$"):
+                    precompute(Z, y)
+
+
+def test_precompute_takes_real_dtypes_only():
+    rng = np.random.default_rng(24)
+    X = rng.integers(0, 2, size=(30, 4))
+    y = rng.normal(size=30)
+    for bad in (X + 1j, X.astype(str), X.astype(object)):
+        with pytest.raises(InvalidValue, match="real matrix"):
+            precompute(bad, y)
+    # bool, int16, uint8 and float32 codes take the exact route against an
+    # integer response and the float route against a real one.
+    for dtype in (bool, np.int16, np.uint8, np.float32):
+        assert isinstance(precompute(X.astype(dtype), (y > 0).astype(float)), CodeWorkspace)
+        assert isinstance(precompute(X.astype(dtype), y), Workspace)
 
 
 def _sparse_columns(rng, n, p, density):
@@ -1242,6 +1290,11 @@ def test_invalid_rank_pairs_raise_invalid_pair():
         scan(ws, ScanConfig(top_k=3, pair_range=(start, start + 5), rank_pairs=((1, 2 + 5),)))
     inside = scan(ws, ScanConfig(top_k=3, pair_range=(start, start + 5), rank_pairs=((1, 2 + 4),)))
     assert len(inside.ranks) == 1 and 1 <= inside.ranks[0][1] <= 5
+    # A score array or workspace of another p is no source of ranks.
+    with pytest.raises(DimensionMismatch, match="full score array"):
+        ranks_of_pairs(all_scores(ws)[:-1], p, [(0, 1)])
+    with pytest.raises(DimensionMismatch, match="p=10, expected 11"):
+        ranks_of_pairs(ws, p + 1, [(0, 1)])
 
 
 def test_ranks_of_pairs_reads_a_scan_result():
