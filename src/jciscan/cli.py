@@ -17,22 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import dataio
 from .errors import (
     DegenerateSample,
     InvalidValue,
     JciscanError,
     ZeroVarianceColumn,
-)
-from .scan import (
-    DEFAULT_BLOCK_SIZE,
-    ScanConfig,
-    default_worker_count,
-    iter_score_rows,
-    precompute,
-    scan,
 )
 
 EXIT_OK = 0
@@ -50,10 +39,38 @@ def _fail(message: str, code: int) -> int:
 
 def _check_representable(what: str, cells: int) -> None:
     """A size flag asking for more float64 cells than one numpy array can
-    address is malformed input; a size numpy can represent but the OS will
-    not grant fails later as a memory failure."""
-    if cells * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+    address (``sys.maxsize`` bytes, numpy's intp limit) is malformed input;
+    a size numpy can represent but the OS will not grant fails later as a
+    memory failure."""
+    if cells * 8 > sys.maxsize:
         raise InvalidValue(f"{what} asks for {cells} float64 cells, more than one array can hold")
+
+
+# --------------------------------------------------------------------------
+# Compute layers, imported by the commands that run them
+# --------------------------------------------------------------------------
+
+# Module globals that cmd_scan looks up at call time, so a wrapper set on
+# this module (a tracer, a test) sees every call.  Each forwards to
+# `jciscan.scan`, loaded on first use.
+
+
+def precompute(matrix, response):
+    from .scan import precompute
+
+    return precompute(matrix, response)
+
+
+def scan(ws, config):
+    from .scan import scan
+
+    return scan(ws, config)
+
+
+def iter_score_rows(ws):
+    from .scan import iter_score_rows
+
+    return iter_score_rows(ws)
 
 
 # --------------------------------------------------------------------------
@@ -63,6 +80,8 @@ def _check_representable(what: str, cells: int) -> None:
 
 def _load_scan_input(args):
     """Returns (matrix-like, response, labels, chroms)."""
+    from . import dataio
+
     if dataio.is_packed(args.input):
         if args.phenotype is None:
             raise InvalidValue("packed input needs --phenotype")
@@ -82,10 +101,13 @@ def _load_scan_input(args):
 
 
 def cmd_scan(args) -> int:
+    from . import dataio
+    from .scan import DEFAULT_BLOCK_SIZE, ScanConfig, default_worker_count
+
     config = ScanConfig(
         top_k=args.top_k,
         threshold=args.threshold,
-        block_size=args.block_size,
+        block_size=args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE,
         worker_count=args.workers if args.workers is not None else default_worker_count(),
         pair_range=args.pair_range,
     )
@@ -132,6 +154,8 @@ def _pair_label(pair: tuple[int, int]) -> str:
 
 
 def cmd_simulate(args) -> int:
+    from . import dataio
+    from .scan import default_worker_count
     from .simulate import run_replications, study_spec, summarize
 
     if args.out_summary is None and args.out_replicates is None:
@@ -175,6 +199,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from . import dataio
+
     if args.from_format == args.to_format:
         raise InvalidValue("--from and --to must differ")
     if args.from_format == "csv":
@@ -198,6 +224,10 @@ def cmd_report(args) -> int:
     if args.bins < 1:
         raise InvalidValue(f"--bins must be >= 1, got {args.bins}")
     _check_representable(f"--bins {args.bins}", args.bins + 1)
+
+    import numpy as np
+
+    from . import dataio
 
     scores: list[float] = []
     groups: dict[tuple[str, str], list[float]] = {}
@@ -238,8 +268,17 @@ def _pair_range_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected START:END, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag rejections print one ``jciscan: <message>`` line and exit 2,
+    as every other malformed-input path does; ``--help`` is unchanged."""
+
+    def error(self, message: str):
+        # An unrecognized argument may hold a line break; keep the one line.
+        self.exit(EXIT_FORMAT, f"jciscan: {message}".replace("\n", "\\n") + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jciscan",
         description="Pairwise interaction screening via the normalized three-way joint cumulant.",
     )
@@ -252,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--top-k", type=int, help="keep the k best pairs")
     p_scan.add_argument("--threshold", type=float, help="also select pairs with r_hat > c")
     p_scan.add_argument("--workers", type=int, help="worker threads (default: JCI_WORKERS or 1)")
-    p_scan.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE, help="anchor columns per work tile")
+    # None means scan.DEFAULT_BLOCK_SIZE, read by cmd_scan: the parser loads no compute module.
+    p_scan.add_argument("--block-size", type=int, help="anchor columns per work tile")
     p_scan.add_argument("--pair-range", type=_pair_range_arg, help="canonical pair span START:END")
     p_scan.add_argument("--missing", choices=["reject", "impute"], default="reject")
     p_scan.add_argument("--out", default="-", help='output CSV path ("-" = stdout)')

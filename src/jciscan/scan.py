@@ -625,9 +625,9 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     root.
 
     Raises:
-        InvalidValue: a dtype other than bool, integer or float, or
-            non-finite entries (response first, then the lowest offending
-            column).
+        InvalidValue: a matrix or response dtype other than bool,
+            integer or float, or non-finite entries (response first, then
+            the lowest offending column).
         ZeroVarianceColumn: a constant column (its id) or response (-1),
             by the relative floor of :func:`~jciscan.cumulants.near_constant`;
             on the exact route a column is constant when ``D_j == 0``.
@@ -644,7 +644,10 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
         raise DegenerateSample(f"pair scans need n >= {MIN_SCAN_SAMPLES}, got {n}")
     if p < 2:
         raise TooFewColumns(f"need at least 2 predictor columns, got {p}")
-    y = np.asarray(response, dtype=np.float64)
+    y = np.asarray(response)
+    if y.dtype.kind not in "biuf":
+        raise InvalidValue(f"expected a real response, got dtype {y.dtype}")
+    y = y.astype(np.float64, copy=False)
     if y.shape != (n,):
         raise DimensionMismatch(f"response has shape {y.shape}, expected ({n},)")
 

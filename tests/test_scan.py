@@ -517,6 +517,24 @@ def test_precompute_takes_real_dtypes_only():
         assert isinstance(precompute(X.astype(dtype), y), Workspace)
 
 
+def test_precompute_takes_a_real_response_only():
+    rng = np.random.default_rng(25)
+    X = rng.integers(0, 3, size=(30, 4))
+    y = rng.normal(size=30)
+    for bad in (y + 1j, y.astype(str), y.astype(object)):
+        with pytest.raises(InvalidValue, match="real response"):
+            precompute(X, bad)
+    # A bool, integer or float response keeps its route and its bits: the
+    # same workspace as the float64 cast of the same values.
+    yb = y > 0
+    for response, route in ((yb, CodeWorkspace), (yb.astype(np.int16), CodeWorkspace),
+                            (yb.astype(np.float32), CodeWorkspace), (y, Workspace),
+                            (y.astype(np.float32), Workspace)):
+        ws, ref = precompute(X, response), precompute(X, response.astype(np.float64))
+        assert type(ws) is type(ref) is route
+        np.testing.assert_array_equal(all_scores(ws), all_scores(ref))
+
+
 def _sparse_columns(rng, n, p, density):
     """0/0.3 columns, 0.3 at about ``density`` of the rows: non-integer, so
     they take the float route, and sparse, so ``||c||_1`` sits far below
