@@ -33,6 +33,7 @@ call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ DEFAULT_VARIANCE_FLOOR = 1e-12
 
 #: Column id used for the response in errors and diagnostics.
 RESPONSE_INDEX = -1
+
+_FLOAT_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +184,19 @@ def sample_k3(c1: CenteredColumn, c2: CenteredColumn, cy: CenteredColumn) -> flo
     return _ordered_product_sum(c1, c2, cy) / n
 
 
+def _score_denominator(css1: float, css2: float, cssy: float) -> float:
+    """``sqrt(css1 * css2 * cssY)``, taken per factor when the product leaves the normal range.
+
+    Three positive sums of squares can multiply to a subnormal, to 0 or to
+    inf; the per-factor square roots (the scanner's ``scale`` route) stay
+    finite and nonzero there.  Both forms are symmetric in the two columns.
+    """
+    product = css1 * css2 * cssy
+    if _FLOAT_MIN <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(css1) * math.sqrt(css2) * math.sqrt(cssy)
+
+
 def pair_score(c1: CenteredColumn, c2: CenteredColumn, cy: CenteredColumn) -> PairStatistic:
     """Normalized interaction score of one pair against the response.
 
@@ -200,6 +216,6 @@ def pair_score(c1: CenteredColumn, c2: CenteredColumn, cy: CenteredColumn) -> Pa
     if c1.index == c2.index:
         raise InvalidPair(f"a pair needs two distinct columns, got index {c1.index} twice")
     total = _ordered_product_sum(c1, c2, cy)
-    r = math.sqrt(n) * abs(total) / math.sqrt(c1.css * c2.css * cy.css)
+    r = math.sqrt(n) * abs(total) / _score_denominator(c1.css, c2.css, cy.css)
     j1, j2 = (c1.index, c2.index) if c1.index < c2.index else (c2.index, c1.index)
     return PairStatistic(j1=j1, j2=j2, tau_hat=total / n, r_hat=r)

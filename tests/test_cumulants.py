@@ -266,6 +266,24 @@ def test_pair_score_swap_is_bit_identical_property(data):
     assert (a.j1, a.j2, a.tau_hat.hex(), a.r_hat.hex()) == (b.j1, b.j2, b.tau_hat.hex(), b.r_hat.hex())
 
 
+def test_pair_score_css_product_out_of_normal_range():
+    # css1 * css2 * cssY underflows to 0 here although each css is positive.
+    c1 = center([0.0, 0.0, 1.0], 0)
+    c2 = center([0.0, 0.0, 0.00390625], 1)
+    cy = center([0.0, 0.0, 3.7042185931496715e-160], -1)
+    assert c1.css * c2.css * cy.css == 0.0
+    a = pair_score(c1, c2, cy)
+    b = pair_score(c2, c1, cy)
+    assert (a.r_hat.hex(), a.tau_hat.hex()) == (b.r_hat.hex(), b.tau_hat.hex())
+    # Two of three samples share a value in every column: r_hat = 1/sqrt(2),
+    # up to the few digits the subnormal cssY itself keeps.
+    assert a.r_hat == pytest.approx(1 / math.sqrt(2), rel=1e-4)
+    # ... and overflows to inf here.
+    big = [center([0.0, 0.0, 1e70], j) for j in (0, 1, -1)]
+    assert math.isinf(big[0].css * big[1].css * big[2].css)
+    assert pair_score(*big).r_hat == pytest.approx(1 / math.sqrt(2), rel=1e-9)
+
+
 def test_pair_score_affine_invariance():
     rng = np.random.default_rng(23)
     x1 = rng.normal(size=80)
