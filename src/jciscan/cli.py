@@ -87,10 +87,12 @@ def _load_scan_input(args):
             raise InvalidValue("packed input needs --phenotype")
         if args.response_column is not None:
             raise InvalidValue("--response-column does not apply to packed input")
-        gm = dataio.parse_packed(args.input, missing_policy=args.missing)
+        gm = dataio.parse_packed(args.input, missing_policy=args.missing or "reject")
         y = dataio.read_phenotype(args.phenotype)
         labels = [gm.column_label(j) for j in range(gm.p)]
         return gm, y, labels, list(gm.chromosomes)
+    if args.missing is not None:
+        raise InvalidValue("--missing applies to packed input only")
     if (args.phenotype is None) == (args.response_column is None):
         raise InvalidValue("CSV input needs exactly one of --response-column / --phenotype")
     matrix, y, names = dataio.parse_csv(args.input, args.response_column)
@@ -204,10 +206,12 @@ def cmd_convert(args) -> int:
     if args.from_format == args.to_format:
         raise InvalidValue("--from and --to must differ")
     if args.from_format == "csv":
+        if args.missing is not None:
+            raise InvalidValue("--missing applies to packed input only")
         codes, _, names = dataio.parse_csv(args.input, None, codes=True)
         dataio.write_packed(dataio.genotype_from_floats(codes, names), args.output)
     else:
-        gm = dataio.parse_packed(args.input, missing_policy=args.missing)
+        gm = dataio.parse_packed(args.input, missing_policy=args.missing or "reject")
         labels = [gm.column_label(j) for j in range(gm.p)]
         dataio.write_csv(args.output, gm.codes, labels)
     return EXIT_OK
@@ -294,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     # None means scan.DEFAULT_BLOCK_SIZE, read by cmd_scan: the parser loads no compute module.
     p_scan.add_argument("--block-size", type=int, help="anchor columns per work tile")
     p_scan.add_argument("--pair-range", type=_pair_range_arg, help="canonical pair span START:END")
-    p_scan.add_argument("--missing", choices=["reject", "impute"], default="reject")
+    p_scan.add_argument(
+        "--missing", choices=["reject", "impute"], help="missing-genotype policy, packed input only (default: reject)"
+    )
     p_scan.add_argument("--out", default="-", help='output CSV path ("-" = stdout)')
     p_scan.add_argument("--dump-all", help="also stream every pair's score to this CSV")
     p_scan.set_defaults(func=cmd_scan)
@@ -313,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convert", help="convert between CSV and packed genotypes")
     p_conv.add_argument("--from", dest="from_format", required=True, choices=["csv", "packed"])
     p_conv.add_argument("--to", dest="to_format", required=True, choices=["csv", "packed"])
-    p_conv.add_argument("--missing", choices=["reject", "impute"], default="reject")
+    p_conv.add_argument(
+        "--missing", choices=["reject", "impute"], help="missing-genotype policy, packed input only (default: reject)"
+    )
     p_conv.add_argument("input")
     p_conv.add_argument("output")
     p_conv.set_defaults(func=cmd_convert)

@@ -89,6 +89,11 @@ _CSV_BLOCK_CHARS = 256 * 2**10
 #: also hold the bytes of :data:`_FLOAT_MARKS`.
 _INTEGER_BYTES = b"0123456789,\r\n"
 _FLOAT_MARKS = b"+-.eE"
+#: Cells :func:`write_csv` writes per block of rows.
+_WRITE_CELLS = 2**14
+#: ``.17g`` writes an integral float below 10^17 in magnitude as its plain
+#: digits; these are the powers of ten that add a digit below it.
+_TEN_POWERS = 10 ** np.arange(1, 17, dtype=np.int64)
 
 #: Header of the score dump that ``scan --dump-all`` writes and ``report``
 #: reads: one row per pair, r_hat written as the shortest round-trip float.
@@ -403,7 +408,11 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
     """Write a numeric CSV (17 significant digits, exact round trip).
 
     The response column, when given, is appended after the predictors.
-    Integer and bool matrices are widened one row at a time as written.
+    Rows are widened to float64 and written about :data:`_WRITE_CELLS`
+    cells at a time.  A block of an integer or bool matrix whose every
+    cell, response included, prints as plain digits is laid out by byte
+    arithmetic (:func:`_integer_lines`); any other block is written cell by
+    cell with ``format(v, ".17g")``, which gives the same bytes.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "biuf":
@@ -418,15 +427,49 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
         )
     header = list(names) + ([response_name] if response is not None else [])
     fmt = f".{CSV_FLOAT_DIGITS}g"
-
-    def rows():
-        for i in range(matrix.shape[0]):
-            row = [format(v, fmt) for v in matrix[i].astype(np.float64, copy=False).tolist()]
+    rows = max(1, _WRITE_CELLS // max(1, len(header)))
+    with _open(stream, "w") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for i0 in range(0, matrix.shape[0], rows):
+            block = matrix[i0 : i0 + rows].astype(np.float64)
             if response is not None:
-                row.append(format(float(response[i]), fmt))
-            yield row
+                column = np.asarray(response[i0 : i0 + rows], dtype=np.float64)
+                block = np.column_stack([block, column])
+            text = _integer_lines(block) if matrix.dtype.kind in "biu" else None
+            if text is None:
+                text = "".join(",".join(format(v, fmt) for v in row) + "\n" for row in block.tolist())
+            fh.write(text)
 
-    write_table(stream, header, rows())
+
+def _integer_lines(block: np.ndarray) -> str | None:
+    """The CSV lines of the float64 ``block``, each cell as ``format(v,
+    ".17g")`` writes it, or None unless every cell prints as plain digits:
+    an integral value in [0, 10^17), not -0.0.
+
+    The inverse of :func:`_plain_values`' digit decoder: each cell gets a
+    fixed run of byte slots (``d`` digits right-aligned, then a comma or,
+    ending a row, a line feed), filled one digit place per numpy call, and
+    the slots a cell does not use are dropped by one mask.  A block of
+    single digits keeps every slot.
+    """
+    # NaN fails the max test, a negative value or -0.0 the sign test.
+    if not block.size or not block.max() < 10.0**17 or np.signbit(block).any():
+        return None
+    values = block.astype(np.int64)
+    if not np.array_equal(values, block):
+        return None
+    digits = 1 + np.searchsorted(_TEN_POWERS, values, side="right")
+    top = int(digits.max())
+    slots = np.empty(values.shape + (top + 1,), dtype=np.uint8)
+    digit = np.empty_like(values)
+    for place in range(top - 1, -1, -1):
+        np.divmod(values, 10, out=(values, digit))
+        np.add(digit, ord("0"), out=slots[..., place], casting="unsafe")
+    slots[..., -1] = ord(",")
+    slots[:, -1, -1] = ord("\n")
+    if top > 1:
+        slots = slots[np.arange(top + 1) >= top - digits[..., None]]
+    return slots.tobytes().decode("ascii")
 
 
 def read_phenotype(stream) -> np.ndarray:

@@ -64,6 +64,11 @@ _STUDY5_CORRELATIONS = (0.1, 0.3, 0.5)
 
 _STUDY4_RHO = 0.1
 
+#: The fair-coin blocks of studies 1 and 3 draw their uniforms whole rows at
+#: a time, as many rows as fit in this many cells (512 KiB of float64) and
+#: at least one, so no n x p float block is held.
+_DRAW_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class SimStudySpec:
@@ -89,7 +94,8 @@ class SimStudySpec:
 @dataclass(frozen=True, eq=False)
 class SimDataset:
     """Generated predictors and response; the design's true pairs are the
-    spec's."""
+    spec's.  The 0/1 designs (studies 1 and 3) hold their predictors as
+    uint8 codes, the others as float64; the response is always float64."""
 
     predictors: np.ndarray
     response: np.ndarray
@@ -159,11 +165,28 @@ def study_spec(
 # --------------------------------------------------------------------------
 
 
+def _fair_coins(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the n x w uint8 array ``out`` with ``rng.random((n, w)) < 0.5``.
+
+    The uniforms are drawn a block of rows at a time; consecutive draws
+    continue one stream in C order, so every value is that of the one
+    n x w draw, and no n x w float block is held."""
+    n, w = out.shape
+    rows = max(1, _DRAW_CELLS // w)
+    flags = out.view(np.bool_)
+    for i0 in range(0, n, rows):
+        block = flags[i0 : i0 + rows]
+        np.less(rng.random(block.shape), 0.5, out=block)
+
+
 def gen_study1(n: int, p: int, seed) -> SimDataset:
-    """Fair 0/1 predictors drawn as one n x p block; response X1*X2."""
+    """Fair 0/1 predictors, as uint8 codes, drawn as one n x p block of
+    uniforms (a block of rows at a time, see :func:`_fair_coins`);
+    response X1*X2 as float64."""
     rng = np.random.default_rng(seed)
-    x = (rng.random((n, p)) < 0.5).astype(np.float64)
-    y = x[:, 0] * x[:, 1]
+    x = np.empty((n, p), dtype=np.uint8)
+    _fair_coins(rng, x)
+    y = (x[:, 0] & x[:, 1]).astype(np.float64)
     return SimDataset(predictors=x, response=y)
 
 
@@ -177,7 +200,9 @@ def gen_study2(n: int, p: int, seed) -> SimDataset:
 
 def gen_study3(n: int, p: int, seed) -> SimDataset:
     """Binary response first, then four (odd, even) predictor pairs, then
-    the fair-coin noise block.
+    the fair-coin noise block (one n x (p - 8) block of uniforms, drawn a
+    block of rows at a time).  Predictors are uint8 codes, the response
+    float64.
 
     The response satisfies P(Y=1) = 0.75.  Odd-position columns X1, X3,
     X5, X7 are Bernoulli with class-conditional rates (majority class:
@@ -188,23 +213,22 @@ def gen_study3(n: int, p: int, seed) -> SimDataset:
     """
     rng = np.random.default_rng(seed)
     y = (rng.random(n) < _STUDY3_RESPONSE_RATE).astype(np.float64)
-    x = np.empty((n, p), dtype=np.float64)
+    x = np.empty((n, p), dtype=np.uint8)
     for m in range(4):
         class_rate = np.where(
             y == 1.0, _STUDY3_THETA_MAJORITY[m], _STUDY3_THETA_MINORITY[m]
         )
-        odd = (rng.random(n) < class_rate).astype(np.float64)
+        odd = rng.random(n) < class_rate
         hot = class_rate > 0.5
         partner_rate = np.where(
-            odd == 1.0,
+            odd,
             np.where(hot, 0.95, 0.05),
             np.where(hot, 0.6, 0.4),
         )
-        even = (rng.random(n) < partner_rate).astype(np.float64)
         x[:, 2 * m] = odd
-        x[:, 2 * m + 1] = even
+        x[:, 2 * m + 1] = rng.random(n) < partner_rate
     if p > 8:
-        x[:, 8:] = (rng.random((n, p - 8)) < 0.5).astype(np.float64)
+        _fair_coins(rng, x[:, 8:])
     return SimDataset(predictors=x, response=y)
 
 
@@ -214,15 +238,15 @@ def gen_study4(n: int, p: int, seed) -> SimDataset:
     response X1 + X3 + X6 + X10 + 3*X1*X3 + 3*X6*X10.
 
     Draw order: innovation block for all p columns at once, then the
-    recurrence X_j = rho*X_{j-1} + sqrt(1-rho^2)*eps_j.
+    recurrence X_j = rho*X_{j-1} + sqrt(1-rho^2)*eps_j, run in place over
+    the block: column j holds eps_j until it is overwritten by X_j, so the
+    design is the only n x p array.
     """
     rng = np.random.default_rng(seed)
-    eps = rng.normal(size=(n, p))
-    x = np.empty((n, p), dtype=np.float64)
-    x[:, 0] = eps[:, 0]
+    x = rng.normal(size=(n, p))
     carry = math.sqrt(1.0 - _STUDY4_RHO**2)
     for j in range(1, p):
-        x[:, j] = _STUDY4_RHO * x[:, j - 1] + carry * eps[:, j]
+        x[:, j] = _STUDY4_RHO * x[:, j - 1] + carry * x[:, j]
     y = (
         x[:, 0]
         + x[:, 2]
@@ -279,7 +303,11 @@ def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) 
     top_k=5 and ``rank_pairs`` set to the true pairs, so the top-5 view and
     the exact rank of every true pair come from one screened pass and no
     replicate holds a full score array; the ranks are then read from the
-    result with :func:`~jciscan.scan.ranks_of_pairs`.  ``generator``
+    result with :func:`~jciscan.scan.ranks_of_pairs`.  The dataset is
+    dropped once :func:`~jciscan.scan.precompute` returns and the workspace
+    once the scan does, so a replicate holds its design once: the exact
+    route scans uint8 codes uncopied, and the float route's centered matrix
+    is the one n x p array its scan sees.  ``generator``
     overrides the study-id dispatch for custom designs (same (n, p, seed)
     signature).
     """
@@ -291,7 +319,9 @@ def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) 
     for r in range(spec.replications):
         ds = gen(spec.n, spec.p, child_seed(spec.seed, r))
         ws = precompute(ds.predictors, ds.response)
+        del ds
         result = scan(ws, config)
+        del ws
         ranks = ranks_of_pairs(result, spec.p, spec.true_pairs)
         in_top5 = {pair: rank <= config.top_k for pair, rank in ranks.items()}
         reports.append(ReplicateReport(replicate=r, result=result, ranks=ranks, in_top5=in_top5))

@@ -287,6 +287,17 @@ def test_scan_flag_errors_exit_2_without_a_traceback(tmp_path, capsys):
         assert capsys.readouterr().err == f"jciscan: argument --pair-range: expected START:END, got {span!r}\n"
 
 
+def test_scan_rejects_missing_for_csv_input(tmp_path, capsys):
+    # --missing is the packed reader's policy; a CSV has no missing codes.
+    data, out = tmp_path / "d.csv", tmp_path / "o.csv"
+    write_study1_csv(data, n=20, p=4)
+    for policy in ("impute", "reject"):
+        argv = ["scan", str(data), "--response-column", "y", "--top-k", "1", "--missing", policy, "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "jciscan: --missing applies to packed input only\n"
+    assert not out.exists()
+
+
 def test_scan_phenotype_length_mismatch(tmp_path):
     data = tmp_path / "d.csv"
     write_study1_csv(data, n=50, p=6)
@@ -540,8 +551,8 @@ def test_convert_roundtrip_preserves_cells(tmp_path):
 
 def test_convert_packed_to_csv_widens_one_row_at_a_time(tmp_path):
     # The codes are written as the old float64 widening wrote them, byte for
-    # byte, but the run holds the decoded codes plus one row, not an n x p
-    # float64 copy (8 times the codes).
+    # byte, but the run holds the decoded codes plus one block of rows, not
+    # an n x p float64 copy (8 times the codes).
     n, p = 200, 2000
     codes = np.random.default_rng(23).integers(1, 4, size=(n, p)).astype(np.uint8)
     gm = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=(2,) * p)
@@ -567,6 +578,18 @@ def test_convert_rejects_non_genotype_values(tmp_path, capsys):
     src.write_text("a,b\n1,1\n0,1\n")  # a 0/1 CSV
     assert run(["convert", "--from", "csv", "--to", "packed", str(src), str(tmp_path / "o.jcg")]) == 2
     assert capsys.readouterr().err == "jciscan: value 0.0 at data row 1, column 0 is not a genotype code\n"
+
+
+def test_convert_rejects_missing_for_csv_input(tmp_path, capsys):
+    src, out = tmp_path / "src.csv", tmp_path / "o.jcg"
+    src.write_text("a,b\n1,2\n2,3\n")
+    assert run(["convert", "--from", "csv", "--to", "packed", "--missing", "impute", str(src), str(out)]) == 2
+    assert capsys.readouterr().err == "jciscan: --missing applies to packed input only\n"
+    assert not out.exists()
+    assert run(["convert", "--from", "csv", "--to", "packed", str(src), str(out)]) == 0
+    back = tmp_path / "back.csv"
+    assert run(["convert", "--from", "packed", "--to", "csv", "--missing", "impute", str(out), str(back)]) == 0
+    assert back.read_text() == src.read_text()
 
 
 def test_convert_rejects_empty_and_same_format(tmp_path):

@@ -332,6 +332,49 @@ def test_csv_column_order_is_stable():
     assert matrix[0].tolist() == [1.0, 2.0]
 
 
+def _cell_by_cell_csv(matrix, names, response=None):
+    # The per-cell formatter: every value widened to float64, then ".17g".
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(names) + (["y"] if response is not None else []))
+    for i, row in enumerate(np.asarray(matrix).astype(np.float64).tolist()):
+        tail = [] if response is None else [format(float(response[i]), ".17g")]
+        writer.writerow([format(v, ".17g") for v in row] + tail)
+    return out.getvalue()
+
+
+_RNG = np.random.default_rng(12)
+_WRITTEN_MATRICES = {
+    "codes": _RNG.integers(1, 4, size=(70, 1000)).astype(np.uint8),  # several row blocks
+    "uint8": _RNG.integers(0, 256, size=(37, 9)).astype(np.uint8),
+    "int64": np.array(
+        [[0, -1, 9, 10, -99, 10**16 - 1, 10**16, -(10**16) - 3, 2**53 + 1, 10**17 - 1, 10**17, -(2**63)],
+         [5, 77, -8, 2**62, 123456789012345678, 99, 0, 1, -1, 10**15, -(10**17) + 1, 2**63 - 1]],
+        dtype=np.int64,
+    ),
+    "bool": _RNG.random((25, 6)) < 0.5,
+    "float": _RNG.normal(size=(15, 4)) * 10.0 ** _RNG.integers(-20, 20, size=(15, 4)),
+    "integral float": _RNG.integers(0, 3, size=(12, 5)).astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITTEN_MATRICES))
+@pytest.mark.parametrize("response", [None, "integral", "real", "negative zero"])
+def test_write_csv_bytes_equal_the_cell_by_cell_formatter(kind, response):
+    matrix = _WRITTEN_MATRICES[kind]
+    n = matrix.shape[0]
+    y = {
+        None: None,
+        "integral": np.arange(n, dtype=np.float64) - 3.0,
+        "real": np.linspace(-1.0, 2.0, n),
+        "negative zero": np.full(n, -0.0),
+    }[response]
+    names = [f"c{j}" for j in range(matrix.shape[1])]
+    out = io.StringIO()
+    write_csv(out, matrix, names, response=y)
+    assert out.getvalue() == _cell_by_cell_csv(matrix, names, y)
+
+
 def test_write_csv_validation(tmp_path):
     with pytest.raises(InvalidValue):
         write_csv(tmp_path / "x.csv", np.ones((2, 2)), ["only-one"])

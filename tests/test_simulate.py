@@ -25,7 +25,10 @@ from jciscan import (
 )
 from jciscan.errors import EmptyReport, InvalidValue
 from jciscan.scan import MIN_SCAN_SAMPLES, CodeWorkspace, Workspace
+from jciscan import simulate
 from jciscan.simulate import (
+    _DRAW_CELLS,
+    _STUDY4_RHO,
     GENERATORS,
     STUDY_DEFAULTS,
     STUDY_TRUE_PAIRS,
@@ -180,6 +183,52 @@ def test_generators_are_pure(gen):
     assert not np.array_equal(a.predictors, c.predictors)
 
 
+# (n, p): n not a multiple of the rows drawn per block, two columns, and a
+# row wider than one block.
+_DRAW_SHAPES = [(70_001, 2), (200, 1000), (3, _DRAW_CELLS + 3)]
+
+
+@pytest.mark.parametrize("n, p", _DRAW_SHAPES)
+def test_study1_design_is_the_one_block_draw_as_uint8(n, p):
+    ds = gen_study1(n, p, seed=8)
+    assert ds.predictors.dtype == np.uint8 and ds.response.dtype == np.float64
+    expect = np.random.default_rng(8).random((n, p)) < 0.5
+    assert np.array_equal(ds.predictors, expect)
+    assert ds.response.tobytes() == (expect[:, 0] * expect[:, 1]).astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n, p", _DRAW_SHAPES)
+def test_study3_noise_block_is_the_one_block_draw_as_uint8(n, p):
+    ds = gen_study3(n, p + 8, seed=8)
+    assert ds.predictors.dtype == np.uint8 and ds.response.dtype == np.float64
+    rng = np.random.default_rng(8)
+    for _ in range(9):  # the response, then four (odd, even) pairs
+        rng.random(n)
+    assert np.array_equal(ds.predictors[:, 8:], rng.random((n, p)) < 0.5)
+    assert set(np.unique(ds.predictors[:, :8])) <= {0, 1}
+
+
+def test_study4_in_place_recurrence_is_the_two_array_form():
+    n, p = 37, 300
+    eps = np.random.default_rng(6).normal(size=(n, p))
+    x = np.empty((n, p))
+    x[:, 0] = eps[:, 0]
+    carry = np.sqrt(1.0 - _STUDY4_RHO**2)
+    for j in range(1, p):
+        x[:, j] = _STUDY4_RHO * x[:, j - 1] + carry * eps[:, j]
+    ds = gen_study4(n, p, seed=6)
+    assert ds.predictors.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("gen", [gen_study1, gen_study3])
+def test_uint8_design_scores_as_its_float_copy(gen):
+    ds = gen(90, 120, child_seed(2, 0))
+    codes = precompute(ds.predictors, ds.response)
+    assert isinstance(codes, CodeWorkspace) and np.shares_memory(codes.codes, ds.predictors)
+    widened = precompute(ds.predictors.astype(np.float64), ds.response)
+    assert all_scores(codes).tobytes() == all_scores(widened).tobytes()
+
+
 def test_study1_single_replicate_scan_ranks_true_pair_first():
     ds = gen_study1(200, 1000, seed=5)
     ws = precompute(ds.predictors, ds.response)
@@ -236,6 +285,44 @@ def test_replicate_holds_no_score_array():
     assert report.ranks == ranks_of_pairs(all_scores(ws), 3000, spec.true_pairs)
 
 
+def test_binary_replicate_holds_its_design_once():
+    # 2000 x 4000: the uint8 design takes 7.6 MiB and the exact route's
+    # buffers 7.9 MiB.  A float64 0/1 design alone would take 61 MiB (the
+    # float-drawn design peaked at 78 MiB here).
+    spec = study_spec(1, n=2000, p=4000, seed=3)
+    tracemalloc.start()
+    try:
+        (report,) = run_replications(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assert report.ranks == {(0, 1): 1}
+
+
+def test_float_replicate_scans_with_one_matrix_held(monkeypatch):
+    # The dataset is dropped once precompute returns, so the scan sees the
+    # centered matrix alone, not the design beside it; the previous
+    # replicate's workspace is gone before the next design is drawn.
+    n, p = 200, 2000
+    held = []
+
+    def counted(ws, config):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return scan(ws, config)
+
+    monkeypatch.setattr(simulate, "scan", counted)
+    spec = study_spec(5, n=n, p=p, seed=3, replications=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_replications(spec)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 3
+    assert all(n * p * 8 <= h < 1.5 * n * p * 8 for h in held)
+
+
 def test_one_replicate_screens_each_bounds_tile_once(monkeypatch):
     # The top-5 view and the true pairs' ranks come from one scan, so each
     # certified bounds tile is screened once per replicate, not once for
@@ -263,9 +350,10 @@ def test_one_replicate_screens_each_bounds_tile_once(monkeypatch):
 
 @pytest.mark.parametrize("gen", [gen_study1, gen_study3])
 def test_binary_designs_score_as_genotype_codes(gen):
-    # The 0/1 float designs route by their values, so their scores, exact
-    # ties included, are those of the same design as genotype codes 1/2: a
-    # shift leaves every exact integer sum, and so every score, unchanged.
+    # The 0/1 designs are uint8 codes and take the exact route, so their
+    # scores, exact ties included, are those of the same design as genotype
+    # codes 1/2: a shift leaves every exact integer sum, and so every
+    # score, unchanged.
     ds = gen(200, 300, child_seed(0, 0))
     ws = precompute(ds.predictors, ds.response)
     assert isinstance(ws, CodeWorkspace)
