@@ -229,18 +229,20 @@ def cmd_report(args) -> int:
         raise InvalidValue(f"--bins must be >= 1, got {args.bins}")
     _check_representable(f"--bins {args.bins}", args.bins + 1)
 
+    from array import array
+    from collections import defaultdict
+
     import numpy as np
 
     from . import dataio
 
-    scores: list[float] = []
-    groups: dict[tuple[str, str], list[float]] = {}
+    # Each r_hat is held once, in its chromosome pair's float64 array.
+    groups: defaultdict[tuple[str, str], array] = defaultdict(lambda: array("d"))
     for chrom1, chrom2, value in dataio.read_score_dump(args.scores):
-        scores.append(value)
-        groups.setdefault((chrom1, chrom2), []).append(value)
+        groups[chrom1, chrom2].append(value)
 
-    arr = np.asarray(scores, dtype=np.float64)
     if args.out_histogram is not None:
+        arr = np.concatenate([np.frombuffer(vals) for vals in groups.values()])
         top = float(arr.max())
         counts, edges = np.histogram(arr, bins=args.bins, range=(0.0, top if top > 0 else 1.0))
         edges = edges.tolist()

@@ -413,10 +413,15 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
     cell, response included, prints as plain digits is laid out by byte
     arithmetic (:func:`_integer_lines`); any other block is written cell by
     cell with ``format(v, ".17g")``, which gives the same bytes.
+
+    Raises:
+        InvalidValue: before the file is opened, for a shape mismatch, a
+            matrix or response dtype other than bool, integer or float, or
+            a NaN or infinite cell, which :func:`parse_csv` would reject.
     """
-    matrix = np.asarray(matrix)
-    if matrix.dtype.kind not in "biuf":
-        matrix = matrix.astype(np.float64)
+    matrix = _writable(matrix, "matrix")
+    if response is not None:
+        response = _writable(response, "response")
     if matrix.ndim != 2:
         raise InvalidValue(f"matrix must be 2-D, got shape {matrix.shape}")
     if len(names) != matrix.shape[1]:
@@ -439,6 +444,18 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
             if text is None:
                 text = "".join(",".join(format(v, fmt) for v in row) + "\n" for row in block.tolist())
             fh.write(text)
+
+
+def _writable(values, what: str) -> np.ndarray:
+    """``values`` as an array whose every cell :func:`write_csv` writes as
+    a finite number: bool, integer or float dtype, checked for NaN and
+    infinities by one max and one min, with no temporary of its size."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise InvalidValue(f"{what} must be bool, integer or float, got dtype {values.dtype}")
+    if values.dtype.kind == "f" and values.size and not np.isfinite([values.max(), values.min()]).all():
+        raise InvalidValue(f"{what} holds NaN or infinite values, which parse_csv rejects")
+    return values
 
 
 def _integer_lines(block: np.ndarray) -> str | None:

@@ -38,12 +38,17 @@ computes a pair value.  Both yield whole 2-D tiles ``(j1, lo, r_hat,
 tau_hat)``: anchors ``j1``, one per row, by partners ``lo, lo + 1, ...``,
 NaN outside the span.  Their one reader, :func:`_sweep_tile`, feeds the
 top-k, threshold, rank-count and flat-array consumers of either route
-with one flat ``nonzero`` per tile.  A workspace's ``tile``
-is one GEMM tile of anchors: 64 on the float route (``_ANCHOR_BLOCK``),
-256 on the exact route (``_CODE_ANCHORS``); :func:`scan` cuts work tiles
-of ``max(block_size, tile)`` anchors.  :func:`iter_score_rows` sweeps 64
-anchors (``_ANCHOR_BLOCK``) at a time on either route into a flat array and
-yields its rows, so a dump block stays 64 x (p - 1) scores.
+with one flat ``nonzero`` per tile; it reads exactly the anchors it is
+given.  All three kernels (``Workspace.rows``, ``Workspace.bounds`` and
+``CodeWorkspace.rows``) walk one tile grid, :func:`_tile_grid`: runs of
+ascending anchors, each against its partners in the span in equal chunks
+(one chunk of all p columns for ``Workspace.rows``).  A workspace's
+``tile`` is one GEMM tile of anchors: 64 on the float route
+(``_ANCHOR_BLOCK``), 256 on the exact route (``_CODE_ANCHORS``);
+:func:`scan` cuts work tiles of ``max(block_size, tile)`` anchors.
+:func:`iter_score_rows` sweeps 64 anchors (``_ANCHOR_BLOCK``) at a time
+on either route into a flat array and yields its rows, so a dump block
+stays 64 x (p - 1) scores.
 
 The exact route works in a fixed working set.  Each ``rows`` call
 allocates its buffers once, sized by the GEMM tile and never by p: it
@@ -81,19 +86,21 @@ On the float route a top-k, threshold or rank scan first reads
 radius that holds the value ``rows`` makes whatever the summation order,
 FMA use or thread split (see :meth:`Workspace.bounds`); the prescale
 gives the bound one path at every column scale.  Each tile is
-screened once per scan, for every output asked for: it keeps each
-anchor's largest upper bound; top-k bounds the cell lower bounds above
-the floor a few rows at a time, so once every work tile is screened the
-floor is the k-th largest finite cell lower bound of the span; and each
-rank value marks the anchors holding a pair whose bounds bracket it and
-counts, per anchor, the pairs certainly above it.  Once every work tile
-is screened, :func:`_sweep_tile` reads the marked anchors and those whose
-largest upper bound reaches the floor or exceeds the threshold, feeds
-each row it reads to every consumer, and adds the screen's counts only
-for the anchors it does not read.  The
-screen only chooses rows: every reported value and rank comes from
-``rows``.  The exact route's tiles are its values: it has no ``bounds``
-and reads every row, so its ranks are counted from the rows alone.
+screened once per scan, for every output asked for (:func:`_screened`):
+it keeps each anchor's largest upper bound; top-k bounds the cell lower
+bounds above the floor a few rows at a time, so once every work tile is
+screened the floor is the k-th largest finite cell lower bound of the
+span; and each rank value marks the anchors holding a pair whose bounds
+bracket it and counts, per anchor, the pairs certainly above it.
+
+One row-choice step then opens each work tile's sweep in :func:`scan`:
+it reads the marked anchors and those whose largest upper bound reaches
+the floor or exceeds the threshold, adds the screen's counts for the
+anchors it leaves unread, and tallies the rows read.  The screen only
+chooses rows: every reported value and rank comes from ``rows``.  The
+exact route's tiles are its values: it has no ``bounds`` and reads every
+row of a work tile, a contiguous range, so its ranks are counted from the
+rows alone.
 
 Determinism contract
 --------------------
@@ -103,14 +110,18 @@ each pair's value comes from the per-anchor row product above, whose
 operand shapes are fixed by (n, p) alone; the screen's GEMM bits change
 with BLAS threads and tile shapes, but its bound holds for every order, so
 they only change which extra rows are read.  On the exact route every sum
-is an exact integer.  Tiling, threading and the floor only decide *which*
-pairs are evaluated and kept as candidates, never how a value is computed.
-Rank counts are integers that each work tile returns on its own and that
-are summed after the pool, so no worker writes to a shared count.
-Every pair set is one :class:`PairTable` of parallel arrays, and the final
-top-k cut, shard merges and threshold selection are all ordered by its one
-stable lexicographic sort on the full key, so the order never depends on
-which tile or worker found a pair.
+is an exact integer, so its values are also the same under every BLAS
+kernel.  The float route's are not: its row products are bit-identical
+on one BLAS kernel, but OpenBLAS picks the kernel by CPU, and under other
+``OPENBLAS_CORETYPE`` kernels 79-95% of the ``all_scores`` cells moved,
+by up to 7e-11 relative.  Tiling, threading and the floor only decide
+*which* pairs are evaluated and kept as candidates, never how a value is
+computed.  Rank counts are integers that each work tile returns on its
+own and that are summed after the pool, so no worker writes to a shared
+count.  Every pair set is one :class:`PairTable` of parallel arrays, and
+the final top-k cut, shard merges and threshold selection are all ordered
+by its one stable lexicographic sort on the full key, so the order never
+depends on which tile or worker found a pair.
 
 Ordering contract
 -----------------
@@ -121,12 +132,12 @@ Ranks are 1-based positions in that total order.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -233,7 +244,10 @@ class ScanConfig:
     ``(j1, j2)`` pairs whose 1-based rank among the scanned pairs the result
     reports; it is held as a tuple of int pairs.  ``pair_range`` restricts
     the sweep to a half-open interval of canonical pair indices for
-    sharding, and ranks are then ranks within it."""
+    sharding, and ranks are then ranks within it.  ``top_k``,
+    ``block_size`` and ``worker_count`` are integers of at least 1,
+    ``pair_range`` is two integers and ``threshold`` a real number of at
+    least 0; anything else raises InvalidValue."""
 
     top_k: int | None = None
     threshold: float | None = None
@@ -250,18 +264,28 @@ class ScanConfig:
         object.__setattr__(self, "rank_pairs", pairs)
         if self.top_k is None and self.threshold is None and not pairs:
             raise InvalidValue("set top_k, threshold or rank_pairs (any combination)")
-        if self.top_k is not None and self.top_k < 1:
-            raise InvalidValue(f"top_k must be >= 1, got {self.top_k}")
-        if self.threshold is not None and not self.threshold >= 0:  # NaN too
-            raise InvalidValue(f"threshold must be >= 0, got {self.threshold}")
-        if self.block_size < 1:
-            raise InvalidValue(f"block_size must be >= 1, got {self.block_size}")
-        if self.worker_count < 1:
-            raise InvalidValue(f"worker_count must be >= 1, got {self.worker_count}")
+        if self.top_k is not None:
+            _count(self.top_k, "top_k")
+        # NaN fails the comparison too.
+        if self.threshold is not None and not (isinstance(self.threshold, numbers.Real) and self.threshold >= 0):
+            raise InvalidValue(f"threshold must be a real number >= 0, got {self.threshold!r}")
+        _count(self.block_size, "block_size")
+        _count(self.worker_count, "worker_count")
         if self.pair_range is not None:
-            start, end = self.pair_range
+            pair = tuple(self.pair_range) if isinstance(self.pair_range, Sequence) else ()
+            if len(pair) != 2 or not all(isinstance(v, numbers.Integral) for v in pair):
+                raise InvalidValue(f"pair_range must be two integers, got {self.pair_range!r}")
+            start, end = pair
             if start < 0 or end < start:
                 raise InvalidValue(f"malformed pair_range {self.pair_range}")
+
+
+def _count(value, what: str) -> None:
+    """Raise InvalidValue unless ``value`` is an integer of at least 1."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidValue(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidValue(f"{what} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,17 +427,14 @@ class Workspace:
         return _ANCHOR_BLOCK
 
     def rows(self, anchors, span: tuple[int, int]):
-        """Yield ``(j1, lo, r_hat, tau_hat)`` per tile of at most
-        ``_ANCHOR_BLOCK`` of ``anchors``, in order.  Each row's product
+        """Yield ``(j1, lo, r_hat, tau_hat)`` per run of at most
+        ``_ANCHOR_BLOCK`` of the ascending ``anchors`` (:func:`_tile_grid`,
+        one chunk of partners per run), in order.  Each row's product
         always has shape (n,) @ (n, p), so a value never depends on span,
         tiling or which anchors share its tile.  The scaled ratio is r_hat
         itself; tau_hat beyond the float range is +-inf."""
-        anchors = np.asarray(anchors, dtype=np.intp)
-        sums = np.empty((min(anchors.size, _ANCHOR_BLOCK), self.p))
-        for t0 in range(0, anchors.size, _ANCHOR_BLOCK):
-            j1 = anchors[t0 : t0 + _ANCHOR_BLOCK]
-            starts, ends = _partners(j1, self.p, span)
-            lo, hi = int(starts.min()), int(ends.max())
+        sums = np.empty((min(len(anchors), _ANCHOR_BLOCK), self.p))
+        for j1, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _ANCHOR_BLOCK, self.p):
             for row, a in zip(sums, j1.tolist()):
                 np.matmul(self.response.centered * self.matrix[:, a], self.matrix, out=row)
             block = sums[: j1.size, lo:hi]
@@ -466,8 +487,8 @@ class Workspace:
         # size cost a page-faulting allocation each.
         size = min(len(anchors), _ANCHOR_BLOCK) * min(self.p, _PARTNER_CHUNK)
         buffers = np.empty((2, size))
-        for a0, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _ANCHOR_BLOCK, _PARTNER_CHUNK):
-            a1 = a0 + len(starts)
+        for run, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _ANCHOR_BLOCK, _PARTNER_CHUNK):
+            a0, a1 = int(run[0]), int(run[-1]) + 1
             estimate, factor = (b[: (a1 - a0) * (hi - lo)].reshape(a1 - a0, hi - lo) for b in buffers)
             w = self.response.centered[:, None] * self.matrix[:, a0:a1]
             np.matmul(w.T, self.matrix[:, lo:hi], out=estimate)
@@ -525,9 +546,10 @@ class CodeWorkspace:
 
     def rows(self, anchors, span: tuple[int, int]):
         """Yield ``(j1, lo, r_hat, tau_hat)`` per slice of at most
-        ``_COMBINE_ROWS`` anchors of each GEMM tile of the range
-        ``anchors`` (:func:`_tile_grid`), in reused arrays: read each before
-        the next.
+        ``_COMBINE_ROWS`` anchors of each GEMM tile of ``anchors``
+        (:func:`_tile_grid`), in reused arrays: read each before the next.
+        ``anchors`` is always a range: the exact route reads every row, and
+        the gathers slice each run's anchors as contiguous columns.
         A tile's anchor and partner columns are gathered from the codes, rows
         grouped by level, straight into two float32 buffers of n x
         ``_CODE_ANCHORS`` and n x ``_CODE_PARTNERS`` allocated once per call;
@@ -547,8 +569,8 @@ class CodeWorkspace:
         narrow = np.empty((3, block * width), dtype=np.float32)
         wide = np.empty((2, step * width))
         held = None
-        for a0, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _CODE_ANCHORS, _CODE_PARTNERS):
-            k = len(starts)
+        for run, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _CODE_ANCHORS, _CODE_PARTNERS):
+            a0, k = int(run[0]), len(run)
             if a0 != held:
                 x = mine_buffer[: n * k].reshape(n, k)
                 x[...] = self.codes[self.order, a0 : a0 + k]
@@ -794,22 +816,24 @@ def _partners(j1, p: int, span: tuple[int, int]):
     return np.maximum(j1 + 1, j1 + 1 + (span[0] - base)), np.minimum(p, j1 + 1 + (span[1] - base))
 
 
-def _tile_grid(anchors: range, p: int, span: tuple[int, int], block: int, width: int):
-    """The tile walk of both routes: the consecutive ``anchors`` in runs of
-    at most ``block``, each run against its partners in the span in the
+def _tile_grid(anchors, p: int, span: tuple[int, int], block: int, width: int):
+    """The tile walk of all three kernels: the ascending ``anchors`` in runs
+    of at most ``block``, each run against its partners in the span in the
     fewest chunks of at most ``width`` columns, their widths within one of
-    each other.  A tile is ``(a0, starts, ends, lo, hi)``: anchors ``a0, a0
-    + 1, ...`` with their partners ``[starts[i], ends[i])`` in the span, and
-    the columns ``[lo, hi)`` of the union of those partners.  The tiles of
-    one run come one after another, and share their ``starts`` and ``ends``."""
-    starts, ends = _partners(np.asarray(anchors, dtype=np.intp), p, span)
-    for b0 in range(0, len(anchors), block):
+    each other.  A tile is ``(run, starts, ends, lo, hi)``: the run's
+    anchors as an intp array with their partners ``[starts[i], ends[i])``
+    in the span, and the columns ``[lo, hi)`` of the union of those
+    partners.  The tiles of one run come one after another, and share its
+    ``run``, ``starts`` and ``ends``."""
+    anchors = np.asarray(anchors, dtype=np.intp)
+    starts, ends = _partners(anchors, p, span)
+    for b0 in range(0, anchors.size, block):
         run = slice(b0, b0 + block)
         first, stop = int(starts[run].min()), int(ends[run].max())
         cols, chunks = stop - first, -(-(stop - first) // width)
         for c in range(chunks):
             lo, hi = first + cols * c // chunks, first + cols * (c + 1) // chunks
-            yield anchors[b0], starts[run], ends[run], lo, hi
+            yield anchors[run], starts[run], ends[run], lo, hi
 
 
 def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
@@ -840,17 +864,19 @@ class _TopK:
         with self._lock:
             self._bounds = self._lift(np.concatenate([self._bounds, lower]))
 
-    def keep(self, r_hat: np.ndarray):
-        """The cells of a tile at or above the floor, as in :func:`_cells`,
-        first lifted to the tile's own k-th largest when more than 2k reach it."""
+    def offer(self, tile) -> None:
+        """Hold the cells of a ``rows`` tile at or above the floor, the
+        floor first lifted to the tile's own k-th largest when more than 2k
+        reach it; the pool is cut to the floor whenever it holds more than 2k."""
+        r_hat = tile[2]
         flat, values = np.flatnonzero(r_hat >= self.floor), r_hat.ravel()
         if flat.size > 2 * self.k:
             with self._lock:
                 self._lift(values[flat])
             flat = flat[values[flat] >= self.floor]
-        return np.divmod(flat, r_hat.shape[1])
-
-    def add(self, found: PairTable) -> None:
+        if not flat.size:
+            return
+        found = _table(tile, np.divmod(flat, r_hat.shape[1]))
         with self._lock:
             self.held.append(found)
             if sum(map(len, self.held)) > 2 * self.k:
@@ -871,47 +897,27 @@ def _cells(mask: np.ndarray):
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-class _Screen(NamedTuple):
-    """One work tile's screen (:func:`_screened`): whether a rank value
-    needs each anchor's row read, the anchor's largest upper bound, per rank
-    value the pairs of each anchor certainly above it, and the bounds tiles
-    screened."""
-
-    need: np.ndarray
-    reach: np.ndarray
-    above: np.ndarray
-    tiles: int
+def _table(tile, cells) -> PairTable:
+    """The pairs of a ``rows`` tile ``(j1, lo, r_hat, tau_hat)`` at ``cells`` = (rows, columns)."""
+    j1, lo, r_hat, tau_hat = tile
+    i, j = cells
+    return PairTable(j1[i], lo + j, tau_hat[i, j], r_hat[i, j])
 
 
-def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None):
+def _sweep_tile(ws, anchors, span, top, threshold, out, ranked=None):
     """Sweep the ascending ``anchors``, one 2-D tile of ``ws.rows`` at a
-    time; return the threshold hits (a table), the rank counts and the
-    number of rows read.  Each tile goes to every consumer given: its pairs
-    at or above the floor of ``top`` (:class:`_TopK`) go to it as one table;
-    ``out`` receives every score, flat from the span start; with ``ranked =
-    (values, index)``, count ``t`` gains the pairs above ``values[t]`` and
-    those equal to it before canonical index ``index[t]``.  Given a
-    :class:`_Screen`, only the anchors it needs and those the floor has not
-    passed or whose largest upper bound exceeds the threshold are read, and
-    each anchor left unread adds its pairs certainly above each value to the
-    counts."""
+    time; return the threshold hits (a table) and the rank counts.  Each
+    tile goes to every consumer given: its pairs at or above the floor of
+    ``top`` go to :meth:`_TopK.offer`; ``out`` receives every score, flat
+    from the span start; with ``ranked = (values, index)``, count ``t``
+    gains the pairs above ``values[t]`` and those equal to it before
+    canonical index ``index[t]``.  Which anchors to read is the caller's
+    choice (:func:`scan`)."""
     values, index = ranked if ranked is not None else (np.empty(0), None)
     counts = np.zeros(values.size, dtype=np.int64)
-    read = anchors
-    if screen is not None:
-        need = screen.need
-        if top is not None:
-            need = need | (screen.reach >= top.floor)
-        if threshold is not None:
-            need = need | (screen.reach > threshold)
-        counts += screen.above[:, ~need].sum(axis=1)
-        read = [anchors[i] for i in np.flatnonzero(need)]
     hits = []
-    for j1, lo, r_hat, tau_hat in ws.rows(read, span):
-
-        def table(i, j):
-            return PairTable(j1[i], lo + j, tau_hat[i, j], r_hat[i, j])
-
+    for tile in ws.rows(anchors, span):
+        j1, lo, r_hat, _ = tile
         if out is not None:
             starts, ends = _partners(j1, ws.p, span)
             starts, ends = np.maximum(starts, lo), np.minimum(ends, lo + r_hat.shape[1])
@@ -919,24 +925,24 @@ def _sweep_tile(ws, anchors, span, top, threshold, out, screen=None, ranked=None
             for i, (s, e, a) in enumerate(zip(starts.tolist(), ends.tolist(), at.tolist())):
                 out[a : a + e - s] = r_hat[i, s - lo : e - lo]
         if top is not None:
-            found = table(*top.keep(r_hat))
-            if len(found):
-                top.add(found)
+            top.offer(tile)
         if threshold is not None:
-            hits.append(table(*_cells(r_hat > threshold)))
+            hits.append(_table(tile, _cells(r_hat > threshold)))
         for t, v in enumerate(values.tolist()):
             i, j = _cells(r_hat == v)
             before = _row_start(j1[i], ws.p) + lo + j - j1[i] - 1 < index[t]
             counts[t] += np.count_nonzero(r_hat > v) + np.count_nonzero(before)
-    return PairTable.concat(hits), counts, len(read)
+    return PairTable.concat(hits), counts
 
 
-def _screened(ws, anchors: range, span, top, values) -> _Screen:
-    """Screen a work tile by the workspace's certified bounds: each
+def _screened(ws, anchors: range, span, top, values):
+    """Screen a work tile by the workspace's certified bounds; return
+    ``(need, reach, above, tiles)``: whether a rank value needs each
+    anchor's row read (a pair whose bounds bracket the value), each
     anchor's largest upper bound, which the top-k floor and a threshold
-    cut; top-k lifts the scan's floor by the cell lower bounds; each rank
-    value needs the rows with a pair whose bounds bracket it, and counts per
-    anchor the pairs certainly above it."""
+    cut, per rank value the pairs of each anchor certainly above it, and
+    the bounds tiles screened.  Top-k lifts the scan's floor by the cell
+    lower bounds."""
     need = np.zeros(len(anchors), dtype=bool)
     reach = np.full(len(anchors), -np.inf)
     above = np.zeros((values.size, len(anchors)), dtype=np.int64)
@@ -948,10 +954,7 @@ def _screened(ws, anchors: range, span, top, values) -> _Screen:
         np.maximum(reach[at], most + radius, out=reach[at])
         if values.size:
             # Pairs below every value settle at once; the rest are few.
-            low = values.min() - radius
-            live = np.flatnonzero(most >= low)
-            i, j = _cells(estimate[live] >= low[live, None])
-            i = live[i]
+            i, j = _cells(estimate >= (values.min() - radius)[:, None])
             near, wide = estimate[i, j], radius[i]
             for t, v in enumerate(values.tolist()):
                 above[t, at] += np.bincount(i[near > v + wide], minlength=len(radius))
@@ -967,7 +970,7 @@ def _screened(ws, anchors: range, span, top, values) -> _Screen:
                 lower -= radius[rows, None]
                 top.bound(lower[lower > cut])
                 cut = top.floor
-    return _Screen(need, reach, above, tiles)
+    return need, reach, above, tiles
 
 
 def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
@@ -980,9 +983,10 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     smallest tile.  The rank pairs' values come first, one row read each.
     A workspace with ``bounds`` then screens every work tile once, for
     every output at the same time, before any row is read, so the reads see
-    the whole scan's floor; each work tile returns its own rank counts,
-    summed after the pool.  The result is identical for any
-    block_size/worker_count combination; see the module docstring for why.
+    the whole scan's floor.  Each work tile's sweep starts with the row
+    choice (module docstring) and returns its own rank counts, summed after
+    the pool.  The result is identical for any block_size/worker_count
+    combination; see the module docstring for why.
 
     Raises:
         EmptyRange: the configured pair range selects no pairs.
@@ -1007,7 +1011,21 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
         return _screened(ws, tile, span, top, values) if ws.bounds is not None else None
 
     def sweep(tile, screened):
-        return _sweep_tile(ws, tile, span, top, config.threshold, None, screened, (values, index))
+        # The row choice: once every work tile is screened, read the anchors
+        # a rank value needs and those whose largest upper bound reaches
+        # the floor or exceeds the threshold; an unread anchor adds its
+        # pairs certainly above each value.
+        unread = 0
+        if screened is not None:
+            need, reach, above, _ = screened
+            if top is not None:
+                need = need | (reach >= top.floor)
+            if config.threshold is not None:
+                need = need | (reach > config.threshold)
+            unread = above[:, ~need].sum(axis=1)
+            tile = np.asarray(tile)[need]
+        hits, counts = _sweep_tile(ws, tile, span, top, config.threshold, None, (values, index))
+        return hits, counts + unread, len(tile)
 
     # The workspace is shared read-only; the top-k state takes a lock.
     workers = min(config.worker_count, len(tiles))
@@ -1029,7 +1047,7 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
         pairs_scanned=int(span[1] - span[0]),
         elapsed_seconds=time.perf_counter() - started,
         stats=ScanStats(
-            tiles_screened=sum(s.tiles for s in screens if s is not None),
+            tiles_screened=sum(s[-1] for s in screens if s is not None),
             rows_read=len(pairs) + sum(r for _, _, r in parts),
         ),
     )
@@ -1083,10 +1101,9 @@ def merge_top_pairs(parts, top_k: int) -> PairTable:
     top-k over a partition of the pair set.
 
     Raises:
-        InvalidValue: ``top_k < 1``, as in :class:`ScanConfig`.
+        InvalidValue: ``top_k`` not an integer, or below 1, as in :class:`ScanConfig`.
     """
-    if top_k < 1:
-        raise InvalidValue(f"top_k must be >= 1, got {top_k}")
+    _count(top_k, "top_k")
     return PairTable.concat(PairTable.of(part) for part in parts).ordered(top_k)
 
 

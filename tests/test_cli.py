@@ -710,6 +710,27 @@ def test_report_uniform_scores_fill_bins_evenly(tmp_path):
     assert all(abs(c - 10_000) <= 500 for c in counts)
 
 
+def test_report_holds_each_score_once(tmp_path):
+    # One float64 array per chromosome pair and their concatenation for the
+    # histogram: about 17 bytes per row beside np.histogram's fixed blocks,
+    # where a list of Python floats beside the groups' lists takes over 60.
+    rng = np.random.default_rng(22)
+    n = 150_000
+    dump = tmp_path / "dump.csv"
+    write_dump(dump, [[f"a{i}", f"b{i}", 1 + i % 3, 2 + i % 5, repr(float(v))] for i, v in enumerate(rng.random(n))])
+    argv = ["report", "--scores", str(dump), "--out-histogram", str(tmp_path / "h.csv"),
+            "--out-groups", str(tmp_path / "g.csv")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n + 3 * 2**20, peak / n
+    assert sum(int(r[2]) for r in read_rows(tmp_path / "h.csv")[1:]) == n
+    assert sum(int(r[2]) for r in read_rows(tmp_path / "g.csv")[1:]) == n
+
+
 def test_report_chromosome_groups(tmp_path):
     dump = tmp_path / "dump.csv"
     write_dump(

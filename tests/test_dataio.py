@@ -382,6 +382,26 @@ def test_write_csv_validation(tmp_path):
         write_csv(tmp_path / "x.csv", np.ones(3), ["a"])
     with pytest.raises(InvalidValue):
         write_csv(tmp_path / "x.csv", np.ones((2, 2)), ["a", "b"], response=np.ones(3))
+    # Only files parse_csv reads back: a real dtype and finite cells, checked
+    # before the file is opened.
+    out = tmp_path / "never.csv"
+    finite = np.arange(6.0).reshape(3, 2)
+    for matrix, response in [
+        (finite + 1j, None),  # complex: the imaginary part would be lost
+        (np.array([[1.0, None], [2.0, 3.0]], dtype=object), None),
+        (np.array([["1", "x"], ["2", "3"]]), None),
+        (finite.astype(str), None),
+        (np.where(finite == 4, np.nan, finite), None),
+        (np.where(finite == 1, np.inf, finite), None),
+        (np.where(finite == 5, -np.inf, finite).astype(np.float32), None),
+        (finite, np.array([0.5, np.nan, 1.0])),
+        (finite, [0.5, -np.inf, 1.0]),
+        (finite, np.array([1, 2, 3]) + 0j),
+        (finite, np.array(["a", "b", "c"])),
+    ]:
+        with pytest.raises(InvalidValue):
+            write_csv(out, matrix, ["a", "b"], response=response)
+        assert not out.exists()
 
 
 # --------------------------------------------------------------------------

@@ -307,8 +307,8 @@ def test_partner_chunks_of_a_run_have_nearly_equal_widths():
     width = scan_module._CODE_PARTNERS
     grid = scan_module._tile_grid(range(599), 600, (0, pair_count(600)), scan_module._CODE_ANCHORS, width)
     runs = {}
-    for a0, _, _, lo, hi in grid:
-        runs.setdefault(a0, []).append((lo, hi))
+    for run, _, _, lo, hi in grid:
+        runs.setdefault(int(run[0]), []).append((lo, hi))
     assert [hi - lo for lo, hi in runs[0]] == [299, 300]
     for chunks in runs.values():
         assert all(hi - lo <= width for lo, hi in chunks)
@@ -396,6 +396,55 @@ def test_exact_route_scores_do_not_depend_on_blas_thread_count():
         hashes.append(done.stdout.split())
     assert len(hashes[0]) == 2
     assert hashes[0] == hashes[1]
+
+
+_KERNEL_PROBE = """
+import hashlib
+import numpy as np
+from jciscan import CodeWorkspace, GenotypeMatrix, ScanConfig, all_scores, precompute, scan
+rng = np.random.default_rng(31)
+codes = rng.integers(1, 4, size=(600, 700)).astype(np.uint8)
+gm = GenotypeMatrix(codes=codes, snp_ids=tuple(map(str, range(700))), chromosomes=(1,) * 700)
+case_control = ((rng.random(600) < 0.3) | ((codes[:, 0] == 3) & (codes[:, 1] == 1))).astype(float)
+counts = rng.poisson(1.5, size=600) + (codes[:, 2] == codes[:, 3])
+for y in (case_control, counts.astype(float)):
+    ws = precompute(gm, y)
+    assert isinstance(ws, CodeWorkspace)
+    flat = all_scores(ws)
+    order = np.argsort(-flat, kind="stable")
+    result = scan(ws, ScanConfig(top_k=50, threshold=float(flat[order[200]]), rank_pairs=((0, 1), (5, 9), (100, 600))))
+    digests = [flat.tobytes()]
+    for table in (result.top_pairs, result.selected):
+        digests += [table.j1.tobytes(), table.j2.tobytes(), table.r_hat.tobytes(), table.tau_hat.tobytes()]
+    digests.append(repr(result.ranks).encode())
+    print(*(hashlib.sha256(d).hexdigest() for d in digests))
+"""
+
+
+def _openblas_configuration() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return str(blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif("DYNAMIC_ARCH" not in _openblas_configuration(),
+                    reason="OPENBLAS_CORETYPE picks a kernel only in a DYNAMIC_ARCH OpenBLAS")
+def test_exact_route_scores_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its GEMM kernel by CPU; OPENBLAS_CORETYPE forces an
+    # older one in the child process alone.  Every exact-route sum is an
+    # exact integer, so every kernel gives the same bytes.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jciscan.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    hashes = []
+    for kernel in (None, "Haswell", "SandyBridge", "Prescott"):
+        env = dict(base, PYTHONPATH=path, **({"OPENBLAS_CORETYPE": kernel} if kernel else {}))
+        done = subprocess.run(
+            [sys.executable, "-c", _KERNEL_PROBE],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        hashes.append(done.stdout.split())
+    assert len(hashes[0]) == 2 * 10
+    assert all(h == hashes[0] for h in hashes[1:])
 
 
 # --------------------------------------------------------------------------

@@ -882,8 +882,11 @@ def test_top_k_floor_keeps_pairs_equal_to_it():
     top = scan_module._TopK(2)
     top.bound(np.array([0.5, 0.7, 0.2]))
     assert top.floor == 0.5
-    rows, cols = top.keep(np.array([[0.5, 0.4, np.nan, 0.9]]))
-    assert rows.tolist() == [0, 0] and cols.tolist() == [0, 3]
+    r_hat = np.array([[0.5, 0.4, np.nan, 0.9]])
+    top.offer((np.array([3]), 4, r_hat, -r_hat))
+    held = scan_module.PairTable.concat(top.held)
+    assert held.j1.tolist() == [3, 3] and held.j2.tolist() == [4, 7]
+    assert held.tau_hat.tolist() == [-0.5, -0.9]
 
 
 def test_float_top_k_scan_reads_about_one_work_tiles_rows(monkeypatch):
@@ -1158,6 +1161,9 @@ def test_merge_top_pairs_rejects_top_k_below_one():
     for bad in (0, -1):
         with pytest.raises(InvalidValue, match="top_k must be >= 1"):
             merge_top_pairs([stats], bad)
+    for bad in (2.5, "3", None):
+        with pytest.raises(InvalidValue, match="top_k must be an integer"):
+            merge_top_pairs([stats], bad)
     assert [s.j2 for s in merge_top_pairs([stats[:2], stats[2:]], 3)] == [1, 2, 3]
 
 
@@ -1255,6 +1261,20 @@ def test_scan_config_validation():
         ScanConfig(top_k=5, block_size=0)
     with pytest.raises(InvalidValue):
         ScanConfig(top_k=5, worker_count=0)
+    # A count that is not an integer, a pair range that is not two integers
+    # and a threshold that is not a real number are invalid values too.
+    for bad in (
+        dict(top_k=2.5), dict(top_k="3"), dict(top_k=np.float64(3.0)),
+        dict(top_k=5, block_size=2.5), dict(top_k=5, block_size=None),
+        dict(top_k=5, worker_count=2.5), dict(top_k=5, worker_count="2"),
+        dict(top_k=5, pair_range=(0.5, 3)), dict(top_k=5, pair_range=(0, 1, 2)),
+        dict(top_k=5, pair_range=(0,)), dict(top_k=5, pair_range=5), dict(top_k=5, pair_range="03"),
+        dict(threshold="0.5"), dict(threshold=0.5j), dict(top_k=5, block_size=[64]),
+    ):
+        with pytest.raises(InvalidValue):
+            ScanConfig(**bad)
+    assert ScanConfig(top_k=np.int64(5), block_size=np.int32(7), worker_count=np.uint8(2), pair_range=(np.int64(0), 9),
+                      threshold=np.float32(0.5)).top_k == 5
     cfg = ScanConfig(top_k=5, threshold=0.5)
     assert cfg.top_k == 5 and cfg.threshold == 0.5
 
