@@ -87,10 +87,11 @@ def _load_scan_input(args):
             raise InvalidValue("packed input needs --phenotype")
         if args.response_column is not None:
             raise InvalidValue("--response-column does not apply to packed input")
-        gm = dataio.parse_packed(args.input, missing_policy=args.missing or "reject")
+        # A column source, not a decoded matrix: precompute walks it.
+        source = dataio.open_packed(args.input, missing_policy=args.missing or "reject")
         y = dataio.read_phenotype(args.phenotype)
-        labels = [gm.column_label(j) for j in range(gm.p)]
-        return gm, y, labels, list(gm.chromosomes)
+        labels = [source.column_label(j) for j in range(source.p)]
+        return source, y, labels, source.chromosomes
     if args.missing is not None:
         raise InvalidValue("--missing applies to packed input only")
     if (args.phenotype is None) == (args.response_column is None):
@@ -123,6 +124,7 @@ def cmd_scan(args) -> int:
         # repr() keeps a label with a line break on the one stderr line.
         name = "response" if exc.index == -1 else repr(labels[exc.index])
         return _fail(f"zero-variance column: {name}", EXIT_DEGENERATE)
+    del matrix  # the workspace holds what the scan reads
 
     result = scan(ws, config)
 
@@ -208,8 +210,7 @@ def cmd_convert(args) -> int:
     if args.from_format == "csv":
         if args.missing is not None:
             raise InvalidValue("--missing applies to packed input only")
-        codes, _, names = dataio.parse_csv(args.input, None, codes=True)
-        dataio.write_packed(dataio.genotype_from_floats(codes, names), args.output)
+        dataio.convert_csv_to_packed(args.input, args.output)
     else:
         gm = dataio.parse_packed(args.input, missing_policy=args.missing or "reject")
         labels = [gm.column_label(j) for j in range(gm.p)]

@@ -41,6 +41,10 @@ matrices (codes 1=AA, 2=AB/BA, 3=BB):
 Missing codes are never stored in a decoded matrix: the parser either
 rejects them (default) or imputes the column's modal code.  Writing is
 deterministic; identical matrices produce byte-identical files.
+:func:`parse_packed` decodes a whole file into a :class:`GenotypeMatrix`;
+:func:`open_packed` opens one for a column walk that decodes a block of
+columns at a time (:class:`PackedGenotypes`), with the same decoder,
+errors and imputed values.
 """
 
 from __future__ import annotations
@@ -77,9 +81,6 @@ _DECODE_CELLS = 2**18
 
 #: 2-bit encodings: code value -> bit pair (code - 1); 0b11 marks missing.
 MISSING_BITS = 0b11
-
-#: Bit offset of each of the four 2-bit slots in a payload byte, low bits first.
-_SLOT_SHIFTS = np.arange(4, dtype=np.uint8) * 2
 
 CSV_FLOAT_DIGITS = 17
 #: Characters of CSV data read per block: whole lines, at least this many
@@ -341,6 +342,52 @@ def _csv_rows(lines, width: int):
         yield _parse_cells(record, ((r, c) for c in range(width)), "cell")[None]
 
 
+def _csv_header(lines, response_column: str | None):
+    """``(header, response index or None)`` from the first CSV record of
+    ``lines``, which is drawn past it."""
+    try:
+        header = next(csv.reader(lines))
+    except StopIteration:
+        raise FormatError("empty file: missing header row") from None
+    if not header or any(name.strip() == "" for name in header):
+        raise FormatError("malformed header: empty column name")
+    if response_column is None:
+        return header, None
+    named = header.count(response_column)
+    if not named:
+        raise MissingResponse(f"response column {response_column!r} not found in header")
+    if named > 1:
+        raise FormatError(f"response column {response_column!r} is ambiguous: the header names it {named} times")
+    return header, header.index(response_column)
+
+
+def _table_rows(lines, width: int, codes: bool):
+    """The blocks of :func:`_csv_rows`, as uint8 genotype codes with
+    ``codes`` (:func:`_as_codes`).  A block holding a number that is not a
+    code ends the blocks yielded, and its error is raised once every later
+    cell has parsed.
+
+    Raises:
+        FormatError: no data rows, or as :func:`_csv_rows`.
+        ParseError: as :func:`_csv_rows`, then the first non-code number.
+    """
+    not_code: ParseError | None = None
+    rows = 0
+    for values in _csv_rows(lines, width):
+        if codes and not_code is None:
+            try:
+                values = _as_codes(values, rows)
+            except ParseError as exc:
+                not_code = exc
+        if not_code is None:
+            yield values
+        rows += len(values)
+    if not rows:
+        raise FormatError("no data rows after the header")
+    if not_code is not None:
+        raise not_code
+
+
 def parse_csv(stream, response_column: str | None, *, codes: bool = False):
     """Parse a headered numeric CSV.
 
@@ -361,39 +408,8 @@ def parse_csv(stream, response_column: str | None, *, codes: bool = False):
     """
     with _open(stream, "r") as fh:
         lines = iter(fh)
-        try:
-            header = next(csv.reader(lines))
-        except StopIteration:
-            raise FormatError("empty file: missing header row") from None
-        if not header or any(name.strip() == "" for name in header):
-            raise FormatError("malformed header: empty column name")
-        resp_idx: int | None = None
-        if response_column is not None:
-            named = header.count(response_column)
-            if not named:
-                raise MissingResponse(f"response column {response_column!r} not found in header")
-            if named > 1:
-                raise FormatError(
-                    f"response column {response_column!r} is ambiguous: the header names it {named} times"
-                )
-            resp_idx = header.index(response_column)
-
-        blocks: list[np.ndarray] = []
-        not_code: ParseError | None = None
-        rows = 0
-        for values in _csv_rows(lines, len(header)):
-            if codes and not_code is None:
-                try:
-                    values = _as_codes(values, rows)
-                except ParseError as exc:
-                    not_code, blocks = exc, []
-            if not_code is None:
-                blocks.append(values)
-            rows += len(values)
-    if not rows:
-        raise FormatError("no data rows after the header")
-    if not_code is not None:
-        raise not_code
+        header, resp_idx = _csv_header(lines, response_column)
+        blocks = list(_table_rows(lines, len(header), codes))
 
     table = np.concatenate(blocks, dtype=None if codes else np.float64)
     del blocks
@@ -548,27 +564,153 @@ def read_score_dump(stream):
 def write_packed(matrix: GenotypeMatrix, stream) -> None:
     """Serialize a genotype matrix to the packed layout (deterministic
     bytes); a matrix it cannot encode leaves ``stream`` untouched."""
-    encoded = [snp_id.encode("utf-8") for snp_id in matrix.snp_ids]
-    for snp_id, raw, chrom in zip(matrix.snp_ids, encoded, matrix.chromosomes):
+    packed = np.empty((payload_bytes(matrix.n, 1), matrix.p), dtype=np.uint8)
+    _pack_rows(matrix.codes, packed)
+    _write_packed(stream, matrix.n, matrix.snp_ids, matrix.chromosomes, packed)
+
+
+def convert_csv_to_packed(source, stream) -> None:
+    """Write the packed file of a genotype CSV without holding its codes.
+
+    The bytes and errors are those of :func:`write_packed` on
+    :func:`genotype_from_floats` of ``parse_csv(source, None,
+    codes=True)``.  Each parsed block of rows is packed straight into one
+    growing ceil(n/4) x p byte array, and the fewer than 4 rows past a
+    block's last whole byte are carried to the next block.  Nothing is
+    written unless every cell is a code and every label encodes.
+
+    Raises:
+        FormatError, ParseError: as :func:`parse_csv` with ``codes``.
+        InvalidValue: a label :func:`write_packed` cannot encode.
+    """
+    with _open(source, "r") as fh:
+        lines = iter(fh)
+        header, _ = _csv_header(lines, None)
+        packed, filled, n = np.empty((1, len(header)), dtype=np.uint8), 0, 0
+        carry = packed[:0]
+        for block in _table_rows(lines, len(header), codes=True):
+            n += len(block)
+            block = np.concatenate([carry, block]) if len(carry) else block
+            carry = block[len(block) - len(block) % 4 :].copy()
+            packed, filled = _append_packed(packed, filled, block[: len(block) - len(carry)])
+    packed, filled = _append_packed(packed, filled, carry)
+    chroms, ids = zip(*map(parse_column_label, header))
+    _write_packed(stream, n, ids, chroms, packed[:filled])
+
+
+def _pack_rows(codes: np.ndarray, out: np.ndarray) -> None:
+    """Pack the rows of uint8 ``codes`` (1-3) into the ceil(rows/4) byte
+    rows ``out``: byte row b holds rows 4b..4b+3, row 4b+k in slot k, so
+    the rows k::4 fill slot k of every byte at once.  Slots past the last
+    row keep zero bits."""
+    for k in range(4):
+        slot = codes[k::4] - np.uint8(1)
+        if k:
+            slot <<= 2 * k
+            out[: len(slot)] |= slot
+        else:
+            out[...] = slot
+
+
+def _append_packed(packed: np.ndarray, filled: int, codes: np.ndarray):
+    """Pack ``codes`` (:func:`_pack_rows`) after the first ``filled`` byte
+    rows of ``packed``, doubling it when full; return it and its filled rows."""
+    end = filled + payload_bytes(len(codes), 1)
+    if end > len(packed):
+        grown = np.empty((max(end, 2 * len(packed)), packed.shape[1]), dtype=np.uint8)
+        grown[:filled] = packed[:filled]
+        packed = grown
+    _pack_rows(codes, packed[filled:end])
+    return packed, end
+
+
+def _write_packed(stream, n: int, snp_ids, chromosomes, packed: np.ndarray) -> None:
+    """Write a packed file of ``n`` rows from its ceil(n/4) x p payload
+    bytes ``packed``; ids and chromosomes are checked before ``stream`` is
+    opened."""
+    encoded = [snp_id.encode("utf-8") for snp_id in snp_ids]
+    for snp_id, raw, chrom in zip(snp_ids, encoded, chromosomes):
         if len(raw) > 0xFFFF:
             raise InvalidValue(f"SNP id too long to encode: {snp_id[:32]!r}...")
         if not (0 <= chrom <= 0xFF):
             raise InvalidValue(f"chromosome code {chrom} outside u8 range")
     with _open(stream, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0, matrix.n, matrix.p))
-        for raw, chrom in zip(encoded, matrix.chromosomes):
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0, n, len(encoded)))
+        for raw, chrom in zip(encoded, chromosomes):
             fh.write(_COLUMN_META.pack(chrom, len(raw)))
             fh.write(raw)
-        # Byte b of a column holds rows 4b..4b+3, row 4b+k in slot k: the
-        # rows k::4 of the codes fill slot k of every byte at once.  Bytes
-        # past row n keep zero bits, and the transpose is column-major.
-        packed = np.zeros((payload_bytes(matrix.n, 1), matrix.p), dtype=np.uint8)
-        for k in range(4):
-            slot = matrix.codes[k::4] - np.uint8(1)
-            slot <<= 2 * k
-            packed[: len(slot)] |= slot
-        del slot  # before the transposed copy: at most 3/4 of the codes held
-        fh.write(packed.T.tobytes())
+        # The payload is column-major: the transpose, a few columns at a time.
+        step = _chunk_columns(n)
+        for j0 in range(0, packed.shape[1], step):
+            fh.write(packed[:, j0 : j0 + step].T.tobytes())
+
+
+def _chunk_columns(n: int) -> int:
+    """Columns of n rows per chunk of about :data:`_DECODE_CELLS` cells."""
+    return max(1, _DECODE_CELLS // (4 * payload_bytes(n, 1)))
+
+
+def _check_policy(missing_policy: str) -> None:
+    if missing_policy not in ("reject", "impute"):
+        raise InvalidValue(f"missing_policy must be 'reject' or 'impute', got {missing_policy!r}")
+
+
+def _read_head(fh):
+    """``(n, p, snp_ids, chromosomes)`` from a packed file's header and
+    column metadata; ``fh`` is left at the payload."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise NotPackedFile("file too short for a packed header")
+    magic, version, _flags, n, p = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise NotPackedFile(f"bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise NotPackedFile(f"unsupported format version {version}")
+    if n < 1 or p < 1:
+        raise FormatError(f"declared shape {n} x {p} is empty")
+
+    snp_ids: list[str] = []
+    chroms: list[int] = []
+    for j in range(p):
+        meta = fh.read(_COLUMN_META.size)
+        if len(meta) < _COLUMN_META.size:
+            raise TruncatedFile(_COLUMN_META.size, len(meta))
+        chrom, id_len = _COLUMN_META.unpack(meta)
+        raw_id = fh.read(id_len)
+        if len(raw_id) < id_len:
+            raise TruncatedFile(id_len, len(raw_id))
+        try:
+            snp_ids.append(raw_id.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"column {j} id is not valid UTF-8") from None
+        chroms.append(chrom)
+    return n, p, tuple(snp_ids), tuple(chroms)
+
+
+def _decode_columns(raw: np.ndarray, n: int, missing_policy: str, c0: int) -> np.ndarray:
+    """The one payload decoder: payload columns ``raw`` (columns x
+    ceil(n/4) bytes, the first is column ``c0``) as an n x columns uint8
+    array of codes, each missing code rejected or imputed by
+    ``missing_policy`` (:func:`parse_packed`).  The bytes are transposed
+    first, so slot k of byte row b is row 4b + k of every column at once."""
+    groups = np.ascontiguousarray(raw.T)
+    bits = np.empty((len(groups), 4, len(raw)), dtype=np.uint8)
+    for k in range(4):
+        np.right_shift(groups, 2 * k, out=bits[:, k])
+    bits &= 0b11
+    bits = bits.reshape(-1, len(raw))[:n]
+    if bits.max() == MISSING_BITS:  # a reduction: most chunks need no mask
+        missing = bits == MISSING_BITS
+        for j in np.flatnonzero(missing.any(axis=0)):
+            column, gaps = bits[:, j], missing[:, j]
+            if missing_policy == "reject":
+                raise MissingGenotype(column=c0 + int(j), row=int(np.argmax(gaps)))
+            present = column[~gaps]
+            if present.size == 0:
+                raise MissingGenotype(column=c0 + int(j), row=0)
+            column[gaps] = np.argmax(np.bincount(present, minlength=3))
+    bits += 1
+    return bits
 
 
 def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
@@ -579,7 +721,8 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
     ties broken toward the smaller code).
 
     After the header and column metadata, the payload is read in one call
-    to the end of the stream and decoded a few columns at a time.  Bytes
+    to the end of the stream and decoded a few columns at a time
+    (:func:`_decode_columns`) straight into the one n x p array.  Bytes
     past the payload are read too, and ignored.
 
     Raises:
@@ -589,65 +732,85 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
         MissingGenotype: a missing code under the reject policy, or a
             fully missing column under impute.
     """
-    if missing_policy not in ("reject", "impute"):
-        raise InvalidValue(f"missing_policy must be 'reject' or 'impute', got {missing_policy!r}")
+    _check_policy(missing_policy)
     with _open(stream, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise NotPackedFile("file too short for a packed header")
-        magic, version, _flags, n, p = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise NotPackedFile(f"bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise NotPackedFile(f"unsupported format version {version}")
-        if n < 1 or p < 1:
-            raise FormatError(f"declared shape {n} x {p} is empty")
-
-        snp_ids: list[str] = []
-        chroms: list[int] = []
-        for j in range(p):
-            meta = fh.read(_COLUMN_META.size)
-            if len(meta) < _COLUMN_META.size:
-                raise TruncatedFile(_COLUMN_META.size, len(meta))
-            chrom, id_len = _COLUMN_META.unpack(meta)
-            raw_id = fh.read(id_len)
-            if len(raw_id) < id_len:
-                raise TruncatedFile(id_len, len(raw_id))
-            try:
-                snp_ids.append(raw_id.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise FormatError(f"column {j} id is not valid UTF-8") from None
-            chroms.append(chrom)
-
+        n, p, snp_ids, chroms = _read_head(fh)
         # The stream's own length sizes the buffer, so the declared shape
         # still never does.
         expected = payload_bytes(n, p)
         payload = fh.read()
-        if len(payload) < expected:
-            raise TruncatedFile(expected, len(payload))
+    if len(payload) < expected:
+        raise TruncatedFile(expected, len(payload))
 
-        raw = np.frombuffer(payload, dtype=np.uint8, count=expected).reshape(p, -1)
-        # Decoded a few columns at a time straight into the one n x p array,
-        # so the temporaries stay near _DECODE_CELLS bytes whatever n x p is.
-        codes = np.empty((n, p), dtype=np.uint8)
-        step = max(1, _DECODE_CELLS // (4 * raw.shape[1]))
+    raw = np.frombuffer(payload, dtype=np.uint8, count=expected).reshape(p, -1)
+    codes = np.empty((n, p), dtype=np.uint8)
+    step = _chunk_columns(n)
+    for c0 in range(0, p, step):
+        codes[:, c0 : c0 + step] = _decode_columns(raw[c0 : c0 + step], n, missing_policy, c0)
+    codes.setflags(write=False)
+    return GenotypeMatrix(codes=codes, snp_ids=snp_ids, chromosomes=chroms)
+
+
+@dataclass(frozen=True, eq=False)
+class PackedGenotypes:
+    """A packed genotype file opened for a column walk (:func:`open_packed`):
+    its shape and column metadata, with the payload left in the file at
+    ``path``, byte ``offset`` on.  :meth:`column_blocks` decodes it a block
+    of columns at a time, by :func:`parse_packed`'s decoder, so no n x p
+    array is built."""
+
+    path: object
+    offset: int
+    n: int
+    p: int
+    snp_ids: tuple[str, ...]
+    chromosomes: tuple[int, ...]
+    missing_policy: str
+
+    column_label = GenotypeMatrix.column_label
+
+    def column_blocks(self, width: int):
+        """Yield ``(j0, codes)`` per run of ``width`` columns, in order:
+        ``codes`` holds columns ``j0, j0 + 1, ...`` as an n x columns
+        uint8 array, as ``parse_packed(...).codes[:, j0 : j0 + width]``
+        holds them.  Each call reads the file afresh."""
+        col_bytes = payload_bytes(self.n, 1)
+        with _open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            for j0 in range(0, self.p, width):
+                size = min(width, self.p - j0) * col_bytes
+                data = fh.read(size)
+                if len(data) < size:
+                    raise TruncatedFile(size, len(data))
+                raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, col_bytes)
+                yield j0, _decode_columns(raw, self.n, self.missing_policy, j0)
+
+
+def open_packed(path, missing_policy: str = "reject") -> PackedGenotypes:
+    """Open the packed genotype file at ``path`` for a column walk.
+
+    Raises what :func:`parse_packed` raises on the same file, here and
+    not during the walk: the payload is read once, a chunk of
+    :data:`_DECODE_CELLS` cells at a time, and only a chunk with a missing
+    slot is decoded, so its first missing code, or first fully missing
+    column under "impute", is found as :func:`parse_packed` finds it.
+    """
+    _check_policy(missing_policy)
+    with _open(path, "rb") as fh:
+        n, p, snp_ids, chroms = _read_head(fh)
+        offset = fh.tell()
+        expected = payload_bytes(n, p)
+        available = os.fstat(fh.fileno()).st_size - offset
+        if available < expected:
+            raise TruncatedFile(expected, available)
+        col_bytes = payload_bytes(n, 1)
+        step = _chunk_columns(n)
         for c0 in range(0, p, step):
-            # (columns, col_bytes, 4) 2-bit groups, low bits first, flattened per column.
-            bits = raw[c0 : c0 + step, :, None] >> _SLOT_SHIFTS
-            bits &= 0b11
-            bits = bits.reshape(len(bits), -1)[:, :n]
-            if bits.max() == MISSING_BITS:  # a reduction: most chunks need no mask
-                missing = bits == MISSING_BITS
-                for j in np.flatnonzero(missing.any(axis=1)):
-                    if missing_policy == "reject":
-                        raise MissingGenotype(column=c0 + int(j), row=int(np.argmax(missing[j])))
-                    present = bits[j][~missing[j]]
-                    if present.size == 0:
-                        raise MissingGenotype(column=c0 + int(j), row=0)
-                    bits[j][missing[j]] = np.argmax(np.bincount(present, minlength=3))
-            np.add(bits.T, 1, out=codes[:, c0 : c0 + len(bits)])
-        codes.setflags(write=False)
-        return GenotypeMatrix(codes=codes, snp_ids=tuple(snp_ids), chromosomes=tuple(chroms))
+            raw = np.frombuffer(fh.read(min(step, p - c0) * col_bytes), dtype=np.uint8)
+            raw = raw.reshape(-1, col_bytes)
+            if (raw & (raw >> 1) & 0b01010101).any():  # a slot holding 0b11
+                _decode_columns(raw, n, missing_policy, c0)
+    return PackedGenotypes(path, offset, n, p, snp_ids, chroms, missing_policy)
 
 
 def is_packed(path) -> bool:

@@ -50,18 +50,28 @@ ascending anchors, each against its partners in the span in equal chunks
 on either route into a flat array and yields its rows, so a dump block
 stays 64 x (p - 1) scores.
 
-The exact route works in a fixed working set.  Each ``rows`` call
-allocates its buffers once, sized by the GEMM tile and never by p: it
-gathers a tile's 256 anchor columns and up to 512 partner columns from the
-codes, rows grouped by level, straight into two reused float32 buffers
-(n x 256 and n x 512), runs the per-level GEMMs into 256 x 512 float32
-sums, and combines them in float64 64 anchors at a time, each slice one
-yielded tile.  A partner chunk that reaches into the tile's own anchors is
+The exact route holds its codes once, in the level-ordered store that
+:func:`precompute` builds in one walk over blocks of columns
+(:class:`CodeWorkspace`): each column's rows grouped by level of y, each
+level padded with code 0 to whole bytes, 2 bits per code (8 when a code
+exceeds 3), a quarter of the uint8 codes.  An array is walked in place and
+a packed file (:class:`~jciscan.dataio.PackedGenotypes`) a decoded block
+at a time, so no n x p uint8 array is built for the scan.  Each ``rows``
+call then works in a fixed working set, allocated once and sized by the
+GEMM tile and n, never by p: it decodes a tile's 256 anchor columns and up
+to 512 partner columns (fewer past 1536 samples, ``_CODE_CELLS``) from the
+store, by shifts and a cast, into two reused float32 buffers of padded
+rows x columns, runs one GEMM per level on that level's contiguous rows
+into 256 x 512 float32 sums, and combines them in float64 64 anchors at a
+time, each slice one yielded tile.  No row index and no per-tile gather
+remain.  A partner chunk that reaches into the tile's own anchors is
 summed 64 anchors at a time from each slice's first partner, so the
 diagonal block costs what it did with 64-anchor tiles.  Cache-sized
 operand panels keep GEMM at full speed (Goto and van de Geijn, ACM TOMS
-2008).  The buffers take ``4 n (256 + 512)`` bytes for the gathers and
-2 MiB for the sums and the combine, whatever p is.
+2008).  The buffers take ``4 n' (256 + w)`` bytes for the decoded codes
+(n' the padded rows, w the partners: ``4 n' w`` is at most 3 MiB past
+1536 samples), ``n' w / 4`` for the 2-bit unpacking and at most 2 MiB for
+the sums and the combine, whatever p is.
 
 One top-k floor per scan
 ------------------------
@@ -169,13 +179,21 @@ DEFAULT_BLOCK_SIZE = 256
 _ANCHOR_BLOCK = 64
 _PARTNER_CHUNK = 2048
 
+#: :func:`precompute` walks its input in blocks of about this many cells,
+#: one screen tile's, and at least ``_ANCHOR_BLOCK`` columns
+#: (:func:`_walk_width`), so a small input is one block.
+_WALK_CELLS = _ANCHOR_BLOCK * _PARTNER_CHUNK
+
 #: The exact route's GEMM tile is this many anchors against at most this
-#: many partners, gathered from the codes into two float32 buffers reused
-#: for the whole :meth:`CodeWorkspace.rows` call, so its working set never
-#: depends on p.  The float64 combine runs ``_COMBINE_ROWS`` anchors of a
-#: tile at a time, and each such slice is one yielded tile.
+#: many partners, decoded from the code store into two float32 buffers
+#: reused for the whole :meth:`CodeWorkspace.rows` call, so its working set
+#: never depends on p.  Past ``_CODE_CELLS / _CODE_PARTNERS`` samples the
+#: partners narrow to keep their buffer at ``_CODE_CELLS`` codes, down to
+#: ``_COMBINE_ROWS``.  The float64 combine runs ``_COMBINE_ROWS`` anchors
+#: of a tile at a time, and each such slice is one yielded tile.
 _CODE_ANCHORS = 256
 _CODE_PARTNERS = 512
+_CODE_CELLS = 3 * 2**18
 _COMBINE_ROWS = 64
 
 #: The top-k screen of a float tile (:func:`_screened`) bounds cells this
@@ -503,15 +521,23 @@ class Workspace:
 
 @dataclass(frozen=True, eq=False)
 class CodeWorkspace:
-    """The exact route's workspace, shared read-only by workers: the
-    n x p uint8 ``codes`` (uncopied when given as uint8) and integer sums
-    for them and the response shifted to ``y' = y - min(y)``.  Every sum
-    is a float64 holding an exact integer.
+    """The exact route's workspace, shared read-only by workers: the codes
+    in a level-ordered store, and integer sums for them and the response
+    shifted to ``y' = y - min(y)``.  Every sum is a float64 holding an
+    exact integer.
 
     Attributes:
-        order: the row indices grouped by y', ascending.
+        store: the codes, bytes x p uint8, at ``bits`` bits per code.
+            Its rows run over the levels of y', ascending, each level's
+            rows in input order and padded with code 0 to a multiple of 4
+            rows, so every level starts on a byte row.  At 2 bits, byte row
+            b of column j holds rows 4b..4b+3, row 4b + k in bits 2k and
+            2k + 1; at 8 bits, row b.  Padding adds nothing to any sum or
+            product.
+        bits: 2 when every code is at most 3, else 8.
+        n: the samples, padding not counted.
         levels: ``(l, rows)`` per distinct value l of y', ascending from
-            0: ``order[rows]`` are the rows where ``y' = l``.
+            0: ``rows`` is the level's padded row range of the store.
         sums: ``S_j = sum_i x_ij``.
         cross: ``n S_jy - S_j S_y``, with ``S_jy = sum_i x_ij y'_i``.
         spread: ``D_j = n S_jj - S_j^2``, n^2 times the 1/n variance.
@@ -519,8 +545,9 @@ class CodeWorkspace:
         response_spread: ``D_y = n S_yy - S_y^2``.
     """
 
-    codes: np.ndarray
-    order: np.ndarray
+    store: np.ndarray
+    bits: int
+    n: int
     levels: tuple[tuple[int, slice], ...]
     sums: np.ndarray
     cross: np.ndarray
@@ -529,17 +556,23 @@ class CodeWorkspace:
     response_spread: float
 
     @property
-    def n(self) -> int:
-        return self.codes.shape[0]
+    def p(self) -> int:
+        return self.store.shape[1]
 
     @property
-    def p(self) -> int:
-        return self.codes.shape[1]
+    def stored_rows(self) -> int:
+        """The store's rows, padding included."""
+        return self.levels[-1][1].stop
 
     @property
     def tile(self) -> int:
         """One GEMM tile of anchors."""
         return _CODE_ANCHORS
+
+    @property
+    def partners(self) -> int:
+        """The most partners of one GEMM tile (``_CODE_CELLS``)."""
+        return min(_CODE_PARTNERS, max(_COMBINE_ROWS, _CODE_CELLS // self.stored_rows))
 
     #: The exact route's tiles are its values: every anchor's rows are read.
     bounds = None
@@ -549,34 +582,33 @@ class CodeWorkspace:
         ``_COMBINE_ROWS`` anchors of each GEMM tile of ``anchors``
         (:func:`_tile_grid`), in reused arrays: read each before the next.
         ``anchors`` is always a range: the exact route reads every row, and
-        the gathers slice each run's anchors as contiguous columns.
-        A tile's anchor and partner columns are gathered from the codes, rows
-        grouped by level, straight into two float32 buffers of n x
-        ``_CODE_ANCHORS`` and n x ``_CODE_PARTNERS`` allocated once per call;
-        the anchors are gathered once per run of tiles that share them.  A
-        partner chunk that reaches into the tile's own anchors is summed one
-        combine slice at a time, from the slice's first partner.
+        each run's anchors are contiguous store columns.
+        A tile's anchor and partner columns are decoded from the store
+        (:meth:`_decode`) into two float32 buffers of padded rows x
+        ``_CODE_ANCHORS`` and x :attr:`partners`, allocated once per call;
+        the anchors are decoded once per run of tiles that share them.
+        A partner chunk that reaches into the tile's own anchors is summed
+        one combine slice at a time, from the slice's first partner.
         With ``b_j = n S_jy - S_j S_y`` the float64 combine forms
         ``N = n^2 S_12y - n S_y S_12 - (S_1 b_2 + b_1 S_2)``, every
         intermediate an integer below ``2 c^2 n^3 m < 2^53``, so each is
         exact; tau_hat is the correctly rounded N / n^3, and r_hat is
         ``|N / d|`` with ``d = sqrt((D_1 D_y) D_2)``, the same as ``|N| / d``."""
-        n = self.n
+        n, rows = self.n, self.stored_rows
         block = min(len(anchors), _CODE_ANCHORS)
-        width = min(self.p, _CODE_PARTNERS)
+        width = min(self.p, self.partners)
         step = min(block, _COMBINE_ROWS)
-        mine_buffer, mates_buffer = np.empty(n * block, np.float32), np.empty(n * width, np.float32)
+        mine_buffer, mates_buffer = np.empty(rows * block, np.float32), np.empty(rows * width, np.float32)
+        slot_buffer = np.empty(len(self.store) * max(block, width), dtype=np.uint8) if self.bits == 2 else None
         narrow = np.empty((3, block * width), dtype=np.float32)
         wide = np.empty((2, step * width))
         held = None
-        for run, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _CODE_ANCHORS, _CODE_PARTNERS):
+        for run, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _CODE_ANCHORS, width):
             a0, k = int(run[0]), len(run)
             if a0 != held:
-                x = mine_buffer[: n * k].reshape(n, k)
-                x[...] = self.codes[self.order, a0 : a0 + k]
+                x = self._decode(a0, a0 + k, mine_buffer, slot_buffer)
                 held = a0
-            mates = mates_buffer[: n * (hi - lo)].reshape(n, hi - lo)
-            mates[...] = self.codes[self.order, lo:hi]
+            mates = self._decode(lo, hi, mates_buffer, slot_buffer)
             # Partners that reach into the tile's own anchors are summed one
             # combine slice at a time from that slice's first partner, so no
             # GEMM spends a tile's worth of cells on pairs with j2 <= j1.
@@ -606,11 +638,23 @@ class CodeWorkspace:
                     _mask(r_hat, starts[p0 + r0 : p0 + r1], ends[p0 + r0 : p0 + r1], c0, np.nan)
                     yield np.arange(mine.start, mine.stop), c0, r_hat, num
 
+    def _decode(self, j0: int, j1: int, buffer: np.ndarray, slot_buffer) -> np.ndarray:
+        """Columns ``[j0, j1)`` of the store as float32 codes, padded rows x
+        columns, at the head of ``buffer``: 8-bit codes by one cast, 2-bit
+        codes by :func:`_unpack` through ``slot_buffer``."""
+        out = buffer[: self.stored_rows * (j1 - j0)].reshape(self.stored_rows, j1 - j0)
+        codes = self.store[:, j0:j1]
+        if self.bits == 8:
+            out[...] = codes
+        else:
+            _unpack(codes, out, slot_buffer[: codes.size].reshape(codes.shape))
+        return out
+
     def _level_sums(self, x, mates, s12, s12y, product) -> None:
         """``S_12`` and ``S_12y`` of anchors ``x`` against partners ``mates``
-        (n x columns, rows grouped by level), one GEMM per level: from the
-        top level down, S_12 gathers each A_l and S_12y gains S_12 times the
-        gap to the next level, l A_l in all."""
+        (padded rows x columns, :meth:`_decode`), one GEMM per level on its
+        contiguous rows: from the top level down, S_12 gathers each A_l and
+        S_12y gains S_12 times the gap to the next level, l A_l in all."""
         top = len(self.levels) - 1
         for i in range(top, -1, -1):
             level = self.levels[i][1]
@@ -624,16 +668,70 @@ class CodeWorkspace:
                 s12y += s12 if gap == 1 else np.multiply(s12, gap, out=product)
 
 
+def _unpack(packed: np.ndarray, out: np.ndarray, slot_buffer: np.ndarray) -> None:
+    """Unpack 2-bit codes: byte row b of ``packed`` (bytes x columns) into
+    rows 4b..4b+3 of ``out`` (rows x columns, any real dtype), row 4b + k
+    from bits 2k and 2k + 1, by a shift, a mask and a cast per slot through
+    ``slot_buffer`` (``packed``'s shape)."""
+    slots = out.reshape(len(packed), 4, packed.shape[1])
+    slots[:, 0] = np.bitwise_and(packed, 0b11, out=slot_buffer)
+    for k in (1, 2):
+        np.right_shift(packed, 2 * k, out=slot_buffer)
+        slots[:, k] = np.bitwise_and(slot_buffer, 0b11, out=slot_buffer)
+    slots[:, 3] = np.right_shift(packed, 6, out=slot_buffer)
+
+
+def _pack(codes: np.ndarray, bits: int, out: np.ndarray) -> None:
+    """Store the first ``out.shape[1]`` columns of the uint8 ``codes``
+    (padded rows x a multiple of 8 columns, C-contiguous) in ``out`` at
+    ``bits`` per code, the layout of ``CodeWorkspace.store``.  The 2-bit
+    slots are shifted and merged 8 columns per uint64 word: no code above
+    3 reaches past its own byte."""
+    if bits == 8:
+        out[...] = codes[:, : out.shape[1]]
+        return
+    groups = codes.reshape(-1, 4, codes.shape[1]).view(np.uint64)
+    packed = groups[:, 0].copy()
+    for k in range(1, 4):
+        packed |= groups[:, k] << np.uint64(2 * k)
+    out[...] = packed.view(np.uint8)[:, : out.shape[1]]
+
+
+def _columns(matrix):
+    """``((n, p), blocks)`` of a :func:`precompute` input: ``blocks(width)``
+    yields ``(j0, cols)`` per run of ``width`` columns, in order, ``cols``
+    an n x columns array of columns ``j0, j0 + 1, ...``.  A column source
+    (``n``, ``p`` and ``column_blocks``, as
+    :class:`~jciscan.dataio.PackedGenotypes` has) decodes its own blocks;
+    an array's are views."""
+    if hasattr(matrix, "column_blocks"):
+        return (matrix.n, matrix.p), matrix.column_blocks
+
+    def blocks(width: int):
+        for j0 in range(0, matrix.shape[1], width):
+            yield j0, matrix[:, j0 : j0 + width]
+
+    return matrix.shape, blocks
+
+
+def _walk_width(n: int) -> int:
+    """Columns of n rows per block of :func:`precompute`'s walk."""
+    return max(_ANCHOR_BLOCK, _WALK_CELLS // n)
+
+
 def precompute(matrix, response) -> Workspace | CodeWorkspace:
     """Center every column and the response exactly once.
 
-    Accepts a real n x p array or any object exposing ``.codes`` (a
-    genotype matrix).  The route follows the values, not the container:
-    integers in [0, 255] of any dtype against an integer-valued response
-    take the exact route while its bounds hold and get a
-    :class:`CodeWorkspace` (:func:`_exact_workspace`): the codes as uint8
-    (uint8 input uncopied) and per-column integer sums, all from one walk
-    over the input that also decides the route.  Any other input takes the float
+    Accepts a real n x p array, any object exposing ``.codes`` (a
+    genotype matrix) or a column source with ``n``, ``p`` and
+    ``column_blocks`` (a :class:`~jciscan.dataio.PackedGenotypes`, walked
+    without an n x p array; :func:`_columns`).  The route follows the
+    values, not the container: integers in [0, 255] of any dtype against
+    an integer-valued response take the exact route while its bounds hold
+    and get a :class:`CodeWorkspace` (:func:`_exact_workspace`): the codes
+    in a level-ordered store of 2 or 8 bits per code, and per-column
+    integer sums, all from one walk over the input that also decides the
+    route; the input itself is not kept.  Any other input takes the float
     route and gets a :class:`Workspace`, from one walk over blocks of
     ``max(64, 64 * 2048 // n)`` columns, one screen tile's cells (1 MiB of
     float64 at n <= 2048): each block is widened to float64 as contiguous
@@ -656,12 +754,14 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
         DegenerateSample: n < 3.
         TooFewColumns: p < 2.
     """
-    raw = np.asarray(getattr(matrix, "codes", matrix))
-    if raw.ndim != 2:
-        raise InvalidValue(f"expected an n x p matrix, got shape {raw.shape}")
-    if raw.dtype.kind not in "biuf":
-        raise InvalidValue(f"expected a real matrix, got dtype {raw.dtype}")
-    n, p = raw.shape
+    raw = matrix
+    if not hasattr(matrix, "column_blocks"):
+        raw = np.asarray(getattr(matrix, "codes", matrix))
+        if raw.ndim != 2:
+            raise InvalidValue(f"expected an n x p matrix, got shape {raw.shape}")
+        if raw.dtype.kind not in "biuf":
+            raise InvalidValue(f"expected a real matrix, got dtype {raw.dtype}")
+    (n, p), blocks = _columns(raw)
     if n < MIN_SCAN_SAMPLES:
         raise DegenerateSample(f"pair scans need n >= {MIN_SCAN_SAMPLES}, got {n}")
     if p < 2:
@@ -682,13 +782,12 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     centered = np.empty((n, p))
     shift = np.empty(p, dtype=np.intc)
     css = np.empty(p)
-    # One screen tile's cells per block, so a small input is one block.
-    width = max(_ANCHOR_BLOCK, _ANCHOR_BLOCK * _PARTNER_CHUNK // n)
-    for j0 in range(0, p, width):
+    width = _walk_width(n)
+    for j0, cols in blocks(width):
         block = slice(j0, j0 + width)
         # Row j of `cols` is column j0 + j: contiguous rows give the same
         # pairwise sums and dot products as center() on that column alone.
-        cols = np.array(raw[:, block].T, dtype=np.float64, order="C")
+        cols = np.array(cols.T, dtype=np.float64, order="C")
         # max and min, not np.abs: no temporary; NaN and inf reach them.
         # Rounding is monotone, so they give the centered extremes bit for bit.
         top, bottom = cols.max(axis=1), cols.min(axis=1)
@@ -726,60 +825,87 @@ _FLOAT32_EXACT = 2**24
 _FLOAT64_EXACT = 2**53
 
 
-def _exact_workspace(matrix: np.ndarray, y: np.ndarray) -> CodeWorkspace | None:
+def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     """The exact route's workspace, or None for the float route: y
     integer-valued, every entry an integer in [0, 255], and with c the
     largest code and m = max(y) - min(y) (>= 1 here), ``c^2 n m < 2^24``
     (float32 GEMM tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).
+    ``matrix`` is an array or a column source (:func:`_columns`).
 
-    One walk over ``_ANCHOR_BLOCK`` columns at a time checks and narrows
-    the entries (uint8 input passes through uncopied; any other real
-    matrix is copied to uint8, up to the first block that fails), takes
-    the largest code and sums each column in float32: ``S_j`` and
-    ``S_jy`` by one product with ``[1, y']``, ``S_jj`` by one einsum.
-    Every partial sum is an integer of at most ``c^2 n m``, so once that
-    bound is checked the sums are exact in any order; no n x p copy is
-    widened.  ``y' = y - min(y)`` is exact for an integer-valued y within
-    bounds."""
-    n, p = matrix.shape
+    One walk over blocks of :func:`_walk_width` columns checks and narrows
+    the entries to uint8 (up to the first block that fails), gathers the
+    block's rows into level order, one ``take`` per level, takes the
+    largest code, and packs the block into the store
+    (:class:`CodeWorkspace`): 2 bits per code until a code above 3 widens
+    the store to 8.  The same level-ordered block, in float32, gives
+    ``S_j`` and ``S_jy`` by one product with ``[1, y']`` and ``S_jj`` by
+    one sum of squares.  Every partial sum is an integer of at most
+    ``c^2 n m``, so once that bound is checked the sums are exact in any
+    order.  No n x p copy of the input is made.  ``y' = y - min(y)`` is
+    exact for an integer-valued y within bounds."""
+    (n, p), blocks = _columns(matrix)
     m = float(y.max()) - float(y.min())  # Python floats: inf past the float range, no warning
     # n m < 2^24 is the float32 bound at c = 1; at c = 0 every column is constant.
     if not (n * m < _FLOAT32_EXACT and np.array_equal(y, np.rint(y))):
         return None
-    shifted = y - y.min()
-    codes = matrix if matrix.dtype == np.uint8 else np.empty((n, p), dtype=np.uint8)
-    ones_y = np.stack([np.ones(n), shifted], axis=1).astype(np.float32)
+    shifted = (y - y.min()).astype(np.int64)
+    counts = np.bincount(shifted)
+    values = np.flatnonzero(counts)
+    sizes = counts[values]
+    padded = -(-sizes // 4) * 4
+    starts = np.cumsum(padded) - padded
+    levels = tuple((int(v), slice(int(a), int(a + b))) for v, a, b in zip(values, starts, padded))
+    rows = int(padded.sum())
+    # Per level: its input rows in input order, and the store rows they fill.
+    order, ends = np.argsort(shifted, kind="stable"), np.cumsum(sizes)
+    picks = [(order[e - k : e], slice(a, a + k)) for e, k, a in zip(ends.tolist(), sizes.tolist(), starts.tolist())]
+    weights = np.zeros((rows, 2), dtype=np.float32)
+    weights[:, 0] = 1
+    for value, level in levels:
+        weights[level, 1] = value
+    # Padding rows stay code 0; whole uint64 words of columns for _pack.
+    width = _walk_width(n)
+    ordered = np.zeros((rows, -(-width // 8) * 8), dtype=np.uint8)
+    wide = np.empty((rows, width), dtype=np.float32)
+    store, bits = np.empty((rows // 4, p), dtype=np.uint8), 2
     sums = np.empty((p, 3), dtype=np.float32)
     c = 0
-    for j0 in range(0, p, _ANCHOR_BLOCK):
-        block = codes[:, j0 : j0 + _ANCHOR_BLOCK]
-        if codes is not matrix:
-            given = matrix[:, j0 : j0 + _ANCHOR_BLOCK]
-            if not (given.min() >= 0 and given.max() <= 255):  # NaN fails too
+    for j0, cols in blocks(width):
+        if cols.dtype != np.uint8:
+            if not (cols.min() >= 0 and cols.max() <= 255):  # NaN fails too
                 return None
-            block[...] = given
-            if not np.array_equal(block, given):
+            narrow = cols.astype(np.uint8)
+            if not np.array_equal(narrow, cols):
                 return None
+            cols = narrow
+        j1 = j0 + cols.shape[1]
+        block = ordered[:, : j1 - j0]
+        for taken, into in picks:
+            # "clip" (every index is valid) keeps np.take from buffering its output.
+            np.take(cols, taken, axis=0, out=block[into], mode="clip")
         c = max(c, int(block.max()))
-        wide = block.astype(np.float32)
-        sums[j0 : j0 + _ANCHOR_BLOCK, :2] = wide.T @ ones_y
-        sums[j0 : j0 + _ANCHOR_BLOCK, 2] = np.einsum("ij,ij->j", wide, wide)
+        if c > 3 and bits == 2:
+            widened = np.empty((rows, p), dtype=np.uint8)
+            _unpack(store[:, :j0], widened[:, :j0], np.empty((rows // 4, j0), dtype=np.uint8))
+            store, bits = widened, 8
+        _pack(ordered, bits, store[:, j0:j1])
+        f = wide[:, : j1 - j0]
+        f[...] = block
+        sums[j0:j1, :2] = (weights.T @ f).T
+        sums[j0:j1, 2] = weights[:, 0] @ np.square(f, out=f)
     c2m = c * c * int(m)
     if not (c2m * n < _FLOAT32_EXACT and 2 * c2m * n**3 < _FLOAT64_EXACT):
         return None
     s, sy, ss = sums.T.astype(np.int64)
-    shifted = shifted.astype(np.int64)
     s_y, s_yy = int(shifted.sum()), int(shifted @ shifted)
-    counts = np.bincount(shifted)
-    levels = tuple((int(v), slice(counts[:v].sum(), counts[: v + 1].sum())) for v in np.flatnonzero(counts))
     spread = n * ss - s * s
     if not spread.all():
         raise ZeroVarianceColumn(int(np.argmin(spread != 0)))
-    view = codes.view()
-    view.setflags(write=False)
+    store.setflags(write=False)
     return CodeWorkspace(
-        codes=view,
-        order=np.argsort(shifted, kind="stable"),
+        store=store,
+        bits=bits,
+        n=n,
         levels=levels,
         sums=s.astype(np.float64),
         cross=(n * sy - s * s_y).astype(np.float64),

@@ -306,8 +306,9 @@ def run_replications(spec: SimStudySpec, generator=None, worker_count: int = 1) 
     result with :func:`~jciscan.scan.ranks_of_pairs`.  The dataset is
     dropped once :func:`~jciscan.scan.precompute` returns and the workspace
     once the scan does, so a replicate holds its design once: the exact
-    route scans uint8 codes uncopied, and the float route's centered matrix
-    is the one n x p array its scan sees.  ``generator``
+    route's 0/1 design is packed into a 2-bit code store, a quarter of the
+    uint8 design, and the float route's centered matrix is the one n x p
+    array its scan sees.  ``generator``
     overrides the study-id dispatch for custom designs (same (n, p, seed)
     signature).
     """

@@ -20,10 +20,12 @@ import jciscan
 from jciscan import CodeWorkspace, ScanConfig, all_scores, pair_count, precompute, scan
 from jciscan.cli import build_parser, main
 from jciscan.cumulants import PairStatistic
+from jciscan import dataio
 from jciscan.dataio import (
     MAGIC,
     GenotypeMatrix,
     genotype_from_floats,
+    open_packed,
     parse_csv,
     read_phenotype,
     write_csv,
@@ -421,6 +423,79 @@ def test_scan_csv_and_packed_outputs_identical_for_case_control_response(tmp_pat
         assert run(argv) == 0
         outputs.append(out.read_bytes() + dump.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_packed_scan_input_is_walked_without_an_n_by_p_array(tmp_path):
+    # A .jcg scan opens the file (header, metadata, a chunked missing-code
+    # check) and precompute decodes 64-column blocks straight into the
+    # 2-bit store (n p / 4 bytes): load plus precompute stays below half
+    # the uint8 codes, which a decoded n x p array alone would fill twice.
+    n, p = 2000, 4000
+    rng = np.random.default_rng(50)
+    codes = rng.integers(1, 4, size=(n, p), dtype=np.uint8)
+    path = tmp_path / "g.jcg"
+    write_packed(GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=(1,) * p), path)
+    y = (rng.random(n) < 0.4).astype(float)
+    del codes
+    tracemalloc.start()
+    try:
+        ws = precompute(open_packed(path), y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(ws, CodeWorkspace) and ws.bits == 2
+    assert peak < 0.5 * n * p + 2**20, peak
+
+
+def _with_missing(data: bytes, n: int, p: int, cells) -> bytes:
+    """``data``, a packed file, with the code at each (row, column) of
+    ``cells`` set to the missing pattern."""
+    out = bytearray(data)
+    start = len(out) - p * ((n + 3) // 4)
+    for row, col in cells:
+        out[start + col * ((n + 3) // 4) + row // 4] |= 0b11 << 2 * (row % 4)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("policy", ["reject", "impute"])
+@pytest.mark.parametrize("damage", ["none", "missing", "fully_missing", "truncated"])
+def test_packed_scan_matches_parse_packed_then_scan(tmp_path, capsys, monkeypatch, policy, damage):
+    # The .jcg path (open_packed, then blocks decoded in precompute's walk)
+    # against the decoded matrix: parse_packed, then a scan of its codes.
+    # Errors, exit codes and output bytes agree, missing codes found and
+    # imputed alike, with the missing-code check cut into 3-column chunks.
+    monkeypatch.setattr(dataio, "_DECODE_CELLS", 150)
+    rng = np.random.default_rng(51)
+    n, p = 50, 130
+    codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
+    gm = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)),
+                        chromosomes=tuple(1 + j % 3 for j in range(p)))
+    buf = io.BytesIO()
+    write_packed(gm, buf)
+    data = buf.getvalue()
+    if damage == "missing":
+        data = _with_missing(data, n, p, [(30, 70), (7, 5), (0, 61), (49, 5)])
+    elif damage == "fully_missing":
+        data = _with_missing(data, n, p, [(3, 4)] + [(row, 9) for row in range(n)])
+    elif damage == "truncated":
+        data = data[:-1]
+    packed, pheno = tmp_path / "g.jcg", tmp_path / "y.txt"
+    packed.write_bytes(data)
+    pheno.write_text("".join(f"{v}\n" for v in (rng.random(n) < 0.4).astype(int).tolist()))
+    outcomes = []
+    for decoded in (False, True):
+        if decoded:
+            monkeypatch.setattr(dataio, "open_packed", lambda path, missing_policy: dataio.parse_packed(path, missing_policy))
+        out, dump = tmp_path / f"top{decoded}.csv", tmp_path / f"dump{decoded}.csv"
+        code = run(["scan", str(packed), "--phenotype", str(pheno), "--missing", policy, "--top-k", "15",
+                    "--threshold", "0.3", "--out", str(out), "--dump-all", str(dump)])
+        written = [f.read_bytes() if f.exists() else None for f in (out, dump)]
+        outcomes.append((code, capsys.readouterr().err, written))
+    assert outcomes[0] == outcomes[1]
+    expect_error = damage in ("truncated", "fully_missing") or (damage == "missing" and policy == "reject")
+    assert (outcomes[0][0] == 2) == expect_error
+    if damage == "missing" and policy == "reject":
+        assert outcomes[0][1] == "jciscan: missing genotype at column 5, row 7\n"
 
 
 def test_scan_dosage_csv_matches_the_uint8_code_route(tmp_path):

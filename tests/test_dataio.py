@@ -988,6 +988,38 @@ def test_write_packed_peak_memory_stays_below_the_codes(tmp_path):
     assert path.read_bytes() == packed_bytes(gm)
 
 
+@pytest.mark.parametrize("n", [1, 4, 43])
+def test_convert_csv_to_packed_carries_rows_between_blocks(tmp_path, monkeypatch, n):
+    # Blocks of 5 rows leave 1 to 3 rows past each block's last whole byte,
+    # carried to the next block; the bytes are write_packed's.
+    rng = np.random.default_rng(n)
+    gm = make_matrix(rng.integers(1, 4, size=(n, 9)), ids=[f"rs{j}" for j in range(9)],
+                     chroms=[1 + j % 3 for j in range(9)])
+    src, out = tmp_path / "g.csv", tmp_path / "g.jcg"
+    write_csv(src, gm.codes, [gm.column_label(j) for j in range(gm.p)])
+    monkeypatch.setattr(dataio, "_CSV_BLOCK_CHARS", 5 * 2 * gm.p)
+    dataio.convert_csv_to_packed(src, out)
+    assert out.read_bytes() == packed_bytes(gm)
+
+
+def test_convert_csv_to_packed_peak_memory_stays_below_the_codes(tmp_path):
+    # The packed bytes (a quarter of the codes, at most doubled by the
+    # growth of their array, plus its last copy) and one parsed block:
+    # neither the parsed codes nor a concatenation of them is held.
+    n, p = 1000, 4000
+    codes = np.random.default_rng(44).integers(1, 4, size=(n, p)).astype(np.uint8)
+    src, out = tmp_path / "g.csv", tmp_path / "g.jcg"
+    write_csv(src, codes, [f"rs{j}" for j in range(p)])
+    tracemalloc.start()
+    try:
+        dataio.convert_csv_to_packed(src, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * codes.nbytes + 2**20, peak / codes.nbytes
+    assert out.read_bytes() == packed_bytes(make_matrix(codes, ids=[f"rs{j}" for j in range(p)], chroms=[0] * p))
+
+
 def test_parse_packed_handles_missing_codes_per_column_chunk(monkeypatch):
     # Chunks of two columns: the first missing code in file order, and the
     # modal imputation, are found whichever chunk holds them.

@@ -13,10 +13,11 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import jciscan
@@ -34,6 +35,7 @@ from jciscan import (
     select_by_threshold,
 )
 from jciscan.cumulants import center
+from jciscan.errors import ZeroVarianceColumn
 from jciscan.scan import iter_score_rows
 
 scan_module = importlib.import_module("jciscan.scan")  # `jciscan.scan` names the function
@@ -217,6 +219,68 @@ def test_per_level_gemms_equal_the_integer_numerator_bytewise(design, monkeypatc
 
 
 # --------------------------------------------------------------------------
+# The level-ordered code store
+# --------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=0, sizes=[1, 6], gaps=[3], top=3, wide_at=0, p=65, cuts=[0.5])
+@example(seed=1, sizes=[5, 1, 9, 2, 7], gaps=[1, 2, 1, 3], top=40, wide_at=66, p=70, cuts=[])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 13), min_size=1, max_size=5),
+    gaps=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    top=st.sampled_from([1, 3, 7, 40]),
+    wide_at=st.integers(0, 69),
+    p=st.integers(60, 70),
+    cuts=st.lists(st.floats(0, 1), max_size=3),
+)
+def test_code_store_matches_the_integer_oracle_property(seed, sizes, gaps, top, wide_at, p, cuts):
+    # Levels of any size (one row too, rarely a multiple of 4) with gaps in
+    # y', codes at 2 bits (every code <= 3) or 8 (one code above 3, which
+    # widens the store in whichever 64-column block it lands), p across a
+    # block edge and shards of the pair range: every value, top-k,
+    # threshold cut, rank and score row is the oracle's, bit for bit.
+    rng = np.random.default_rng(seed)
+    values = np.cumsum([0] + gaps[: len(sizes) - 1]) - 2
+    y = rng.permutation(np.repeat(values, sizes)).astype(np.float64)
+    n = len(y)
+    assume(n >= 3)
+    codes = rng.integers(0, min(top, 3) + 1, size=(n, p)).astype(np.uint8)
+    codes[:2] = [[0] * p, [1] * p]  # no constant column
+    codes[rng.integers(n), wide_at % p] = top
+    # 64-column walk blocks, so p = 60-70 crosses a block edge.
+    with mock.patch.object(scan_module, "_WALK_CELLS", 0):
+        if len(sizes) == 1:
+            with pytest.raises(ZeroVarianceColumn):
+                precompute(codes, y)
+            return
+        ws = precompute(codes, y)
+    assert isinstance(ws, CodeWorkspace) and ws.bits == (2 if top <= 3 else 8)
+    assert [rows.stop - rows.start for _, rows in ws.levels] == [-(-k // 4) * 4 for k in sizes]
+    r_hat, tau_hat = integer_scores(codes, y)
+    assert all_scores(ws).tobytes() == r_hat.tobytes()
+    assert np.concatenate([row for _, row in iter_score_rows(ws)]).tobytes() == r_hat.tobytes()
+    j1, j2 = np.triu_indices(p, 1)
+    total = pair_count(p)
+    edges = sorted({0, total, *(int(c * total) for c in cuts)})
+    for lo, hi in zip(edges, edges[1:]):
+        shard = slice(lo, hi)
+        threshold = float(np.median(r_hat[shard]))
+        ranked = tuple({(int(j1[i]), int(j2[i])) for i in rng.integers(lo, hi, size=3)})
+        result = scan(ws, ScanConfig(top_k=7, threshold=threshold, pair_range=(lo, hi), rank_pairs=ranked))
+        order = lo + np.lexsort((j2[shard], j1[shard], -r_hat[shard]))
+        above = order[r_hat[order] > threshold]
+        for table, index in ((result.top_pairs, order[:7]), (result.selected, above)):
+            assert table.j1.tolist() == j1[index].tolist() and table.j2.tolist() == j2[index].tolist()
+            assert table.r_hat.tobytes() == r_hat[index].tobytes()
+            assert table.tau_hat.tobytes() == tau_hat[index].tobytes()
+        for pair, rank in result.ranks:
+            assert rank == 1 + order.tolist().index(scan_module.pair_index(*pair, p))
+        assert all_scores(ws, pair_range=(lo, hi)).tobytes() == r_hat[shard].tobytes()
+
+
+# --------------------------------------------------------------------------
 # Invariance
 # --------------------------------------------------------------------------
 
@@ -242,7 +306,7 @@ def test_exact_route_result_is_identical_across_workers_blocks_and_shards():
 
 def test_exact_route_work_tiles_never_go_below_one_gemm_tile(monkeypatch):
     # block_size=1 still hands the exact route whole GEMM tiles of anchors,
-    # so each partner column is gathered once per tile, not once per anchor.
+    # so each partner column is decoded once per tile, not once per anchor.
     codes, y = draw_instance(np.random.default_rng(25), 120, 600, "case_control")
     ws = precompute(genotypes(codes), y)
     assert isinstance(ws, CodeWorkspace)
@@ -264,7 +328,7 @@ def test_exact_route_work_tiles_never_go_below_one_gemm_tile(monkeypatch):
 
 
 def test_exact_route_scan_working_set_does_not_grow_with_p():
-    # Every GEMM tile is gathered from the codes into float32 buffers sized
+    # Every GEMM tile is decoded from the code store into float32 buffers sized
     # by the tile, so a top-k scan allocates the same few MiB at p = 600 and
     # at p = 6000 (a widened n x 2048 partner chunk alone is 7.8 MiB here).
     rng = np.random.default_rng(26)
@@ -444,6 +508,57 @@ def test_exact_route_scores_do_not_depend_on_the_blas_kernel():
         )
         hashes.append(done.stdout.split())
     assert len(hashes[0]) == 2 * 10
+    assert all(h == hashes[0] for h in hashes[1:])
+
+
+#: The kernel probe plus the packed-file path: the payload decoder, the
+#: walk's pack and the tile decode are numpy table, shift and cast code.
+_DISPATCH_PROBE = _KERNEL_PROBE + """
+import sys
+from jciscan.dataio import open_packed, write_packed
+write_packed(gm, sys.argv[1])
+ws = precompute(open_packed(sys.argv[1]), case_control)
+print(hashlib.sha256(all_scores(ws).tobytes()).hexdigest())
+"""
+
+
+def _enabled_dispatch_targets() -> list[str]:
+    """numpy's SIMD dispatch targets that this CPU enables, lowest first."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    return [t for t in getattr(umath, "__cpu_dispatch__", ()) if features.get(t)]
+
+
+def test_exact_route_scores_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # numpy picks its elementwise and table kernels by CPU feature;
+    # NPY_DISABLE_CPU_FEATURES turns dispatch targets off in the child
+    # alone.  The default, then all but the lowest enabled target off, then
+    # all off: every run gives the same bytes.
+    targets = _enabled_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy enables no SIMD dispatch target on this CPU")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jciscan.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    hashes = []
+    for disabled in (None, targets[1:], targets):
+        if disabled is not None and not disabled:
+            continue
+        env = dict(base, PYTHONPATH=path, **({"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)} if disabled else {}))
+        done = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_PROBE, str(tmp_path / "g.jcg")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        if disabled and done.returncode and "NPY_DISABLE_CPU_FEATURES" in done.stderr:
+            continue  # numpy refuses to disable these targets here
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout.split())
+    if len(hashes) == 1:
+        pytest.skip("numpy refuses to disable its dispatch targets here")
+    assert len(hashes[0]) == 2 * 10 + 1
     assert all(h == hashes[0] for h in hashes[1:])
 
 
