@@ -82,6 +82,9 @@ _DECODE_CELLS = 2**18
 #: 2-bit encodings: code value -> bit pair (code - 1); 0b11 marks missing.
 MISSING_BITS = 0b11
 
+#: Bit offset of each of the four 2-bit slots in a payload byte, low bits first.
+_SLOT_SHIFTS = np.arange(4, dtype=np.uint8) * 2
+
 CSV_FLOAT_DIGITS = 17
 #: Characters of CSV data read per block: whole lines, at least this many
 #: unless the stream ends first.
@@ -388,30 +391,25 @@ def _table_rows(lines, width: int, codes: bool):
         raise not_code
 
 
-def parse_csv(stream, response_column: str | None, *, codes: bool = False):
+def parse_csv(stream, response_column: str | None):
     """Parse a headered numeric CSV.
 
     Returns ``(matrix, response, predictor_names)`` where ``matrix`` is an
     n x p float64 array in header order and ``response`` is an array of
-    its own, or None when ``response_column`` is None.  With ``codes``,
-    every cell must be a genotype code 1, 2 or 3, and the arrays are uint8:
-    each block of rows is cast as it is parsed, so no float64 table is
-    held.
+    its own, or None when ``response_column`` is None.
 
     Raises:
         FormatError: no header, empty data section, ragged rows, or a
             ``response_column`` the header names more than once.
         MissingResponse: ``response_column`` not in the header.
-        ParseError: a non-numeric cell (0-based data row / file column);
-            with ``codes``, once every cell has parsed, the first number
-            that is not a genotype code.
+        ParseError: a non-numeric cell (0-based data row / file column).
     """
     with _open(stream, "r") as fh:
         lines = iter(fh)
         header, resp_idx = _csv_header(lines, response_column)
-        blocks = list(_table_rows(lines, len(header), codes))
+        blocks = list(_table_rows(lines, len(header), codes=False))
 
-    table = np.concatenate(blocks, dtype=None if codes else np.float64)
+    table = np.concatenate(blocks, dtype=np.float64)
     del blocks
     if resp_idx is None:
         return table, None, list(header)
@@ -572,15 +570,17 @@ def write_packed(matrix: GenotypeMatrix, stream) -> None:
 def convert_csv_to_packed(source, stream) -> None:
     """Write the packed file of a genotype CSV without holding its codes.
 
-    The bytes and errors are those of :func:`write_packed` on
-    :func:`genotype_from_floats` of ``parse_csv(source, None,
-    codes=True)``.  Each parsed block of rows is packed straight into one
+    The bytes are those of :func:`write_packed` on the codes the CSV
+    holds.  Each block of rows is parsed as :func:`parse_csv` parses it,
+    cast to uint8 codes (:func:`_table_rows`) and packed straight into one
     growing ceil(n/4) x p byte array, and the fewer than 4 rows past a
     block's last whole byte are carried to the next block.  Nothing is
     written unless every cell is a code and every label encodes.
 
     Raises:
-        FormatError, ParseError: as :func:`parse_csv` with ``codes``.
+        FormatError: as :func:`parse_csv`.
+        ParseError: as :func:`parse_csv`, then, once every cell has
+            parsed, the first number that is not a genotype code.
         InvalidValue: a label :func:`write_packed` cannot encode.
     """
     with _open(source, "r") as fh:
@@ -639,10 +639,7 @@ def _write_packed(stream, n: int, snp_ids, chromosomes, packed: np.ndarray) -> N
         for raw, chrom in zip(encoded, chromosomes):
             fh.write(_COLUMN_META.pack(chrom, len(raw)))
             fh.write(raw)
-        # The payload is column-major: the transpose, a few columns at a time.
-        step = _chunk_columns(n)
-        for j0 in range(0, packed.shape[1], step):
-            fh.write(packed[:, j0 : j0 + step].T.tobytes())
+        fh.write(packed.T.tobytes())  # the payload is column-major
 
 
 def _chunk_columns(n: int) -> int:
@@ -691,26 +688,21 @@ def _decode_columns(raw: np.ndarray, n: int, missing_policy: str, c0: int) -> np
     """The one payload decoder: payload columns ``raw`` (columns x
     ceil(n/4) bytes, the first is column ``c0``) as an n x columns uint8
     array of codes, each missing code rejected or imputed by
-    ``missing_policy`` (:func:`parse_packed`).  The bytes are transposed
-    first, so slot k of byte row b is row 4b + k of every column at once."""
-    groups = np.ascontiguousarray(raw.T)
-    bits = np.empty((len(groups), 4, len(raw)), dtype=np.uint8)
-    for k in range(4):
-        np.right_shift(groups, 2 * k, out=bits[:, k])
+    ``missing_policy`` (:func:`parse_packed`)."""
+    # (columns, col_bytes, 4) 2-bit groups, low bits first, flattened per column.
+    bits = raw[:, :, None] >> _SLOT_SHIFTS
     bits &= 0b11
-    bits = bits.reshape(-1, len(raw))[:n]
+    bits = bits.reshape(len(bits), -1)[:, :n]
     if bits.max() == MISSING_BITS:  # a reduction: most chunks need no mask
         missing = bits == MISSING_BITS
-        for j in np.flatnonzero(missing.any(axis=0)):
-            column, gaps = bits[:, j], missing[:, j]
+        for j in np.flatnonzero(missing.any(axis=1)):
             if missing_policy == "reject":
-                raise MissingGenotype(column=c0 + int(j), row=int(np.argmax(gaps)))
-            present = column[~gaps]
+                raise MissingGenotype(column=c0 + int(j), row=int(np.argmax(missing[j])))
+            present = bits[j][~missing[j]]
             if present.size == 0:
                 raise MissingGenotype(column=c0 + int(j), row=0)
-            column[gaps] = np.argmax(np.bincount(present, minlength=3))
-    bits += 1
-    return bits
+            bits[j][missing[j]] = np.argmax(np.bincount(present, minlength=3))
+    return bits.T + 1
 
 
 def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
@@ -722,7 +714,7 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
 
     After the header and column metadata, the payload is read in one call
     to the end of the stream and decoded a few columns at a time
-    (:func:`_decode_columns`) straight into the one n x p array.  Bytes
+    (:func:`_decode_columns`) into the one n x p array.  Bytes
     past the payload are read too, and ignored.
 
     Raises:

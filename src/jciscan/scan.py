@@ -179,11 +179,6 @@ DEFAULT_BLOCK_SIZE = 256
 _ANCHOR_BLOCK = 64
 _PARTNER_CHUNK = 2048
 
-#: :func:`precompute` walks its input in blocks of about this many cells,
-#: one screen tile's, and at least ``_ANCHOR_BLOCK`` columns
-#: (:func:`_walk_width`), so a small input is one block.
-_WALK_CELLS = _ANCHOR_BLOCK * _PARTNER_CHUNK
-
 #: The exact route's GEMM tile is this many anchors against at most this
 #: many partners, decoded from the code store into two float32 buffers
 #: reused for the whole :meth:`CodeWorkspace.rows` call, so its working set
@@ -714,11 +709,6 @@ def _columns(matrix):
     return matrix.shape, blocks
 
 
-def _walk_width(n: int) -> int:
-    """Columns of n rows per block of :func:`precompute`'s walk."""
-    return max(_ANCHOR_BLOCK, _WALK_CELLS // n)
-
-
 def precompute(matrix, response) -> Workspace | CodeWorkspace:
     """Center every column and the response exactly once.
 
@@ -782,7 +772,8 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     centered = np.empty((n, p))
     shift = np.empty(p, dtype=np.intc)
     css = np.empty(p)
-    width = _walk_width(n)
+    # One screen tile's cells per block, so a small input is one block.
+    width = max(_ANCHOR_BLOCK, _ANCHOR_BLOCK * _PARTNER_CHUNK // n)
     for j0, cols in blocks(width):
         block = slice(j0, j0 + width)
         # Row j of `cols` is column j0 + j: contiguous rows give the same
@@ -832,7 +823,7 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     (float32 GEMM tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).
     ``matrix`` is an array or a column source (:func:`_columns`).
 
-    One walk over blocks of :func:`_walk_width` columns checks and narrows
+    One walk over ``_ANCHOR_BLOCK`` columns at a time checks and narrows
     the entries to uint8 (up to the first block that fails), gathers the
     block's rows into level order, one ``take`` per level, takes the
     largest code, and packs the block into the store
@@ -863,9 +854,9 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     weights[:, 0] = 1
     for value, level in levels:
         weights[level, 1] = value
-    # Padding rows stay code 0; whole uint64 words of columns for _pack.
-    width = _walk_width(n)
-    ordered = np.zeros((rows, -(-width // 8) * 8), dtype=np.uint8)
+    # Padding rows stay code 0; 64 columns are whole uint64 words for _pack.
+    width = _ANCHOR_BLOCK
+    ordered = np.zeros((rows, width), dtype=np.uint8)
     wide = np.empty((rows, width), dtype=np.float32)
     store, bits = np.empty((rows // 4, p), dtype=np.uint8), 2
     sums = np.empty((p, 3), dtype=np.float32)

@@ -18,6 +18,7 @@ from jciscan.dataio import (
     FLAG_MISSING_ALLOWED,
     MAGIC,
     GenotypeMatrix,
+    convert_csv_to_packed,
     genotype_from_floats,
     is_packed,
     parse_column_label,
@@ -693,9 +694,16 @@ def codes_by_cells(text):
     return matrix.astype(np.uint8)
 
 
+def converted_codes(source):
+    """``convert``'s codes: the CSV ``source`` packed by
+    ``convert_csv_to_packed``, then decoded."""
+    packed = io.BytesIO()
+    convert_csv_to_packed(source, packed)
+    return parse_packed(io.BytesIO(packed.getvalue())).codes
+
+
 def codes_by_blocks(text):
-    codes, _, names = parse_csv(io.StringIO(text), None, codes=True)
-    return genotype_from_floats(codes, names).codes
+    return converted_codes(io.StringIO(text))
 
 
 @settings(max_examples=200, deadline=None)
@@ -734,7 +742,7 @@ def test_plain_csv_never_reaches_the_per_cell_walk(tmp_path, monkeypatch):
         for end in (b"\n", b"\r\n"):
             path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", end))
             assert np.array_equal(parse_csv(path, None)[0], matrix)
-    assert np.array_equal(parse_csv(path, None, codes=True)[0], codes)
+    assert np.array_equal(converted_codes(path), codes)
 
 
 GRID_BREAKS = ("two digits", "sign", "point", "space", "blank line", "lone CR",
@@ -824,8 +832,7 @@ def test_genotype_csv_is_decoded_from_its_bytes(tmp_path, monkeypatch, n, end):
     monkeypatch.setattr(np, "loadtxt", unused)
     monkeypatch.setattr(dataio, "_parse_cells", unused)
     monkeypatch.setattr(dataio, "_CSV_BLOCK_CHARS", 100)
-    got, _, _ = parse_csv(path, None, codes=True)
-    assert got.dtype == np.uint8 and np.array_equal(got, codes)
+    assert np.array_equal(converted_codes(path), codes)
     got, response, _ = parse_csv(path, "ch1:rs3")
     assert got.dtype == response.dtype == np.float64
     assert np.array_equal(got, np.delete(codes, 3, axis=1)) and np.array_equal(response, codes[:, 3])

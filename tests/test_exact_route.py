@@ -13,7 +13,6 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,14 +247,13 @@ def test_code_store_matches_the_integer_oracle_property(seed, sizes, gaps, top, 
     assume(n >= 3)
     codes = rng.integers(0, min(top, 3) + 1, size=(n, p)).astype(np.uint8)
     codes[:2] = [[0] * p, [1] * p]  # no constant column
-    codes[rng.integers(n), wide_at % p] = top
-    # 64-column walk blocks, so p = 60-70 crosses a block edge.
-    with mock.patch.object(scan_module, "_WALK_CELLS", 0):
-        if len(sizes) == 1:
-            with pytest.raises(ZeroVarianceColumn):
-                precompute(codes, y)
-            return
-        ws = precompute(codes, y)
+    codes[rng.integers(2, n), wide_at % p] = top  # below the two rows that keep columns apart
+    # The walk takes 64 columns at a time, so p = 60-70 crosses a block edge.
+    if len(sizes) == 1:
+        with pytest.raises(ZeroVarianceColumn):
+            precompute(codes, y)
+        return
+    ws = precompute(codes, y)
     assert isinstance(ws, CodeWorkspace) and ws.bits == (2 if top <= 3 else 8)
     assert [rows.stop - rows.start for _, rows in ws.levels] == [-(-k // 4) * 4 for k in sizes]
     r_hat, tau_hat = integer_scores(codes, y)
