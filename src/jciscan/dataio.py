@@ -45,6 +45,13 @@ deterministic; identical matrices produce byte-identical files.
 :func:`open_packed` opens one for a column walk that decodes a block of
 columns at a time (:class:`PackedGenotypes`), with the same decoder,
 errors and imputed values.
+
+This module owns the one 2-bit codec of this payload and of the exact
+route's code store (:class:`~jciscan.scan.CodeWorkspace`):
+:func:`_pack_codes` writes code - 1 in a file, the code itself in the
+store, and :func:`_unpack_codes` reads either.  The payload decoder
+unpacks a chunk's transposed bytes, drops the slots past row n whatever
+they hold, and adds 1.
 """
 
 from __future__ import annotations
@@ -82,9 +89,6 @@ _DECODE_CELLS = 2**18
 #: 2-bit encodings: code value -> bit pair (code - 1); 0b11 marks missing.
 MISSING_BITS = 0b11
 
-#: Bit offset of each of the four 2-bit slots in a payload byte, low bits first.
-_SLOT_SHIFTS = np.arange(4, dtype=np.uint8) * 2
-
 CSV_FLOAT_DIGITS = 17
 #: Characters of CSV data read per block: whole lines, at least this many
 #: unless the stream ends first.
@@ -111,8 +115,8 @@ _CHROM_LABEL = re.compile(r"ch([1-9][0-9]{0,2}):(.+)", re.DOTALL)
 class GenotypeMatrix:
     """n x p genotype codes plus per-column SNP id and chromosome label.
 
-    ``codes`` is uint8 with every entry in {1, 2, 3}; chromosome uses the
-    1-23 numbering (23 = X), 0 when unknown.
+    ``codes`` is uint8 (narrowed from any integer dtype) with every entry
+    in {1, 2, 3}; chromosome uses the 1-23 numbering (23 = X), 0 when unknown.
     """
 
     codes: np.ndarray
@@ -127,9 +131,12 @@ class GenotypeMatrix:
             raise InvalidValue(f"matrix must be non-empty, got {n} x {p}")
         if len(self.snp_ids) != p or len(self.chromosomes) != p:
             raise InvalidValue("metadata length must equal the column count")
+        if self.codes.dtype.kind not in "iu":
+            raise InvalidValue(f"codes must be integers, got {self.codes.dtype}; see genotype_from_floats")
         # Reductions, not an elementwise mask: no n x p temporaries.
         if not (self.codes.min() >= 1 and self.codes.max() <= 3):
             raise InvalidValue("genotype codes must lie in {1, 2, 3}")
+        object.__setattr__(self, "codes", self.codes.astype(np.uint8, copy=False))
 
     @property
     def n(self) -> int:
@@ -559,11 +566,36 @@ def read_score_dump(stream):
 # --------------------------------------------------------------------------
 
 
+def _pack_codes(codes: np.ndarray, base: int) -> np.ndarray:
+    """The rows of uint8 ``codes`` (``base`` to ``base + 3``) packed into
+    ceil(rows/4) byte rows, 2 bits per code less ``base``: byte row b holds
+    rows 4b..4b+3, row 4b + k in bits 2k and 2k + 1, so the rows k::4 fill
+    slot k of every byte at once.  Slots past the last row keep zero bits."""
+    packed = codes[::4] - np.uint8(base)
+    for k in (1, 2, 3):
+        slot = codes[k::4] - np.uint8(base)
+        slot *= np.uint8(4**k)  # a shift by 2k: numpy multiplies uint8 ~5x faster than it shifts
+        packed[: len(slot)] |= slot
+    return packed
+
+
+def _unpack_codes(packed: np.ndarray, out: np.ndarray, slot_buffer: np.ndarray) -> None:
+    """Unpack :func:`_pack_codes`' bytes ``packed`` (bytes x columns) into
+    ``out`` (rows x columns, any real dtype), row 4b + k from bits 2k and
+    2k + 1 of byte row b, by a shift, a mask and a cast per slot through
+    the uint8 ``slot_buffer`` (``packed``'s shape)."""
+    slots = out.reshape(len(packed), 4, packed.shape[1])
+    slots[:, 0] = np.bitwise_and(packed, 0b11, out=slot_buffer)
+    for k in (1, 2):
+        np.right_shift(packed, 2 * k, out=slot_buffer)
+        slots[:, k] = np.bitwise_and(slot_buffer, 0b11, out=slot_buffer)
+    slots[:, 3] = np.right_shift(packed, 6, out=slot_buffer)
+
+
 def write_packed(matrix: GenotypeMatrix, stream) -> None:
     """Serialize a genotype matrix to the packed layout (deterministic
     bytes); a matrix it cannot encode leaves ``stream`` untouched."""
-    packed = np.empty((payload_bytes(matrix.n, 1), matrix.p), dtype=np.uint8)
-    _pack_rows(matrix.codes, packed)
+    packed = _pack_codes(matrix.codes, 1)
     _write_packed(stream, matrix.n, matrix.snp_ids, matrix.chromosomes, packed)
 
 
@@ -598,29 +630,15 @@ def convert_csv_to_packed(source, stream) -> None:
     _write_packed(stream, n, ids, chroms, packed[:filled])
 
 
-def _pack_rows(codes: np.ndarray, out: np.ndarray) -> None:
-    """Pack the rows of uint8 ``codes`` (1-3) into the ceil(rows/4) byte
-    rows ``out``: byte row b holds rows 4b..4b+3, row 4b+k in slot k, so
-    the rows k::4 fill slot k of every byte at once.  Slots past the last
-    row keep zero bits."""
-    for k in range(4):
-        slot = codes[k::4] - np.uint8(1)
-        if k:
-            slot <<= 2 * k
-            out[: len(slot)] |= slot
-        else:
-            out[...] = slot
-
-
 def _append_packed(packed: np.ndarray, filled: int, codes: np.ndarray):
-    """Pack ``codes`` (:func:`_pack_rows`) after the first ``filled`` byte
+    """Pack ``codes`` (:func:`_pack_codes`) after the first ``filled`` byte
     rows of ``packed``, doubling it when full; return it and its filled rows."""
     end = filled + payload_bytes(len(codes), 1)
     if end > len(packed):
         grown = np.empty((max(end, 2 * len(packed)), packed.shape[1]), dtype=np.uint8)
         grown[:filled] = packed[:filled]
         packed = grown
-    _pack_rows(codes, packed[filled:end])
+    packed[filled:end] = _pack_codes(codes, 1)
     return packed, end
 
 
@@ -688,21 +706,23 @@ def _decode_columns(raw: np.ndarray, n: int, missing_policy: str, c0: int) -> np
     """The one payload decoder: payload columns ``raw`` (columns x
     ceil(n/4) bytes, the first is column ``c0``) as an n x columns uint8
     array of codes, each missing code rejected or imputed by
-    ``missing_policy`` (:func:`parse_packed`)."""
-    # (columns, col_bytes, 4) 2-bit groups, low bits first, flattened per column.
-    bits = raw[:, :, None] >> _SLOT_SHIFTS
-    bits &= 0b11
-    bits = bits.reshape(len(bits), -1)[:, :n]
+    ``missing_policy`` (:func:`parse_packed`).  The transposed bytes are
+    unpacked (:func:`_unpack_codes`) and the padding slots past row n
+    dropped, whatever bits they hold."""
+    bits = np.empty((4 * raw.shape[1], len(raw)), dtype=np.uint8)
+    _unpack_codes(raw.T, bits, np.empty(raw.T.shape, dtype=np.uint8))
+    bits = bits[:n]
     if bits.max() == MISSING_BITS:  # a reduction: most chunks need no mask
         missing = bits == MISSING_BITS
-        for j in np.flatnonzero(missing.any(axis=1)):
+        for j in np.flatnonzero(missing.any(axis=0)):
             if missing_policy == "reject":
-                raise MissingGenotype(column=c0 + int(j), row=int(np.argmax(missing[j])))
-            present = bits[j][~missing[j]]
+                raise MissingGenotype(column=c0 + int(j), row=int(np.argmax(missing[:, j])))
+            present = bits[~missing[:, j], j]
             if present.size == 0:
                 raise MissingGenotype(column=c0 + int(j), row=0)
-            bits[j][missing[j]] = np.argmax(np.bincount(present, minlength=3))
-    return bits.T + 1
+            bits[missing[:, j], j] = np.argmax(np.bincount(present, minlength=3))
+    bits += 1
+    return bits
 
 
 def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:

@@ -54,13 +54,15 @@ The exact route holds its codes once, in the level-ordered store that
 :func:`precompute` builds in one walk over blocks of columns
 (:class:`CodeWorkspace`): each column's rows grouped by level of y, each
 level padded with code 0 to whole bytes, 2 bits per code (8 when a code
-exceeds 3), a quarter of the uint8 codes.  An array is walked in place and
+exceeds 3), a quarter of the uint8 codes.  The 2-bit layout is the packed
+file's, and :mod:`jciscan.dataio` owns its one pack and one unpack
+(``_pack_codes``, ``_unpack_codes``).  An array is walked in place and
 a packed file (:class:`~jciscan.dataio.PackedGenotypes`) a decoded block
 at a time, so no n x p uint8 array is built for the scan.  Each ``rows``
 call then works in a fixed working set, allocated once and sized by the
 GEMM tile and n, never by p: it decodes a tile's 256 anchor columns and up
 to 512 partner columns (fewer past 1536 samples, ``_CODE_CELLS``) from the
-store, by shifts and a cast, into two reused float32 buffers of padded
+store, by that unpack, into two reused float32 buffers of padded
 rows x columns, runs one GEMM per level on that level's contiguous rows
 into 256 x 512 float32 sums, and combines them in float64 64 anchors at a
 time, each slice one yielded tile.  No row index and no per-tile gather
@@ -159,6 +161,7 @@ from .cumulants import (
     near_constant,
     validate_c1,
 )
+from .dataio import _pack_codes, _unpack_codes
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -527,8 +530,8 @@ class CodeWorkspace:
             rows in input order and padded with code 0 to a multiple of 4
             rows, so every level starts on a byte row.  At 2 bits, byte row
             b of column j holds rows 4b..4b+3, row 4b + k in bits 2k and
-            2k + 1; at 8 bits, row b.  Padding adds nothing to any sum or
-            product.
+            2k + 1 (:mod:`jciscan.dataio`'s one codec, the packed file's
+            layout); at 8 bits, row b.  Padding adds nothing to any sum or product.
         bits: 2 when every code is at most 3, else 8.
         n: the samples, padding not counted.
         levels: ``(l, rows)`` per distinct value l of y', ascending from
@@ -636,13 +639,13 @@ class CodeWorkspace:
     def _decode(self, j0: int, j1: int, buffer: np.ndarray, slot_buffer) -> np.ndarray:
         """Columns ``[j0, j1)`` of the store as float32 codes, padded rows x
         columns, at the head of ``buffer``: 8-bit codes by one cast, 2-bit
-        codes by :func:`_unpack` through ``slot_buffer``."""
+        codes by :func:`~jciscan.dataio._unpack_codes` through ``slot_buffer``."""
         out = buffer[: self.stored_rows * (j1 - j0)].reshape(self.stored_rows, j1 - j0)
         codes = self.store[:, j0:j1]
         if self.bits == 8:
             out[...] = codes
         else:
-            _unpack(codes, out, slot_buffer[: codes.size].reshape(codes.shape))
+            _unpack_codes(codes, out, slot_buffer[: codes.size].reshape(codes.shape))
         return out
 
     def _level_sums(self, x, mates, s12, s12y, product) -> None:
@@ -661,35 +664,6 @@ class CodeWorkspace:
                 np.multiply(s12, gap, out=s12y)
             elif gap:
                 s12y += s12 if gap == 1 else np.multiply(s12, gap, out=product)
-
-
-def _unpack(packed: np.ndarray, out: np.ndarray, slot_buffer: np.ndarray) -> None:
-    """Unpack 2-bit codes: byte row b of ``packed`` (bytes x columns) into
-    rows 4b..4b+3 of ``out`` (rows x columns, any real dtype), row 4b + k
-    from bits 2k and 2k + 1, by a shift, a mask and a cast per slot through
-    ``slot_buffer`` (``packed``'s shape)."""
-    slots = out.reshape(len(packed), 4, packed.shape[1])
-    slots[:, 0] = np.bitwise_and(packed, 0b11, out=slot_buffer)
-    for k in (1, 2):
-        np.right_shift(packed, 2 * k, out=slot_buffer)
-        slots[:, k] = np.bitwise_and(slot_buffer, 0b11, out=slot_buffer)
-    slots[:, 3] = np.right_shift(packed, 6, out=slot_buffer)
-
-
-def _pack(codes: np.ndarray, bits: int, out: np.ndarray) -> None:
-    """Store the first ``out.shape[1]`` columns of the uint8 ``codes``
-    (padded rows x a multiple of 8 columns, C-contiguous) in ``out`` at
-    ``bits`` per code, the layout of ``CodeWorkspace.store``.  The 2-bit
-    slots are shifted and merged 8 columns per uint64 word: no code above
-    3 reaches past its own byte."""
-    if bits == 8:
-        out[...] = codes[:, : out.shape[1]]
-        return
-    groups = codes.reshape(-1, 4, codes.shape[1]).view(np.uint64)
-    packed = groups[:, 0].copy()
-    for k in range(1, 4):
-        packed |= groups[:, k] << np.uint64(2 * k)
-    out[...] = packed.view(np.uint8)[:, : out.shape[1]]
 
 
 def _columns(matrix):
@@ -854,7 +828,7 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     weights[:, 0] = 1
     for value, level in levels:
         weights[level, 1] = value
-    # Padding rows stay code 0; 64 columns are whole uint64 words for _pack.
+    # Padding rows stay code 0.
     width = _ANCHOR_BLOCK
     ordered = np.zeros((rows, width), dtype=np.uint8)
     wide = np.empty((rows, width), dtype=np.float32)
@@ -877,9 +851,9 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
         c = max(c, int(block.max()))
         if c > 3 and bits == 2:
             widened = np.empty((rows, p), dtype=np.uint8)
-            _unpack(store[:, :j0], widened[:, :j0], np.empty((rows // 4, j0), dtype=np.uint8))
+            _unpack_codes(store[:, :j0], widened[:, :j0], np.empty((rows // 4, j0), dtype=np.uint8))
             store, bits = widened, 8
-        _pack(ordered, bits, store[:, j0:j1])
+        store[:, j0:j1] = block if bits == 8 else _pack_codes(block, 0)
         f = wide[:, : j1 - j0]
         f[...] = block
         sums[j0:j1, :2] = (weights.T @ f).T

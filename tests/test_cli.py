@@ -496,6 +496,51 @@ def test_packed_scan_matches_parse_packed_then_scan(tmp_path, capsys, monkeypatc
     assert (outcomes[0][0] == 2) == expect_error
     if damage == "missing" and policy == "reject":
         assert outcomes[0][1] == "jciscan: missing genotype at column 5, row 7\n"
+    if not expect_error:
+        # Both sources build the same code store, byte for byte.
+        y = read_phenotype(pheno)
+        walked, decoded = (precompute(source(packed, policy), y) for source in (open_packed, dataio.parse_packed))
+        assert isinstance(walked, CodeWorkspace) and isinstance(decoded, CodeWorkspace)
+        assert walked.store.tobytes() == decoded.store.tobytes()
+        assert (walked.bits, walked.levels) == (decoded.bits, decoded.levels)
+        for name in ("sums", "cross", "spread"):
+            assert getattr(walked, name).tobytes() == getattr(decoded, name).tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 49])
+def test_set_padding_bits_decode_and_scan_as_zero_padding(tmp_path, n):
+    # The slots past row n of each column's last byte are padding: whatever
+    # bits they hold, 0b11 included, every decoder and scan of the file
+    # reads the codes of the same file with zero padding, under either
+    # missing-code policy.
+    rng = np.random.default_rng(n)
+    p = 9
+    codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
+    codes[:2] = [[1] * p, [3] * p]
+    gm = GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=(1,) * p)
+    clean = io.BytesIO()
+    write_packed(gm, clean)
+    col_bytes = (n + 3) // 4
+    data = bytearray(clean.getvalue())
+    start = len(data) - p * col_bytes
+    pad = range(n % 4, 4)
+    for j in range(p):
+        fill = [0b11] * len(pad) if j % 3 == 0 else rng.integers(0, 4, size=len(pad)).tolist()
+        for k, bits in zip(pad, fill):
+            data[start + (j + 1) * col_bytes - 1] |= bits << 2 * k
+    assert bytes(data) != clean.getvalue()
+    path = tmp_path / "padded.jcg"
+    path.write_bytes(bytes(data))
+    y = (rng.random(n) < 0.5).astype(np.float64)
+    y[:2] = [0, 1]
+    expected = all_scores(precompute(codes, y)).tobytes()
+    for policy in ("reject", "impute"):
+        assert np.array_equal(dataio.parse_packed(path, policy).codes, codes)
+        walk = open_packed(path, policy)
+        for width in (1, 4, p):
+            assert np.array_equal(np.concatenate([block for _, block in walk.column_blocks(width)], axis=1), codes)
+        assert all_scores(precompute(walk, y)).tobytes() == expected
+        assert all_scores(precompute(dataio.parse_packed(path, policy), y)).tobytes() == expected
 
 
 def test_scan_dosage_csv_matches_the_uint8_code_route(tmp_path):

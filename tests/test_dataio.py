@@ -235,6 +235,21 @@ def test_genotype_matrix_invariants():
         GenotypeMatrix(codes=np.zeros((0, 2), dtype=np.uint8), snp_ids=("a", "b"), chromosomes=(1, 1))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64, bool])
+def test_genotype_matrix_narrows_integer_codes_and_refuses_other_dtypes(dtype):
+    # Integer codes are narrowed to uint8 and write the uint8 codes' bytes;
+    # float and bool codes are refused with a pointer to genotype_from_floats.
+    values = np.array([[1, 2], [3, 1], [2, 2]])
+    meta = {"snp_ids": ("a", "b"), "chromosomes": (1, 1)}
+    if np.dtype(dtype).kind in "iu":
+        gm = GenotypeMatrix(codes=values.astype(dtype), **meta)
+        assert gm.codes.dtype == np.uint8 and np.array_equal(gm.codes, values)
+        assert packed_bytes(gm) == packed_bytes(GenotypeMatrix(codes=values.astype(np.uint8), **meta))
+    else:
+        with pytest.raises(InvalidValue, match="genotype_from_floats"):
+            GenotypeMatrix(codes=(values if dtype is np.float64 else values == 1).astype(dtype), **meta)
+
+
 def test_packed_parser_never_escapes_the_error_family():
     from jciscan.errors import JciscanError
 
