@@ -243,10 +243,12 @@ def cmd_report(args) -> int:
         groups[chrom1, chrom2].append(value)
 
     if args.out_histogram is not None:
-        arr = np.concatenate([np.frombuffer(vals) for vals in groups.values()])
-        top = float(arr.max())
-        counts, edges = np.histogram(arr, bins=args.bins, range=(0.0, top if top > 0 else 1.0))
-        edges = edges.tolist()
+        # Each group binned over one range: no joined copy of every score.
+        columns = [np.frombuffer(vals) for vals in groups.values()]
+        top = max(float(col.max()) for col in columns)
+        span = (0.0, top if top > 0 else 1.0)
+        counts = sum(np.histogram(col, bins=args.bins, range=span)[0] for col in columns)
+        edges = np.histogram_bin_edges(columns[0], bins=args.bins, range=span).tolist()
         rows = zip(edges, edges[1:], counts.tolist())
         dataio.write_table(args.out_histogram, ["bin_lo", "bin_hi", "count"], rows)
 

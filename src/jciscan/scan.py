@@ -52,17 +52,17 @@ stays 64 x (p - 1) scores.
 
 The exact route holds its codes once, in the level-ordered store that
 :func:`precompute` builds in one walk over blocks of columns
-(:class:`CodeWorkspace`): each column's rows grouped by level of y, each
-level padded with code 0 to whole bytes, 2 bits per code (8 when a code
-exceeds 3), a quarter of the uint8 codes.  The 2-bit layout is the packed
-file's, and :mod:`jciscan.dataio` owns its one pack and one unpack
-(``_pack_codes``, ``_unpack_codes``).  An array is walked in place and
+(:class:`CodeWorkspace`): each column's rows in y's stable sort order, so
+each level of y is one row range, then code 0 to whole bytes, 2 bits per
+code (8 when a code exceeds 3), a quarter of the uint8 codes.  The 2-bit
+layout is the packed file's, and :mod:`jciscan.dataio` owns its one pack
+and one unpack (``_pack_codes``, ``_unpack_codes``).  An array is walked in place and
 a packed file (:class:`~jciscan.dataio.PackedGenotypes`) a decoded block
 at a time, so no n x p uint8 array is built for the scan.  Each ``rows``
 call then works in a fixed working set, allocated once and sized by the
 GEMM tile and n, never by p: it decodes a tile's 256 anchor columns and up
 to 512 partner columns (fewer past 1536 samples, ``_CODE_CELLS``) from the
-store, by that unpack, into two reused float32 buffers of padded
+store, by that unpack, into two reused float32 buffers of stored
 rows x columns, runs one GEMM per level on that level's contiguous rows
 into 256 x 512 float32 sums, and combines them in float64 64 anchors at a
 time, each slice one yielded tile.  No row index and no per-tile gather
@@ -71,9 +71,9 @@ summed 64 anchors at a time from each slice's first partner, so the
 diagonal block costs what it did with 64-anchor tiles.  Cache-sized
 operand panels keep GEMM at full speed (Goto and van de Geijn, ACM TOMS
 2008).  The buffers take ``4 n' (256 + w)`` bytes for the decoded codes
-(n' the padded rows, w the partners: ``4 n' w`` is at most 3 MiB past
-1536 samples), ``n' w / 4`` for the 2-bit unpacking and at most 2 MiB for
-the sums and the combine, whatever p is.
+(n' = 4 ceil(n/4) the stored rows, w the partners: ``4 n' w`` is at most
+3 MiB past 1536 samples), ``n' w / 4`` for the 2-bit unpacking and at
+most 2 MiB for the sums and the combine, whatever p is.
 
 One top-k floor per scan
 ------------------------
@@ -526,16 +526,16 @@ class CodeWorkspace:
 
     Attributes:
         store: the codes, bytes x p uint8, at ``bits`` bits per code.
-            Its rows run over the levels of y', ascending, each level's
-            rows in input order and padded with code 0 to a multiple of 4
-            rows, so every level starts on a byte row.  At 2 bits, byte row
-            b of column j holds rows 4b..4b+3, row 4b + k in bits 2k and
-            2k + 1 (:mod:`jciscan.dataio`'s one codec, the packed file's
-            layout); at 8 bits, row b.  Padding adds nothing to any sum or product.
+            Its rows are y' in stable sort order: the levels ascending,
+            each level's rows in input order, then code 0 up to
+            :attr:`stored_rows`.  At 2 bits, byte row b of column j holds
+            rows 4b..4b+3, row 4b + k in bits 2k and 2k + 1
+            (:mod:`jciscan.dataio`'s one codec, the packed file's layout);
+            at 8 bits, row b.  Padding adds nothing to any sum or product.
         bits: 2 when every code is at most 3, else 8.
         n: the samples, padding not counted.
         levels: ``(l, rows)`` per distinct value l of y', ascending from
-            0: ``rows`` is the level's padded row range of the store.
+            0: ``rows`` is the level's row range of the store.
         sums: ``S_j = sum_i x_ij``.
         cross: ``n S_jy - S_j S_y``, with ``S_jy = sum_i x_ij y'_i``.
         spread: ``D_j = n S_jj - S_j^2``, n^2 times the 1/n variance.
@@ -559,8 +559,8 @@ class CodeWorkspace:
 
     @property
     def stored_rows(self) -> int:
-        """The store's rows, padding included."""
-        return self.levels[-1][1].stop
+        """The store's rows, ``4 ceil(n / 4)``: tail padding included."""
+        return -(-self.n // 4) * 4
 
     @property
     def tile(self) -> int:
@@ -582,7 +582,7 @@ class CodeWorkspace:
         ``anchors`` is always a range: the exact route reads every row, and
         each run's anchors are contiguous store columns.
         A tile's anchor and partner columns are decoded from the store
-        (:meth:`_decode`) into two float32 buffers of padded rows x
+        (:meth:`_decode`) into two float32 buffers of stored rows x
         ``_CODE_ANCHORS`` and x :attr:`partners`, allocated once per call;
         the anchors are decoded once per run of tiles that share them.
         A partner chunk that reaches into the tile's own anchors is summed
@@ -637,7 +637,7 @@ class CodeWorkspace:
                     yield np.arange(mine.start, mine.stop), c0, r_hat, num
 
     def _decode(self, j0: int, j1: int, buffer: np.ndarray, slot_buffer) -> np.ndarray:
-        """Columns ``[j0, j1)`` of the store as float32 codes, padded rows x
+        """Columns ``[j0, j1)`` of the store as float32 codes, stored rows x
         columns, at the head of ``buffer``: 8-bit codes by one cast, 2-bit
         codes by :func:`~jciscan.dataio._unpack_codes` through ``slot_buffer``."""
         out = buffer[: self.stored_rows * (j1 - j0)].reshape(self.stored_rows, j1 - j0)
@@ -650,7 +650,7 @@ class CodeWorkspace:
 
     def _level_sums(self, x, mates, s12, s12y, product) -> None:
         """``S_12`` and ``S_12y`` of anchors ``x`` against partners ``mates``
-        (padded rows x columns, :meth:`_decode`), one GEMM per level on its
+        (stored rows x columns, :meth:`_decode`), one GEMM per level on its
         contiguous rows: from the top level down, S_12 gathers each A_l and
         S_12y gains S_12 times the gap to the next level, l A_l in all."""
         top = len(self.levels) - 1
@@ -799,15 +799,15 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
 
     One walk over ``_ANCHOR_BLOCK`` columns at a time checks and narrows
     the entries to uint8 (up to the first block that fails), gathers the
-    block's rows into level order, one ``take`` per level, takes the
-    largest code, and packs the block into the store
-    (:class:`CodeWorkspace`): 2 bits per code until a code above 3 widens
-    the store to 8.  The same level-ordered block, in float32, gives
-    ``S_j`` and ``S_jy`` by one product with ``[1, y']`` and ``S_jj`` by
-    one sum of squares.  Every partial sum is an integer of at most
-    ``c^2 n m``, so once that bound is checked the sums are exact in any
-    order.  No n x p copy of the input is made.  ``y' = y - min(y)`` is
-    exact for an integer-valued y within bounds."""
+    block's rows into y's stable sort order by one ``take`` (each level one
+    row range, rows past n code 0), takes the largest code, and packs the
+    block into the store (:class:`CodeWorkspace`): 2 bits per code until a
+    code above 3 widens the store to 8.  The same level-ordered block, in
+    float32, gives ``S_j`` and ``S_jy`` by one product with ``[1, y']``
+    and ``S_jj`` by one sum of squares.  Every partial sum is an integer of
+    at most ``c^2 n m``, so once that bound is checked the sums are exact
+    in any order.  No n x p copy of the input is made.  ``y' = y - min(y)``
+    is exact for an integer-valued y within bounds."""
     (n, p), blocks = _columns(matrix)
     m = float(y.max()) - float(y.min())  # Python floats: inf past the float range, no warning
     # n m < 2^24 is the float32 bound at c = 1; at c = 0 every column is constant.
@@ -816,19 +816,13 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     shifted = (y - y.min()).astype(np.int64)
     counts = np.bincount(shifted)
     values = np.flatnonzero(counts)
-    sizes = counts[values]
-    padded = -(-sizes // 4) * 4
-    starts = np.cumsum(padded) - padded
-    levels = tuple((int(v), slice(int(a), int(a + b))) for v, a, b in zip(values, starts, padded))
-    rows = int(padded.sum())
-    # Per level: its input rows in input order, and the store rows they fill.
-    order, ends = np.argsort(shifted, kind="stable"), np.cumsum(sizes)
-    picks = [(order[e - k : e], slice(a, a + k)) for e, k, a in zip(ends.tolist(), sizes.tolist(), starts.tolist())]
+    ends = np.cumsum(counts[values]).tolist()
+    levels = tuple((v, slice(a, e)) for v, a, e in zip(values.tolist(), [0, *ends], ends))
+    # Store rows are y' in stable sort order; the tail past n stays code 0.
+    order, rows = np.argsort(shifted, kind="stable"), -(-n // 4) * 4
     weights = np.zeros((rows, 2), dtype=np.float32)
     weights[:, 0] = 1
-    for value, level in levels:
-        weights[level, 1] = value
-    # Padding rows stay code 0.
+    weights[:n, 1] = shifted[order]
     width = _ANCHOR_BLOCK
     ordered = np.zeros((rows, width), dtype=np.uint8)
     wide = np.empty((rows, width), dtype=np.float32)
@@ -845,9 +839,8 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
             cols = narrow
         j1 = j0 + cols.shape[1]
         block = ordered[:, : j1 - j0]
-        for taken, into in picks:
-            # "clip" (every index is valid) keeps np.take from buffering its output.
-            np.take(cols, taken, axis=0, out=block[into], mode="clip")
+        # "clip" (every index is valid) keeps np.take from buffering its output.
+        np.take(cols, order, axis=0, out=block[:n], mode="clip")
         c = max(c, int(block.max()))
         if c > 3 and bits == 2:
             widened = np.empty((rows, p), dtype=np.uint8)

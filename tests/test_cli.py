@@ -831,9 +831,10 @@ def test_report_uniform_scores_fill_bins_evenly(tmp_path):
 
 
 def test_report_holds_each_score_once(tmp_path):
-    # One float64 array per chromosome pair and their concatenation for the
-    # histogram: about 17 bytes per row beside np.histogram's fixed blocks,
-    # where a list of Python floats beside the groups' lists takes over 60.
+    # One float64 array per chromosome pair (about 8.5 bytes per row), each
+    # binned in place by np.histogram's small blocks: no joined copy of
+    # every score (8 more bytes per row), nor a list of Python floats
+    # beside the groups' lists (over 60).
     rng = np.random.default_rng(22)
     n = 150_000
     dump = tmp_path / "dump.csv"
@@ -846,9 +847,33 @@ def test_report_holds_each_score_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * n + 3 * 2**20, peak / n
+    assert peak < 12 * n + 2**20, peak / n
     assert sum(int(r[2]) for r in read_rows(tmp_path / "h.csv")[1:]) == n
     assert sum(int(r[2]) for r in read_rows(tmp_path / "g.csv")[1:]) == n
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    groups=st.lists(
+        st.lists(st.sampled_from([0.0, 0.1, 0.3, 1 / 3, 0.5, 0.7, 0.9, 1.0]) | st.floats(0, 1), min_size=1, max_size=40),
+        min_size=1,
+        max_size=6,
+    ),
+    bins=st.integers(1, 17),
+)
+def test_report_histogram_is_the_histogram_of_all_scores(groups, bins):
+    # Summed per-group counts and the edges equal np.histogram of every
+    # score at once, bit for bit, bin edges and top values included.
+    with tempfile.TemporaryDirectory() as tmp:
+        dump, hist = os.path.join(tmp, "dump.csv"), os.path.join(tmp, "h.csv")
+        write_dump(dump, [["a", "b", 1, g, repr(v)] for g, values in enumerate(groups) for v in values])
+        assert run(["report", "--scores", dump, "--bins", str(bins), "--out-histogram", hist]) == 0
+        rows = read_rows(hist)[1:]
+    scores = np.concatenate([np.array(values, dtype=np.float64) for values in groups])
+    top = float(scores.max())
+    counts, edges = np.histogram(scores, bins=bins, range=(0.0, top if top > 0 else 1.0))
+    assert [int(r[2]) for r in rows] == counts.tolist()
+    assert [float(r[0]) for r in rows] + [float(rows[-1][1])] == edges.tolist()
 
 
 def test_report_chromosome_groups(tmp_path):

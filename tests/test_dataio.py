@@ -21,6 +21,7 @@ from jciscan.dataio import (
     convert_csv_to_packed,
     genotype_from_floats,
     is_packed,
+    open_packed,
     parse_column_label,
     parse_csv,
     parse_packed,
@@ -181,6 +182,34 @@ def test_packed_truncation_reports_expected_and_got():
         parse_packed(io.BytesIO(data[:26]))
 
 
+def test_packed_file_cut_after_open_fails_the_column_walk(tmp_path):
+    # open_packed checks the payload length once; a file cut afterwards is
+    # found by column_blocks at the first block that reads short.
+    gm = random_matrix(np.random.default_rng(5), n=9, p=7)
+    path = tmp_path / "g.jcg"
+    write_packed(gm, path)
+    data = path.read_bytes()
+    source = open_packed(path)
+    path.write_bytes(data[: -payload_bytes(9, 1)])  # the last column's bytes
+    blocks = source.column_blocks(3)
+    for start in (0, 3):
+        j0, cols = next(blocks)
+        assert j0 == start and np.array_equal(cols, gm.codes[:, start : start + 3])
+    with pytest.raises(TruncatedFile) as exc:
+        next(blocks)
+    assert (exc.value.expected, exc.value.got) == (payload_bytes(9, 1), 0)
+
+
+@pytest.mark.parametrize("chrom", [256, -1])
+def test_write_packed_refuses_a_chromosome_code_before_writing(tmp_path, chrom):
+    gm = make_matrix(np.array([[1, 2], [3, 1], [2, 2]]), chroms=[1, chrom])
+    path, buf = tmp_path / "g.jcg", io.BytesIO()
+    for stream in (path, buf):
+        with pytest.raises(InvalidValue, match=f"chromosome code {chrom}"):
+            write_packed(gm, stream)
+    assert not path.exists() and buf.getvalue() == b""
+
+
 def _with_missing_entry(gm, row, col):
     """Serialized bytes of gm with (row, col) patched to the missing code."""
     buf = io.BytesIO()
@@ -233,6 +262,8 @@ def test_genotype_matrix_invariants():
         GenotypeMatrix(codes=np.array([[1, 2]], dtype=np.uint8), snp_ids=("a",), chromosomes=(1, 1))
     with pytest.raises(InvalidValue):
         GenotypeMatrix(codes=np.zeros((0, 2), dtype=np.uint8), snp_ids=("a", "b"), chromosomes=(1, 1))
+    with pytest.raises(InvalidValue, match="2-D"):
+        GenotypeMatrix(codes=np.array([1, 2], dtype=np.uint8), snp_ids=("a", "b"), chromosomes=(1, 1))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64, bool])

@@ -225,6 +225,7 @@ def test_per_level_gemms_equal_the_integer_numerator_bytewise(design, monkeypatc
 @settings(max_examples=40, deadline=None)
 @example(seed=0, sizes=[1, 6], gaps=[3], top=3, wide_at=0, p=65, cuts=[0.5])
 @example(seed=1, sizes=[5, 1, 9, 2, 7], gaps=[1, 2, 1, 3], top=40, wide_at=66, p=70, cuts=[])
+@example(seed=2, sizes=[1, 2, 3, 5, 6, 7, 9, 10, 11, 13], gaps=[1] * 9, top=3, wide_at=5, p=66, cuts=[0.3])
 @given(
     seed=st.integers(0, 2**32 - 1),
     sizes=st.lists(st.integers(1, 13), min_size=1, max_size=5),
@@ -235,10 +236,11 @@ def test_per_level_gemms_equal_the_integer_numerator_bytewise(design, monkeypatc
     cuts=st.lists(st.floats(0, 1), max_size=3),
 )
 def test_code_store_matches_the_integer_oracle_property(seed, sizes, gaps, top, wide_at, p, cuts):
-    # Levels of any size (one row too, rarely a multiple of 4) with gaps in
-    # y', codes at 2 bits (every code <= 3) or 8 (one code above 3, which
-    # widens the store in whichever 64-column block it lands), p across a
-    # block edge and shards of the pair range: every value, top-k,
+    # Levels of any size (one row too, rarely a multiple of 4), each the
+    # plain row range of its size, with gaps in y' (or ten consecutive
+    # count levels), codes at 2 bits (every code <= 3) or 8 (one code above
+    # 3, which widens the store in whichever 64-column block it lands), p
+    # across a block edge and shards of the pair range: every value, top-k,
     # threshold cut, rank and score row is the oracle's, bit for bit.
     rng = np.random.default_rng(seed)
     values = np.cumsum([0] + gaps[: len(sizes) - 1]) - 2
@@ -255,7 +257,8 @@ def test_code_store_matches_the_integer_oracle_property(seed, sizes, gaps, top, 
         return
     ws = precompute(codes, y)
     assert isinstance(ws, CodeWorkspace) and ws.bits == (2 if top <= 3 else 8)
-    assert [rows.stop - rows.start for _, rows in ws.levels] == [-(-k // 4) * 4 for k in sizes]
+    assert [rows.stop - rows.start for _, rows in ws.levels] == sizes
+    assert ws.stored_rows == -(-n // 4) * 4 and len(ws.store) == ws.stored_rows * ws.bits // 8
     r_hat, tau_hat = integer_scores(codes, y)
     assert all_scores(ws).tobytes() == r_hat.tobytes()
     assert np.concatenate([row for _, row in iter_score_rows(ws)]).tobytes() == r_hat.tobytes()
