@@ -82,21 +82,26 @@ def _load_scan_input(args):
     """Returns (matrix-like, response, labels, chroms)."""
     from . import dataio
 
-    if dataio.is_packed(args.input):
-        if args.phenotype is None:
-            raise InvalidValue("packed input needs --phenotype")
-        if args.response_column is not None:
-            raise InvalidValue("--response-column does not apply to packed input")
-        # A column source, not a decoded matrix: precompute walks it.
-        source = dataio.open_packed(args.input, missing_policy=args.missing or "reject")
-        y = dataio.read_phenotype(args.phenotype)
-        labels = [source.column_label(j) for j in range(source.p)]
-        return source, y, labels, source.chromosomes
-    if args.missing is not None:
-        raise InvalidValue("--missing applies to packed input only")
-    if (args.phenotype is None) == (args.response_column is None):
-        raise InvalidValue("CSV input needs exactly one of --response-column / --phenotype")
-    matrix, y, names = dataio.parse_csv(args.input, args.response_column)
+    # The format is peeked at on the opened input.  A file that can seek is
+    # then read from its path, which a column walk reopens after this handle
+    # closes; a pipe only from this handle, which holds what the peek read.
+    with dataio._open(args.input, "rb") as fh:
+        stream = args.input if fh.seekable() else fh
+        if dataio.is_packed(fh):
+            if args.phenotype is None:
+                raise InvalidValue("packed input needs --phenotype")
+            if args.response_column is not None:
+                raise InvalidValue("--response-column does not apply to packed input")
+            # A column source, not a decoded matrix: precompute walks it.
+            source = dataio.open_packed(stream, missing_policy=args.missing or "reject")
+            y = dataio.read_phenotype(args.phenotype)
+            labels = [source.column_label(j) for j in range(source.p)]
+            return source, y, labels, source.chromosomes
+        if args.missing is not None:
+            raise InvalidValue("--missing applies to packed input only")
+        if (args.phenotype is None) == (args.response_column is None):
+            raise InvalidValue("CSV input needs exactly one of --response-column / --phenotype")
+        matrix, y, names = dataio.parse_csv(stream, args.response_column)
     if args.phenotype is not None:
         y = dataio.read_phenotype(args.phenotype)
     chroms = [dataio.parse_column_label(name)[0] for name in names]

@@ -41,10 +41,16 @@ matrices (codes 1=AA, 2=AB/BA, 3=BB):
 Missing codes are never stored in a decoded matrix: the parser either
 rejects them (default) or imputes the column's modal code.  Writing is
 deterministic; identical matrices produce byte-identical files.
-:func:`parse_packed` decodes a whole file into a :class:`GenotypeMatrix`;
-:func:`open_packed` opens one for a column walk that decodes a block of
-columns at a time (:class:`PackedGenotypes`), with the same decoder,
-errors and imputed values.
+Reading has two steps.  :func:`_open_payload` reads the header and
+metadata and checks once that the payload is all there, measuring a
+seekable source by seeking to its end; a source that cannot seek (a
+pipe) is read to its end once and its payload held in memory.  The
+source's length, never the declared shape, sizes what is read.
+:meth:`PackedGenotypes._payload_blocks` is then the one reader of payload
+bytes, a run of columns at a time.  :func:`open_packed` opens a file for a
+column walk (:class:`PackedGenotypes`) after a missing-code check over
+those blocks; :func:`parse_packed` fills one n x p array from the same
+walk, so ``convert --from packed --to csv`` still decodes the whole matrix.
 
 This module owns the one 2-bit codec of this payload and of the exact
 route's code store (:class:`~jciscan.scan.CodeWorkspace`):
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
 import math
 import os
@@ -175,18 +182,26 @@ def _open(stream, mode: str):
     A path is opened in ``mode`` (text modes as UTF-8 with ``newline=""``;
     a read drops a leading byte-order mark, a write never adds one) and
     closed on exit; an already open file object (``sys.stdout`` too) is
-    passed through and left open.  Text that fails to decode as UTF-8, or
-    that the ``csv`` module cannot split (a cell over its field size
-    limit), raises :class:`FormatError` from inside the block.
+    passed through and left open, a binary one read in a text mode
+    through a text wrapper with the path's rules.  Text that fails to
+    decode as UTF-8, or that the ``csv`` module cannot split (a cell over
+    its field size limit), raises :class:`FormatError` from inside the
+    block.
     """
     is_path = isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__")
     name = repr(os.fspath(stream) if is_path else getattr(stream, "name", "input"))
+    encoding = "utf-8-sig" if "r" in mode else "utf-8"
+    text = {} if "b" in mode else {"encoding": encoding, "newline": ""}
     try:
         if is_path:
-            encoding = "utf-8-sig" if "r" in mode else "utf-8"
-            text = {} if "b" in mode else {"encoding": encoding, "newline": ""}
             with open(stream, mode, **text) as fh:
                 yield fh
+        elif text and isinstance(stream, io.BufferedIOBase):
+            wrapper = io.TextIOWrapper(stream, **text)
+            try:
+                yield wrapper
+            finally:
+                wrapper.detach()  # the caller's stream stays open
         else:
             yield stream
     except UnicodeDecodeError as exc:
@@ -527,16 +542,28 @@ def write_score_dump(stream, rows, labels, chroms) -> None:
     """Write a score dump (the :data:`DUMP_HEADER` table) from ``rows``,
     an iterable of ``(j1, r_hat)`` with ``r_hat`` the scores of j1 against
     partners ``j1 + 1, j1 + 2, ...``, drawn one item at a time.  Columns
-    are named by ``labels`` and ``chroms``."""
-    write_table(
-        stream,
-        DUMP_HEADER,
-        (
-            [labels[j1], labels[j2], chroms[j1], chroms[j2], score]
-            for j1, row in rows
-            for j2, score in enumerate(row.tolist(), j1 + 1)
-        ),
-    )
+    are named by ``labels`` and ``chroms``.
+
+    The bytes are :func:`write_table`'s.  ``csv.writer`` itself quotes
+    each label once, as a cell of a row of two (a lone empty cell would be
+    quoted), and each anchor's rows are written as one joined string, each
+    score as ``csv.writer`` writes a float, by ``repr``."""
+    quoted = _Lines()
+    csv.writer(quoted, lineterminator="\n").writerows((label, "") for label in labels)
+    names = [line[:-2] for line in quoted]  # less the "," and "\n" after each
+    with _open(stream, "w") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(DUMP_HEADER)
+        for j1, row in rows:
+            name1, chrom1 = names[j1], chroms[j1]
+            partners = zip(names[j1 + 1 :], chroms[j1 + 1 :], row.tolist())
+            lines = [f"{name1},{name2},{chrom1},{chrom2},{score!r}\n" for name2, chrom2, score in partners]
+            fh.write("".join(lines))
+
+
+class _Lines(list):
+    """A list that a ``csv.writer`` writes to, one item per row."""
+
+    write = list.append
 
 
 def read_score_dump(stream):
@@ -726,50 +753,36 @@ def _decode_columns(raw: np.ndarray, n: int, missing_policy: str, c0: int) -> np
 
 
 def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
-    """Decode a packed genotype file.
+    """Decode a packed genotype file (a path or an open binary stream).
 
     ``missing_policy`` is "reject" (error on the first missing code) or
     "impute" (replace each missing entry with the column's modal code,
-    ties broken toward the smaller code).
-
-    After the header and column metadata, the payload is read in one call
-    to the end of the stream and decoded a few columns at a time
-    (:func:`_decode_columns`) into the one n x p array.  Bytes
-    past the payload are read too, and ignored.
+    ties broken toward the smaller code).  The file is opened as by
+    :func:`open_packed` (a pipe's payload is held in memory) and the n x p
+    array, which ``convert --from packed --to csv`` decodes, is filled
+    from the payload bytes :meth:`PackedGenotypes._payload_blocks` reads.
 
     Raises:
-        NotPackedFile: bad magic, unsupported version, or file too short
-            to hold the header.
+        NotPackedFile: bad magic or version, or too short for a header.
         TruncatedFile: metadata or payload ends early.
-        MissingGenotype: a missing code under the reject policy, or a
-            fully missing column under impute.
+        MissingGenotype: a missing code under "reject", or a fully
+            missing column under "impute".
     """
-    _check_policy(missing_policy)
-    with _open(stream, "rb") as fh:
-        n, p, snp_ids, chroms = _read_head(fh)
-        # The stream's own length sizes the buffer, so the declared shape
-        # still never does.
-        expected = payload_bytes(n, p)
-        payload = fh.read()
-    if len(payload) < expected:
-        raise TruncatedFile(expected, len(payload))
-
-    raw = np.frombuffer(payload, dtype=np.uint8, count=expected).reshape(p, -1)
-    codes = np.empty((n, p), dtype=np.uint8)
-    step = _chunk_columns(n)
-    for c0 in range(0, p, step):
-        codes[:, c0 : c0 + step] = _decode_columns(raw[c0 : c0 + step], n, missing_policy, c0)
+    source = _open_payload(stream, missing_policy)
+    codes = np.empty((source.n, source.p), dtype=np.uint8)
+    step = _chunk_columns(source.n)
+    for j0, block in source.column_blocks(step):
+        codes[:, j0 : j0 + step] = block
     codes.setflags(write=False)
-    return GenotypeMatrix(codes=codes, snp_ids=snp_ids, chromosomes=chroms)
+    return GenotypeMatrix(codes=codes, snp_ids=source.snp_ids, chromosomes=source.chromosomes)
 
 
 @dataclass(frozen=True, eq=False)
 class PackedGenotypes:
     """A packed genotype file opened for a column walk (:func:`open_packed`):
-    its shape and column metadata, with the payload left in the file at
-    ``path``, byte ``offset`` on.  :meth:`column_blocks` decodes it a block
-    of columns at a time, by :func:`parse_packed`'s decoder, so no n x p
-    array is built."""
+    its shape and column metadata, with the payload left in ``path`` (a
+    path, a seekable stream or a pipe's in-memory copy) from byte
+    ``offset`` on, which each walk reads again by :meth:`_payload_blocks`."""
 
     path: object
     offset: int
@@ -781,54 +794,70 @@ class PackedGenotypes:
 
     column_label = GenotypeMatrix.column_label
 
-    def column_blocks(self, width: int):
-        """Yield ``(j0, codes)`` per run of ``width`` columns, in order:
-        ``codes`` holds columns ``j0, j0 + 1, ...`` as an n x columns
-        uint8 array, as ``parse_packed(...).codes[:, j0 : j0 + width]``
-        holds them.  Each call reads the file afresh."""
+    def _payload_blocks(self, width: int):
+        """The one reader of payload bytes: yield ``(j0, raw)``, the columns
+        x ceil(n/4) bytes of each run of ``width`` columns, or raise
+        ``TruncatedFile(size, got)`` for a block that reads short."""
         col_bytes = payload_bytes(self.n, 1)
         with _open(self.path, "rb") as fh:
-            fh.seek(self.offset)
             for j0 in range(0, self.p, width):
                 size = min(width, self.p - j0) * col_bytes
+                fh.seek(self.offset + j0 * col_bytes)
                 data = fh.read(size)
                 if len(data) < size:
                     raise TruncatedFile(size, len(data))
-                raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, col_bytes)
-                yield j0, _decode_columns(raw, self.n, self.missing_policy, j0)
+                yield j0, np.frombuffer(data, dtype=np.uint8).reshape(-1, col_bytes)
+
+    def column_blocks(self, width: int):
+        """Yield ``(j0, codes)`` per run of ``width`` columns: ``codes`` is
+        ``parse_packed(...).codes[:, j0 : j0 + width]``, decoded from ``raw``."""
+        for j0, raw in self._payload_blocks(width):
+            yield j0, _decode_columns(raw, self.n, self.missing_policy, j0)
+
+
+def _open_payload(stream, missing_policy: str) -> PackedGenotypes:
+    """The header and metadata of ``stream`` as a :class:`PackedGenotypes`,
+    after one check that the payload is all there (else ``TruncatedFile
+    (expected, available)``).  A seekable source is measured by seeking
+    to its end; one that cannot (a pipe, a FIFO) is read to its end once,
+    into memory.  Bytes past the payload are ignored."""
+    _check_policy(missing_policy)
+    with _open(stream, "rb") as fh:
+        n, p, snp_ids, chroms = _read_head(fh)
+        if not fh.seekable():
+            stream = fh = io.BytesIO(fh.read())
+        offset = fh.tell()
+        available = fh.seek(0, os.SEEK_END) - offset
+    expected = payload_bytes(n, p)
+    if available < expected:
+        raise TruncatedFile(expected, available)
+    return PackedGenotypes(stream, offset, n, p, snp_ids, chroms, missing_policy)
 
 
 def open_packed(path, missing_policy: str = "reject") -> PackedGenotypes:
-    """Open the packed genotype file at ``path`` for a column walk.
+    """Open the packed genotype file at ``path`` (or an open binary
+    stream, kept open for the walk if it can seek; a pipe's payload is
+    held in memory) for a column walk.
 
     Raises what :func:`parse_packed` raises on the same file, here and
-    not during the walk: the payload is read once, a chunk of
-    :data:`_DECODE_CELLS` cells at a time, and only a chunk with a missing
-    slot is decoded, so its first missing code, or first fully missing
-    column under "impute", is found as :func:`parse_packed` finds it.
+    not during the walk: :meth:`PackedGenotypes._payload_blocks` reads the
+    payload once, in blocks of :data:`_DECODE_CELLS` cells, and only a
+    block with a missing slot is decoded.
     """
-    _check_policy(missing_policy)
-    with _open(path, "rb") as fh:
-        n, p, snp_ids, chroms = _read_head(fh)
-        offset = fh.tell()
-        expected = payload_bytes(n, p)
-        available = os.fstat(fh.fileno()).st_size - offset
-        if available < expected:
-            raise TruncatedFile(expected, available)
-        col_bytes = payload_bytes(n, 1)
-        step = _chunk_columns(n)
-        for c0 in range(0, p, step):
-            raw = np.frombuffer(fh.read(min(step, p - c0) * col_bytes), dtype=np.uint8)
-            raw = raw.reshape(-1, col_bytes)
-            if (raw & (raw >> 1) & 0b01010101).any():  # a slot holding 0b11
-                _decode_columns(raw, n, missing_policy, c0)
-    return PackedGenotypes(path, offset, n, p, snp_ids, chroms, missing_policy)
+    source = _open_payload(path, missing_policy)
+    for j0, raw in source._payload_blocks(_chunk_columns(source.n)):
+        if (raw & (raw >> 1) & 0b01010101).any():  # a slot holding 0b11
+            _decode_columns(raw, source.n, missing_policy, j0)
+    return source
 
 
 def is_packed(path) -> bool:
-    """True when the file starts with the packed-genotype magic bytes."""
+    """True when the file starts with the packed-genotype magic bytes.
+    ``path`` may be an open binary file with ``peek`` (as ``open(path,
+    "rb")`` gives), which is peeked at, not read, so a pipe's parser
+    still gets every byte."""
     with _open(path, "rb") as fh:
-        return fh.read(len(MAGIC)) == MAGIC
+        return fh.peek(len(MAGIC))[: len(MAGIC)] == MAGIC
 
 
 def _as_codes(values: np.ndarray, row0: int) -> np.ndarray:

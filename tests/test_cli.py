@@ -425,6 +425,29 @@ def test_scan_csv_and_packed_outputs_identical_for_case_control_response(tmp_pat
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_scan_of_a_piped_input_matches_the_scan_of_its_file(tmp_path):
+    # The input's format is found on the handle that is then read, so a
+    # pipe loses no bytes to it: /dev/stdin fed a genotype CSV (over one
+    # read buffer) or a packed file scans as the file itself does.
+    rng = np.random.default_rng(53)
+    n, p = 700, 16
+    gm = GenotypeMatrix(codes=rng.integers(1, 4, size=(n, p)).astype(np.uint8),
+                        snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=tuple(1 + j % 3 for j in range(p)))
+    table, packed, pheno = tmp_path / "g.csv", tmp_path / "g.jcg", tmp_path / "y.txt"
+    write_csv(table, gm.codes, [gm.column_label(j) for j in range(p)])
+    write_packed(gm, packed)
+    pheno.write_text("".join(f"{v}\n" for v in (rng.random(n) < 0.4).astype(int).tolist()))
+    for source in (table, packed):
+        runs = [
+            subprocess.run([sys.executable, "-m", "jciscan", "scan", name, "--phenotype", str(pheno), "--top-k", "3"],
+                           input=stdin, env=_env_with_src(), capture_output=True, timeout=120)
+            for name, stdin in ((str(source), b""), ("/dev/stdin", source.read_bytes()))
+        ]
+        assert (runs[0].returncode, runs[0].stderr, runs[0].stdout.count(b"\n")) == (0, b"", 4)
+        assert (runs[1].returncode, runs[1].stderr, runs[1].stdout) == (0, b"", runs[0].stdout)
+
+
 def test_packed_scan_input_is_walked_without_an_n_by_p_array(tmp_path):
     # A .jcg scan opens the file (header, metadata, a chunked missing-code
     # check) and precompute decodes 64-column blocks straight into the

@@ -1,10 +1,13 @@
 """Format tests: CSV parse/write round trips, packed-genotype layout,
 missing-code policies, error taxonomy."""
 
+import contextlib
 import csv
 import io
 import os
 import struct
+import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -944,13 +947,93 @@ def test_packed_roundtrip_property(gm):
     assert packed_bytes(back) == data
 
 
-@settings(max_examples=30, deadline=None)
-@given(gm=packed_matrices)
-def test_packed_every_truncation_offset_fails_cleanly(gm):
-    data = packed_bytes(gm)
-    for cut in range(len(data)):
-        with pytest.raises((TruncatedFile, NotPackedFile)):
-            parse_packed(io.BytesIO(data[:cut]))
+@contextlib.contextmanager
+def _fifo(data):
+    """A FIFO path that one writer thread feeds ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.jcg")
+        os.mkfifo(path)
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        yield path
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def _walked(source):
+    """An opened file's codes, from its column walk."""
+    return np.concatenate([codes for _, codes in source.column_blocks(2)], axis=1), source.snp_ids, source.chromosomes
+
+
+def _from_every_source(data, policy):
+    """What each packed reader gives for the file ``data``: parse_packed of
+    a BytesIO, a path and a pipe, and open_packed of a path and a FIFO
+    with its column walk; the codes and metadata, or the error's type and
+    message."""
+    def outcome(read):
+        try:
+            codes, ids, chroms = read()
+            return codes.tobytes(), codes.shape, ids, chroms
+        except JciscanError as exc:
+            return type(exc), str(exc)
+
+    def parsed(source):
+        gm = parse_packed(source, policy)
+        return gm.codes, gm.snp_ids, gm.chromosomes
+
+    def piped():
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)  # far below any pipe buffer, so this cannot block
+        with os.fdopen(read_end, "rb") as fh:
+            return parsed(fh)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.jcg")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        outcomes = [outcome(read) for read in (
+            lambda: parsed(io.BytesIO(data)),
+            lambda: parsed(path),
+            piped,
+            lambda: _walked(open_packed(path, policy)),
+        )]
+    with _fifo(data) as fifo:
+        outcomes.append(outcome(lambda: _walked(open_packed(fifo, policy))))
+    return outcomes
+
+
+_MISSING_EXAMPLE = {"gm": make_matrix(np.array([[1, 2], [3, 1], [2, 2], [1, 3], [3, 3]])),
+                    "missing": [(3, 1), (0, 0), (4, 1)]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(gm=packed_matrices, missing=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=3),
+       policy=st.sampled_from(["reject", "impute"]))
+@example(**_MISSING_EXAMPLE, policy="reject")
+@example(**_MISSING_EXAMPLE, policy="impute")
+def test_packed_every_truncation_offset_fails_cleanly(gm, missing, policy):
+    # Every packed source raises the same error, or gives the same codes,
+    # for every cut of the file, missing codes (a column of them, when n
+    # is 1) under either policy included.
+    data = bytearray(packed_bytes(gm))
+    start, col_bytes = len(data) - payload_bytes(gm.n, gm.p), payload_bytes(gm.n, 1)
+    for row, col in missing:
+        row, col = row % gm.n, col % gm.p
+        data[start + col * col_bytes + row // 4] |= 0b11 << 2 * (row % 4)
+    data = bytes(data)
+    for cut in range(len(data) + 1):
+        outcomes = _from_every_source(data[:cut], policy)
+        assert outcomes == outcomes[:1] * 5, cut
+        if cut < len(data):
+            assert outcomes[0][0] in (TruncatedFile, NotPackedFile)
+        elif not missing:
+            assert outcomes[0] == (gm.codes.tobytes(), gm.codes.shape, gm.snp_ids, gm.chromosomes)
 
 
 @pytest.mark.parametrize("n, p", [(2**62, 2), (4, 2**40), (2**63, 2**63)])
@@ -1135,6 +1218,28 @@ def test_phenotype_after_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.txt"
     path.write_bytes(BOM + b"1\n0\n")
     assert read_phenotype(path).tolist() == [1.0, 0.0]
+
+
+def test_score_dump_bytes_equal_the_csv_writer(tmp_path):
+    # The joined rows against csv.writer writing every cell, on labels that
+    # need quoting, or a quoting rule that could drift: an empty label (a
+    # lone empty cell is quoted), a comma, a quote, line breaks, edge
+    # spaces and non-ASCII text.
+    labels = ["", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "crlf\r\n", " lead", "trail ", "ç é 中", "ch1:x"]
+    chroms = [0, 1, 2, 3, 23, 255, 7, 0, 12, 1]
+    p = len(labels)
+    rng = np.random.default_rng(60)
+    rows = [(j1, rng.normal(scale=10.0 ** rng.integers(-300, 300), size=p - 1 - j1)) for j1 in range(p - 1)]
+    rows[0][1][:3] = [-0.0, 5e-324, 1 / 3]
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(dataio.DUMP_HEADER)
+    for j1, row in rows:
+        for j2, score in enumerate(row.tolist(), j1 + 1):
+            writer.writerow([labels[j1], labels[j2], chroms[j1], chroms[j2], score])
+    path = tmp_path / "dump.csv"
+    dataio.write_score_dump(path, iter(rows), labels, tuple(chroms))
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
 
 
 def test_score_dump_after_a_byte_order_mark(tmp_path):
