@@ -51,29 +51,32 @@ on either route into a flat array and yields its rows, so a dump block
 stays 64 x (p - 1) scores.
 
 The exact route holds its codes once, in the level-ordered store that
-:func:`precompute` builds in one walk over blocks of columns
-(:class:`CodeWorkspace`): each column's rows in y's stable sort order, so
-each level of y is one row range, then code 0 to whole bytes, 2 bits per
-code (8 when a code exceeds 3), a quarter of the uint8 codes.  The 2-bit
-layout is the packed file's, and :mod:`jciscan.dataio` owns its one pack
-and one unpack (``_pack_codes``, ``_unpack_codes``).  An array is walked in place and
-a packed file (:class:`~jciscan.dataio.PackedGenotypes`) a decoded block
-at a time, so no n x p uint8 array is built for the scan.  Each ``rows``
-call then works in a fixed working set, allocated once and sized by the
-GEMM tile and n, never by p: it decodes a tile's 256 anchor columns and up
-to 512 partner columns (fewer past 1536 samples, ``_CODE_CELLS``) from the
-store, by that unpack, into two reused float32 buffers of stored
-rows x columns, runs one GEMM per level on that level's contiguous rows
-into 256 x 512 float32 sums, and combines them in float64 64 anchors at a
-time, each slice one yielded tile.  No row index and no per-tile gather
-remain.  A partner chunk that reaches into the tile's own anchors is
-summed 64 anchors at a time from each slice's first partner, so the
-diagonal block costs what it did with 64-anchor tiles.  Cache-sized
-operand panels keep GEMM at full speed (Goto and van de Geijn, ACM TOMS
-2008).  The buffers take ``4 n' (256 + w)`` bytes for the decoded codes
-(n' = 4 ceil(n/4) the stored rows, w the partners: ``4 n' w`` is at most
-3 MiB past 1536 samples), ``n' w / 4`` for the 2-bit unpacking and at
-most 2 MiB for the sums and the combine, whatever p is.
+:func:`precompute` builds in one walk over blocks of columns, the float
+route's blocks of ``max(64, 64 * 2048 // n)`` columns
+(:func:`_walk_width`); the walk also checks the route's bounds and stops at
+the first block that breaks one (:class:`CodeWorkspace`).  The store holds
+each column's rows in y's stable sort order, so each level of y is one row
+range, then code 0 to whole bytes, 2 bits per code (8 when a code exceeds
+3), a quarter of the uint8 codes.  The 2-bit layout is the packed file's,
+and :mod:`jciscan.dataio` owns its one pack and one unpack
+(``_pack_codes``, ``_unpack_codes``).  An array is walked in place and a
+packed file (:class:`~jciscan.dataio.PackedGenotypes`) a decoded block at a
+time, so no n x p uint8 array is built for the scan.  Each ``rows`` call
+then works in a fixed working set, allocated once and sized by the GEMM
+tile and n, never by p: it decodes a tile's 256 anchor columns and up to
+512 partner columns (fewer past 1536 samples, ``_CODE_CELLS``) from the
+store, by that unpack, into two reused float32 buffers of stored rows x
+columns, runs one GEMM per level on that level's contiguous rows into 256 x
+512 float32 sums, and combines them in float64 64 anchors at a time, each
+slice one yielded tile.  No row index and no per-tile gather remain.  A
+partner chunk that reaches into the tile's own anchors is summed 64 anchors
+at a time from each slice's first partner, so the diagonal block costs what
+it did with 64-anchor tiles.  Cache-sized operand panels keep GEMM at full
+speed (Goto and van de Geijn, ACM TOMS 2008).  The buffers take
+``4 n' (256 + w)`` bytes for the decoded codes (n' = 4 ceil(n/4) the stored
+rows, w the partners: ``4 n' w`` is at most 3 MiB past 1536 samples),
+``n' w / 4`` for the 2-bit unpacking and at most 2 MiB for the sums and the
+combine, whatever p is.
 
 One top-k floor per scan
 ------------------------
@@ -178,7 +181,8 @@ DEFAULT_BLOCK_SIZE = 256
 #: many partners: the screen arrays of :meth:`Workspace.bounds` have that
 #: shape whatever p is, and :meth:`Workspace.rows` makes this many rows at a
 #: time.  :func:`iter_score_rows` sweeps this many anchors at a time on
-#: either route.
+#: either route.  One tile's cells, at least this many columns, make a block
+#: of both :func:`precompute` walks (:func:`_walk_width`).
 _ANCHOR_BLOCK = 64
 _PARTNER_CHUNK = 2048
 
@@ -683,30 +687,38 @@ def _columns(matrix):
     return matrix.shape, blocks
 
 
+def _walk_width(n: int) -> int:
+    """Columns per block of both :func:`precompute` walks: one float screen
+    tile's cells, ``max(64, 64 * 2048 // n)`` (1 MiB of float64 at
+    n <= 2048), so a small input is one block and n >= 2048 walks 64."""
+    return max(_ANCHOR_BLOCK, _ANCHOR_BLOCK * _PARTNER_CHUNK // n)
+
+
 def precompute(matrix, response) -> Workspace | CodeWorkspace:
     """Center every column and the response exactly once.
 
-    Accepts a real n x p array, any object exposing ``.codes`` (a
-    genotype matrix) or a column source with ``n``, ``p`` and
-    ``column_blocks`` (a :class:`~jciscan.dataio.PackedGenotypes`, walked
-    without an n x p array; :func:`_columns`).  The route follows the
-    values, not the container: integers in [0, 255] of any dtype against
-    an integer-valued response take the exact route while its bounds hold
-    and get a :class:`CodeWorkspace` (:func:`_exact_workspace`): the codes
-    in a level-ordered store of 2 or 8 bits per code, and per-column
-    integer sums, all from one walk over the input that also decides the
-    route; the input itself is not kept.  Any other input takes the float
-    route and gets a :class:`Workspace`, from one walk over blocks of
-    ``max(64, 64 * 2048 // n)`` columns, one screen tile's cells (1 MiB of
-    float64 at n <= 2048): each block is widened to float64 as contiguous
-    rows, scaled by ``2^-e`` (e the ``frexp`` exponent of the largest |x|,
-    y alike), centered, and written straight into the one n x p matrix, so
-    the route holds the input once plus one block.  Means, centered values
-    and css are bit-identical to :func:`~jciscan.cumulants.center` on each
-    scaled column.  One max and one min per column give e, the finite check
-    and the variance floor's spread.  After this call a float-route pair
-    costs one fused length-n product-sum plus one division and one square
-    root.
+    Accepts a real n x p array, any object exposing ``.codes`` (a genotype
+    matrix) or a column source with ``n``, ``p`` and ``column_blocks`` (a
+    :class:`~jciscan.dataio.PackedGenotypes`, walked without an n x p
+    array; :func:`_columns`).  The route follows the values, not the
+    container: integers in [0, 255] of any dtype against an integer-valued
+    response take the exact route while its bounds hold and get a
+    :class:`CodeWorkspace` (:func:`_exact_workspace`): the codes in a
+    level-ordered store of 2 or 8 bits per code, and per-column integer
+    sums, all from one walk over the input that also decides the route and
+    stops at the first block that rules it out; the input itself is not
+    kept.  Any other input takes the float route and gets a
+    :class:`Workspace` from a walk of its own.  Both walks take blocks of
+    :func:`_walk_width` columns, ``max(64, 64 * 2048 // n)``, one screen
+    tile's cells (1 MiB of float64 at n <= 2048).  On the float route each
+    block is widened to float64 as contiguous rows, scaled by ``2^-e`` (e
+    the ``frexp`` exponent of the largest |x|, y alike), centered, and
+    written straight into the one n x p matrix, so the route holds the
+    input once plus one block.  Means, centered values and css are
+    bit-identical to :func:`~jciscan.cumulants.center` on each scaled
+    column.  One max and one min per column give e, the finite check and
+    the variance floor's spread.  After this call a float-route pair costs
+    one fused length-n product-sum plus one division and one square root.
 
     Raises:
         InvalidValue: a matrix or response dtype other than bool,
@@ -746,8 +758,7 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     centered = np.empty((n, p))
     shift = np.empty(p, dtype=np.intc)
     css = np.empty(p)
-    # One screen tile's cells per block, so a small input is one block.
-    width = max(_ANCHOR_BLOCK, _ANCHOR_BLOCK * _PARTNER_CHUNK // n)
+    width = _walk_width(n)
     for j0, cols in blocks(width):
         block = slice(j0, j0 + width)
         # Row j of `cols` is column j0 + j: contiguous rows give the same
@@ -797,17 +808,20 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     (float32 GEMM tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).
     ``matrix`` is an array or a column source (:func:`_columns`).
 
-    One walk over ``_ANCHOR_BLOCK`` columns at a time checks and narrows
-    the entries to uint8 (up to the first block that fails), gathers the
-    block's rows into y's stable sort order by one ``take`` (each level one
-    row range, rows past n code 0), takes the largest code, and packs the
-    block into the store (:class:`CodeWorkspace`): 2 bits per code until a
-    code above 3 widens the store to 8.  The same level-ordered block, in
-    float32, gives ``S_j`` and ``S_jy`` by one product with ``[1, y']``
-    and ``S_jj`` by one sum of squares.  Every partial sum is an integer of
-    at most ``c^2 n m``, so once that bound is checked the sums are exact
-    in any order.  No n x p copy of the input is made.  ``y' = y - min(y)``
-    is exact for an integer-valued y within bounds."""
+    One walk over blocks of :func:`_walk_width` columns, the float walk's
+    rule, checks and narrows the entries to uint8, gathers the block's rows
+    into y's stable sort order by one ``take`` (each level one row range,
+    rows past n code 0), updates the largest code c so far and checks both
+    bounds on it, and packs the block into the store
+    (:class:`CodeWorkspace`): 2 bits per code until a code above 3 widens
+    the store to 8.  c only grows, so the walk returns None at the first
+    block that fails either check, and nothing after that block is read or
+    packed.  The same level-ordered block, in float32, gives ``S_j`` and
+    ``S_jy`` by one product with ``[1, y']`` and ``S_jj`` by one sum of
+    squares.  Every partial sum is an integer of at most ``c^2 n m``, and
+    that bound is checked before the block's sums are taken, so the sums
+    are exact in any order.  No n x p copy of the input is made.
+    ``y' = y - min(y)`` is exact for an integer-valued y within bounds."""
     (n, p), blocks = _columns(matrix)
     m = float(y.max()) - float(y.min())  # Python floats: inf past the float range, no warning
     # n m < 2^24 is the float32 bound at c = 1; at c = 0 every column is constant.
@@ -823,12 +837,11 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     weights = np.zeros((rows, 2), dtype=np.float32)
     weights[:, 0] = 1
     weights[:n, 1] = shifted[order]
-    width = _ANCHOR_BLOCK
+    width = _walk_width(n)
     ordered = np.zeros((rows, width), dtype=np.uint8)
     wide = np.empty((rows, width), dtype=np.float32)
-    store, bits = np.empty((rows // 4, p), dtype=np.uint8), 2
+    store, bits, c = np.empty((rows // 4, p), dtype=np.uint8), 2, 0
     sums = np.empty((p, 3), dtype=np.float32)
-    c = 0
     for j0, cols in blocks(width):
         if cols.dtype != np.uint8:
             if not (cols.min() >= 0 and cols.max() <= 255):  # NaN fails too
@@ -842,6 +855,11 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
         # "clip" (every index is valid) keeps np.take from buffering its output.
         np.take(cols, order, axis=0, out=block[:n], mode="clip")
         c = max(c, int(block.max()))
+        # c only grows, so the first block that breaks a bound ends the walk.
+        # Integer factors and power-of-two bounds: the float products compare
+        # as the exact ones would.
+        if not (c * c * m * n < _FLOAT32_EXACT and 2 * c * c * m * n**3 < _FLOAT64_EXACT):
+            return None
         if c > 3 and bits == 2:
             widened = np.empty((rows, p), dtype=np.uint8)
             _unpack_codes(store[:, :j0], widened[:, :j0], np.empty((rows // 4, j0), dtype=np.uint8))
@@ -851,9 +869,6 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
         f[...] = block
         sums[j0:j1, :2] = (weights.T @ f).T
         sums[j0:j1, 2] = weights[:, 0] @ np.square(f, out=f)
-    c2m = c * c * int(m)
-    if not (c2m * n < _FLOAT32_EXACT and 2 * c2m * n**3 < _FLOAT64_EXACT):
-        return None
     s, sy, ss = sums.T.astype(np.int64)
     s_y, s_yy = int(shifted.sum()), int(shifted @ shifted)
     spread = n * ss - s * s

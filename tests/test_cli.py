@@ -232,6 +232,21 @@ def test_scan_builds_no_pair_objects(tmp_path, monkeypatch):
     assert built == [first]
 
 
+def test_degenerate_inputs_exit_3_with_the_error_line(tmp_path, capsys):
+    # Errors that reach main's handler for degenerate data, not a command's
+    # own: a two-row scan, and a study 1 replicate whose response is
+    # constant at n = 3 and the default seed.  Neither writes an output.
+    two = tmp_path / "two.csv"
+    two.write_text("a,b,y\n1,2,0\n2,5,1\n")
+    assert run(["scan", str(two), "--response-column", "y", "--top-k", "1"]) == 3
+    assert capsys.readouterr() == ("", "jciscan: pair scans need n >= 3, got 2\n")
+    summary = tmp_path / "s.csv"
+    argv = ["simulate", "--study", "1", "--reps", "1", "--n", "3", "--p", "2", "--out-summary", str(summary)]
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", "jciscan: response column has zero (or near-zero) sample variance\n")
+    assert not summary.exists()
+
+
 def test_scan_names_degenerate_column_on_stderr(tmp_path, capsys):
     const = tmp_path / "const.csv"
     const.write_text("a,weird,y\n1,7,0\n2,7,1\n3,7,0\n4,7,1\n")
@@ -450,9 +465,10 @@ def test_scan_of_a_piped_input_matches_the_scan_of_its_file(tmp_path):
 
 def test_packed_scan_input_is_walked_without_an_n_by_p_array(tmp_path):
     # A .jcg scan opens the file (header, metadata, a chunked missing-code
-    # check) and precompute decodes 64-column blocks straight into the
-    # 2-bit store (n p / 4 bytes): load plus precompute stays below half
-    # the uint8 codes, which a decoded n x p array alone would fill twice.
+    # check) and precompute decodes blocks of max(64, 64 * 2048 // n)
+    # columns (65 here) straight into the 2-bit store (n p / 4 bytes): load
+    # plus precompute stays below half the uint8 codes, which a decoded
+    # n x p array alone would fill twice.
     n, p = 2000, 4000
     rng = np.random.default_rng(50)
     codes = rng.integers(1, 4, size=(n, p), dtype=np.uint8)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jciscan import center, pair_score, sample_k2, sample_k3, validate_c1
+from jciscan import PairStatistic, center, pair_score, sample_k2, sample_k3, validate_c1
 from jciscan.errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -320,6 +320,12 @@ def test_pair_score_rejects_zero_variance_and_self_pair():
     assert exc.value.index == -1
     with pytest.raises(InvalidPair):
         pair_score(good, center([9.0, 1.0, 5.0, 2.0], 0), other)
+
+
+@pytest.mark.parametrize("j1, j2", [(2, 2), (3, 1)])
+def test_pair_statistic_rejects_a_pair_out_of_order(j1, j2):
+    with pytest.raises(InvalidPair, match=rf"j1 < j2, got \({j1}, {j2}\)"):
+        PairStatistic(j1, j2, 0.5, 0.5)
 
 
 # --------------------------------------------------------------------------

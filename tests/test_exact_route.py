@@ -5,7 +5,10 @@ computed with Python ints, its invariances against every tiling and thread
 count, and its fallback against the float route's per-anchor GEMV.
 """
 
+import contextlib
+import dataclasses
 import importlib
+import io
 import math
 import os
 import subprocess
@@ -34,6 +37,7 @@ from jciscan import (
     select_by_threshold,
 )
 from jciscan.cumulants import center
+from jciscan.dataio import open_packed, write_packed
 from jciscan.errors import ZeroVarianceColumn
 from jciscan.scan import iter_score_rows
 
@@ -45,6 +49,32 @@ RESPONSE_SHAPES = {"case_control": (1, 2), "signed": (-1, 1), "counts": (0, 5)}
 def genotypes(codes):
     p = codes.shape[1]
     return GenotypeMatrix(codes=codes, snp_ids=tuple(f"rs{j}" for j in range(p)), chromosomes=(1,) * p)
+
+
+@contextlib.contextmanager
+def walk_width(width):
+    """Both :func:`precompute` walks take blocks of ``width`` columns."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan_module, "_walk_width", lambda n: width)
+        yield
+
+
+def workspace_fields(ws):
+    """Every field of a workspace, arrays as their bytes."""
+    return [(f.name, v.tobytes() if isinstance(v := getattr(ws, f.name), np.ndarray) else v)
+            for f in dataclasses.fields(ws)]
+
+
+class CountedBlocks:
+    """A column source over an array that counts the blocks drawn from it."""
+
+    def __init__(self, matrix):
+        self.matrix, (self.n, self.p), self.drawn = matrix, matrix.shape, 0
+
+    def column_blocks(self, width):
+        for j0 in range(0, self.p, width):
+            self.drawn += 1
+            yield j0, self.matrix[:, j0 : j0 + width]
 
 
 def tiles_yielded(ws):
@@ -239,9 +269,10 @@ def test_code_store_matches_the_integer_oracle_property(seed, sizes, gaps, top, 
     # Levels of any size (one row too, rarely a multiple of 4), each the
     # plain row range of its size, with gaps in y' (or ten consecutive
     # count levels), codes at 2 bits (every code <= 3) or 8 (one code above
-    # 3, which widens the store in whichever 64-column block it lands), p
-    # across a block edge and shards of the pair range: every value, top-k,
-    # threshold cut, rank and score row is the oracle's, bit for bit.
+    # 3, which widens the store in whichever block of a 64-column walk it
+    # lands), p across a block edge and shards of the pair range: every
+    # value, top-k, threshold cut, rank and score row is the oracle's, bit
+    # for bit.
     rng = np.random.default_rng(seed)
     values = np.cumsum([0] + gaps[: len(sizes) - 1]) - 2
     y = rng.permutation(np.repeat(values, sizes)).astype(np.float64)
@@ -250,12 +281,13 @@ def test_code_store_matches_the_integer_oracle_property(seed, sizes, gaps, top, 
     codes = rng.integers(0, min(top, 3) + 1, size=(n, p)).astype(np.uint8)
     codes[:2] = [[0] * p, [1] * p]  # no constant column
     codes[rng.integers(2, n), wide_at % p] = top  # below the two rows that keep columns apart
-    # The walk takes 64 columns at a time, so p = 60-70 crosses a block edge.
+    # 64-column walks, so p = 60-70 crosses a block edge.
     if len(sizes) == 1:
-        with pytest.raises(ZeroVarianceColumn):
+        with pytest.raises(ZeroVarianceColumn), walk_width(64):
             precompute(codes, y)
         return
-    ws = precompute(codes, y)
+    with walk_width(64):
+        ws = precompute(codes, y)
     assert isinstance(ws, CodeWorkspace) and ws.bits == (2 if top <= 3 else 8)
     assert [rows.stop - rows.start for _, rows in ws.levels] == sizes
     assert ws.stored_rows == -(-n // 4) * 4 and len(ws.store) == ws.stored_rows * ws.bits // 8
@@ -284,6 +316,53 @@ def test_code_store_matches_the_integer_oracle_property(seed, sizes, gaps, top, 
 # --------------------------------------------------------------------------
 # Invariance
 # --------------------------------------------------------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@example(seed=0, form="uint8", many_levels=False, wide="first", p=130)
+@example(seed=1, form="int16", many_levels=True, wide="middle", p=131)
+@example(seed=2, form="float64", many_levels=True, wide="last", p=250)
+@example(seed=3, form="packed", many_levels=True, wide=None, p=193)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(["uint8", "int16", "float64", "bool", "packed"]),
+    many_levels=st.booleans(),
+    wide=st.sampled_from([None, "first", "middle", "last"]),
+    p=st.integers(130, 250).filter(lambda p: p % 7 and p % 64),
+)
+def test_walk_width_never_reaches_the_workspace_property(seed, form, many_levels, wide, p):
+    # Walks of 1, 7 and 64 columns and the rule's own width (one block at
+    # n <= 40) build the same workspace, byte for byte.  p is no multiple
+    # of 7 or 64, so each walk ends on a partial block, and a code above 3
+    # in the first, a middle or the last block of a 64-column walk widens
+    # the store from 2 to 8 bits there (bool and packed inputs hold none).
+    rng = np.random.default_rng(seed)
+    levels = int(rng.integers(10, 13)) if many_levels else 2
+    n = int(rng.integers(levels + 2, 41))
+    y = rng.permutation(np.concatenate([np.arange(levels), rng.integers(0, levels, n - levels)])) - 3.0
+    low, high = (0, 1) if form == "bool" else (1, 3)
+    codes = rng.integers(low, high + 1, size=(n, p)).astype(np.uint8)
+    codes[:2] = [[low] * p, [high] * p]  # no constant column
+    widens = wide is not None and form not in ("bool", "packed")
+    if widens:
+        column = {"first": 0, "middle": p // 2, "last": p - 1}[wide]
+        codes[rng.integers(2, n), column] = rng.integers(4, 61)
+
+    def source():
+        if form != "packed":
+            return codes.astype(form)
+        buffer = io.BytesIO()
+        write_packed(genotypes(codes), buffer)
+        return open_packed(io.BytesIO(buffer.getvalue()))
+
+    built = []
+    for width in (1, 7, 64, None):
+        with contextlib.nullcontext() if width is None else walk_width(width):
+            ws = precompute(source(), y)
+        assert isinstance(ws, CodeWorkspace) and ws.bits == (8 if widens else 2)
+        assert len(ws.levels) == levels
+        built.append(workspace_fields(ws))
+    assert built == [built[0]] * 4
 
 
 def test_exact_route_result_is_identical_across_workers_blocks_and_shards():
@@ -590,15 +669,33 @@ def test_inputs_outside_the_exact_route_keep_the_float_route_bytes(case):
     elif case == "integers_above_255":
         predictors = codes.astype(np.float64) * 100.0
     elif case == "one_late_non_integer":
-        # Only the third 64-column block of the route check fails.
+        # Only the third block of a 64-column route check fails.
         predictors = codes.astype(np.float64)
         predictors[7, 140] += 0.5
     # float64_bound: 18 n^3 m > 2^53 at n = 80,000 and m = 1
-    ws = precompute(predictors, y)
+    with walk_width(64):
+        ws = precompute(predictors, y)
     assert isinstance(ws, Workspace)
     X = np.asarray(getattr(predictors, "codes", predictors), dtype=np.float64)
     assert all_scores(ws).tobytes() == all_scores(precompute(X, y)).tobytes()
     assert all_scores(ws).tobytes() == float_route_scores(X, y).tobytes()
+
+
+def test_a_bound_breaking_input_leaves_the_exact_walk_after_one_block():
+    # n m = 2,000,000 passes the pre-check at c = 1, but the codes 1-3 put
+    # c = 3 in the first block, where 9 n m = 18,000,000 breaks 2^24: the
+    # walk stops there, and the float route scores the codes.
+    rng = np.random.default_rng(32)
+    n, p = 400, 700
+    codes, _ = draw_instance(rng, n, p, "case_control")
+    y = rng.integers(0, 5001, size=n).astype(np.float64)
+    y[:2] = [0, 5000]
+    source = CountedBlocks(codes)
+    assert scan_module._exact_workspace(source, y) is None
+    assert source.drawn == 1
+    ws = precompute(CountedBlocks(codes), y)
+    assert isinstance(ws, Workspace)
+    assert all_scores(ws).tobytes() == all_scores(precompute(codes.astype(np.float64), y)).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -665,12 +762,13 @@ def test_route_check_makes_no_full_size_temporary():
 
 @pytest.mark.parametrize("p", [1, 63, 65, 130])
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float64, bool])
-def test_one_walk_sums_are_exact_at_the_float32_edge(dtype, p):
+def test_one_walk_sums_are_exact_at_the_float32_edge(dtype, p, monkeypatch):
     # Codes in {0, 255} against binary y: c^2 n m is 16,776,450 < 2^24 at
     # n = 258 and 16,841,475 at n = 259.  Column 0 is 255 on every row but
     # the first, so its S_jj = 255^2 * 257 sits just below the bound; p = 63,
-    # 65 and 130 leave partial 64-column blocks.  bool holds {0, 1}, far
-    # inside the bound at either n.
+    # 65 and 130 leave partial blocks of a 64-column walk.  bool holds
+    # {0, 1}, far inside the bound at either n.
+    monkeypatch.setattr(scan_module, "_walk_width", lambda n: 64)
     high = 1 if dtype is bool else 255
     for n in (258, 259):
         rng = np.random.default_rng(n * p)

@@ -1205,6 +1205,7 @@ def test_pair_table_hashes_like_its_pairs_and_leaves_callers_arrays_writable():
     table = PairTable(j1, j2, np.array([0.5, -0.25]), np.array([2.0, 1.0]))
     assert j1.flags.writeable and not table.j1.flags.writeable
     assert table == tuple(table) and hash(table) == hash(tuple(table))
+    assert table != 5 and not table == 5  # no sequence: unequal, not an error
     with pytest.raises(DimensionMismatch):
         PairTable(j1, j2[:1], np.zeros(2), np.ones(2))
     with pytest.raises(DimensionMismatch):
