@@ -47,16 +47,18 @@ seekable source by seeking to its end; a source that cannot seek (a
 pipe) is read to its end once and its payload held in memory.  The
 source's length, never the declared shape, sizes what is read.
 :meth:`PackedGenotypes._payload_blocks` is then the one reader of payload
-bytes, a run of columns at a time.  :func:`open_packed` opens a file for a
-column walk (:class:`PackedGenotypes`) after a missing-code check over
-those blocks; :func:`parse_packed` fills one n x p array from the same
-walk, so ``convert --from packed --to csv`` still decodes the whole matrix.
+bytes, a run of columns at a time, and :func:`_walk_width` the one rule
+for the columns of a run, here and in :func:`~jciscan.scan.precompute`.
+:func:`open_packed` opens a file for a column walk
+(:class:`PackedGenotypes`) after a missing-code check over those blocks;
+:func:`parse_packed` fills one n x p array from the same walk, so
+``convert --from packed --to csv`` still decodes the whole matrix.
 
 This module owns the one 2-bit codec of this payload and of the exact
 route's code store (:class:`~jciscan.scan.CodeWorkspace`):
 :func:`_pack_codes` writes code - 1 in a file, the code itself in the
 store, and :func:`_unpack_codes` reads either.  The payload decoder
-unpacks a chunk's transposed bytes, drops the slots past row n whatever
+unpacks a block's transposed bytes, drops the slots past row n whatever
 they hold, and adds 1.
 """
 
@@ -90,8 +92,6 @@ FLAG_MISSING_ALLOWED = 0x0001
 
 _HEADER = struct.Struct("<4sHHQQ")
 _COLUMN_META = struct.Struct("<BH")
-#: Cells decoded per column chunk of a packed payload.
-_DECODE_CELLS = 2**18
 
 #: 2-bit encodings: code value -> bit pair (code - 1); 0b11 marks missing.
 MISSING_BITS = 0b11
@@ -631,10 +631,11 @@ def convert_csv_to_packed(source, stream) -> None:
 
     The bytes are those of :func:`write_packed` on the codes the CSV
     holds.  Each block of rows is parsed as :func:`parse_csv` parses it,
-    cast to uint8 codes (:func:`_table_rows`) and packed straight into one
-    growing ceil(n/4) x p byte array, and the fewer than 4 rows past a
-    block's last whole byte are carried to the next block.  Nothing is
-    written unless every cell is a code and every label encodes.
+    cast to uint8 codes (:func:`_table_rows`) and packed to whole byte
+    rows, kept in a list that is joined once into the ceil(n/4) x p
+    payload; the fewer than 4 rows past a block's last whole byte are
+    carried to the next block.  Nothing is written unless every cell is a
+    code and every label encodes.
 
     Raises:
         FormatError: as :func:`parse_csv`.
@@ -645,28 +646,19 @@ def convert_csv_to_packed(source, stream) -> None:
     with _open(source, "r") as fh:
         lines = iter(fh)
         header, _ = _csv_header(lines, None)
-        packed, filled, n = np.empty((1, len(header)), dtype=np.uint8), 0, 0
-        carry = packed[:0]
+        parts, n = [], 0
+        carry = np.empty((0, len(header)), dtype=np.uint8)
         for block in _table_rows(lines, len(header), codes=True):
             n += len(block)
             block = np.concatenate([carry, block]) if len(carry) else block
             carry = block[len(block) - len(block) % 4 :].copy()
-            packed, filled = _append_packed(packed, filled, block[: len(block) - len(carry)])
-    packed, filled = _append_packed(packed, filled, carry)
+            if len(block) > len(carry):  # under 4 rows (the csv.reader walk's one-row blocks) fill no byte
+                parts.append(_pack_codes(block[: len(block) - len(carry)], 1))
+    parts.append(_pack_codes(carry, 1))
+    packed = np.concatenate(parts)
+    del parts
     chroms, ids = zip(*map(parse_column_label, header))
-    _write_packed(stream, n, ids, chroms, packed[:filled])
-
-
-def _append_packed(packed: np.ndarray, filled: int, codes: np.ndarray):
-    """Pack ``codes`` (:func:`_pack_codes`) after the first ``filled`` byte
-    rows of ``packed``, doubling it when full; return it and its filled rows."""
-    end = filled + payload_bytes(len(codes), 1)
-    if end > len(packed):
-        grown = np.empty((max(end, 2 * len(packed)), packed.shape[1]), dtype=np.uint8)
-        grown[:filled] = packed[:filled]
-        packed = grown
-    packed[filled:end] = _pack_codes(codes, 1)
-    return packed, end
+    _write_packed(stream, n, ids, chroms, packed)
 
 
 def _write_packed(stream, n: int, snp_ids, chromosomes, packed: np.ndarray) -> None:
@@ -687,9 +679,13 @@ def _write_packed(stream, n: int, snp_ids, chromosomes, packed: np.ndarray) -> N
         fh.write(packed.T.tobytes())  # the payload is column-major
 
 
-def _chunk_columns(n: int) -> int:
-    """Columns of n rows per chunk of about :data:`_DECODE_CELLS` cells."""
-    return max(1, _DECODE_CELLS // (4 * payload_bytes(n, 1)))
+def _walk_width(n: int) -> int:
+    """Columns of n rows per block of every column walk: the missing-code
+    check of :func:`open_packed`, the fill of :func:`parse_packed` and both
+    walks of :func:`~jciscan.scan.precompute`.  A block holds 2^17 cells
+    (1 MiB as float64) and at least 64 columns, one float GEMM tile of
+    anchors, so n <= 2048 reads 2^17 // n columns and more rows read 64."""
+    return max(64, 2**17 // n)
 
 
 def _check_policy(missing_policy: str) -> None:
@@ -739,7 +735,7 @@ def _decode_columns(raw: np.ndarray, n: int, missing_policy: str, c0: int) -> np
     bits = np.empty((4 * raw.shape[1], len(raw)), dtype=np.uint8)
     _unpack_codes(raw.T, bits, np.empty(raw.T.shape, dtype=np.uint8))
     bits = bits[:n]
-    if bits.max() == MISSING_BITS:  # a reduction: most chunks need no mask
+    if bits.max() == MISSING_BITS:  # a reduction: most blocks need no mask
         missing = bits == MISSING_BITS
         for j in np.flatnonzero(missing.any(axis=0)):
             if missing_policy == "reject":
@@ -770,7 +766,7 @@ def parse_packed(stream, missing_policy: str = "reject") -> GenotypeMatrix:
     """
     source = _open_payload(stream, missing_policy)
     codes = np.empty((source.n, source.p), dtype=np.uint8)
-    step = _chunk_columns(source.n)
+    step = _walk_width(source.n)
     for j0, block in source.column_blocks(step):
         codes[:, j0 : j0 + step] = block
     codes.setflags(write=False)
@@ -841,11 +837,11 @@ def open_packed(path, missing_policy: str = "reject") -> PackedGenotypes:
 
     Raises what :func:`parse_packed` raises on the same file, here and
     not during the walk: :meth:`PackedGenotypes._payload_blocks` reads the
-    payload once, in blocks of :data:`_DECODE_CELLS` cells, and only a
+    payload once, in blocks of :func:`_walk_width` columns, and only a
     block with a missing slot is decoded.
     """
     source = _open_payload(path, missing_policy)
-    for j0, raw in source._payload_blocks(_chunk_columns(source.n)):
+    for j0, raw in source._payload_blocks(_walk_width(source.n)):
         if (raw & (raw >> 1) & 0b01010101).any():  # a slot holding 0b11
             _decode_columns(raw, source.n, missing_policy, j0)
     return source

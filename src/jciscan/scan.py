@@ -51,12 +51,12 @@ on either route into a flat array and yields its rows, so a dump block
 stays 64 x (p - 1) scores.
 
 The exact route holds its codes once, in the level-ordered store that
-:func:`precompute` builds in one walk over blocks of columns, the float
-route's blocks of ``max(64, 64 * 2048 // n)`` columns
-(:func:`_walk_width`); the walk also checks the route's bounds and stops at
-the first block that breaks one (:class:`CodeWorkspace`).  The store holds
-each column's rows in y's stable sort order, so each level of y is one row
-range, then code 0 to whole bytes, 2 bits per code (8 when a code exceeds
+:func:`precompute` builds in one walk over blocks of columns, as many as
+the float route's walk takes (:func:`~jciscan.dataio._walk_width`); the
+walk also checks the route's bounds and stops at the first block that
+breaks one (:class:`CodeWorkspace`).  The store holds each column's rows
+in y's stable sort order, so each level of y is one row range, then code
+0 to whole bytes, 2 bits per code (8 when a code exceeds
 3), a quarter of the uint8 codes.  The 2-bit layout is the packed file's,
 and :mod:`jciscan.dataio` owns its one pack and one unpack
 (``_pack_codes``, ``_unpack_codes``).  An array is walked in place and a
@@ -68,11 +68,10 @@ tile and n, never by p: it decodes a tile's 256 anchor columns and up to
 store, by that unpack, into two reused float32 buffers of stored rows x
 columns, runs one GEMM per level on that level's contiguous rows into 256 x
 512 float32 sums, and combines them in float64 64 anchors at a time, each
-slice one yielded tile.  No row index and no per-tile gather remain.  A
-partner chunk that reaches into the tile's own anchors is summed 64 anchors
-at a time from each slice's first partner, so the diagonal block costs what
-it did with 64-anchor tiles.  Cache-sized operand panels keep GEMM at full
-speed (Goto and van de Geijn, ACM TOMS 2008).  The buffers take
+slice one yielded tile.  A partner chunk that reaches into the tile's own
+anchors is summed 64 anchors at a time from each slice's first partner.
+Cache-sized operand panels keep GEMM at full speed (Goto and van de Geijn,
+ACM TOMS 2008).  The buffers take
 ``4 n' (256 + w)`` bytes for the decoded codes (n' = 4 ceil(n/4) the stored
 rows, w the partners: ``4 n' w`` is at most 3 MiB past 1536 samples),
 ``n' w / 4`` for the 2-bit unpacking and at most 2 MiB for the sums and the
@@ -164,7 +163,7 @@ from .cumulants import (
     near_constant,
     validate_c1,
 )
-from .dataio import _pack_codes, _unpack_codes
+from . import dataio
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -181,8 +180,7 @@ DEFAULT_BLOCK_SIZE = 256
 #: many partners: the screen arrays of :meth:`Workspace.bounds` have that
 #: shape whatever p is, and :meth:`Workspace.rows` makes this many rows at a
 #: time.  :func:`iter_score_rows` sweeps this many anchors at a time on
-#: either route.  One tile's cells, at least this many columns, make a block
-#: of both :func:`precompute` walks (:func:`_walk_width`).
+#: either route.
 _ANCHOR_BLOCK = 64
 _PARTNER_CHUNK = 2048
 
@@ -262,7 +260,8 @@ class ScanConfig:
     ``rank_pairs`` is required; any combination may be set, and the result
     carries every view asked for from one pass.  ``rank_pairs`` names
     ``(j1, j2)`` pairs whose 1-based rank among the scanned pairs the result
-    reports; it is held as a tuple of int pairs.  ``pair_range`` restricts
+    reports; its coordinates are integers, held as a tuple of int pairs
+    (anything else raises InvalidPair).  ``pair_range`` restricts
     the sweep to a half-open interval of canonical pair indices for
     sharding, and ranks are then ranks within it.  ``top_k``,
     ``block_size`` and ``worker_count`` are integers of at least 1,
@@ -278,10 +277,12 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         try:
-            pairs = tuple((int(j1), int(j2)) for j1, j2 in self.rank_pairs)
+            pairs = tuple((j1, j2) for j1, j2 in self.rank_pairs)
         except (TypeError, ValueError):
-            raise InvalidPair(f"rank_pairs must be (j1, j2) integer pairs, got {self.rank_pairs!r}") from None
-        object.__setattr__(self, "rank_pairs", pairs)
+            pairs = ((None, None),)  # no pairs at all: rejected below
+        if not all(isinstance(j, numbers.Integral) for pair in pairs for j in pair):
+            raise InvalidPair(f"rank_pairs must be (j1, j2) integer pairs, got {self.rank_pairs!r}")
+        object.__setattr__(self, "rank_pairs", tuple((int(j1), int(j2)) for j1, j2 in pairs))
         if self.top_k is None and self.threshold is None and not pairs:
             raise InvalidValue("set top_k, threshold or rank_pairs (any combination)")
         if self.top_k is not None:
@@ -649,7 +650,7 @@ class CodeWorkspace:
         if self.bits == 8:
             out[...] = codes
         else:
-            _unpack_codes(codes, out, slot_buffer[: codes.size].reshape(codes.shape))
+            dataio._unpack_codes(codes, out, slot_buffer[: codes.size].reshape(codes.shape))
         return out
 
     def _level_sums(self, x, mates, s12, s12y, product) -> None:
@@ -687,13 +688,6 @@ def _columns(matrix):
     return matrix.shape, blocks
 
 
-def _walk_width(n: int) -> int:
-    """Columns per block of both :func:`precompute` walks: one float screen
-    tile's cells, ``max(64, 64 * 2048 // n)`` (1 MiB of float64 at
-    n <= 2048), so a small input is one block and n >= 2048 walks 64."""
-    return max(_ANCHOR_BLOCK, _ANCHOR_BLOCK * _PARTNER_CHUNK // n)
-
-
 def precompute(matrix, response) -> Workspace | CodeWorkspace:
     """Center every column and the response exactly once.
 
@@ -709,9 +703,9 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     stops at the first block that rules it out; the input itself is not
     kept.  Any other input takes the float route and gets a
     :class:`Workspace` from a walk of its own.  Both walks take blocks of
-    :func:`_walk_width` columns, ``max(64, 64 * 2048 // n)``, one screen
-    tile's cells (1 MiB of float64 at n <= 2048).  On the float route each
-    block is widened to float64 as contiguous rows, scaled by ``2^-e`` (e
+    :func:`~jciscan.dataio._walk_width` columns, ``max(64, 2**17 // n)``
+    (1 MiB of float64 at n <= 2048).  On the float route each block is
+    widened to float64 as contiguous rows, scaled by ``2^-e`` (e
     the ``frexp`` exponent of the largest |x|, y alike), centered, and
     written straight into the one n x p matrix, so the route holds the
     input once plus one block.  Means, centered values and css are
@@ -758,7 +752,7 @@ def precompute(matrix, response) -> Workspace | CodeWorkspace:
     centered = np.empty((n, p))
     shift = np.empty(p, dtype=np.intc)
     css = np.empty(p)
-    width = _walk_width(n)
+    width = dataio._walk_width(n)
     for j0, cols in blocks(width):
         block = slice(j0, j0 + width)
         # Row j of `cols` is column j0 + j: contiguous rows give the same
@@ -808,8 +802,8 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     (float32 GEMM tiles) and ``2 c^2 n^3 m < 2^53`` (float64 combine).
     ``matrix`` is an array or a column source (:func:`_columns`).
 
-    One walk over blocks of :func:`_walk_width` columns, the float walk's
-    rule, checks and narrows the entries to uint8, gathers the block's rows
+    One walk over blocks of :func:`~jciscan.dataio._walk_width` columns,
+    the float walk's rule, checks and narrows the entries to uint8, gathers the block's rows
     into y's stable sort order by one ``take`` (each level one row range,
     rows past n code 0), updates the largest code c so far and checks both
     bounds on it, and packs the block into the store
@@ -837,7 +831,7 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
     weights = np.zeros((rows, 2), dtype=np.float32)
     weights[:, 0] = 1
     weights[:n, 1] = shifted[order]
-    width = _walk_width(n)
+    width = dataio._walk_width(n)
     ordered = np.zeros((rows, width), dtype=np.uint8)
     wide = np.empty((rows, width), dtype=np.float32)
     store, bits, c = np.empty((rows // 4, p), dtype=np.uint8), 2, 0
@@ -862,9 +856,9 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
             return None
         if c > 3 and bits == 2:
             widened = np.empty((rows, p), dtype=np.uint8)
-            _unpack_codes(store[:, :j0], widened[:, :j0], np.empty((rows // 4, j0), dtype=np.uint8))
+            dataio._unpack_codes(store[:, :j0], widened[:, :j0], np.empty((rows // 4, j0), dtype=np.uint8))
             store, bits = widened, 8
-        store[:, j0:j1] = block if bits == 8 else _pack_codes(block, 0)
+        store[:, j0:j1] = block if bits == 8 else dataio._pack_codes(block, 0)
         f = wide[:, : j1 - j0]
         f[...] = block
         sums[j0:j1, :2] = (weights.T @ f).T

@@ -502,8 +502,8 @@ def test_packed_scan_matches_parse_packed_then_scan(tmp_path, capsys, monkeypatc
     # The .jcg path (open_packed, then blocks decoded in precompute's walk)
     # against the decoded matrix: parse_packed, then a scan of its codes.
     # Errors, exit codes and output bytes agree, missing codes found and
-    # imputed alike, with the missing-code check cut into 3-column chunks.
-    monkeypatch.setattr(dataio, "_DECODE_CELLS", 150)
+    # imputed alike, with every column walk cut into 3-column blocks.
+    monkeypatch.setattr(dataio, "_walk_width", lambda n: 3)
     rng = np.random.default_rng(51)
     n, p = 50, 130
     codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)

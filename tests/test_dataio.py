@@ -44,6 +44,7 @@ from jciscan.errors import (
     ParseError,
     TruncatedFile,
 )
+from jciscan.scan import CodeWorkspace, Workspace, precompute
 
 
 def make_matrix(codes, ids=None, chroms=None):
@@ -1124,15 +1125,20 @@ def test_write_packed_peak_memory_stays_below_the_codes(tmp_path):
     assert path.read_bytes() == packed_bytes(gm)
 
 
+@pytest.mark.parametrize("quoted", [False, True])
 @pytest.mark.parametrize("n", [1, 4, 43])
-def test_convert_csv_to_packed_carries_rows_between_blocks(tmp_path, monkeypatch, n):
+def test_convert_csv_to_packed_carries_rows_between_blocks(tmp_path, monkeypatch, n, quoted):
     # Blocks of 5 rows leave 1 to 3 rows past each block's last whole byte,
-    # carried to the next block; the bytes are write_packed's.
+    # carried to the next block; the bytes are write_packed's.  A quoted
+    # first cell sends every row to the csv.reader walk, one row per block.
     rng = np.random.default_rng(n)
     gm = make_matrix(rng.integers(1, 4, size=(n, 9)), ids=[f"rs{j}" for j in range(9)],
                      chroms=[1 + j % 3 for j in range(9)])
     src, out = tmp_path / "g.csv", tmp_path / "g.jcg"
     write_csv(src, gm.codes, [gm.column_label(j) for j in range(gm.p)])
+    if quoted:
+        header, first, rest = src.read_text().split("\n", 2)
+        src.write_text(f'{header}\n"{first[0]}"{first[1:]}\n{rest}')
     monkeypatch.setattr(dataio, "_CSV_BLOCK_CHARS", 5 * 2 * gm.p)
     dataio.convert_csv_to_packed(src, out)
     assert out.read_bytes() == packed_bytes(gm)
@@ -1156,10 +1162,32 @@ def test_convert_csv_to_packed_peak_memory_stays_below_the_codes(tmp_path):
     assert out.read_bytes() == packed_bytes(make_matrix(codes, ids=[f"rs{j}" for j in range(p)], chroms=[0] * p))
 
 
+@pytest.mark.parametrize("n", [200, 1000, 4000])
+def test_one_rule_sizes_every_walk_of_the_payload(monkeypatch, n):
+    # open_packed's missing-code check, parse_packed's fill and both
+    # precompute walks read the payload in blocks of max(64, 2**17 // n)
+    # columns: 655, 131 and 64 here.
+    widths = []
+    read = dataio.PackedGenotypes._payload_blocks
+
+    def spy(self, width):
+        widths.append(width)
+        return read(self, width)
+
+    monkeypatch.setattr(dataio.PackedGenotypes, "_payload_blocks", spy)
+    rng = np.random.default_rng(n)
+    data = packed_bytes(make_matrix(rng.integers(1, 4, size=(n, 70))))
+    source = open_packed(io.BytesIO(data))
+    parse_packed(io.BytesIO(data))
+    routes = [type(precompute(source, y)) for y in (rng.integers(0, 2, n).astype(float), rng.normal(size=n))]
+    assert routes == [CodeWorkspace, Workspace]
+    assert widths == [max(64, 2**17 // n)] * 4
+
+
 def test_parse_packed_handles_missing_codes_per_column_chunk(monkeypatch):
-    # Chunks of two columns: the first missing code in file order, and the
-    # modal imputation, are found whichever chunk holds them.
-    monkeypatch.setattr(dataio, "_DECODE_CELLS", 16)
+    # Blocks of two columns: the first missing code in file order, and the
+    # modal imputation, are found whichever block holds them.
+    monkeypatch.setattr(dataio, "_walk_width", lambda n: 2)
     codes = np.random.default_rng(41).integers(1, 4, size=(9, 7)).astype(np.uint8)
     gm = make_matrix(codes)
     data = bytearray(_with_missing_entry(gm, row=2, col=5))

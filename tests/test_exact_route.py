@@ -36,9 +36,10 @@ from jciscan import (
     scan,
     select_by_threshold,
 )
+from jciscan import dataio
 from jciscan.cumulants import center
-from jciscan.dataio import open_packed, write_packed
-from jciscan.errors import ZeroVarianceColumn
+from jciscan.dataio import open_packed, parse_packed, write_packed
+from jciscan.errors import MissingGenotype, ZeroVarianceColumn
 from jciscan.scan import iter_score_rows
 
 scan_module = importlib.import_module("jciscan.scan")  # `jciscan.scan` names the function
@@ -53,9 +54,9 @@ def genotypes(codes):
 
 @contextlib.contextmanager
 def walk_width(width):
-    """Both :func:`precompute` walks take blocks of ``width`` columns."""
+    """Every column walk takes blocks of ``width`` columns."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scan_module, "_walk_width", lambda n: width)
+        patch.setattr(dataio, "_walk_width", lambda n: width)
         yield
 
 
@@ -336,6 +337,8 @@ def test_walk_width_never_reaches_the_workspace_property(seed, form, many_levels
     # of 7 or 64, so each walk ends on a partial block, and a code above 3
     # in the first, a middle or the last block of a 64-column walk widens
     # the store from 2 to 8 bits there (bool and packed inputs hold none).
+    # A packed file also gives the same parse_packed codes, and, with
+    # missing codes, the same open_packed error and imputed values.
     rng = np.random.default_rng(seed)
     levels = int(rng.integers(10, 13)) if many_levels else 2
     n = int(rng.integers(levels + 2, 41))
@@ -348,20 +351,32 @@ def test_walk_width_never_reaches_the_workspace_property(seed, form, many_levels
         column = {"first": 0, "middle": p // 2, "last": p - 1}[wide]
         codes[rng.integers(2, n), column] = rng.integers(4, 61)
 
-    def source():
-        if form != "packed":
-            return codes.astype(form)
+    if form == "packed":
         buffer = io.BytesIO()
         write_packed(genotypes(codes), buffer)
-        return open_packed(io.BytesIO(buffer.getvalue()))
+        packed, damaged = buffer.getvalue(), bytearray(buffer.getvalue())
+        missing = sorted((int(rng.integers(0, p)), int(rng.integers(2, n))) for _ in range(3))
+        for col, row in missing:  # rows 0 and 1 keep every column non-constant
+            damaged[len(damaged) - (p - col) * ((n + 3) // 4) + row // 4] |= 0b11 << 2 * (row % 4)
+
+    def source():
+        return codes.astype(form) if form != "packed" else open_packed(io.BytesIO(packed))
 
     built = []
     for width in (1, 7, 64, None):
         with contextlib.nullcontext() if width is None else walk_width(width):
             ws = precompute(source(), y)
+            outputs = [workspace_fields(ws)]
+            if form == "packed":
+                with pytest.raises(MissingGenotype) as exc:
+                    open_packed(io.BytesIO(damaged))
+                assert (exc.value.column, exc.value.row) == missing[0]
+                imputed = precompute(open_packed(io.BytesIO(damaged), "impute"), y)
+                outputs += [parse_packed(io.BytesIO(packed)).codes.tobytes(), workspace_fields(imputed),
+                            parse_packed(io.BytesIO(damaged), "impute").codes.tobytes()]
         assert isinstance(ws, CodeWorkspace) and ws.bits == (8 if widens else 2)
         assert len(ws.levels) == levels
-        built.append(workspace_fields(ws))
+        built.append(outputs)
     assert built == [built[0]] * 4
 
 
@@ -768,7 +783,7 @@ def test_one_walk_sums_are_exact_at_the_float32_edge(dtype, p, monkeypatch):
     # the first, so its S_jj = 255^2 * 257 sits just below the bound; p = 63,
     # 65 and 130 leave partial blocks of a 64-column walk.  bool holds
     # {0, 1}, far inside the bound at either n.
-    monkeypatch.setattr(scan_module, "_walk_width", lambda n: 64)
+    monkeypatch.setattr(dataio, "_walk_width", lambda n: 64)
     high = 1 if dtype is bool else 255
     for n in (258, 259):
         rng = np.random.default_rng(n * p)

@@ -1312,6 +1312,19 @@ def test_rank_pairs_alone_are_a_scan_output():
             assert result.stats.rows_read == len(shared) + ws.p - 1
 
 
+def test_rank_pairs_coordinates_must_be_integers():
+    # A float or a string coordinate is rejected, not truncated or parsed;
+    # numpy integers are integers.
+    for bad in ((0, 1.5), (0.0, 2), ("0", "2"), (0, np.float64(1.0))):
+        with pytest.raises(InvalidPair, match="integer pairs"):
+            ScanConfig(rank_pairs=[bad])
+    cfg = ScanConfig(rank_pairs=[(np.int32(0), np.uint8(1)), (np.int64(2), 5)])
+    assert cfg.rank_pairs == ((0, 1), (2, 5)) and all(type(j) is int for pair in cfg.rank_pairs for j in pair)
+    X, y = random_instance(seed=75, max_n=30, max_p=10)
+    with pytest.raises(InvalidPair, match="integer pairs"):
+        ranks_of_pairs(precompute(X, y), X.shape[1], [(0, 1.5)])
+
+
 def test_invalid_rank_pairs_raise_invalid_pair():
     rng = np.random.default_rng(74)
     X = rng.normal(size=(30, 10))
