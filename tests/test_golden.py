@@ -189,10 +189,9 @@ def run_corpus(directory: Path):
             code, out, err = run_case(argv)
             written = {f: Path(f).read_bytes() for f in sorted(set(os.listdir(".")) - before)}
             if kind == ORDER:
-                texts = {"stdout": out, **{f: data.decode("utf-8") for f, data in written.items()}}
-                tables[name] = texts
+                tables[name] = {"stdout": out, **{f: data.decode("utf-8") for f, data in written.items()}}
                 out = order_view(out)
-                written = {f: order_view(text).encode("utf-8") for f, text in texts.items() if f != "stdout"}
+                written = {f: order_view(data.decode("utf-8")).encode("utf-8") for f, data in written.items()}
             hashes[name] = {
                 "exit": _sha(str(code).encode()),
                 "stdout": _sha(out.encode("utf-8")),
