@@ -9,19 +9,22 @@ byte-order mark is dropped.  One column may be the response; remaining
 columns are numeric predictors in header order.  A cell is a number by
 Python's ``float()`` and must be finite (:func:`parse_number`): that rule
 defines every value and every error.  The data section is read in blocks
-of whole lines, about :data:`_CSV_BLOCK_CHARS` characters each.  A block
-of single digits, one per header column on every line (a genotype or
-dosage table), is decoded straight from its bytes as uint8 digits and
-widened to float64 only when the parsed blocks are joined.  Any other
-plain block (ASCII ``0-9 + - . e E``, commas and line ends only, no blank
+of whole lines, about :data:`_CSV_BLOCK_CHARS` characters each.  A line
+of single digits, one per header column (a genotype or dosage table),
+has one byte layout, :func:`_digit_line`, read and written: a block of
+such lines is decoded straight from its bytes as uint8 digits, widened
+to float64 only when the parsed blocks are joined, and :func:`write_csv`
+writes a block of digit cells by the same layout.  Any other plain
+block (ASCII ``0-9 + - . e E``, commas and line ends only, no blank
 line, no cell over ``csv.field_size_limit()``) is converted by numpy's C
 reader, which rounds a number as ``float()`` does; it is kept when it
 gives one finite value per header column.  The first block that is not
 kept, and the rest of the stream, are walked row by row with
 ``csv.reader``, one numpy call per row, and only a row with a bad cell is
-walked cell by cell to name it.  Writes use 17 significant digits so parse(write(x))
-reproduces float64 values exactly.  Non-numeric cells are rejected (no
-imputation for text input).
+walked cell by cell to name it.  Any other written block is formatted
+cell by cell with 17 significant digits, so parse(write(x)) reproduces
+float64 values exactly.  Non-numeric cells are rejected (no imputation
+for text input).
 
 Packed genotype format
 ----------------------
@@ -106,9 +109,6 @@ _INTEGER_BYTES = b"0123456789,\r\n"
 _FLOAT_MARKS = b"+-.eE"
 #: Cells :func:`write_csv` writes per block of rows.
 _WRITE_CELLS = 2**14
-#: ``.17g`` writes an integral float below 10^17 in magnitude as its plain
-#: digits; these are the powers of ten that add a digit below it.
-_TEN_POWERS = 10 ** np.arange(1, 17, dtype=np.int64)
 
 #: Header of the score dump that ``scan --dump-all`` writes and ``report``
 #: reads: one row per pair, r_hat written as the shortest round-trip float.
@@ -267,15 +267,28 @@ def _parse_cells(cells: list[str], places, what: str) -> np.ndarray:
     return np.array([parse_number(cell, *at, what) for cell, at in zip(cells, places)])
 
 
+def _digit_line(width: int, end: bytes) -> np.ndarray:
+    """The one layout of a CSV line of ``width`` single digits ended by
+    ``end``, less its digits: each cell's byte pair (``"0"``, separator) as
+    a little-endian u16, the separator a comma or, for the last cell, the
+    first byte of ``end``.  :func:`_plain_values` subtracts it from a
+    line's pairs to read the digits, and :func:`write_csv` adds it to
+    digits to write the line."""
+    zero = np.full(width, ord("0") | ord(",") << 8, dtype="<u2")
+    zero[-1] = ord("0") | end[0] << 8
+    return zero
+
+
 def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
     """The rows of ``lines`` as an n x ``width`` array, or None when the
     block is not plain or does not give ``width`` finite values on every
     line.
 
     A block whose every line is ``width`` single digits joined by commas,
-    all ended by LF or all by CRLF, is decoded straight from its bytes:
-    the digits' values are returned as uint8, and each is the value
-    ``float()`` gives its cell.  Any other plain block is read as float64
+    all ended by LF or all by CRLF, is decoded straight from its bytes,
+    each line's u16 pairs less :func:`_digit_line`: the digits' values
+    are returned as uint8, and each is the value ``float()`` gives its
+    cell.  Any other plain block is read as float64
     by numpy's C reader, and reads the same as by ``csv.reader`` and
     :func:`parse_number`: its cells hold only ASCII digits, signs, points
     and exponents, which numpy converts with CPython's correctly rounded
@@ -291,14 +304,11 @@ def _plain_values(lines: list[str], width: int) -> np.ndarray | None:
     end = b"\r\n" if lines[0].endswith("\r\n") else b"\n"
     size = 2 * width - 1 + len(end)
     if len(raw) == size * len(lines) and raw[size - 1 :: size] == b"\n" * len(lines):
-        # Every line is ``size`` bytes ending in LF: ``width`` byte pairs
-        # (digit, comma), the last (digit, first byte of the line end).
-        # Read as little-endian u16 and less ("0", that separator), a pair
-        # is its digit's value, and any other pair is at least 10.
+        # Every line is ``size`` bytes ending in LF.  Less the digit line's
+        # template, a pair is its digit's value, and any other pair is at
+        # least 10.
         pairs = np.ndarray((len(lines), width), dtype="<u2", buffer=raw, strides=(size, 2))
-        zero = np.full(width, ord("0") | ord(",") << 8, dtype="<u2")
-        zero[-1] = ord("0") | end[0] << 8
-        values = pairs - zero
+        values = pairs - _digit_line(width, end)
         if values.max() <= 9:
             return values.astype(np.uint8)
     marks = raw.translate(None, _INTEGER_BYTES)
@@ -445,10 +455,11 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
 
     The response column, when given, is appended after the predictors.
     Rows are widened to float64 and written about :data:`_WRITE_CELLS`
-    cells at a time.  A block of an integer or bool matrix whose every
-    cell, response included, prints as plain digits is laid out by byte
-    arithmetic (:func:`_integer_lines`); any other block is written cell by
-    cell with ``format(v, ".17g")``, which gives the same bytes.
+    cells at a time.  A block whose every cell, response included, is a
+    digit 0-9 (not -0.0), whatever the dtype, is written in the layout
+    :func:`_plain_values` reads, its digits plus :func:`_digit_line`; any
+    other block is written cell by cell with ``format(v, ".17g")``, which
+    gives the same bytes.
 
     Raises:
         InvalidValue: before the file is opened, for a shape mismatch, a
@@ -476,10 +487,13 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
             if response is not None:
                 column = np.asarray(response[i0 : i0 + rows], dtype=np.float64)
                 block = np.column_stack([block, column])
-            text = _integer_lines(block) if matrix.dtype.kind in "biu" else None
-            if text is None:
-                text = "".join(",".join(format(v, fmt) for v in row) + "\n" for row in block.tolist())
-            fh.write(text)
+            if block.size and block.max() <= 9 and not np.signbit(block).any():  # no negative cell, no -0.0
+                digits = block.astype(np.uint8)
+                if np.array_equal(digits, block):  # every cell integral
+                    pairs = (digits + _digit_line(block.shape[1], b"\n")).astype("<u2", copy=False)
+                    fh.write(pairs.tobytes().decode("ascii"))
+                    continue
+            fh.write("".join(",".join(format(v, fmt) for v in row) + "\n" for row in block.tolist()))
 
 
 def _writable(values, what: str) -> np.ndarray:
@@ -492,37 +506,6 @@ def _writable(values, what: str) -> np.ndarray:
     if values.dtype.kind == "f" and values.size and not np.isfinite([values.max(), values.min()]).all():
         raise InvalidValue(f"{what} holds NaN or infinite values, which parse_csv rejects")
     return values
-
-
-def _integer_lines(block: np.ndarray) -> str | None:
-    """The CSV lines of the float64 ``block``, each cell as ``format(v,
-    ".17g")`` writes it, or None unless every cell prints as plain digits:
-    an integral value in [0, 10^17), not -0.0.
-
-    The inverse of :func:`_plain_values`' digit decoder: each cell gets a
-    fixed run of byte slots (``d`` digits right-aligned, then a comma or,
-    ending a row, a line feed), filled one digit place per numpy call, and
-    the slots a cell does not use are dropped by one mask.  A block of
-    single digits keeps every slot.
-    """
-    # NaN fails the max test, a negative value or -0.0 the sign test.
-    if not block.size or not block.max() < 10.0**17 or np.signbit(block).any():
-        return None
-    values = block.astype(np.int64)
-    if not np.array_equal(values, block):
-        return None
-    digits = 1 + np.searchsorted(_TEN_POWERS, values, side="right")
-    top = int(digits.max())
-    slots = np.empty(values.shape + (top + 1,), dtype=np.uint8)
-    digit = np.empty_like(values)
-    for place in range(top - 1, -1, -1):
-        np.divmod(values, 10, out=(values, digit))
-        np.add(digit, ord("0"), out=slots[..., place], casting="unsafe")
-    slots[..., -1] = ord(",")
-    slots[:, -1, -1] = ord("\n")
-    if top > 1:
-        slots = slots[np.arange(top + 1) >= top - digits[..., None]]
-    return slots.tobytes().decode("ascii")
 
 
 def read_phenotype(stream) -> np.ndarray:

@@ -140,7 +140,11 @@ depends on which tile or worker found a pair.
 Ordering contract
 -----------------
 Pairs are ordered by r_hat descending, ties broken by (j1, j2) ascending.
-Ranks are 1-based positions in that total order.
+Ranks are 1-based positions in that total order.  Ties are among the
+*computed* values.  On the float route, pairs whose exact scores tie
+(repeated columns are one case) can differ in their last bits, so their
+order follows rounding that depends on the BLAS kernel.  On the exact
+route such pairs are computed equal and ordered by (j1, j2).
 """
 
 from __future__ import annotations
@@ -261,12 +265,12 @@ class ScanConfig:
     carries every view asked for from one pass.  ``rank_pairs`` names
     ``(j1, j2)`` pairs whose 1-based rank among the scanned pairs the result
     reports; its coordinates are integers, held as a tuple of int pairs
-    (anything else raises InvalidPair).  ``pair_range`` restricts
-    the sweep to a half-open interval of canonical pair indices for
-    sharding, and ranks are then ranks within it.  ``top_k``,
+    (anything else, a ``bool`` too, raises InvalidPair).  ``pair_range``
+    restricts the sweep to a half-open interval of canonical pair indices
+    for sharding, and ranks are then ranks within it.  ``top_k``,
     ``block_size`` and ``worker_count`` are integers of at least 1,
     ``pair_range`` is two integers and ``threshold`` a real number of at
-    least 0; anything else raises InvalidValue."""
+    least 0; anything else, a ``bool`` too, raises InvalidValue."""
 
     top_k: int | None = None
     threshold: float | None = None
@@ -280,30 +284,37 @@ class ScanConfig:
             pairs = tuple((j1, j2) for j1, j2 in self.rank_pairs)
         except (TypeError, ValueError):
             pairs = ((None, None),)  # no pairs at all: rejected below
-        if not all(isinstance(j, numbers.Integral) for pair in pairs for j in pair):
+        if not all(_integer(j) for pair in pairs for j in pair):
             raise InvalidPair(f"rank_pairs must be (j1, j2) integer pairs, got {self.rank_pairs!r}")
         object.__setattr__(self, "rank_pairs", tuple((int(j1), int(j2)) for j1, j2 in pairs))
         if self.top_k is None and self.threshold is None and not pairs:
             raise InvalidValue("set top_k, threshold or rank_pairs (any combination)")
         if self.top_k is not None:
             _count(self.top_k, "top_k")
+        real = isinstance(self.threshold, numbers.Real) and not isinstance(self.threshold, bool)
         # NaN fails the comparison too.
-        if self.threshold is not None and not (isinstance(self.threshold, numbers.Real) and self.threshold >= 0):
+        if self.threshold is not None and not (real and self.threshold >= 0):
             raise InvalidValue(f"threshold must be a real number >= 0, got {self.threshold!r}")
         _count(self.block_size, "block_size")
         _count(self.worker_count, "worker_count")
         if self.pair_range is not None:
             pair = tuple(self.pair_range) if isinstance(self.pair_range, Sequence) else ()
-            if len(pair) != 2 or not all(isinstance(v, numbers.Integral) for v in pair):
+            if len(pair) != 2 or not all(map(_integer, pair)):
                 raise InvalidValue(f"pair_range must be two integers, got {self.pair_range!r}")
             start, end = pair
             if start < 0 or end < start:
                 raise InvalidValue(f"malformed pair_range {self.pair_range}")
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's; a ``bool`` is
+    a ``numbers.Integral`` but not an integer here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _count(value, what: str) -> None:
     """Raise InvalidValue unless ``value`` is an integer of at least 1."""
-    if not isinstance(value, numbers.Integral):
+    if not _integer(value):
         raise InvalidValue(f"{what} must be an integer, got {value!r}")
     if value < 1:
         raise InvalidValue(f"{what} must be >= 1, got {value}")

@@ -426,6 +426,62 @@ def test_write_csv_bytes_equal_the_cell_by_cell_formatter(kind, response):
     assert out.getvalue() == _cell_by_cell_csv(matrix, names, y)
 
 
+_DIGIT_DTYPES = {"uint8": np.uint8, "int64": np.int64, "bool": np.bool_, "integral float64": np.float64}
+
+
+@st.composite
+def digit_tables(draw):
+    """``(matrix, response)``: digits 0-9 (0/1 for bool) in one of
+    :data:`_DIGIT_DTYPES`, with no response, an integral 0-9 one or -0.0,
+    and row counts on both sides of one write block; an int64 matrix may
+    hold one integer of two or more digits, in one block only."""
+    p = draw(st.integers(1, 40))
+    response = draw(st.sampled_from([None, "digits", "negative zero"]))
+    block = dataio._WRITE_CELLS // (p + (response is not None))
+    n = max(1, block + draw(st.integers(-3, block + 3)))
+    dtype = draw(st.sampled_from(sorted(_DIGIT_DTYPES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, 2 if dtype == "bool" else 10, size=(n, p)).astype(_DIGIT_DTYPES[dtype])
+    if dtype == "int64" and draw(st.booleans()):
+        matrix[draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))] = draw(st.integers(10, 2**63 - 1))
+    y = {None: None, "digits": rng.integers(0, 10, size=n).astype(np.float64), "negative zero": np.full(n, -0.0)}
+    return matrix, y[response]
+
+
+def _one_wide_cell():
+    # Two write blocks of int64 digits, one cell of the second block 10.
+    matrix = np.arange(dataio._WRITE_CELLS * 2, dtype=np.int64).reshape(-1, 2) % 10
+    matrix[-1, 0] = 10
+    return matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=digit_tables())
+@example(table=(_one_wide_cell(), None))
+def test_digit_layout_is_its_own_inverse(table):
+    # The writer's digit blocks are the reader's: write_csv gives the
+    # cell-by-cell formatter's bytes, parse_csv reads back every value, and
+    # each written block that is all digits 0-9 (no -0.0) reads back through
+    # _plain_values' digit decoder as uint8, every other one as float64.
+    matrix, y = table
+    names = [f"c{j}" for j in range(matrix.shape[1])]
+    out = io.StringIO()
+    write_csv(out, matrix, names, response=y)
+    text = out.getvalue()
+    assert text == _cell_by_cell_csv(matrix, names, y)
+    back, resp, read_names = parse_csv(io.StringIO(text), None if y is None else "y")
+    assert read_names == names and np.array_equal(back, matrix.astype(np.float64))
+    assert (resp is None) if y is None else np.array_equal(resp, y)
+    cells = matrix.astype(np.float64) if y is None else np.column_stack([matrix, y])
+    lines = text.splitlines(keepends=True)[1:]
+    rows = dataio._WRITE_CELLS // cells.shape[1]
+    for i0 in range(0, len(cells), rows):
+        block = cells[i0 : i0 + rows]
+        values = dataio._plain_values(lines[i0 : i0 + rows], cells.shape[1])
+        digits = block.max() <= 9 and not np.signbit(block).any()
+        assert values.dtype == (np.uint8 if digits else np.float64) and np.array_equal(values, block)
+
+
 def test_write_csv_validation(tmp_path):
     with pytest.raises(InvalidValue):
         write_csv(tmp_path / "x.csv", np.ones((2, 2)), ["only-one"])

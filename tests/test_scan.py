@@ -1161,7 +1161,7 @@ def test_merge_top_pairs_rejects_top_k_below_one():
     for bad in (0, -1):
         with pytest.raises(InvalidValue, match="top_k must be >= 1"):
             merge_top_pairs([stats], bad)
-    for bad in (2.5, "3", None):
+    for bad in (2.5, "3", None, True):
         with pytest.raises(InvalidValue, match="top_k must be an integer"):
             merge_top_pairs([stats], bad)
     assert [s.j2 for s in merge_top_pairs([stats[:2], stats[2:]], 3)] == [1, 2, 3]
@@ -1271,6 +1271,10 @@ def test_scan_config_validation():
         dict(top_k=5, pair_range=(0.5, 3)), dict(top_k=5, pair_range=(0, 1, 2)),
         dict(top_k=5, pair_range=(0,)), dict(top_k=5, pair_range=5), dict(top_k=5, pair_range="03"),
         dict(threshold="0.5"), dict(threshold=0.5j), dict(top_k=5, block_size=[64]),
+        # A bool is a numbers.Integral and a numbers.Real, but not a count,
+        # a coordinate or a threshold.
+        dict(top_k=True), dict(top_k=5, block_size=True), dict(top_k=5, worker_count=True),
+        dict(top_k=5, pair_range=(False, True)), dict(threshold=True), dict(threshold=False),
     ):
         with pytest.raises(InvalidValue):
             ScanConfig(**bad)
@@ -1315,7 +1319,7 @@ def test_rank_pairs_alone_are_a_scan_output():
 def test_rank_pairs_coordinates_must_be_integers():
     # A float or a string coordinate is rejected, not truncated or parsed;
     # numpy integers are integers.
-    for bad in ((0, 1.5), (0.0, 2), ("0", "2"), (0, np.float64(1.0))):
+    for bad in ((0, 1.5), (0.0, 2), ("0", "2"), (0, np.float64(1.0)), (False, True), (0, True)):
         with pytest.raises(InvalidPair, match="integer pairs"):
             ScanConfig(rank_pairs=[bad])
     cfg = ScanConfig(rank_pairs=[(np.int32(0), np.uint8(1)), (np.int64(2), 5)])
