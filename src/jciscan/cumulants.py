@@ -145,9 +145,10 @@ def validate_c1(col: CenteredColumn, eps: float = DEFAULT_VARIANCE_FLOOR) -> Non
     undefined and must be removed before scanning.
 
     Raises:
+        InvalidValue: ``eps`` is not positive, or is NaN.
         ZeroVarianceColumn: the column is at or below the floor.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise InvalidValue(f"variance floor must be positive, got {eps}")
     spread = max(col.centered.max(), -col.centered.min())
     if near_constant(col.mean, spread, col.css, col.n, eps):

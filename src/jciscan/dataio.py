@@ -139,7 +139,7 @@ class GenotypeMatrix:
         if len(self.snp_ids) != p or len(self.chromosomes) != p:
             raise InvalidValue("metadata length must equal the column count")
         if self.codes.dtype.kind not in "iu":
-            raise InvalidValue(f"codes must be integers, got {self.codes.dtype}; see genotype_from_floats")
+            raise InvalidValue(f"integer codes needed, got {self.codes.dtype}; see jciscan.dataio.genotype_from_floats")
         # Reductions, not an elementwise mask: no n x p temporaries.
         if not (self.codes.min() >= 1 and self.codes.max() <= 3):
             raise InvalidValue("genotype codes must lie in {1, 2, 3}")
@@ -454,9 +454,10 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
     """Write a numeric CSV (17 significant digits, exact round trip).
 
     The response column, when given, is appended after the predictors.
-    Rows are widened to float64 and written about :data:`_WRITE_CELLS`
-    cells at a time.  A block whose every cell, response included, is a
-    digit 0-9 (not -0.0), whatever the dtype, is written in the layout
+    Rows are written about :data:`_WRITE_CELLS` cells at a time, each
+    block checked in its own dtype (numpy's promotion of the matrix and
+    the response when one is given).  A block whose every cell is a digit
+    0-9 (not -0.0, which only a float block can hold) is written in the layout
     :func:`_plain_values` reads, its digits plus :func:`_digit_line`; any
     other block is written cell by cell with ``format(v, ".17g")``, which
     gives the same bytes.
@@ -483,12 +484,12 @@ def write_csv(stream, matrix, names, response=None, response_name: str = "y") ->
     with _open(stream, "w") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for i0 in range(0, matrix.shape[0], rows):
-            block = matrix[i0 : i0 + rows].astype(np.float64)
+            block = matrix[i0 : i0 + rows]
             if response is not None:
-                column = np.asarray(response[i0 : i0 + rows], dtype=np.float64)
-                block = np.column_stack([block, column])
-            if block.size and block.max() <= 9 and not np.signbit(block).any():  # no negative cell, no -0.0
-                digits = block.astype(np.uint8)
+                block = np.column_stack([block, response[i0 : i0 + rows]])
+            digit_range = block.size and block.max() <= 9 and block.min() >= 0
+            if digit_range and not (block.dtype.kind == "f" and np.signbit(block).any()):  # no -0.0
+                digits = block.astype(np.uint8, copy=False)
                 if np.array_equal(digits, block):  # every cell integral
                     pairs = (digits + _digit_line(block.shape[1], b"\n")).astype("<u2", copy=False)
                     fh.write(pairs.tobytes().decode("ascii"))

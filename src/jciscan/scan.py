@@ -224,7 +224,7 @@ _SLACK = 2.0**-46
 def pair_count(p: int) -> int:
     """Number of unordered pairs, p*(p-1)/2.  Python ints, so the 27.5e9
     pairs of a genome-scale run do not overflow."""
-    if p < 2:
+    if _count(p, "p", 0) < 2:
         raise TooFewColumns(f"need at least 2 columns to form pairs, got {p}")
     return p * (p - 1) // 2
 
@@ -232,6 +232,12 @@ def pair_count(p: int) -> int:
 def pair_index(j1: int, j2: int, p: int) -> int:
     """Canonical index of (j1, j2) in the row-major order
     (0,1), (0,2), ..., (0,p-1), (1,2), ..., (p-2,p-1)."""
+    ((j1, j2),) = _pairs([(j1, j2)])
+    return _index(j1, j2, _count(p, "p", 0))
+
+
+def _index(j1: int, j2: int, p: int) -> int:
+    """:func:`pair_index` of checked integers: the range check and the formula."""
     if not (0 <= j1 < j2 < p):
         raise InvalidPair(f"require 0 <= j1 < j2 < p, got ({j1}, {j2}) with p={p}")
     return _row_start(j1, p) + (j2 - j1 - 1)
@@ -240,13 +246,18 @@ def pair_index(j1: int, j2: int, p: int) -> int:
 def pair_from_index(idx: int, p: int) -> tuple[int, int]:
     """Inverse of :func:`pair_index`, exact integer arithmetic at any p."""
     total = pair_count(p)
-    if not (0 <= idx < total):
-        raise InvalidPair(f"pair index {idx} outside [0, {total})")
+    if not (_integer(idx) and 0 <= idx < total):
+        raise InvalidPair(f"pair index must be an integer in [0, {total}), got {idx!r}")
+    j1 = _anchor(idx, p)
+    return j1, j1 + 1 + (idx - _row_start(j1, p))
+
+
+def _anchor(idx: int, p: int) -> int:
+    """The j1 of canonical pair index ``idx``, which is not checked."""
     # Counted from the end, row p-2-m holds m+1 pairs and starts at reverse
     # index m(m+1)/2, so m is the largest integer with m(m+1)/2 <= total-1-idx.
-    m = (math.isqrt(8 * (total - 1 - idx) + 1) - 1) // 2
-    j1 = p - 2 - m
-    return j1, j1 + 1 + (idx - _row_start(j1, p))
+    m = (math.isqrt(8 * (p * (p - 1) // 2 - 1 - idx) + 1) - 1) // 2
+    return p - 2 - m
 
 
 def _row_start(j1: int, p: int) -> int:
@@ -264,13 +275,17 @@ class ScanConfig:
     ``rank_pairs`` is required; any combination may be set, and the result
     carries every view asked for from one pass.  ``rank_pairs`` names
     ``(j1, j2)`` pairs whose 1-based rank among the scanned pairs the result
-    reports; its coordinates are integers, held as a tuple of int pairs
-    (anything else, a ``bool`` too, raises InvalidPair).  ``pair_range``
-    restricts the sweep to a half-open interval of canonical pair indices
-    for sharding, and ranks are then ranks within it.  ``top_k``,
+    reports, held as a tuple of int pairs.  ``pair_range`` restricts the
+    sweep to a half-open interval of canonical pair indices for sharding,
+    and ranks are then ranks within it.  Each argument follows its kind's
+    one rule (:func:`_count`, :func:`_threshold`, :func:`_pair_range`,
+    :func:`_pairs`), as at every public entry point: ``top_k``,
     ``block_size`` and ``worker_count`` are integers of at least 1,
-    ``pair_range`` is two integers and ``threshold`` a real number of at
-    least 0; anything else, a ``bool`` too, raises InvalidValue."""
+    ``threshold`` a real number of at least 0 (not NaN) and ``pair_range``
+    two integers with ``0 <= start <= end``, else InvalidValue; a
+    ``rank_pairs`` coordinate is an integer, else InvalidPair.  Python's
+    and numpy's integers are integers; a ``bool`` is not an integer, a
+    count or a threshold."""
 
     top_k: int | None = None
     threshold: float | None = None
@@ -280,30 +295,22 @@ class ScanConfig:
     rank_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        try:
-            pairs = tuple((j1, j2) for j1, j2 in self.rank_pairs)
-        except (TypeError, ValueError):
-            pairs = ((None, None),)  # no pairs at all: rejected below
-        if not all(_integer(j) for pair in pairs for j in pair):
-            raise InvalidPair(f"rank_pairs must be (j1, j2) integer pairs, got {self.rank_pairs!r}")
-        object.__setattr__(self, "rank_pairs", tuple((int(j1), int(j2)) for j1, j2 in pairs))
-        if self.top_k is None and self.threshold is None and not pairs:
+        object.__setattr__(self, "rank_pairs", _pairs(self.rank_pairs))
+        if self.top_k is None and self.threshold is None and not self.rank_pairs:
             raise InvalidValue("set top_k, threshold or rank_pairs (any combination)")
         if self.top_k is not None:
             _count(self.top_k, "top_k")
-        real = isinstance(self.threshold, numbers.Real) and not isinstance(self.threshold, bool)
-        # NaN fails the comparison too.
-        if self.threshold is not None and not (real and self.threshold >= 0):
-            raise InvalidValue(f"threshold must be a real number >= 0, got {self.threshold!r}")
+        if self.threshold is not None:
+            _threshold(self.threshold)
         _count(self.block_size, "block_size")
         _count(self.worker_count, "worker_count")
         if self.pair_range is not None:
-            pair = tuple(self.pair_range) if isinstance(self.pair_range, Sequence) else ()
-            if len(pair) != 2 or not all(map(_integer, pair)):
-                raise InvalidValue(f"pair_range must be two integers, got {self.pair_range!r}")
-            start, end = pair
-            if start < 0 or end < start:
-                raise InvalidValue(f"malformed pair_range {self.pair_range}")
+            object.__setattr__(self, "pair_range", _pair_range(self.pair_range))
+
+
+# --------------------------------------------------------------------------
+# Argument rules: one helper per kind, called once by each public entry point
+# --------------------------------------------------------------------------
 
 
 def _integer(value) -> bool:
@@ -312,12 +319,45 @@ def _integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _count(value, what: str) -> None:
-    """Raise InvalidValue unless ``value`` is an integer of at least 1."""
+def _count(value, what: str, least: int = 1):
+    """``value`` when it is an integer of at least ``least``, else InvalidValue."""
     if not _integer(value):
         raise InvalidValue(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidValue(f"{what} must be >= 1, got {value}")
+    if value < least:
+        raise InvalidValue(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _threshold(value):
+    """``value`` when it is a real number of at least 0, else InvalidValue:
+    a ``bool`` is not a threshold, and NaN fails the comparison."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value >= 0):
+        raise InvalidValue(f"threshold must be a real number >= 0, got {value!r}")
+    return value
+
+
+def _pair_range(value) -> tuple[int, int]:
+    """``value`` as ``(start, end)`` Python ints when it is two integers
+    with ``0 <= start <= end``, else InvalidValue."""
+    pair = tuple(value) if isinstance(value, Sequence) else ()
+    if len(pair) != 2 or not all(map(_integer, pair)):
+        raise InvalidValue(f"pair_range must be two integers, got {value!r}")
+    if pair[0] < 0 or pair[1] < pair[0]:
+        raise InvalidValue(f"malformed pair_range {value}")
+    return int(pair[0]), int(pair[1])
+
+
+def _pairs(pairs, error=InvalidPair) -> tuple[tuple[int, int], ...]:
+    """``pairs`` as a tuple of ``(j1, j2)`` Python int pairs when it is an
+    iterable of pairs of integers, else ``error``.  The order of a pair is
+    the caller's to check."""
+    try:
+        held = tuple((j1, j2) for j1, j2 in pairs)
+    except (TypeError, ValueError):
+        held = ((None, None),)  # no pairs at all: rejected below
+    if not all(_integer(j) for pair in held for j in pair):
+        raise error(f"expected (j1, j2) integer pairs, got {pairs!r}")
+    return tuple((int(j1), int(j2)) for j1, j2 in held)
 
 
 @dataclass(frozen=True, eq=False)
@@ -898,20 +938,19 @@ def _exact_workspace(matrix, y: np.ndarray) -> CodeWorkspace | None:
 # --------------------------------------------------------------------------
 
 
-def _span(p: int, pair_range: tuple[int, int] | None) -> tuple[int, int]:
+def _span(p: int, pair_range) -> tuple[int, int]:
+    """The pair span of ``pair_range`` (:func:`_pair_range`), all pairs when None."""
     total = pair_count(p)
-    span = pair_range if pair_range is not None else (0, total)
-    if span[0] < 0 or span[1] > total:
+    span = _pair_range(pair_range) if pair_range is not None else (0, total)
+    if span[1] > total:
         raise InvalidPair(f"pair_range {span} exceeds [0, {total})")
-    if span[0] >= span[1]:
+    if span[0] == span[1]:
         raise EmptyRange(f"pair_range {span} selects no pairs")
     return span
 
 
 def _anchors_for_span(p: int, span: tuple[int, int]) -> range:
-    lo_anchor, _ = pair_from_index(span[0], p)
-    hi_anchor, _ = pair_from_index(span[1] - 1, p)
-    return range(lo_anchor, hi_anchor + 1)
+    return range(_anchor(span[0], p), _anchor(span[1] - 1, p) + 1)
 
 
 def _partners(j1, p: int, span: tuple[int, int]):
@@ -1099,7 +1138,7 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     """
     span = _span(ws.p, config.pair_range)
     pairs = config.rank_pairs
-    index = np.array([pair_index(j1, j2, ws.p) for j1, j2 in pairs], dtype=np.int64)
+    index = np.array([_index(j1, j2, ws.p) for j1, j2 in pairs], dtype=np.int64)
     for pair, i in zip(pairs, index.tolist()):
         if not span[0] <= i < span[1]:
             raise InvalidPair(f"rank pair {pair} lies outside pair_range {span}")
@@ -1168,7 +1207,8 @@ def all_scores(ws: Workspace | CodeWorkspace, pair_range: tuple[int, int] | None
 
     Position ``i`` holds the pair with canonical index ``start + i`` where
     ``start`` is the beginning of ``pair_range`` (0 when unset).  Memory is
-    O(#pairs); intended for desk-scale p.
+    O(#pairs); intended for desk-scale p.  ``pair_range`` follows
+    :class:`ScanConfig`'s rule.
     """
     return _scores(ws, _span(ws.p, pair_range))
 
@@ -1192,9 +1232,8 @@ def iter_score_rows(ws: Workspace | CodeWorkspace):
 def select_by_threshold(stats, c: float) -> PairTable:
     """Filter a pair table, or any iterable of ``PairStatistic``, to r_hat
     strictly above ``c``, returned in the result ordering (r descending,
-    pair ascending)."""
-    if not c >= 0:  # NaN too
-        raise InvalidValue(f"threshold must be >= 0, got {c}")
+    pair ascending).  ``c`` follows :class:`ScanConfig`'s threshold rule."""
+    _threshold(c)
     table = PairTable.of(stats)
     return table[table.r_hat > c].ordered()
 
@@ -1207,8 +1246,7 @@ def merge_top_pairs(parts, top_k: int) -> PairTable:
     Raises:
         InvalidValue: ``top_k`` not an integer, or below 1, as in :class:`ScanConfig`.
     """
-    _count(top_k, "top_k")
-    return PairTable.concat(PairTable.of(part) for part in parts).ordered(top_k)
+    return PairTable.concat(PairTable.of(part) for part in parts).ordered(_count(top_k, "top_k"))
 
 
 def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
@@ -1225,12 +1263,14 @@ def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
       looked up, so a caller that also wants a top-k or threshold view
       asks :func:`scan` for all of them in one pass.
 
-    All three give the same ranks.
+    All three give the same ranks, and check ``p`` (:func:`pair_count`)
+    and the pairs' coordinates (:class:`ScanConfig`'s ``rank_pairs`` rule)
+    alike.
 
     Raises:
         InvalidValue: a pair the :class:`ScanResult` did not rank.
     """
-    pairs = [(j1, j2) for j1, j2 in pairs]
+    pairs, total = _pairs(pairs), pair_count(p)
     if isinstance(scores, ScanResult):
         held = dict(scores.ranks)
         missing = [pair for pair in pairs if pair not in held]
@@ -1238,13 +1278,11 @@ def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
             raise InvalidValue(f"the scan result ranks no {missing}")
         return {pair: held[pair] for pair in pairs}
     if isinstance(scores, np.ndarray):
-        if scores.shape[0] != pair_count(p):
-            raise DimensionMismatch(
-                f"need the full score array ({pair_count(p)} entries), got {scores.shape[0]}"
-            )
+        if scores.shape[0] != total:
+            raise DimensionMismatch(f"need the full score array ({total} entries), got {scores.shape[0]}")
         ranks: dict[tuple[int, int], int] = {}
         for j1, j2 in pairs:
-            ci = pair_index(j1, j2, p)
+            ci = _index(j1, j2, p)
             v = scores[ci]
             greater = int(np.count_nonzero(scores > v))
             ties_before = int(np.count_nonzero(scores[:ci] == v))
@@ -1254,18 +1292,15 @@ def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
     ws = scores
     if ws.p != p:
         raise DimensionMismatch(f"workspace has p={ws.p}, expected {p}")
-    return ranks_of_pairs(scan(ws, ScanConfig(rank_pairs=pairs)), p, pairs) if pairs else {}
+    return dict(scan(ws, ScanConfig(rank_pairs=pairs)).ranks) if pairs else {}
 
 
 def default_worker_count() -> int:
-    """Worker count from the JCI_WORKERS environment variable, else 1."""
-    raw = os.environ.get("JCI_WORKERS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidValue(f"JCI_WORKERS must be an integer, got {raw!r}") from None
-        if value >= 1:
-            return value
-        raise InvalidValue(f"JCI_WORKERS must be >= 1, got {value}")
-    return 1
+    """Worker count from the JCI_WORKERS environment variable, else 1; a
+    count by :func:`_count`'s rule."""
+    raw = os.environ.get("JCI_WORKERS", "").strip() or "1"
+    try:
+        value = int(raw)
+    except ValueError:
+        value = raw  # not an integer: _count says so
+    return _count(value, "JCI_WORKERS")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyReport, InvalidValue
-from .scan import MIN_SCAN_SAMPLES, ScanConfig, ScanResult, precompute, ranks_of_pairs, scan
+from .scan import MIN_SCAN_SAMPLES, ScanConfig, ScanResult, _count, _pairs, precompute, ranks_of_pairs, scan
 
 #: (n, p) defaults per study id.
 STUDY_DEFAULTS: dict[int, tuple[int, int]] = {
@@ -72,7 +72,12 @@ _DRAW_CELLS = 2**16
 
 @dataclass(frozen=True)
 class SimStudySpec:
-    """One replicated simulation design."""
+    """One replicated simulation design, the one place a spec is checked,
+    by :mod:`jciscan.scan`'s count and pair rules: ``study_id`` and
+    ``replications`` are integers of at least 1, ``n`` of at least
+    ``MIN_SCAN_SAMPLES``, ``seed`` of at least 0, and ``true_pairs`` a
+    nonempty tuple of integer pairs ``0 <= j1 < j2 < p``; anything else, a
+    ``bool`` too, raises InvalidValue."""
 
     study_id: int
     n: int
@@ -82,13 +87,18 @@ class SimStudySpec:
     replications: int = 1
 
     def __post_init__(self) -> None:
-        if not self.true_pairs:
-            raise InvalidValue("true_pairs must be nonempty")
-        for j1, j2 in self.true_pairs:
-            if not (0 <= j1 < j2 < self.p):
-                raise InvalidValue(f"true pair ({j1}, {j2}) invalid for p={self.p}")
-        if self.replications < 1:
-            raise InvalidValue(f"replications must be >= 1, got {self.replications}")
+        pairs = _pairs(self.true_pairs, InvalidValue)
+        if not pairs or not all(0 <= j1 < j2 for j1, j2 in pairs):
+            raise InvalidValue(f"true_pairs must be nonempty, each 0 <= j1 < j2, got {self.true_pairs!r}")
+        object.__setattr__(self, "true_pairs", pairs)
+        _count(self.study_id, "study_id")
+        if _count(self.n, "n") < MIN_SCAN_SAMPLES:
+            raise InvalidValue(f"need n >= {MIN_SCAN_SAMPLES}, got {self.n}")
+        need = max(j2 for _, j2 in pairs) + 1
+        if _count(self.p, "p") < need:
+            raise InvalidValue(f"study {self.study_id} needs p >= {need}, got {self.p}")
+        _count(self.seed, "seed", 0)
+        _count(self.replications, "replications")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,23 +146,16 @@ def study_spec(
     seed: int = 0,
     replications: int = 1,
 ) -> SimStudySpec:
-    """Spec for a built-in study, applying the design defaults for n, p."""
-    if study_id not in STUDY_DEFAULTS:
-        raise InvalidValue(f"study_id must be one of {sorted(STUDY_DEFAULTS)}, got {study_id}")
-    dn, dp = STUDY_DEFAULTS[study_id]
-    n = dn if n is None else n
-    p = dp if p is None else p
-    if n < MIN_SCAN_SAMPLES:
-        raise InvalidValue(f"need n >= {MIN_SCAN_SAMPLES}, got {n}")
-    need = max(j2 for _, j2 in STUDY_TRUE_PAIRS[study_id]) + 1
-    if p < need:
-        raise InvalidValue(f"study {study_id} needs p >= {need}, got {p}")
-    if seed < 0:
-        raise InvalidValue(f"seed must be >= 0, got {seed}")
+    """Spec for a built-in study, applying the design defaults for n, p;
+    :class:`SimStudySpec` checks it."""
+    try:
+        dn, dp = STUDY_DEFAULTS[study_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise InvalidValue(f"study_id must be one of {sorted(STUDY_DEFAULTS)}, got {study_id!r}") from None
     return SimStudySpec(
         study_id=study_id,
-        n=n,
-        p=p,
+        n=dn if n is None else n,
+        p=dp if p is None else p,
         true_pairs=STUDY_TRUE_PAIRS[study_id],
         seed=seed,
         replications=replications,

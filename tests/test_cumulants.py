@@ -155,8 +155,9 @@ def test_validate_c1():
     with pytest.raises(ZeroVarianceColumn) as exc:
         validate_c1(center([2.0, 2.0, 2.0, 2.0], index=-1))
     assert exc.value.index == -1
-    with pytest.raises(InvalidValue):
-        validate_c1(center([1.0, 2.0]), eps=0.0)
+    for eps in (0.0, float("nan")):  # NaN fails the positivity test too
+        with pytest.raises(InvalidValue):
+            validate_c1(center([1.0, 2.0]), eps=eps)
 
 
 def test_validate_c1_eps_boundary():

@@ -1,6 +1,7 @@
 """Scanner tests: pair enumeration, hoisting, sweep vs naive oracle,
 determinism, sharding, selection."""
 
+import functools
 import importlib
 import math
 import os
@@ -27,6 +28,7 @@ from jciscan import (
     ranks_of_pairs,
     scan,
     select_by_threshold,
+    study_spec,
 )
 from jciscan.cumulants import PairStatistic, center, validate_c1
 from jciscan.errors import (
@@ -35,6 +37,7 @@ from jciscan.errors import (
     EmptyRange,
     InvalidPair,
     InvalidValue,
+    JciscanError,
     TooFewColumns,
     ZeroVarianceColumn,
 )
@@ -46,6 +49,7 @@ from jciscan.scan import (
     default_worker_count,
     iter_score_rows,
 )
+from jciscan.simulate import SimStudySpec
 
 # By module path: the package's `scan` function shadows the submodule.
 scan_module = importlib.import_module("jciscan.scan")
@@ -1256,8 +1260,11 @@ def test_scan_config_validation():
         ScanConfig(threshold=-1.0)
     with pytest.raises(InvalidValue):
         ScanConfig(top_k=5, threshold=float("nan"))
-    with pytest.raises(InvalidValue):
-        select_by_threshold([], float("nan"))
+    # select_by_threshold takes ScanConfig's threshold rule.
+    stats = [PairStatistic(0, 1, 0.5, 2.0)]
+    for bad in (float("nan"), True, "0.1", None):
+        with pytest.raises(InvalidValue):
+            select_by_threshold(stats, bad)
     with pytest.raises(InvalidValue):
         ScanConfig(top_k=5, block_size=0)
     with pytest.raises(InvalidValue):
@@ -1280,6 +1287,17 @@ def test_scan_config_validation():
             ScanConfig(**bad)
     assert ScanConfig(top_k=np.int64(5), block_size=np.int32(7), worker_count=np.uint8(2), pair_range=(np.int64(0), 9),
                       threshold=np.float32(0.5)).top_k == 5
+    # all_scores takes ScanConfig's pair_range rule, and every entry point
+    # that takes p the count rule.
+    ws = precompute(*random_instance(seed=76, max_n=20, max_p=6))
+    for bad in ((0.0, 3.0), (False, True), ("0", "3"), (0.5, 3), (0, 1, 2), 5):
+        with pytest.raises(InvalidValue):
+            all_scores(ws, bad)
+    scores = all_scores(ws)
+    for call in (lambda: pair_count(3.5), lambda: ranks_of_pairs(scores, float(ws.p), [(0, 1)]),
+                 lambda: ranks_of_pairs(ws, float(ws.p), [(0, 1)])):
+        with pytest.raises(InvalidValue, match="p must be an integer"):
+            call()
     cfg = ScanConfig(top_k=5, threshold=0.5)
     assert cfg.top_k == 5 and cfg.threshold == 0.5
 
@@ -1317,16 +1335,97 @@ def test_rank_pairs_alone_are_a_scan_output():
 
 
 def test_rank_pairs_coordinates_must_be_integers():
-    # A float or a string coordinate is rejected, not truncated or parsed;
-    # numpy integers are integers.
-    for bad in ((0, 1.5), (0.0, 2), ("0", "2"), (0, np.float64(1.0)), (False, True), (0, True)):
+    # A float or a string coordinate is rejected, not truncated or parsed,
+    # by ScanConfig and by every entry point that takes a pair: pair_index
+    # and each of ranks_of_pairs's three sources.  numpy integers are integers.
+    X, y = random_instance(seed=75, max_n=30, max_p=10)
+    ws = precompute(X, y)
+    sources = (ws, all_scores(ws), scan(ws, ScanConfig(top_k=1, rank_pairs=[(0, 1)])))
+    for bad in ((0, 1.5), (0.0, 2), ("0", "2"), (0, np.float64(1.0)), (False, True), (0, True), (0.5, 1),
+                (0.0, 1.0), ("0", "1")):
         with pytest.raises(InvalidPair, match="integer pairs"):
             ScanConfig(rank_pairs=[bad])
+        with pytest.raises(InvalidPair, match="integer pairs"):
+            pair_index(*bad, ws.p)
+        for source in sources:
+            with pytest.raises(InvalidPair, match="integer pairs"):
+                ranks_of_pairs(source, ws.p, [bad])
+    for bad in (1.0, np.float64(1.0), True, "1"):
+        with pytest.raises(InvalidPair):
+            pair_from_index(bad, 5)
     cfg = ScanConfig(rank_pairs=[(np.int32(0), np.uint8(1)), (np.int64(2), 5)])
     assert cfg.rank_pairs == ((0, 1), (2, 5)) and all(type(j) is int for pair in cfg.rank_pairs for j in pair)
-    X, y = random_instance(seed=75, max_n=30, max_p=10)
-    with pytest.raises(InvalidPair, match="integer pairs"):
-        ranks_of_pairs(precompute(X, y), X.shape[1], [(0, 1.5)])
+    assert pair_index(np.int64(0), np.uint8(2), np.int32(5)) == 1 and pair_from_index(np.int64(1), 5) == (0, 2)
+
+
+#: One strategy per kind of value that is no count, pair coordinate or
+#: threshold.  An integral np.float64 is a float, not an integer.
+_BAD_KINDS = {
+    "bool": st.booleans(),
+    "float": st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer()),
+    "np.float64": st.integers(-3, 12).map(np.float64),
+    "str": st.text(max_size=3),
+    "None": st.none(),
+    "complex": st.complex_numbers(max_magnitude=1e6),
+    "nan": st.sampled_from([float("nan"), np.float64("nan")]),
+}
+_ANY = frozenset(_BAD_KINDS)
+#: A non-integral float is a threshold; None leaves an optional argument unset.
+_THRESHOLD = frozenset({"bool", "str", "complex", "nan"})
+_SPEC = dict(study_id=1, n=50, p=10, true_pairs=((0, 1),), seed=0)
+
+#: Each public entry point and argument: ``call(value, ws, source)``, where
+#: ``source`` is one of ranks_of_pairs's three sources, and the kinds drawn.
+_ARGUMENTS = {
+    "ScanConfig top_k": (lambda v, ws, source: ScanConfig(top_k=v, threshold=0.5), _ANY - {"None"}),
+    "ScanConfig block_size": (lambda v, ws, source: ScanConfig(top_k=1, block_size=v), _ANY),
+    "ScanConfig worker_count": (lambda v, ws, source: ScanConfig(top_k=1, worker_count=v), _ANY),
+    "ScanConfig threshold": (lambda v, ws, source: ScanConfig(top_k=1, threshold=v), _THRESHOLD),
+    "ScanConfig pair_range": (lambda v, ws, source: ScanConfig(top_k=1, pair_range=(0, v)), _ANY),
+    "ScanConfig rank_pairs": (lambda v, ws, source: ScanConfig(rank_pairs=[(v, 1)]), _ANY),
+    "merge_top_pairs top_k": (lambda v, ws, source: merge_top_pairs([], v), _ANY),
+    "select_by_threshold c": (lambda v, ws, source: select_by_threshold([], v), _THRESHOLD | {"None"}),
+    "pair_count p": (lambda v, ws, source: pair_count(v), _ANY),
+    "pair_index j1": (lambda v, ws, source: pair_index(v, 1, 3), _ANY),
+    "pair_index j2": (lambda v, ws, source: pair_index(0, v, 3), _ANY),
+    "pair_index p": (lambda v, ws, source: pair_index(0, 1, v), _ANY),
+    "pair_from_index idx": (lambda v, ws, source: pair_from_index(v, 5), _ANY),
+    "pair_from_index p": (lambda v, ws, source: pair_from_index(0, v), _ANY),
+    "all_scores pair_range": (lambda v, ws, source: all_scores(ws, (v, 3)), _ANY),
+    "ranks_of_pairs p": (lambda v, ws, source: ranks_of_pairs(source, v, [(0, 1)]), _ANY),
+    "ranks_of_pairs j1": (lambda v, ws, source: ranks_of_pairs(source, ws.p, [(v, 1)]), _ANY),
+    "ranks_of_pairs j2": (lambda v, ws, source: ranks_of_pairs(source, ws.p, [(0, v)]), _ANY),
+    **{f"SimStudySpec {name}": (lambda v, ws, source, name=name: SimStudySpec(**{**_SPEC, name: v}), _ANY)
+       for name in ("study_id", "n", "p", "seed", "replications")},
+    "SimStudySpec true_pairs": (lambda v, ws, source: SimStudySpec(**{**_SPEC, "true_pairs": ((0, v),)}), _ANY),
+    "study_spec study_id": (lambda v, ws, source: study_spec(v), _ANY),
+    **{f"study_spec {name}": (lambda v, ws, source, name=name: study_spec(1, **{name: v}), _ANY - {"None"})
+       for name in ("n", "p")},
+    **{f"study_spec {name}": (lambda v, ws, source, name=name: study_spec(1, **{name: v}), _ANY)
+       for name in ("seed", "replications")},
+}
+
+
+@functools.cache
+def _rank_sources():
+    X, y = random_instance(seed=78, max_n=20, max_p=6)
+    ws = precompute(X, y)
+    return ws, all_scores(ws), scan(ws, ScanConfig(top_k=1, rank_pairs=[(0, 1)]))
+
+
+@pytest.mark.parametrize("argument", sorted(_ARGUMENTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bad_argument_kinds_raise_jciscan_errors_property(argument, data):
+    # Every public entry point checks each argument by its kind's one rule,
+    # so a bad value of any kind raises a JciscanError subclass at the call,
+    # never a TypeError, IndexError or ValueError, nor no error at all.
+    call, kinds = _ARGUMENTS[argument]
+    kind = data.draw(st.sampled_from(sorted(kinds)), label="kind")
+    value = data.draw(_BAD_KINDS[kind], label="value")
+    source = data.draw(st.sampled_from(_rank_sources()), label="source")
+    with pytest.raises(JciscanError):
+        call(value, _rank_sources()[0], source)
 
 
 def test_invalid_rank_pairs_raise_invalid_pair():

@@ -54,18 +54,21 @@ def test_study_defaults():
 
 
 def test_study_spec_validation():
-    with pytest.raises(InvalidValue):
-        study_spec(6, seed=0)
-    with pytest.raises(InvalidValue):
-        study_spec(1, n=2, seed=0)
-    with pytest.raises(InvalidValue):
-        study_spec(4, p=9, seed=0)
-    with pytest.raises(InvalidValue):
-        SimStudySpec(study_id=1, n=50, p=10, true_pairs=(), seed=0)
-    with pytest.raises(InvalidValue):
-        SimStudySpec(study_id=1, n=50, p=10, true_pairs=((3, 3),), seed=0)
-    with pytest.raises(InvalidValue):
-        SimStudySpec(study_id=1, n=50, p=10, true_pairs=((0, 10),), seed=0)
+    # study_spec looks up the id and fills the defaults; SimStudySpec checks
+    # everything, by the scan module's count and pair rules.
+    for study_id, bad in (
+        (6, {}), (1, dict(n=2)), (4, dict(p=9)), (True, {}), ([1], {}), (1, dict(n=3.5)),
+        (1, dict(replications=2.5)), (1, dict(replications=True)), (1, dict(seed=1.5)),
+    ):
+        with pytest.raises(InvalidValue):
+            study_spec(study_id, **{"seed": 0, **bad})
+    base = dict(study_id=1, n=50, p=10, true_pairs=((0, 1),), seed=0)
+    for bad in (
+        dict(true_pairs=()), dict(true_pairs=((3, 3),)), dict(true_pairs=((0, 10),)), dict(n=2), dict(seed=-1),
+        dict(true_pairs=((0.5, 1),)),
+    ):
+        with pytest.raises(InvalidValue):
+            SimStudySpec(**{**base, **bad})
 
 
 #: Smallest p each design can be drawn at: one past its highest true column.
