@@ -110,12 +110,11 @@ def _load_scan_input(args):
 
 def cmd_scan(args) -> int:
     from . import dataio
-    from .scan import DEFAULT_BLOCK_SIZE, ScanConfig, default_worker_count
+    from .scan import ScanConfig, default_worker_count
 
     config = ScanConfig(
         top_k=args.top_k,
         threshold=args.threshold,
-        block_size=args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE,
         worker_count=args.workers if args.workers is not None else default_worker_count(),
         pair_range=args.pair_range,
     )
@@ -305,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--top-k", type=int, help="keep the k best pairs")
     p_scan.add_argument("--threshold", type=float, help="also select pairs with r_hat > c")
     p_scan.add_argument("--workers", type=int, help="worker threads (default: JCI_WORKERS or 1)")
-    # None means scan.DEFAULT_BLOCK_SIZE, read by cmd_scan: the parser loads no compute module.
-    p_scan.add_argument("--block-size", type=int, help="anchor columns per work tile")
     p_scan.add_argument("--pair-range", type=_pair_range_arg, help="canonical pair span START:END")
     p_scan.add_argument(
         "--missing", choices=["reject", "impute"], help="missing-genotype policy, packed input only (default: reject)"

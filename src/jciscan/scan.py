@@ -42,13 +42,17 @@ with one flat ``nonzero`` per tile; it reads exactly the anchors it is
 given.  All three kernels (``Workspace.rows``, ``Workspace.bounds`` and
 ``CodeWorkspace.rows``) walk one tile grid, :func:`_tile_grid`: runs of
 ascending anchors, each against its partners in the span in equal chunks
-(one chunk of all p columns for ``Workspace.rows``).  A workspace's
-``tile`` is one GEMM tile of anchors: 64 on the float route
-(``_ANCHOR_BLOCK``), 256 on the exact route (``_CODE_ANCHORS``);
-:func:`scan` cuts work tiles of ``max(block_size, tile)`` anchors.
-:func:`iter_score_rows` sweeps 64 anchors (``_ANCHOR_BLOCK``) at a time
-on either route into a flat array and yields its rows, so a dump block
-stays 64 x (p - 1) scores.
+(one chunk of all p columns for ``Workspace.rows``).  A GEMM tile is 64
+anchors on the float route (``_ANCHOR_BLOCK``) and 256 on the exact route
+(``_CODE_ANCHORS``).
+
+:func:`scan` sizes its own work tiles from the worker count.  One worker
+sweeps the span as one work tile of all its anchors, so each kernel is
+called, and allocates its buffers, once per scan.  More workers take runs
+of ``_WORK_TILE`` = 256 anchors as they free up: one exact-route GEMM
+tile, four float-route bounds tiles.  :func:`iter_score_rows` sweeps 64
+anchors (``_ANCHOR_BLOCK``) at a time on either route into a flat array
+and yields its rows, so a dump block stays 64 x (p - 1) scores.
 
 The exact route holds its codes once, in the level-ordered store that
 :func:`precompute` builds in one walk over blocks of columns, as many as
@@ -118,7 +122,7 @@ rows alone.
 
 Determinism contract
 --------------------
-Results are bit-identical for every ``block_size``, ``worker_count`` and
+Results are bit-identical for every ``worker_count``, work tile and
 ``pair_range`` shard, and for every BLAS thread count.  On the float route
 each pair's value comes from the per-anchor row product above, whose
 operand shapes are fixed by (n, p) alone; the screen's GEMM bits change
@@ -178,7 +182,8 @@ from .errors import (
     ZeroVarianceColumn,
 )
 
-DEFAULT_BLOCK_SIZE = 256
+#: Anchors per work tile when :func:`scan` runs on more than one worker.
+_WORK_TILE = 256
 
 #: The float route's GEMM tile is this many anchors against at most this
 #: many partners: the screen arrays of :meth:`Workspace.bounds` have that
@@ -279,8 +284,8 @@ class ScanConfig:
     sweep to a half-open interval of canonical pair indices for sharding,
     and ranks are then ranks within it.  Each argument follows its kind's
     one rule (:func:`_count`, :func:`_threshold`, :func:`_pair_range`,
-    :func:`_pairs`), as at every public entry point: ``top_k``,
-    ``block_size`` and ``worker_count`` are integers of at least 1,
+    :func:`_pairs`), as at every public entry point: ``top_k`` and
+    ``worker_count`` are integers of at least 1,
     ``threshold`` a real number of at least 0 (not NaN) and ``pair_range``
     two integers with ``0 <= start <= end``, else InvalidValue; a
     ``rank_pairs`` coordinate is an integer, else InvalidPair.  Python's
@@ -289,7 +294,6 @@ class ScanConfig:
 
     top_k: int | None = None
     threshold: float | None = None
-    block_size: int = DEFAULT_BLOCK_SIZE
     worker_count: int = 1
     pair_range: tuple[int, int] | None = None
     rank_pairs: tuple[tuple[int, int], ...] = ()
@@ -302,7 +306,6 @@ class ScanConfig:
             _count(self.top_k, "top_k")
         if self.threshold is not None:
             _threshold(self.threshold)
-        _count(self.block_size, "block_size")
         _count(self.worker_count, "worker_count")
         if self.pair_range is not None:
             object.__setattr__(self, "pair_range", _pair_range(self.pair_range))
@@ -493,11 +496,6 @@ class Workspace:
     def p(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def tile(self) -> int:
-        """One GEMM tile of anchors of :meth:`bounds`."""
-        return _ANCHOR_BLOCK
-
     def rows(self, anchors, span: tuple[int, int]):
         """Yield ``(j1, lo, r_hat, tau_hat)`` per run of at most
         ``_ANCHOR_BLOCK`` of the ascending ``anchors`` (:func:`_tile_grid`,
@@ -555,8 +553,8 @@ class Workspace:
         anchor_factors = self.sqrt_n / (self.scale * self.response_scale)
         partner_factors = 1 / self.scale
         underflow = 4 * n * _ETA * anchor_factors.max() * partner_factors.max() + _ETA
-        # Two tile buffers, reused from tile to tile: fresh arrays of this
-        # size cost a page-faulting allocation each.
+        # Two tile buffers for the whole call, one call per work tile
+        # (:func:`scan`): fresh arrays of this size fault in their pages.
         size = min(len(anchors), _ANCHOR_BLOCK) * min(self.p, _PARTNER_CHUNK)
         buffers = np.empty((2, size))
         for run, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _ANCHOR_BLOCK, _PARTNER_CHUNK):
@@ -619,11 +617,6 @@ class CodeWorkspace:
         return -(-self.n // 4) * 4
 
     @property
-    def tile(self) -> int:
-        """One GEMM tile of anchors."""
-        return _CODE_ANCHORS
-
-    @property
     def partners(self) -> int:
         """The most partners of one GEMM tile (``_CODE_CELLS``)."""
         return min(_CODE_PARTNERS, max(_COMBINE_ROWS, _CODE_CELLS // self.stored_rows))
@@ -639,8 +632,9 @@ class CodeWorkspace:
         each run's anchors are contiguous store columns.
         A tile's anchor and partner columns are decoded from the store
         (:meth:`_decode`) into two float32 buffers of stored rows x
-        ``_CODE_ANCHORS`` and x :attr:`partners`, allocated once per call;
-        the anchors are decoded once per run of tiles that share them.
+        ``_CODE_ANCHORS`` and x :attr:`partners`, allocated once per call
+        and so once per work tile (:func:`scan`); the anchors are decoded
+        once per run of tiles that share them.
         A partner chunk that reaches into the tile's own anchors is summed
         one combine slice at a time, from the slice's first partner.
         With ``b_j = n S_jy - S_j S_y`` the float64 combine forms
@@ -1121,15 +1115,14 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     and rank the requested pairs, all from one pass.
 
     ``ws`` is a :class:`Workspace` or a :class:`CodeWorkspace` from
-    :func:`precompute`.  Work tiles hold ``max(block_size, ws.tile)``
-    anchors, so a small ``block_size`` never cuts below the route's
-    smallest tile.  The rank pairs' values come first, one row read each.
+    :func:`precompute`.  The work tiles follow the worker count (module
+    docstring).  The rank pairs' values come first, one row read each.
     A workspace with ``bounds`` then screens every work tile once, for
     every output at the same time, before any row is read, so the reads see
     the whole scan's floor.  Each work tile's sweep starts with the row
     choice (module docstring) and returns its own rank counts, summed after
-    the pool.  The result is identical for any block_size/worker_count
-    combination; see the module docstring for why.
+    the pool.  The result is identical for every worker count; see the
+    module docstring for why.
 
     Raises:
         EmptyRange: the configured pair range selects no pairs.
@@ -1146,7 +1139,7 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     started = time.perf_counter()
     values = np.array([_scores(ws, (i, i + 1))[0] for i in index.tolist()])
     anchors = _anchors_for_span(ws.p, span)
-    step = max(config.block_size, ws.tile)
+    step = len(anchors) if config.worker_count == 1 else _WORK_TILE
     tiles = [anchors[i : i + step] for i in range(0, len(anchors), step)]
     top = _TopK(config.top_k) if config.top_k is not None else None
 

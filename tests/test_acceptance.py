@@ -12,6 +12,7 @@ p=500 the long-run joint top-5 rate is ~40% against a required band of
 analysis; the test is kept faithful rather than loosened.
 """
 
+import importlib
 import math
 import time
 
@@ -241,16 +242,18 @@ def test_criterion_07_algebraic_identity_two_forms():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_08_determinism_workers_blocks_and_seeds(tmp_path):
+def test_criterion_08_determinism_workers_blocks_and_seeds(tmp_path, monkeypatch):
     rng = np.random.default_rng(SEED + 8)
     X = rng.normal(size=(200, 500))
     y = X[:, 3] * X[:, 4] + rng.normal(size=200)
     ws = precompute(X, y)
     base = scan(ws, ScanConfig(top_k=25, threshold=0.15))
     combos = 0
+    scan_module = importlib.import_module("jciscan.scan")  # `jciscan.scan` names the function
     for workers in (1, 2, 8):
         for block in (1, 64, 256):
-            res = scan(ws, ScanConfig(top_k=25, threshold=0.15, worker_count=workers, block_size=block))
+            monkeypatch.setattr(scan_module, "_WORK_TILE", block)
+            res = scan(ws, ScanConfig(top_k=25, threshold=0.15, worker_count=workers))
             assert res.top_pairs == base.top_pairs
             assert res.selected == base.selected
             assert res.pairs_scanned == base.pairs_scanned
@@ -271,7 +274,7 @@ def test_criterion_08_determinism_workers_blocks_and_seeds(tmp_path):
     ok = combos == 9 and sim_outs[0] == sim_outs[1]
     assert report(
         8,
-        "bit-identical results across 9 worker/block combos; seeded sim outputs identical",
+        "bit-identical results across 9 worker/work-tile combos; seeded sim outputs identical",
         ok,
         f"{combos} scan combos on n=200 p=500, simulate run twice byte-equal",
     )

@@ -302,6 +302,9 @@ def test_scan_flag_errors_exit_2_without_a_traceback(tmp_path, capsys):
     for span in ("5", "a:b"):
         assert run(["scan", str(data), "--response-column", "y", "--top-k", "1", "--pair-range", span]) == 2
         assert capsys.readouterr().err == f"jciscan: argument --pair-range: expected START:END, got {span!r}\n"
+    # The scan sizes its own work tiles: there is no --block-size flag.
+    assert run(["scan", str(data), "--response-column", "y", "--top-k", "1", "--block-size", "4"]) == 2
+    assert capsys.readouterr().err == "jciscan: unrecognized arguments: --block-size 4\n"
 
 
 def test_scan_rejects_missing_for_csv_input(tmp_path, capsys):
@@ -1161,7 +1164,6 @@ FUZZ_ARGV = st.one_of(
         SCAN_SOURCES,
         SCAN_SELECTION,
         _opt("--workers", ["1", "2", "4", "0"]),
-        _opt("--block-size", ["1", "2", "256", "0"]),
         _opt("--pair-range", ["0:2", "1:3", "2:1", "0:999", "-1:2", "1:1", "a:b"]),
         _opt("--missing", ["reject", "impute", "impute", "drop"]),
         _opt("--out", OUTS + ["-"]),

@@ -16,6 +16,7 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,36 +391,13 @@ def test_exact_route_result_is_identical_across_workers_blocks_and_shards():
     assert len(base.selected) > 0
     for workers in (1, 3):
         for block in (1, 7, 64):
-            res = scan(ws, ScanConfig(**cfg, worker_count=workers, block_size=block))
-            assert res == base
+            with mock.patch.object(scan_module, "_WORK_TILE", block):
+                assert scan(ws, ScanConfig(**cfg, worker_count=workers)) == base
 
     cuts = [0, 1, total // 3, total // 3 + 149, total - 2, total]
     shards = [scan(ws, ScanConfig(**cfg, pair_range=span)) for span in zip(cuts, cuts[1:])]
     assert merge_top_pairs([s.top_pairs for s in shards], 25) == base.top_pairs
     assert select_by_threshold(PairTable.concat(s.selected for s in shards), 0.2) == base.selected
-
-
-def test_exact_route_work_tiles_never_go_below_one_gemm_tile(monkeypatch):
-    # block_size=1 still hands the exact route whole GEMM tiles of anchors,
-    # so each partner column is decoded once per tile, not once per anchor.
-    codes, y = draw_instance(np.random.default_rng(25), 120, 600, "case_control")
-    ws = precompute(genotypes(codes), y)
-    assert isinstance(ws, CodeWorkspace)
-    expected = scan(ws, ScanConfig(top_k=5, block_size=256))
-    calls = []
-    rows = CodeWorkspace.rows
-
-    def recording_rows(self, anchors, span):
-        calls.append(anchors)
-        return rows(self, anchors, span)
-
-    monkeypatch.setattr(CodeWorkspace, "rows", recording_rows)
-    result = scan(ws, ScanConfig(top_k=5, block_size=1, worker_count=3))
-    assert result == expected
-    calls.sort(key=lambda anchors: anchors.start)
-    assert [a.start for a in calls] == list(range(0, 599, ws.tile))
-    assert calls[-1].stop == 599
-    assert all(len(anchors) >= ws.tile for anchors in calls[:-1])
 
 
 def test_exact_route_scan_working_set_does_not_grow_with_p():
@@ -520,7 +498,8 @@ def test_exact_route_values_do_not_depend_on_tile_shape(monkeypatch):
     assert tiles_yielded(small) > default_tiles
     assert all_scores(small).tobytes() == flat
     assert np.concatenate([row for _, row in iter_score_rows(small)]).tobytes() == flat
-    assert scan(small, ScanConfig(top_k=30, threshold=0.1, block_size=4)) == top
+    monkeypatch.setattr(scan_module, "_WORK_TILE", 4)
+    assert scan(small, ScanConfig(top_k=30, threshold=0.1, worker_count=2)) == top
     shards = [scan(small, ScanConfig(top_k=30, pair_range=(a, b))).top_pairs
               for a, b in [(0, 17), (17, 200), (200, pair_count(23))]]
     assert merge_top_pairs(shards, 30) == top.top_pairs

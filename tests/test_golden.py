@@ -132,7 +132,7 @@ CASES = (
                          "--threshold", "0", "--out", f"shard_{span.replace(':', '_')}.csv"], BYTES)
       for span in ("0:200", "200:435")),
     *((f"workers_{w}_{pheno}", ["scan", "g.csv", "--phenotype", f"{pheno}.txt", "--top-k", "10",
-                                "--threshold", THRESHOLD, "--workers", w, "--block-size", "4",
+                                "--threshold", THRESHOLD, "--workers", w,
                                 "--out", f"top_workers_{w}_{pheno}.csv"], ORDER if pheno == "real" else BYTES)
       for pheno in ("count", "real") for w in ("1", "2")),
     ("report", ["report", "--scores", "dump_ties.csv", "--bins", "10",

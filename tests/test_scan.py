@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -711,7 +712,8 @@ def _oracle_table(ws, flat, picked) -> PairTable:
 
 def _assert_screen_matches_oracle(ws, top_k, threshold, block, workers, pair_range, ranked):
     """``scan`` against the order of ``all_scores`` (r_hat descending, then
-    canonical index): each of top-k, threshold and the ranks of the
+    canonical index), with work tiles of ``block`` anchors when ``workers``
+    is more than one: each of top-k, threshold and the ranks of the
     ``ranked`` pairs inside the span is checked when asked for, the ranks
     against ``ranks_of_pairs`` on the flat array with every pair outside
     the span at -inf.  ``ranks_of_pairs`` on the workspace is checked
@@ -721,9 +723,10 @@ def _assert_screen_matches_oracle(ws, top_k, threshold, block, workers, pair_ran
     a, b = pair_range if pair_range is not None else (0, flat.size)
     in_range = order[(order >= a) & (order < b)]
     inside = [pair for pair in ranked if a <= pair_index(*pair, ws.p) < b]
-    config = ScanConfig(top_k=top_k, threshold=threshold, block_size=block,
-                        worker_count=workers, pair_range=pair_range, rank_pairs=inside)
-    res = scan(ws, config)
+    config = ScanConfig(top_k=top_k, threshold=threshold, worker_count=workers, pair_range=pair_range,
+                        rank_pairs=inside)
+    with mock.patch.object(scan_module, "_WORK_TILE", block):
+        res = scan(ws, config)
     assert res.pairs_scanned == b - a
     assert res.top_pairs == (_oracle_table(ws, flat, in_range[:top_k]) if top_k is not None else ())
     above = in_range[flat[in_range] > threshold] if threshold is not None else []
@@ -773,7 +776,8 @@ def test_screen_equals_the_oracle_across_a_partner_chunk_edge():
     ranked = [(3, 2090), (5, 7), (2050, 2090), (0, 2099), (2047, 2048), (1, 2045)]
     _assert_screen_matches_oracle(ws, 60, cut, 300, 2, None, ranked)
     edge = pair_index(1, 2040, 2100)
-    _assert_screen_matches_oracle(ws, 25, cut, 64, 1, (edge, edge + 5000), ranked)
+    for workers in (1, 2):
+        _assert_screen_matches_oracle(ws, 25, cut, 64, workers, (edge, edge + 5000), ranked)
 
 
 @pytest.mark.parametrize(
@@ -830,10 +834,8 @@ def test_result_invariant_across_workers_and_blocks():
     base = scan(precompute(X, y), ScanConfig(top_k=15, threshold=0.05))
     for workers in (1, 4, 9):
         for block in (1, 7, 64):
-            res = scan(
-                precompute(X, y),
-                ScanConfig(top_k=15, threshold=0.05, worker_count=workers, block_size=block),
-            )
+            with mock.patch.object(scan_module, "_WORK_TILE", block):
+                res = scan(precompute(X, y), ScanConfig(top_k=15, threshold=0.05, worker_count=workers))
             assert res.top_pairs == base.top_pairs
             assert res.selected == base.selected
             assert res.pairs_scanned == base.pairs_scanned
@@ -844,7 +846,7 @@ def test_result_invariant_across_workers_and_blocks():
 @pytest.mark.parametrize("route", ["float", "exact"])
 def test_shared_top_k_floor_keeps_every_result(route):
     # One floor per scan, carried from tile to tile and shared by workers:
-    # every worker count, block size and k from 1 to all pairs gives the
+    # every worker count, work tile and k from 1 to all pairs gives the
     # all_scores order.  Column 150 repeats column 3, so exact ties cross
     # work tiles.
     rng = np.random.default_rng(50)
@@ -875,9 +877,10 @@ def test_shared_top_k_floor_keeps_every_result(route):
         assert base.top_pairs.r_hat.tobytes() == flat[best].tobytes()
         assert dict(base.ranks) == expect
         for workers in (1, 2, 3, 4):
-            for block in (1, 7, 64, 256):
-                config = ScanConfig(top_k=top_k, worker_count=workers, block_size=block, rank_pairs=ranked)
-                assert scan(ws, config) == base
+            for block in (7, 64, 256):
+                config = ScanConfig(top_k=top_k, worker_count=workers, rank_pairs=ranked)
+                with mock.patch.object(scan_module, "_WORK_TILE", block):
+                    assert scan(ws, config) == base
 
 
 def test_top_k_floor_keeps_pairs_equal_to_it():
@@ -895,8 +898,9 @@ def test_top_k_floor_keeps_pairs_equal_to_it():
 
 def test_float_top_k_scan_reads_about_one_work_tiles_rows(monkeypatch):
     # Every work tile is screened before any row is read, and the floor
-    # lives for the whole scan, so eight work tiles read about the rows one
-    # work tile over all anchors reads: near k, not near k per work tile.
+    # lives for the whole scan, so two workers' eight work tiles read about
+    # the rows one worker's one work tile over all anchors reads: near k,
+    # not near k per work tile.
     rng = np.random.default_rng(51)
     X = rng.normal(size=(1000, 2000))
     ws = precompute(X, X[:, 0] * X[:, 1] + rng.normal(size=1000))
@@ -908,17 +912,63 @@ def test_float_top_k_scan_reads_about_one_work_tiles_rows(monkeypatch):
         return rows(self, anchors, span)
 
     monkeypatch.setattr(Workspace, "rows", counted)
-    one_tile = scan(ws, ScanConfig(top_k=100, block_size=2000))
+    one_tile = scan(ws, ScanConfig(top_k=100))
     single = sum(reads)
     reads.clear()
-    assert scan(ws, ScanConfig(top_k=100)) == one_tile
+    assert scan(ws, ScanConfig(top_k=100, worker_count=2)) == one_tile
     assert single <= 120
     assert sum(reads) <= 1.1 * single
 
 
+def test_work_tiles_follow_the_worker_count(monkeypatch):
+    # One worker sweeps the span as one work tile, so each kernel is called
+    # and allocates its buffers once: one rows call for the sweep plus one
+    # per rank pair on both routes, and one bounds call on the float route.
+    # Three workers hand the exact route whole _WORK_TILE runs of anchors,
+    # only the last one shorter.
+    rng = np.random.default_rng(52)
+    n, p = 60, 600
+    X = rng.normal(size=(n, p))
+    codes = rng.integers(1, 4, size=(n, p)).astype(np.uint8)
+    genotype = GenotypeMatrix(codes=codes, snp_ids=tuple(map(str, range(p))), chromosomes=(1,) * p)
+    ranked = ((0, 1), (3, 7), (300, 599))
+    calls = {"rows": [], "bounds": []}
+
+    def counting(route, name):
+        kernel = getattr(route, name)
+
+        def counted(self, anchors, span):
+            calls[name].append(anchors)
+            return kernel(self, anchors, span)
+
+        monkeypatch.setattr(route, name, counted)
+
+    counting(Workspace, "rows")
+    counting(Workspace, "bounds")
+    counting(CodeWorkspace, "rows")
+    floating = precompute(X, X[:, 0] * X[:, 1] + rng.normal(size=n))
+    exact = precompute(genotype, np.tile([0.0, 1.0], n // 2))
+    for ws in (floating, exact):
+        calls["rows"].clear()
+        calls["bounds"].clear()
+        one = scan(ws, ScanConfig(top_k=10, threshold=0.3, rank_pairs=ranked))
+        assert len(calls["rows"]) == len(ranked) + 1
+        if ws is floating:
+            assert [list(a) for a in calls["bounds"]] == [list(range(p - 1))]
+        else:
+            assert calls["rows"][-1] == range(p - 1) and not calls["bounds"]
+        assert scan(ws, ScanConfig(top_k=10, threshold=0.3, rank_pairs=ranked, worker_count=3)) == one
+    calls["rows"].clear()
+    assert scan(exact, ScanConfig(top_k=10, worker_count=3)).top_pairs == one.top_pairs
+    runs = sorted(calls["rows"], key=lambda anchors: anchors.start)
+    assert [a.start for a in runs] == list(range(0, p - 1, scan_module._WORK_TILE))
+    assert all(len(a) == scan_module._WORK_TILE for a in runs[:-1]) and runs[-1].stop == p - 1
+
+
 def _switching_workspaces():
     """A float-route and an exact-route workspace of 40 x 300, for the
-    thread-switching tests: five work tiles of 64 anchors each."""
+    thread-switching tests: five work tiles of 64 anchors each
+    (:func:`_switching_every_microsecond`)."""
     rng = np.random.default_rng(22)
     X = rng.normal(size=(40, 300))
     y = X[:, 3] * X[:, 7] + rng.normal(size=40)
@@ -932,8 +982,9 @@ def _switching_every_microsecond(check):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            check()
+        with mock.patch.object(scan_module, "_WORK_TILE", 64):
+            for _ in range(5):
+                check()
     finally:
         sys.setswitchinterval(interval)
 
@@ -948,7 +999,7 @@ def test_collected_scores_survive_thread_switching():
         base = scan(ws, ScanConfig(top_k=3, threshold=0.1))
 
         def check():
-            res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8, block_size=1))
+            res = scan(ws, ScanConfig(top_k=3, threshold=0.1, worker_count=8))
             assert res == base
             assert all_scores(ws).tobytes() == expect.tobytes()
 
@@ -965,7 +1016,7 @@ def test_rank_counts_survive_thread_switching():
         assert dict(base.ranks) == expect
 
         def check():
-            res = scan(ws, ScanConfig(top_k=3, rank_pairs=ranked, worker_count=8, block_size=1))
+            res = scan(ws, ScanConfig(top_k=3, rank_pairs=ranked, worker_count=8))
             assert res.ranks == base.ranks and res == base
 
         _switching_every_microsecond(check)
@@ -974,7 +1025,9 @@ def test_rank_counts_survive_thread_switching():
 _BLAS_THREAD_PROBE = """
 import hashlib
 import numpy as np
+import jciscan.scan
 from jciscan import ScanConfig, all_scores, precompute, ranks_of_pairs, scan
+jciscan.scan._WORK_TILE = 100
 rng = np.random.default_rng(11)
 x = rng.normal(size=(1000, 400))
 y = x[:, 0] * x[:, 1] + rng.normal(size=1000)
@@ -982,11 +1035,11 @@ ws = precompute(x, y)
 flat = all_scores(ws)
 result = scan(ws, ScanConfig(top_k=20))
 top = repr([(s.j1, s.j2, s.r_hat.hex()) for s in result.top_pairs])
-screened = scan(ws, ScanConfig(top_k=20, threshold=float(np.sort(flat)[-300]), block_size=100))
+screened = scan(ws, ScanConfig(top_k=20, threshold=float(np.sort(flat)[-300]), worker_count=2))
 picked = repr([(s.j1, s.j2, s.tau_hat.hex(), s.r_hat.hex()) for s in screened.selected])
 pairs = [(0, 1), (2, 3), (5, 300), (398, 399)]
 ranks = repr(ranks_of_pairs(ws, 400, pairs))
-fused = repr(scan(ws, ScanConfig(top_k=20, threshold=0.1, rank_pairs=pairs, block_size=100)).ranks)
+fused = repr(scan(ws, ScanConfig(top_k=20, threshold=0.1, rank_pairs=pairs, worker_count=2)).ranks)
 digests = (flat.tobytes(), top.encode(), picked.encode(), ranks.encode(), fused.encode())
 print(*(hashlib.sha256(v).hexdigest() for v in digests))
 """
@@ -1059,25 +1112,26 @@ def test_columnar_merge_matches_sorted_oracle(data):
     threshold = data.draw(st.none() | st.sampled_from(flat.tolist()), label="threshold")
     workers = data.draw(st.sampled_from([1, 3]), label="workers")
     block = data.draw(st.sampled_from([1, 5]), label="block")
-    res = scan(ws, ScanConfig(top_k=top_k, threshold=threshold, worker_count=workers, block_size=block))
-    assert [pair_index(s.j1, s.j2, p) for s in res.top_pairs] == order[:top_k]
-    assert [s.r_hat for s in res.top_pairs] == [flat[i] for i in order[:top_k]]
-    if threshold is not None:
-        assert [pair_index(s.j1, s.j2, p) for s in res.selected] == [
-            i for i in order if flat[i] > threshold
+    with mock.patch.object(scan_module, "_WORK_TILE", block):
+        res = scan(ws, ScanConfig(top_k=top_k, threshold=threshold, worker_count=workers))
+        assert [pair_index(s.j1, s.j2, p) for s in res.top_pairs] == order[:top_k]
+        assert [s.r_hat for s in res.top_pairs] == [flat[i] for i in order[:top_k]]
+        if threshold is not None:
+            assert [pair_index(s.j1, s.j2, p) for s in res.selected] == [
+                i for i in order if flat[i] > threshold
+            ]
+
+        cuts = data.draw(st.lists(st.integers(1, total - 1), unique=True, max_size=4), label="cuts")
+        bounds = [0, *sorted(cuts), total]
+        shards = [
+            scan(ws, ScanConfig(top_k=top_k, worker_count=workers, pair_range=span)).top_pairs
+            for span in zip(bounds, bounds[1:])
         ]
+        assert tuple(merge_top_pairs(shards, top_k)) == res.top_pairs
 
-    cuts = data.draw(st.lists(st.integers(1, total - 1), unique=True, max_size=4), label="cuts")
-    bounds = [0, *sorted(cuts), total]
-    shards = [
-        scan(ws, ScanConfig(top_k=top_k, worker_count=workers, block_size=block, pair_range=span)).top_pairs
-        for span in zip(bounds, bounds[1:])
-    ]
-    assert tuple(merge_top_pairs(shards, top_k)) == res.top_pairs
-
-    a = data.draw(st.integers(0, total - 1), label="range_start")
-    b = data.draw(st.integers(a + 1, total), label="range_end")
-    ranged = scan(ws, ScanConfig(top_k=top_k, worker_count=3, block_size=block, pair_range=(a, b)))
+        a = data.draw(st.integers(0, total - 1), label="range_start")
+        b = data.draw(st.integers(a + 1, total), label="range_end")
+        ranged = scan(ws, ScanConfig(top_k=top_k, worker_count=3, pair_range=(a, b)))
     in_range = [i for i in order if a <= i < b]
     assert [pair_index(s.j1, s.j2, p) for s in ranged.top_pairs] == in_range[:top_k]
     assert all_scores(ws, pair_range=(a, b)).tobytes() == flat[a:b].tobytes()
@@ -1266,26 +1320,24 @@ def test_scan_config_validation():
         with pytest.raises(InvalidValue):
             select_by_threshold(stats, bad)
     with pytest.raises(InvalidValue):
-        ScanConfig(top_k=5, block_size=0)
-    with pytest.raises(InvalidValue):
         ScanConfig(top_k=5, worker_count=0)
     # A count that is not an integer, a pair range that is not two integers
     # and a threshold that is not a real number are invalid values too.
     for bad in (
         dict(top_k=2.5), dict(top_k="3"), dict(top_k=np.float64(3.0)),
-        dict(top_k=5, block_size=2.5), dict(top_k=5, block_size=None),
         dict(top_k=5, worker_count=2.5), dict(top_k=5, worker_count="2"),
+        dict(top_k=5, worker_count=None), dict(top_k=5, worker_count=[64]),
         dict(top_k=5, pair_range=(0.5, 3)), dict(top_k=5, pair_range=(0, 1, 2)),
         dict(top_k=5, pair_range=(0,)), dict(top_k=5, pair_range=5), dict(top_k=5, pair_range="03"),
-        dict(threshold="0.5"), dict(threshold=0.5j), dict(top_k=5, block_size=[64]),
+        dict(threshold="0.5"), dict(threshold=0.5j),
         # A bool is a numbers.Integral and a numbers.Real, but not a count,
         # a coordinate or a threshold.
-        dict(top_k=True), dict(top_k=5, block_size=True), dict(top_k=5, worker_count=True),
+        dict(top_k=True), dict(top_k=5, worker_count=True),
         dict(top_k=5, pair_range=(False, True)), dict(threshold=True), dict(threshold=False),
     ):
         with pytest.raises(InvalidValue):
             ScanConfig(**bad)
-    assert ScanConfig(top_k=np.int64(5), block_size=np.int32(7), worker_count=np.uint8(2), pair_range=(np.int64(0), 9),
+    assert ScanConfig(top_k=np.int64(5), worker_count=np.uint8(2), pair_range=(np.int64(0), 9),
                       threshold=np.float32(0.5)).top_k == 5
     # all_scores takes ScanConfig's pair_range rule, and every entry point
     # that takes p the count rule.
@@ -1378,7 +1430,6 @@ _SPEC = dict(study_id=1, n=50, p=10, true_pairs=((0, 1),), seed=0)
 #: ``source`` is one of ranks_of_pairs's three sources, and the kinds drawn.
 _ARGUMENTS = {
     "ScanConfig top_k": (lambda v, ws, source: ScanConfig(top_k=v, threshold=0.5), _ANY - {"None"}),
-    "ScanConfig block_size": (lambda v, ws, source: ScanConfig(top_k=1, block_size=v), _ANY),
     "ScanConfig worker_count": (lambda v, ws, source: ScanConfig(top_k=1, worker_count=v), _ANY),
     "ScanConfig threshold": (lambda v, ws, source: ScanConfig(top_k=1, threshold=v), _THRESHOLD),
     "ScanConfig pair_range": (lambda v, ws, source: ScanConfig(top_k=1, pair_range=(0, v)), _ANY),
