@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 I/O or memory failure, 2 malformed input or flags
 (including a size flag too large for any numpy array), 3 statistically
 degenerate data (offending column named on stderr).
 Diagnostics go to stderr; stdout carries nothing unless ``--out`` is "-".
-Worker count defaults to the JCI_WORKERS environment variable (``--workers``
-overrides it).
+``--workers`` (default 1) is the one worker setting: the threads of one
+scan, and of each replicate's scan under ``simulate``.
 """
 
 from __future__ import annotations
@@ -110,12 +110,12 @@ def _load_scan_input(args):
 
 def cmd_scan(args) -> int:
     from . import dataio
-    from .scan import ScanConfig, default_worker_count
+    from .scan import ScanConfig
 
     config = ScanConfig(
         top_k=args.top_k,
         threshold=args.threshold,
-        worker_count=args.workers if args.workers is not None else default_worker_count(),
+        worker_count=args.workers,
         pair_range=args.pair_range,
     )
     if args.dump_all is not None and args.pair_range is not None:
@@ -163,7 +163,6 @@ def _pair_label(pair: tuple[int, int]) -> str:
 
 def cmd_simulate(args) -> int:
     from . import dataio
-    from .scan import default_worker_count
     from .simulate import run_replications, study_spec, summarize
 
     if args.out_summary is None and args.out_replicates is None:
@@ -172,10 +171,7 @@ def cmd_simulate(args) -> int:
         args.study, n=args.n, p=args.p, seed=args.seed, replications=args.reps
     )
     _check_representable(f"study {spec.study_id} at n={spec.n}, p={spec.p}", spec.n * spec.p)
-    reports = run_replications(
-        spec,
-        worker_count=args.workers if args.workers is not None else default_worker_count(),
-    )
+    reports = run_replications(spec, worker_count=args.workers)
 
     if args.out_replicates is not None:
         dataio.write_table(
@@ -303,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--phenotype", help="phenotype file, one real per line")
     p_scan.add_argument("--top-k", type=int, help="keep the k best pairs")
     p_scan.add_argument("--threshold", type=float, help="also select pairs with r_hat > c")
-    p_scan.add_argument("--workers", type=int, help="worker threads (default: JCI_WORKERS or 1)")
+    p_scan.add_argument("--workers", type=int, default=1, help="worker threads (default: 1)")
     p_scan.add_argument("--pair-range", type=_pair_range_arg, help="canonical pair span START:END")
     p_scan.add_argument(
         "--missing", choices=["reject", "impute"], help="missing-genotype policy, packed input only (default: reject)"
@@ -318,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n", type=int, help="override the design sample size")
     p_sim.add_argument("--p", type=int, help="override the design predictor count")
-    p_sim.add_argument("--workers", type=int, help="worker threads (default: JCI_WORKERS or 1)")
+    p_sim.add_argument("--workers", type=int, default=1, help="worker threads of each replicate's scan (default: 1)")
     p_sim.add_argument("--out-summary", help="per-pair rank/top-5 summary CSV")
     p_sim.add_argument("--out-replicates", help="per-replicate rank CSV")
     p_sim.set_defaults(func=cmd_simulate)

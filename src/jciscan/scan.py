@@ -83,19 +83,21 @@ combine, whatever p is.
 
 One top-k floor per scan
 ------------------------
-A top-k :func:`scan` keeps one floor for the whole call (:class:`_TopK`),
-a value at least k distinct scanned pairs reach: no pair below it can
-place, and pairs equal to it are kept for the final (j1, j2) tie-break.
-It has two sources, the k-th largest certified lower bound screened and
-the k-th largest value held, and it carries from tile to tile, is shared
-by every worker, and only rises.  A worker that reads it late sees a
-lower value, which only keeps more candidates; it never drops a pair the
-final cut keeps.  This is the running k-th-best bound of threshold top-k
-algorithms (Fagin, Lotem and Naor, JCSS 2003).  Ranks ride on the same
-pass: a :func:`scan` with ``rank_pairs`` first reads each requested
-pair's value on its own, then counts, in every row the pass reads, the
-pairs above each value and those tied with it that precede it
-canonically.
+A top-k :func:`scan` computes one floor for the whole call, a value at
+least k distinct scanned pairs reach: no pair below it can place, and
+pairs equal to it are kept for the final (j1, j2) tie-break.  It is the
+k-th largest certified cell lower bound of the span, lifted once from
+the lower bounds every work tile's screen keeps, and it is the one value
+passed from the screen phase to the sweep phase.  Work tiles share
+nothing else: each keeps its own top-k state (:class:`_TopK`), whose
+floor only rises from the scan's floor by the values it holds, and
+returns its own top-k table; the final cut is :func:`merge_top_pairs`
+over those tables, exact over a partition, as for shards.  This is the
+running k-th-best bound of threshold top-k algorithms (Fagin, Lotem and
+Naor, JCSS 2003).  Ranks ride on the same pass: a :func:`scan` with
+``rank_pairs`` first reads each requested pair's value on its own, then
+counts, in every row the pass reads, the pairs above each value and
+those tied with it that precede it canonically.
 
 The certified screen
 --------------------
@@ -106,15 +108,16 @@ FMA use or thread split (see :meth:`Workspace.bounds`); the prescale
 gives the bound one path at every column scale.  Each tile is
 screened once per scan, for every output asked for (:func:`_screened`):
 it keeps each anchor's largest upper bound; top-k bounds the cell lower
-bounds above the floor a few rows at a time, so once every work tile is
-screened the floor is the k-th largest finite cell lower bound of the
-span; and each rank value marks the anchors holding a pair whose bounds
-bracket it and counts, per anchor, the pairs certainly above it.
+bounds above the tile's own running floor a few rows at a time and keeps
+them, so the k-th largest of every tile's kept bounds is the k-th
+largest finite cell lower bound of the span, the scan's floor; and each
+rank value marks the anchors holding a pair whose bounds bracket it and
+counts, per anchor, the pairs certainly above it.
 
 One row-choice step then opens each work tile's sweep in :func:`scan`:
 it reads the marked anchors and those whose largest upper bound reaches
-the floor or exceeds the threshold, adds the screen's counts for the
-anchors it leaves unread, and tallies the rows read.  The screen only
+the scan's floor or exceeds the threshold, adds the screen's counts for
+the anchors it leaves unread, and tallies the rows read.  The screen only
 chooses rows: every reported value and rank comes from ``rows``.  The
 exact route's tiles are its values: it has no ``bounds`` and reads every
 row of a work tile, a contiguous range, so its ranks are counted from the
@@ -132,14 +135,17 @@ is an exact integer, so its values are also the same under every BLAS
 kernel.  The float route's are not: its row products are bit-identical
 on one BLAS kernel, but OpenBLAS picks the kernel by CPU, and under other
 ``OPENBLAS_CORETYPE`` kernels 79-95% of the ``all_scores`` cells moved,
-by up to 7e-11 relative.  Tiling, threading and the floor only decide
+by up to 7e-11 relative.  Tiling, threads and the floor only decide
 *which* pairs are evaluated and kept as candidates, never how a value is
-computed.  Rank counts are integers that each work tile returns on its
-own and that are summed after the pool, so no worker writes to a shared
-count.  Every pair set is one :class:`PairTable` of parallel arrays, and
-the final top-k cut, shard merges and threshold selection are all ordered
-by its one stable lexicographic sort on the full key, so the order never
-depends on which tile or worker found a pair.
+computed.  No object is written by more than one work tile: each returns
+its own top-k table, threshold hits and integer rank counts, combined
+after the pool, and reads only the read-only workspace and the screened
+floor, which is final before any sweep starts.  Threads decide only when
+a tile runs, never what it keeps or reads.  Every pair set is one
+:class:`PairTable` of parallel arrays, and the final top-k cut, shard
+merges and threshold selection are all ordered by its one stable
+lexicographic sort on the full key, so the order never depends on which
+tile or worker found a pair.
 
 Ordering contract
 -----------------
@@ -155,8 +161,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -502,18 +506,23 @@ class Workspace:
         one chunk of partners per run), in order.  Each row's product
         always has shape (n,) @ (n, p), so a value never depends on span,
         tiling or which anchors share its tile.  The scaled ratio is r_hat
-        itself; tau_hat beyond the float range is +-inf."""
-        sums = np.empty((min(len(anchors), _ANCHOR_BLOCK), self.p))
+        itself; tau_hat beyond the float range is +-inf.  The row sums,
+        r_hat, tau_hat (first the denominator) and the exponent shifts are
+        buffers allocated once per call: read each tile before the next."""
+        sums, *buffers = np.empty((3, min(len(anchors), _ANCHOR_BLOCK), self.p))
+        buffers.append(np.empty_like(sums, self.shift.dtype))
         for j1, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _ANCHOR_BLOCK, self.p):
             for row, a in zip(sums, j1.tolist()):
                 np.matmul(self.response.centered * self.matrix[:, a], self.matrix, out=row)
             block = sums[: j1.size, lo:hi]
-            denom = np.multiply.outer(self.scale[j1] * self.response_scale, self.scale[lo:hi])
-            r_hat = self.sqrt_n * np.abs(block) / denom
+            r_hat, tau_hat, shifts = (b.ravel()[: block.size].reshape(block.shape) for b in buffers)
+            denom = np.multiply.outer(self.scale[j1] * self.response_scale, self.scale[lo:hi], out=tau_hat)
+            np.multiply(self.sqrt_n, np.abs(block, out=r_hat), out=r_hat)
+            r_hat /= denom
             _mask(r_hat, starts, ends, lo, np.nan)
-            shifts = np.add.outer(self.shift[j1] + self.response_shift, self.shift[lo:hi])
+            np.add.outer(self.shift[j1] + self.response_shift, self.shift[lo:hi], out=shifts)
             with np.errstate(over="ignore"):  # past the float range, masked cells too
-                tau_hat = np.ldexp(block / self.n, shifts)
+                np.ldexp(np.divide(block, self.n, out=tau_hat), shifts, out=tau_hat)
             yield j1, lo, r_hat, tau_hat
 
     def bounds(self, anchors: range, span: tuple[int, int]):
@@ -987,19 +996,19 @@ def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
 
 
 class _TopK:
-    """The top-k state of one :func:`scan`, shared by its work tiles and
-    workers: the pairs ``held`` and the ``floor`` (module docstring), the
-    larger of the k-th largest cell lower bound screened and the k-th
-    largest value read; a scan reads and screens each pair once, so each
-    count is over distinct pairs."""
+    """The top-k state of one work tile's screen or sweep, or of the
+    floor step between them (:func:`scan`): the cell ``lower`` bounds or
+    the pairs ``held`` at or above the ``floor``, which only rises, to the
+    k-th largest lower bound or value seen.  A screen's starts at -inf and
+    a sweep's at the scan's screened floor.  A tile screens and reads each
+    pair once, so each count is over distinct pairs.  No instance is
+    shared, and none takes a lock."""
 
-    def __init__(self, k: int):
-        self.k, self.floor, self.held = k, -np.inf, [_EMPTY]
-        self._bounds, self._lock = np.empty(0), threading.Lock()
+    def __init__(self, k: int, floor: float = -np.inf):
+        self.k, self.floor, self.held, self.lower = k, floor, [_EMPTY], np.empty(0)
 
     def bound(self, lower: np.ndarray) -> None:
-        with self._lock:
-            self._bounds = self._lift(np.concatenate([self._bounds, lower]))
+        self.lower = self._lift(np.concatenate([self.lower, lower]))
 
     def offer(self, tile) -> None:
         """Hold the cells of a ``rows`` tile at or above the floor, the
@@ -1008,18 +1017,15 @@ class _TopK:
         r_hat = tile[2]
         flat, values = np.flatnonzero(r_hat >= self.floor), r_hat.ravel()
         if flat.size > 2 * self.k:
-            with self._lock:
-                self._lift(values[flat])
+            self._lift(values[flat])
             flat = flat[values[flat] >= self.floor]
         if not flat.size:
             return
-        found = _table(tile, np.divmod(flat, r_hat.shape[1]))
-        with self._lock:
-            self.held.append(found)
-            if sum(map(len, self.held)) > 2 * self.k:
-                pool = PairTable.concat(self.held)
-                self._lift(pool.r_hat)
-                self.held = [pool[pool.r_hat >= self.floor]]
+        self.held.append(_table(tile, np.divmod(flat, r_hat.shape[1])))
+        if sum(map(len, self.held)) > 2 * self.k:
+            pool = PairTable.concat(self.held)
+            self._lift(pool.r_hat)
+            self.held = [pool[pool.r_hat >= self.floor]]
 
     def _lift(self, values: np.ndarray) -> np.ndarray:
         """Lift the floor to the k-th largest of ``values`` when there are
@@ -1078,8 +1084,8 @@ def _screened(ws, anchors: range, span, top, values):
     anchor's row read (a pair whose bounds bracket the value), each
     anchor's largest upper bound, which the top-k floor and a threshold
     cut, per rank value the pairs of each anchor certainly above it, and
-    the bounds tiles screened.  Top-k lifts the scan's floor by the cell
-    lower bounds."""
+    the bounds tiles screened.  Top-k lifts the tile's own ``top``
+    (:class:`_TopK`) by the cell lower bounds above its running floor."""
     need = np.zeros(len(anchors), dtype=bool)
     reach = np.full(len(anchors), -np.inf)
     above = np.zeros((values.size, len(anchors)), dtype=np.int64)
@@ -1118,10 +1124,11 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     :func:`precompute`.  The work tiles follow the worker count (module
     docstring).  The rank pairs' values come first, one row read each.
     A workspace with ``bounds`` then screens every work tile once, for
-    every output at the same time, before any row is read, so the reads see
-    the whole scan's floor.  Each work tile's sweep starts with the row
-    choice (module docstring) and returns its own rank counts, summed after
-    the pool.  The result is identical for every worker count; see the
+    every output at the same time, before any row is read, and one step
+    lifts the scan's floor from every tile's kept lower bounds.  Each work
+    tile's sweep starts with the row choice (module docstring) at that
+    floor and returns its own top-k table and rank counts, merged and
+    summed after the pool.  The result is identical for every worker count; see the
     module docstring for why.
 
     Raises:
@@ -1141,50 +1148,65 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     anchors = _anchors_for_span(ws.p, span)
     step = len(anchors) if config.worker_count == 1 else _WORK_TILE
     tiles = [anchors[i : i + step] for i in range(0, len(anchors), step)]
-    top = _TopK(config.top_k) if config.top_k is not None else None
+    k = config.top_k
 
     def screen(tile):
-        return _screened(ws, tile, span, top, values) if ws.bounds is not None else None
+        # The tile's own top-k state keeps its lower bounds above its own cut.
+        top = _TopK(k) if k is not None else None
+        return (*_screened(ws, tile, span, top, values), top and top.lower) if ws.bounds is not None else None
 
-    def sweep(tile, screened):
-        # The row choice: once every work tile is screened, read the anchors
-        # a rank value needs and those whose largest upper bound reaches
-        # the floor or exceeds the threshold; an unread anchor adds its
-        # pairs certainly above each value.
+    def sweep(tile, screened, floor):
+        # The row choice: read the anchors a rank value needs and those
+        # whose largest upper bound reaches the screened floor or exceeds
+        # the threshold; an unread anchor adds its pairs certainly above
+        # each value.  The tile keeps its own top-k from the floor up.
+        top = _TopK(k, floor) if k is not None else None
         unread = 0
         if screened is not None:
-            need, reach, above, _ = screened
+            need, reach, above, _, _ = screened
             if top is not None:
-                need = need | (reach >= top.floor)
+                need = need | (reach >= floor)
             if config.threshold is not None:
                 need = need | (reach > config.threshold)
             unread = above[:, ~need].sum(axis=1)
             tile = np.asarray(tile)[need]
         hits, counts = _sweep_tile(ws, tile, span, top, config.threshold, None, (values, index))
-        return hits, counts + unread, len(tile)
+        best = PairTable.concat(top.held).ordered(k) if top is not None else _EMPTY
+        return best, hits, counts + unread, len(tile)
 
-    # The workspace is shared read-only; the top-k state takes a lock.
+    def phases(map_):
+        # Work tiles share nothing.  The one value passed between the
+        # phases is the floor: the k-th largest cell lower bound of the
+        # span, lifted once from every tile's kept lower bounds.
+        screens = list(map_(screen, tiles))
+        lifted = _TopK(k) if k is not None else None
+        for screened in screens:
+            if lifted is not None and screened is not None:
+                lifted.bound(screened[-1])
+        floor = lifted.floor if lifted is not None else -np.inf
+        return screens, list(map_(sweep, tiles, screens, [floor] * len(tiles)))
+
+    # The workspace is shared read-only, and threads decide only when a
+    # work tile runs.
     workers = min(config.worker_count, len(tiles))
     if workers <= 1:
-        screens = list(map(screen, tiles))
-        parts = list(map(sweep, tiles, screens))
+        screens, parts = phases(map)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            screens = list(pool.map(screen, tiles))
-            parts = list(pool.map(sweep, tiles, screens))
+            screens, parts = phases(pool.map)
 
-    counts = sum((c for _, c, _ in parts), np.zeros(len(pairs), dtype=np.int64))
+    counts = sum((c for _, _, c, _ in parts), np.zeros(len(pairs), dtype=np.int64))
     return ScanResult(
-        top_pairs=PairTable.concat(top.held).ordered(top.k) if top is not None else _EMPTY,
-        selected=PairTable.concat(h for h, _, _ in parts).ordered(),
+        top_pairs=merge_top_pairs((t for t, _, _, _ in parts), k) if k is not None else _EMPTY,
+        selected=PairTable.concat(h for _, h, _, _ in parts).ordered(),
         ranks=tuple(zip(pairs, (c + 1 for c in counts.tolist()))),
         pairs_scanned=int(span[1] - span[0]),
         elapsed_seconds=time.perf_counter() - started,
         stats=ScanStats(
-            tiles_screened=sum(s[-1] for s in screens if s is not None),
-            rows_read=len(pairs) + sum(r for _, _, r in parts),
+            tiles_screened=sum(s[3] for s in screens if s is not None),
+            rows_read=len(pairs) + sum(r for _, _, _, r in parts),
         ),
     )
 
@@ -1287,13 +1309,3 @@ def ranks_of_pairs(scores, p: int, pairs) -> dict[tuple[int, int], int]:
         raise DimensionMismatch(f"workspace has p={ws.p}, expected {p}")
     return dict(scan(ws, ScanConfig(rank_pairs=pairs)).ranks) if pairs else {}
 
-
-def default_worker_count() -> int:
-    """Worker count from the JCI_WORKERS environment variable, else 1; a
-    count by :func:`_count`'s rule."""
-    raw = os.environ.get("JCI_WORKERS", "").strip() or "1"
-    try:
-        value = int(raw)
-    except ValueError:
-        value = raw  # not an integer: _count says so
-    return _count(value, "JCI_WORKERS")

@@ -345,19 +345,19 @@ def test_scan_pair_range_subset(tmp_path):
 
 
 def test_scan_workers_env_and_flag(tmp_path, monkeypatch):
+    # --workers is the one worker setting: the environment, JCI_WORKERS
+    # included, changes nothing, and every worker count gives the same bytes.
     data = tmp_path / "d.csv"
-    out1 = tmp_path / "o1.csv"
-    out2 = tmp_path / "o2.csv"
-    out3 = tmp_path / "o3.csv"
     write_study1_csv(data, n=60, p=10, seed=6)
     base = ["scan", str(data), "--response-column", "y", "--top-k", "6"]
-    assert run(base + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("JCI_WORKERS", "4")
-    assert run(base + ["--out", str(out2)]) == 0
-    assert run(base + ["--out", str(out3), "--workers", "2"]) == 0
-    assert out1.read_text() == out2.read_text() == out3.read_text()
-    monkeypatch.setenv("JCI_WORKERS", "bogus")
-    assert run(base + ["--out", str(out1)]) == 2
+    monkeypatch.delenv("JCI_WORKERS", raising=False)
+    assert run(base + ["--out", str(tmp_path / "o.csv")]) == 0
+    expect = (tmp_path / "o.csv").read_bytes()
+    for i, (env, flag) in enumerate([("4", []), ("bogus", []), ("bogus", ["--workers", "2"])]):
+        monkeypatch.setenv("JCI_WORKERS", env)
+        out = tmp_path / f"o{i}.csv"
+        assert run(base + ["--out", str(out)] + flag) == 0
+        assert out.read_bytes() == expect
 
 
 # --------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from jciscan.scan import (
     PairTable,
     Workspace,
     _row_start,
-    default_worker_count,
     iter_score_rows,
 )
 from jciscan.simulate import SimStudySpec
@@ -830,24 +829,35 @@ def test_float_route_tau_hat_is_the_centered_product_sum_over_n(binary):
 
 
 def test_result_invariant_across_workers_and_blocks():
+    # Work tiles share nothing but the screened floor, and threads decide
+    # only when a tile runs, so for one set of work tiles the rows read and
+    # tiles screened are the same at every worker count above one.  One
+    # worker sweeps one work tile, so its stats may differ.
     X, y = random_instance(seed=21, max_n=60, max_p=40)
-    base = scan(precompute(X, y), ScanConfig(top_k=15, threshold=0.05))
-    for workers in (1, 4, 9):
-        for block in (1, 7, 64):
+    ranked = ((0, 1), (2, 5), (X.shape[1] - 2, X.shape[1] - 1))
+    base = scan(precompute(X, y), ScanConfig(top_k=15, threshold=0.05, rank_pairs=ranked))
+    for block in (1, 7, 64):
+        stats = set()
+        for workers in (1, 4, 9):
+            config = ScanConfig(top_k=15, threshold=0.05, worker_count=workers, rank_pairs=ranked)
             with mock.patch.object(scan_module, "_WORK_TILE", block):
-                res = scan(precompute(X, y), ScanConfig(top_k=15, threshold=0.05, worker_count=workers))
+                res = scan(precompute(X, y), config)
             assert res.top_pairs == base.top_pairs
             assert res.selected == base.selected
+            assert res.ranks == base.ranks
             assert res.pairs_scanned == base.pairs_scanned
             # ScanResult equality covers exactly the deterministic fields
             assert res == base
+            if workers > 1:
+                stats.add(res.stats)
+        assert len(stats) == 1, (block, stats)
 
 
 @pytest.mark.parametrize("route", ["float", "exact"])
 def test_shared_top_k_floor_keeps_every_result(route):
-    # One floor per scan, carried from tile to tile and shared by workers:
-    # every worker count, work tile and k from 1 to all pairs gives the
-    # all_scores order.  Column 150 repeats column 3, so exact ties cross
+    # One screened floor per scan, and each work tile keeps its own top-k
+    # from it, merged after the pool: every worker count, work tile and k
+    # from 1 to all pairs gives the all_scores order.  Column 150 repeats column 3, so exact ties cross
     # work tiles.
     rng = np.random.default_rng(50)
     n, p = 40, 200
@@ -897,10 +907,10 @@ def test_top_k_floor_keeps_pairs_equal_to_it():
 
 
 def test_float_top_k_scan_reads_about_one_work_tiles_rows(monkeypatch):
-    # Every work tile is screened before any row is read, and the floor
-    # lives for the whole scan, so two workers' eight work tiles read about
-    # the rows one worker's one work tile over all anchors reads: near k,
-    # not near k per work tile.
+    # Every work tile is screened before any row is read, and every sweep
+    # starts at the one floor screened over the whole span, so two workers'
+    # eight work tiles read about the rows one worker's one work tile over
+    # all anchors reads: near k, not near k per work tile.
     rng = np.random.default_rng(51)
     X = rng.normal(size=(1000, 2000))
     ws = precompute(X, X[:, 0] * X[:, 1] + rng.normal(size=1000))
@@ -991,9 +1001,9 @@ def _switching_every_microsecond(check):
 
 def test_collected_scores_survive_thread_switching():
     # Five work tiles screen and rescore in five threads over one shared
-    # workspace and one shared top-k floor, on either route; switching
-    # threads every microsecond must not lose or misplace a candidate, and
-    # the flat array stays the same.
+    # read-only workspace, each with its own top-k state, on either route;
+    # switching threads every microsecond must not lose or misplace a
+    # candidate, and the flat array stays the same.
     for ws in _switching_workspaces():
         expect = all_scores(ws)
         base = scan(ws, ScanConfig(top_k=3, threshold=0.1))
@@ -1514,15 +1524,3 @@ def test_ranks_of_pairs_reads_a_scan_result():
     with pytest.raises(InvalidValue):
         ranks_of_pairs(scan(ws, ScanConfig(top_k=5)), ws.p, [(0, 1)])
 
-
-def test_default_worker_count_env(monkeypatch):
-    monkeypatch.delenv("JCI_WORKERS", raising=False)
-    assert default_worker_count() == 1
-    monkeypatch.setenv("JCI_WORKERS", "6")
-    assert default_worker_count() == 6
-    monkeypatch.setenv("JCI_WORKERS", "zero")
-    with pytest.raises(InvalidValue):
-        default_worker_count()
-    monkeypatch.setenv("JCI_WORKERS", "0")
-    with pytest.raises(InvalidValue):
-        default_worker_count()
