@@ -33,14 +33,19 @@ exact while ``2 c^2 n^3 m < 2^53``, and ``r_hat = |N| / sqrt(D_1 D_2 D_y)``,
 the square root and the divisions, so tiling, summation order and BLAS
 threads cannot change them.
 
-Each workspace's ``rows(anchors, span)`` is the only place its route
-computes a pair value.  Both yield whole 2-D tiles ``(j1, lo, r_hat,
-tau_hat)``: anchors ``j1``, one per row, by partners ``lo, lo + 1, ...``,
-NaN outside the span.  Their one reader, :func:`_sweep_tile`, feeds the
-top-k, threshold, rank-count and flat-array consumers of either route
-with one flat ``nonzero`` per tile; it reads exactly the anchors it is
-given.  All three kernels (``Workspace.rows``, ``Workspace.bounds`` and
-``CodeWorkspace.rows``) walk one tile grid, :func:`_tile_grid`: runs of
+Each workspace's ``rows(anchors, span)`` and ``_tau_hat`` are the only
+places its route computes a pair value.  Both ``rows`` yield whole 2-D
+tiles ``(j1, lo, r_hat, num)``: anchors ``j1``, one per row, by partners
+``lo, lo + 1, ...``, r_hat NaN outside the span, and ``num`` the signed
+sum tau_hat comes from (the scaled row sums on the float route, the
+integer numerator N on the exact route).  Pairs are ranked by r_hat
+alone, so tau_hat is formed only for the pairs a scan keeps: ``_table``
+is the one caller of ``_tau_hat``.  The tiles' one reader,
+:func:`_sweep_tile`, feeds the top-k, threshold, rank-count and
+flat-array consumers of either route with one flat ``nonzero`` per tile;
+it reads exactly the anchors it is given.  All three kernels
+(``Workspace.rows``, ``Workspace.bounds`` and ``CodeWorkspace.rows``)
+walk one tile grid, :func:`_tile_grid`: runs of
 ascending anchors, each against its partners in the span in equal chunks
 (one chunk of all p columns for ``Workspace.rows``).  A GEMM tile is 64
 anchors on the float route (``_ANCHOR_BLOCK``) and 256 on the exact route
@@ -50,9 +55,9 @@ anchors on the float route (``_ANCHOR_BLOCK``) and 256 on the exact route
 sweeps the span as one work tile of all its anchors, so each kernel is
 called, and allocates its buffers, once per scan.  More workers take runs
 of ``_WORK_TILE`` = 256 anchors as they free up: one exact-route GEMM
-tile, four float-route bounds tiles.  :func:`iter_score_rows` sweeps 64
-anchors (``_ANCHOR_BLOCK``) at a time on either route into a flat array
-and yields its rows, so a dump block stays 64 x (p - 1) scores.
+tile, four float-route bounds tiles.  :func:`iter_score_rows` sweeps one
+such work tile at a time on either route into a flat array and yields its
+rows, so a dump block is at most 256 x (p - 1) float64 scores.
 
 The exact route holds its codes once, in the level-ordered store that
 :func:`precompute` builds in one walk over blocks of columns, as many as
@@ -86,11 +91,11 @@ One top-k floor per scan
 A top-k :func:`scan` computes one floor for the whole call, a value at
 least k distinct scanned pairs reach: no pair below it can place, and
 pairs equal to it are kept for the final (j1, j2) tie-break.  It is the
-k-th largest certified cell lower bound of the span, lifted once from
-the lower bounds every work tile's screen keeps, and it is the one value
-passed from the screen phase to the sweep phase.  Work tiles share
-nothing else: each keeps its own top-k state (:class:`_TopK`), whose
-floor only rises from the scan's floor by the values it holds, and
+k-th largest certified cell lower bound of the span, one k-th largest
+(:func:`_kth`) of the lower bounds every work tile's screen keeps, and it
+is the one value passed from the screen phase to the sweep phase.  Work
+tiles share nothing else: each sweep holds its own pairs (:class:`_TopK`),
+whose floor only rises from the scan's floor by the values it holds, and
 returns its own top-k table; the final cut is :func:`merge_top_pairs`
 over those tables, exact over a partition, as for shards.  This is the
 running k-th-best bound of threshold top-k algorithms (Fagin, Lotem and
@@ -108,9 +113,9 @@ FMA use or thread split (see :meth:`Workspace.bounds`); the prescale
 gives the bound one path at every column scale.  Each tile is
 screened once per scan, for every output asked for (:func:`_screened`):
 it keeps each anchor's largest upper bound; top-k bounds the cell lower
-bounds above the tile's own running floor a few rows at a time and keeps
-them, so the k-th largest of every tile's kept bounds is the k-th
-largest finite cell lower bound of the span, the scan's floor; and each
+bounds above the tile's own running cut a few rows at a time and returns
+those it keeps, so the k-th largest of every tile's kept bounds is the
+k-th largest finite cell lower bound of the span, the scan's floor; and each
 rank value marks the anchors holding a pair whose bounds bracket it and
 counts, per anchor, the pairs certainly above it.
 
@@ -118,10 +123,10 @@ One row-choice step then opens each work tile's sweep in :func:`scan`:
 it reads the marked anchors and those whose largest upper bound reaches
 the scan's floor or exceeds the threshold, adds the screen's counts for
 the anchors it leaves unread, and tallies the rows read.  The screen only
-chooses rows: every reported value and rank comes from ``rows``.  The
-exact route's tiles are its values: it has no ``bounds`` and reads every
-row of a work tile, a contiguous range, so its ranks are counted from the
-rows alone.
+chooses rows: every reported value and rank comes from ``rows`` and
+``_tau_hat``.  The exact route's tiles are its values: it has no
+``bounds`` and reads every row of a work tile, a contiguous range, so its
+ranks are counted from the rows alone.
 
 Determinism contract
 --------------------
@@ -186,14 +191,14 @@ from .errors import (
     ZeroVarianceColumn,
 )
 
-#: Anchors per work tile when :func:`scan` runs on more than one worker.
+#: Anchors per work tile when :func:`scan` runs on more than one worker,
+#: and per block of :func:`iter_score_rows` on either route.
 _WORK_TILE = 256
 
 #: The float route's GEMM tile is this many anchors against at most this
 #: many partners: the screen arrays of :meth:`Workspace.bounds` have that
 #: shape whatever p is, and :meth:`Workspace.rows` makes this many rows at a
-#: time.  :func:`iter_score_rows` sweeps this many anchors at a time on
-#: either route.
+#: time.
 _ANCHOR_BLOCK = 64
 _PARTNER_CHUNK = 2048
 
@@ -501,29 +506,33 @@ class Workspace:
         return self.matrix.shape[1]
 
     def rows(self, anchors, span: tuple[int, int]):
-        """Yield ``(j1, lo, r_hat, tau_hat)`` per run of at most
+        """Yield ``(j1, lo, r_hat, num)`` per run of at most
         ``_ANCHOR_BLOCK`` of the ascending ``anchors`` (:func:`_tile_grid`,
         one chunk of partners per run), in order.  Each row's product
         always has shape (n,) @ (n, p), so a value never depends on span,
         tiling or which anchors share its tile.  The scaled ratio is r_hat
-        itself; tau_hat beyond the float range is +-inf.  The row sums,
-        r_hat, tau_hat (first the denominator) and the exponent shifts are
-        buffers allocated once per call: read each tile before the next."""
+        itself; ``num`` is the scaled row sums, which :meth:`_tau_hat`
+        turns into tau_hat for the cells a reader keeps.  The row sums
+        (``num``), r_hat and the denominator are buffers allocated once per
+        call: read each tile before the next."""
         sums, *buffers = np.empty((3, min(len(anchors), _ANCHOR_BLOCK), self.p))
-        buffers.append(np.empty_like(sums, self.shift.dtype))
         for j1, starts, ends, lo, hi in _tile_grid(anchors, self.p, span, _ANCHOR_BLOCK, self.p):
             for row, a in zip(sums, j1.tolist()):
                 np.matmul(self.response.centered * self.matrix[:, a], self.matrix, out=row)
             block = sums[: j1.size, lo:hi]
-            r_hat, tau_hat, shifts = (b.ravel()[: block.size].reshape(block.shape) for b in buffers)
-            denom = np.multiply.outer(self.scale[j1] * self.response_scale, self.scale[lo:hi], out=tau_hat)
+            r_hat, denom = (b.ravel()[: block.size].reshape(block.shape) for b in buffers)
+            np.multiply.outer(self.scale[j1] * self.response_scale, self.scale[lo:hi], out=denom)
             np.multiply(self.sqrt_n, np.abs(block, out=r_hat), out=r_hat)
             r_hat /= denom
             _mask(r_hat, starts, ends, lo, np.nan)
-            np.add.outer(self.shift[j1] + self.response_shift, self.shift[lo:hi], out=shifts)
-            with np.errstate(over="ignore"):  # past the float range, masked cells too
-                np.ldexp(np.divide(block, self.n, out=tau_hat), shifts, out=tau_hat)
-            yield j1, lo, r_hat, tau_hat
+            yield j1, lo, r_hat, block
+
+    def _tau_hat(self, j1, j2, num):
+        """tau_hat of pairs ``(j1, j2)`` from their scaled row sums ``num``
+        (:meth:`rows`): ``num / n`` scaled back by the pair's power of two,
+        +-inf beyond the float range."""
+        with np.errstate(over="ignore"):
+            return np.ldexp(num / self.n, self.shift[j1] + self.response_shift + self.shift[j2])
 
     def bounds(self, anchors: range, span: tuple[int, int]):
         """Yield ``(a0, lo, estimate, radius)`` per GEMM tile of ``anchors``:
@@ -634,7 +643,7 @@ class CodeWorkspace:
     bounds = None
 
     def rows(self, anchors, span: tuple[int, int]):
-        """Yield ``(j1, lo, r_hat, tau_hat)`` per slice of at most
+        """Yield ``(j1, lo, r_hat, num)`` per slice of at most
         ``_COMBINE_ROWS`` anchors of each GEMM tile of ``anchors``
         (:func:`_tile_grid`), in reused arrays: read each before the next.
         ``anchors`` is always a range: the exact route reads every row, and
@@ -647,10 +656,11 @@ class CodeWorkspace:
         A partner chunk that reaches into the tile's own anchors is summed
         one combine slice at a time, from the slice's first partner.
         With ``b_j = n S_jy - S_j S_y`` the float64 combine forms
-        ``N = n^2 S_12y - n S_y S_12 - (S_1 b_2 + b_1 S_2)``, every
+        ``num = N = n^2 S_12y - n S_y S_12 - (S_1 b_2 + b_1 S_2)``, every
         intermediate an integer below ``2 c^2 n^3 m < 2^53``, so each is
-        exact; tau_hat is the correctly rounded N / n^3, and r_hat is
-        ``|N / d|`` with ``d = sqrt((D_1 D_y) D_2)``, the same as ``|N| / d``."""
+        exact, and r_hat is ``|N / d|`` with ``d = sqrt((D_1 D_y) D_2)``,
+        the same as ``|N| / d``; :meth:`_tau_hat` makes tau_hat of the
+        cells a reader keeps."""
         n, rows = self.n, self.stored_rows
         block = min(len(anchors), _CODE_ANCHORS)
         width = min(self.p, self.partners)
@@ -691,9 +701,13 @@ class CodeWorkspace:
                     num -= np.matmul(pair, mated, out=r_hat)
                     np.multiply.outer(self.spread[mine] * self.response_spread, self.spread[c0:hi], out=r_hat)
                     np.abs(np.divide(num, np.sqrt(r_hat, out=r_hat), out=r_hat), out=r_hat)
-                    num /= float(n) ** 3
                     _mask(r_hat, starts[p0 + r0 : p0 + r1], ends[p0 + r0 : p0 + r1], c0, np.nan)
                     yield np.arange(mine.start, mine.stop), c0, r_hat, num
+
+    def _tau_hat(self, j1, j2, num):
+        """tau_hat of pairs ``(j1, j2)`` from their integer numerators
+        ``num`` (:meth:`rows`): the correctly rounded N / n^3."""
+        return num / float(self.n) ** 3
 
     def _decode(self, j0: int, j1: int, buffer: np.ndarray, slot_buffer) -> np.ndarray:
         """Columns ``[j0, j1)`` of the store as float32 codes, stored rows x
@@ -995,25 +1009,25 @@ def _mask(tile: np.ndarray, starts, ends, lo: int, fill: float) -> None:
         tile[:, tail - lo :][np.arange(tail, hi) >= ends[:, None]] = fill
 
 
+def _kth(values: np.ndarray, k: int) -> float:
+    """The k-th largest of ``values``, or -inf when there are fewer than k."""
+    return np.partition(values, values.size - k)[values.size - k] if values.size >= k else -np.inf
+
+
 class _TopK:
-    """The top-k state of one work tile's screen or sweep, or of the
-    floor step between them (:func:`scan`): the cell ``lower`` bounds or
-    the pairs ``held`` at or above the ``floor``, which only rises, to the
-    k-th largest lower bound or value seen.  A screen's starts at -inf and
-    a sweep's at the scan's screened floor.  A tile screens and reads each
-    pair once, so each count is over distinct pairs.  No instance is
-    shared, and none takes a lock."""
+    """The pairs one work tile's sweep holds at or above its ``floor``,
+    which starts at the scan's screened floor and only rises, to the k-th
+    largest value seen.  A tile reads each pair once, so the count is over
+    distinct pairs.  No instance is shared."""
 
-    def __init__(self, k: int, floor: float = -np.inf):
-        self.k, self.floor, self.held, self.lower = k, floor, [_EMPTY], np.empty(0)
+    def __init__(self, k: int, floor: float):
+        self.k, self.floor, self.held = k, floor, [_EMPTY]
 
-    def bound(self, lower: np.ndarray) -> None:
-        self.lower = self._lift(np.concatenate([self.lower, lower]))
-
-    def offer(self, tile) -> None:
-        """Hold the cells of a ``rows`` tile at or above the floor, the
-        floor first lifted to the tile's own k-th largest when more than 2k
-        reach it; the pool is cut to the floor whenever it holds more than 2k."""
+    def offer(self, ws, tile) -> None:
+        """Hold the cells of a ``rows`` tile of ``ws`` at or above the
+        floor, the floor first lifted to the tile's own k-th largest when
+        more than 2k reach it; the pool is cut to the floor whenever it
+        holds more than 2k."""
         r_hat = tile[2]
         flat, values = np.flatnonzero(r_hat >= self.floor), r_hat.ravel()
         if flat.size > 2 * self.k:
@@ -1021,18 +1035,14 @@ class _TopK:
             flat = flat[values[flat] >= self.floor]
         if not flat.size:
             return
-        self.held.append(_table(tile, np.divmod(flat, r_hat.shape[1])))
+        self.held.append(_table(ws, tile, np.divmod(flat, r_hat.shape[1])))
         if sum(map(len, self.held)) > 2 * self.k:
             pool = PairTable.concat(self.held)
             self._lift(pool.r_hat)
             self.held = [pool[pool.r_hat >= self.floor]]
 
-    def _lift(self, values: np.ndarray) -> np.ndarray:
-        """Lift the floor to the k-th largest of ``values`` when there are
-        k; return those at or above it."""
-        if values.size >= self.k:
-            self.floor = max(self.floor, np.partition(values, values.size - self.k)[values.size - self.k])
-        return values[values >= self.floor]
+    def _lift(self, values: np.ndarray) -> None:
+        self.floor = max(self.floor, _kth(values, self.k))
 
 
 def _cells(mask: np.ndarray):
@@ -1040,11 +1050,12 @@ def _cells(mask: np.ndarray):
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def _table(tile, cells) -> PairTable:
-    """The pairs of a ``rows`` tile ``(j1, lo, r_hat, tau_hat)`` at ``cells`` = (rows, columns)."""
-    j1, lo, r_hat, tau_hat = tile
+def _table(ws, tile, cells) -> PairTable:
+    """The pairs of a ``rows`` tile ``(j1, lo, r_hat, num)`` of ``ws`` at
+    ``cells`` = (rows, columns), their tau_hat made here and only here."""
+    j1, lo, r_hat, num = tile
     i, j = cells
-    return PairTable(j1[i], lo + j, tau_hat[i, j], r_hat[i, j])
+    return PairTable(j1[i], lo + j, ws._tau_hat(j1[i], lo + j, num[i, j]), r_hat[i, j])
 
 
 def _sweep_tile(ws, anchors, span, top, threshold, out, ranked=None):
@@ -1068,9 +1079,9 @@ def _sweep_tile(ws, anchors, span, top, threshold, out, ranked=None):
             for i, (s, e, a) in enumerate(zip(starts.tolist(), ends.tolist(), at.tolist())):
                 out[a : a + e - s] = r_hat[i, s - lo : e - lo]
         if top is not None:
-            top.offer(tile)
+            top.offer(ws, tile)
         if threshold is not None:
-            hits.append(_table(tile, _cells(r_hat > threshold)))
+            hits.append(_table(ws, tile, _cells(r_hat > threshold)))
         for t, v in enumerate(values.tolist()):
             i, j = _cells(r_hat == v)
             before = _row_start(j1[i], ws.p) + lo + j - j1[i] - 1 < index[t]
@@ -1078,18 +1089,19 @@ def _sweep_tile(ws, anchors, span, top, threshold, out, ranked=None):
     return PairTable.concat(hits), counts
 
 
-def _screened(ws, anchors: range, span, top, values):
+def _screened(ws, anchors: range, span, k, values):
     """Screen a work tile by the workspace's certified bounds; return
-    ``(need, reach, above, tiles)``: whether a rank value needs each
+    ``(need, reach, above, tiles, kept)``: whether a rank value needs each
     anchor's row read (a pair whose bounds bracket the value), each
     anchor's largest upper bound, which the top-k floor and a threshold
-    cut, per rank value the pairs of each anchor certainly above it, and
-    the bounds tiles screened.  Top-k lifts the tile's own ``top``
-    (:class:`_TopK`) by the cell lower bounds above its running floor."""
+    cut, per rank value the pairs of each anchor certainly above it, the
+    bounds tiles screened, and the cell lower bounds kept for a top-k
+    ``k`` (none when k is None): those at or above the tile's running cut,
+    the k-th largest kept so far, so its k largest are among them."""
     need = np.zeros(len(anchors), dtype=bool)
     reach = np.full(len(anchors), -np.inf)
     above = np.zeros((values.size, len(anchors)), dtype=np.int64)
-    tiles = 0
+    tiles, kept, cut = 0, np.empty(0), -np.inf
     for a0, _, estimate, radius in ws.bounds(anchors, span):
         tiles += 1
         at = slice(a0 - anchors.start, a0 - anchors.start + len(radius))
@@ -1102,18 +1114,18 @@ def _screened(ws, anchors: range, span, top, values):
             for t, v in enumerate(values.tolist()):
                 above[t, at] += np.bincount(i[near > v + wide], minlength=len(radius))
                 need[at.start + i[(near <= v + wide) & (near >= v - wide)]] = True
-        if top is not None:
-            # The cells above the floor are bounded a few rows at a time,
-            # each group lifting the floor for the next.
-            cut = top.floor
+        if k is not None:
+            # The cells above the cut are bounded a few rows at a time,
+            # each group lifting the cut for the next.
             live = np.flatnonzero(most > cut + radius)
             for r in range(0, live.size, _SCREEN_ROWS):
                 rows = live[r : r + _SCREEN_ROWS]
                 lower = estimate[rows]
                 lower -= radius[rows, None]
-                top.bound(lower[lower > cut])
-                cut = top.floor
-    return need, reach, above, tiles
+                kept = np.concatenate([kept, lower[lower > cut]])
+                cut = _kth(kept, k)
+                kept = kept[kept >= cut]
+    return need, reach, above, tiles, kept
 
 
 def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
@@ -1151,9 +1163,7 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     k = config.top_k
 
     def screen(tile):
-        # The tile's own top-k state keeps its lower bounds above its own cut.
-        top = _TopK(k) if k is not None else None
-        return (*_screened(ws, tile, span, top, values), top and top.lower) if ws.bounds is not None else None
+        return _screened(ws, tile, span, k, values) if ws.bounds is not None else None
 
     def sweep(tile, screened, floor):
         # The row choice: read the anchors a rank value needs and those
@@ -1177,13 +1187,10 @@ def scan(ws: Workspace | CodeWorkspace, config: ScanConfig) -> ScanResult:
     def phases(map_):
         # Work tiles share nothing.  The one value passed between the
         # phases is the floor: the k-th largest cell lower bound of the
-        # span, lifted once from every tile's kept lower bounds.
+        # span, taken once from every tile's kept lower bounds.
         screens = list(map_(screen, tiles))
-        lifted = _TopK(k) if k is not None else None
-        for screened in screens:
-            if lifted is not None and screened is not None:
-                lifted.bound(screened[-1])
-        floor = lifted.floor if lifted is not None else -np.inf
+        kept = [s[4] for s in screens if s is not None and k is not None]
+        floor = _kth(np.concatenate(kept), k) if kept else -np.inf
         return screens, list(map_(sweep, tiles, screens, [floor] * len(tiles)))
 
     # The workspace is shared read-only, and threads decide only when a
@@ -1231,12 +1238,13 @@ def all_scores(ws: Workspace | CodeWorkspace, pair_range: tuple[int, int] | None
 def iter_score_rows(ws: Workspace | CodeWorkspace):
     """Yield ``(j1, scores_for_j2_gt_j1)`` per anchor, canonical order.
     Streaming companion to :func:`all_scores` for O(p^2) dump writers.
-    On either route each block of ``_ANCHOR_BLOCK`` anchors is swept into a
-    fresh array of at most ``_ANCHOR_BLOCK x (p - 1)`` scores, and its rows
-    are views of that array, so a caller may keep them."""
+    On either route each work tile of ``_WORK_TILE`` anchors is swept into
+    a fresh array of at most ``_WORK_TILE x (p - 1)`` float64 scores (2 MB
+    at p = 1000), and its rows are views of that array, so a caller may
+    keep them."""
     p = ws.p
-    for a0 in range(0, p - 1, _ANCHOR_BLOCK):
-        a1 = min(a0 + _ANCHOR_BLOCK, p - 1)
+    for a0 in range(0, p - 1, _WORK_TILE):
+        a1 = min(a0 + _WORK_TILE, p - 1)
         span = (_row_start(a0, p), _row_start(a1, p))
         out = _scores(ws, span)
         for j1 in range(a0, a1):

@@ -452,10 +452,11 @@ def test_partner_chunks_of_a_run_have_nearly_equal_widths():
         assert all(hi == lo2 for (_, hi), (lo2, _) in zip(chunks, chunks[1:]))
 
 
-def test_exact_route_score_rows_drain_in_64_anchor_blocks():
-    # A dump sweeps 64 anchors at a time, not one 256-anchor GEMM tile: at
-    # most two 64 x (p - 1) float64 blocks (1.5 MiB each here) live at once,
-    # beside the rows buffers (1.4 MiB); 256-anchor blocks would take 12 MiB.
+def test_exact_route_score_rows_drain_in_work_tile_blocks():
+    # A dump sweeps one work tile of _WORK_TILE (256) anchors at a time, one
+    # exact-route GEMM tile: at most two 256 x (p - 1) float64 blocks (5.6
+    # MiB each here) live at once, beside the rows buffers (2.6 MiB); a
+    # third block, or the whole 34 MiB score array, breaks the bound.
     rng = np.random.default_rng(27)
     codes = rng.integers(1, 4, size=(200, 3000)).astype(np.uint8)
     ws = precompute(genotypes(codes), (rng.random(200) < 0.4).astype(np.float64))
@@ -467,7 +468,7 @@ def test_exact_route_score_rows_drain_in_64_anchor_blocks():
     finally:
         tracemalloc.stop()
     assert drained == 2999
-    assert peak < 6 * 2**20, peak
+    assert peak < 2 * scan_module._WORK_TILE * 2999 * 8 + 3 * 2**20, peak
 
 
 def test_exact_route_score_streams_agree_bytewise():

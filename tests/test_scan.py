@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -244,14 +245,19 @@ def test_integer_response_spanning_the_float_range_takes_the_float_route():
 def test_tau_hat_past_the_float_range_is_infinite_and_r_hat_exact():
     # Columns 0 and 1 at 2^532 (about 1.4e160): tau_hat of their pair is
     # 2^1064 times the unscaled one, past the float range, while tau_hat of
-    # a pair with one of them is exactly 2^532 times, and r_hat keeps its bits.
+    # a pair with one of them is exactly 2^532 times, and r_hat keeps its
+    # bits, on the top-k and threshold paths alike.
     rng = np.random.default_rng(42)
     X = rng.normal(size=(60, 6))
     y = X[:, 0] * X[:, 1] + rng.normal(size=60)
-    config = ScanConfig(top_k=pair_count(6))
+    config = ScanConfig(top_k=pair_count(6), threshold=0)
     base = scan(precompute(X, y), config).top_pairs
     X[:, :2] *= 2.0**532
-    big = scan(precompute(X, y), config).top_pairs
+    res = scan(precompute(X, y), config)
+    big = res.top_pairs
+    # Every pair is above 0, so the threshold path makes the same table.
+    for column, held in zip(big._columns(), res.selected._columns()):
+        assert held.tobytes() == column.tobytes()
     assert big.r_hat.tobytes() == base.r_hat.tobytes()
     assert np.array_equal(big.j1, base.j1) and np.array_equal(big.j2, base.j2)
     both = (base.j1 == 0) & (base.j2 == 1)
@@ -420,6 +426,48 @@ def test_sweep_tile_is_the_only_reader_of_rows(monkeypatch):
     assert callers and set(callers) == {"_sweep_tile"}
 
 
+def test_tau_hat_is_made_only_for_the_pairs_a_table_keeps(monkeypatch):
+    # tau_hat is formed in _table alone, for exactly the pairs it builds:
+    # each _table call makes one _tau_hat call with its pairs and takes its
+    # values; all_scores and the dump stream read r_hat only.
+    made, tables = [], []
+    raw_table = scan_module._table
+
+    def recorded_table(*args):
+        tables.append(raw_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(scan_module, "_table", recorded_table)
+    for cls in (Workspace, CodeWorkspace):
+        def recorded(self, j1, j2, num, _tau_hat=cls._tau_hat):
+            made.append((np.copy(j1), np.copy(j2), _tau_hat(self, j1, j2, num)))
+            return made[-1][2]
+
+        monkeypatch.setattr(cls, "_tau_hat", recorded)
+
+    rng = np.random.default_rng(23)
+    codes = rng.integers(0, 3, size=(40, 90)).astype(np.uint8)
+    inputs = [
+        (rng.normal(size=(30, 80)), rng.normal(size=30), Workspace),
+        (codes, np.tile([0.0, 1.0], 20), CodeWorkspace),
+    ]
+    for matrix, y, route in inputs:
+        ws = precompute(matrix, y)
+        assert isinstance(ws, route)
+        made.clear()
+        tables.clear()
+        res = scan(ws, ScanConfig(top_k=7, threshold=0.3, worker_count=2))
+        assert len(res.top_pairs) == 7 and len(res.selected) > 0
+        assert len(made) == len(tables) > 0
+        for (j1, j2, tau_hat), table in zip(made, tables):
+            assert np.array_equal(j1, table.j1) and np.array_equal(j2, table.j2)
+            assert tau_hat.tobytes() == table.tau_hat.tobytes()
+        made.clear()
+        all_scores(ws)
+        assert len(list(iter_score_rows(ws))) == ws.p - 1
+        assert made == []
+
+
 def test_first_top_k_screen_stays_within_its_tile_buffers():
     # The cell lower bounds are bounded a few rows at a time, each group
     # lifting the floor for the next, so even while the floor is still -inf
@@ -430,15 +478,14 @@ def test_first_top_k_screen_stays_within_its_tile_buffers():
     ws = precompute(rng.normal(size=(20, 3000)), rng.normal(size=20))
     buffers = 2 * scan_module._ANCHOR_BLOCK * scan_module._PARTNER_CHUNK * 8
     for k in (5, 64, 100, 1000):
-        top = scan_module._TopK(k)
         tracemalloc.start()
         try:
-            scan_module._screened(ws, range(256), (0, pair_count(3000)), top, np.empty(0))
+            kept = scan_module._screened(ws, range(256), (0, pair_count(3000)), k, np.empty(0))[4]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < buffers + 2**19, (k, peak)
-        assert top.floor > -np.inf
+        assert scan_module._kth(kept, k) > -np.inf
 
 
 @pytest.mark.parametrize("k", [1, 5, 64, 100, 1000])
@@ -451,16 +498,17 @@ def test_top_k_screen_leaves_the_kth_largest_cell_lower_bound_as_floor(k):
     total = pair_count(2100)
     for span in ((0, total), (total // 3 + 17, 2 * total // 3 + 5)):
         anchors = scan_module._anchors_for_span(ws.p, span)
-        top, lower = scan_module._TopK(k), []
+        kept, lower = [], []
         for a0 in range(0, len(anchors), 256):
             tile = anchors[a0 : a0 + 256]
-            scan_module._screened(ws, tile, span, top, np.empty(0))
+            kept.append(scan_module._screened(ws, tile, span, k, np.empty(0))[4])
             for _, _, estimate, radius in ws.bounds(tile, span):
                 cells = estimate - radius[:, None]
                 lower.append(cells[np.isfinite(cells)])
         lower = np.concatenate(lower)
         assert lower.size > k
-        assert top.floor == np.partition(lower, lower.size - k)[lower.size - k], (k, span)
+        floor = scan_module._kth(np.concatenate(kept), k)
+        assert floor == np.partition(lower, lower.size - k)[lower.size - k], (k, span)
 
 
 def test_float_precompute_holds_the_matrix_once_plus_one_block():
@@ -637,7 +685,8 @@ def test_top_k_scan_of_a_sparse_design_reads_about_k_rows():
 
 
 def test_drained_float_score_rows_sweep_one_gemm_tile_of_anchors_at_a_time(monkeypatch):
-    # 199 anchors in blocks of _ANCHOR_BLOCK (64): four sweeps, not one per anchor.
+    # 299 anchors in work tiles of _WORK_TILE (256): two sweeps on either
+    # route, not one per anchor or per 64-anchor float GEMM tile.
     calls = []
     raw = scan_module._sweep_tile
 
@@ -647,11 +696,20 @@ def test_drained_float_score_rows_sweep_one_gemm_tile_of_anchors_at_a_time(monke
 
     monkeypatch.setattr(scan_module, "_sweep_tile", counted)
     rng = np.random.default_rng(3)
-    ws = precompute(rng.normal(size=(30, 200)), rng.normal(size=30))
-    rows = list(iter_score_rows(ws))
-    assert [j1 for j1, _ in rows] == list(range(199))
-    assert len(calls) <= 4
-    assert np.concatenate([row for _, row in rows]).tobytes() == all_scores(ws).tobytes()
+    p = 300
+    codes = rng.integers(0, 3, size=(30, p)).astype(np.uint8)
+    inputs = [
+        (rng.normal(size=(30, p)), rng.normal(size=30), Workspace),
+        (codes, np.tile([0.0, 1.0], 15), CodeWorkspace),
+    ]
+    for matrix, y, route in inputs:
+        ws = precompute(matrix, y)
+        assert isinstance(ws, route)
+        calls.clear()
+        rows = list(iter_score_rows(ws))
+        assert [j1 for j1, _ in rows] == list(range(p - 1))
+        assert len(calls) == -(-(p - 1) // scan_module._WORK_TILE) == 2
+        assert np.concatenate([row for _, row in rows]).tobytes() == all_scores(ws).tobytes()
 
 
 def _screen_design(data):
@@ -695,12 +753,14 @@ def _screen_design(data):
 
 def _oracle_table(ws, flat, picked) -> PairTable:
     """The pairs at canonical indices ``picked``, in that order, with r_hat
-    from the flat array and tau_hat read from the anchor's row."""
+    from the flat array and tau_hat made from the anchor's row by the
+    workspace's ``_tau_hat``."""
     pairs = [pair_from_index(i, ws.p) for i in picked]
     taus = []
     for j1, j2 in pairs:
         row = (_row_start(j1, ws.p), _row_start(j1 + 1, ws.p))
-        taus += [t[0, j2 - lo] for _, lo, _, t in ws.rows(range(j1, j1 + 1), row) if lo <= j2 < lo + t.shape[1]]
+        taus += [ws._tau_hat(j1, j2, t[0, j2 - lo])
+                 for _, lo, _, t in ws.rows(range(j1, j1 + 1), row) if lo <= j2 < lo + t.shape[1]]
     return PairTable(
         np.array([j1 for j1, _ in pairs], dtype=np.intp),
         np.array([j2 for _, j2 in pairs], dtype=np.intp),
@@ -896,11 +956,14 @@ def test_shared_top_k_floor_keeps_every_result(route):
 def test_top_k_floor_keeps_pairs_equal_to_it():
     # The floor is the k-th largest lower bound (or value) seen; a pair at
     # exactly the floor may still place by the (j1, j2) rule, so it is kept.
-    top = scan_module._TopK(2)
-    top.bound(np.array([0.5, 0.7, 0.2]))
-    assert top.floor == 0.5
+    floor = scan_module._kth(np.array([0.5, 0.7, 0.2]), 2)
+    assert floor == 0.5
+    assert scan_module._kth(np.array([0.5]), 2) == -np.inf
+    top = scan_module._TopK(2, floor)
     r_hat = np.array([[0.5, 0.4, np.nan, 0.9]])
-    top.offer((np.array([3]), 4, r_hat, -r_hat))
+    # A workspace stand-in whose tau_hat is the tile's num itself.
+    ws = types.SimpleNamespace(_tau_hat=lambda j1, j2, num: num)
+    top.offer(ws, (np.array([3]), 4, r_hat, -r_hat))
     held = scan_module.PairTable.concat(top.held)
     assert held.j1.tolist() == [3, 3] and held.j2.tolist() == [4, 7]
     assert held.tau_hat.tolist() == [-0.5, -0.9]
